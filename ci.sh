@@ -70,15 +70,20 @@ RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
     cargo test -q -p nm-replog --features loom --test loom
 
-# Miri lane: interpret the two unsafe hotspots (inline_vec, aggregate)
-# under the nightly Miri borrow/UB checker. Scoped by test-name filter so
-# the proptest suites don't crawl under the interpreter. Skipped when the
-# nightly miri component is not installed (this container has no network
-# to fetch it); run `rustup component add --toolchain nightly miri` where
-# possible.
+# Miri lane: interpret the unsafe hotspots (inline_vec, aggregate) under
+# the nightly Miri borrow/UB checker, plus the portable CRC32C kernel
+# (`cfg(miri)` compiles the SSE4.2 one out, so this is the lane that runs
+# slicing-by-8 against the oracle on an x86 host) and the pointer-identity
+# proof of the `bytes` shim's zero-copy conversions. Scoped by test-name
+# filter so the proptest suites don't crawl under the interpreter. Skipped
+# when the nightly miri component is not installed (this container has no
+# network to fetch it); run `rustup component add --toolchain nightly miri`
+# where possible.
 if cargo +nightly miri --version >/dev/null 2>&1; then
     cargo +nightly miri test -p nm-model inline_vec
     cargo +nightly miri test -p nm-proto aggregate
+    cargo +nightly miri test -p nm-proto crc
+    cargo +nightly miri test -p bytes keep_the_allocation
 else
     echo "ci: nightly miri component unavailable; skipping Miri lane" >&2
 fi
@@ -97,6 +102,11 @@ if [ "${NM_TSAN:-0}" = "1" ]; then
         exit 1
     fi
 fi
+
+# Perf smoke lane: every workload of the benchmark at tiny op counts. The
+# bin checks its own outputs (receiver byte-compares, conservation, golden
+# splits) and exits non-zero when any check fails; no timing is gated here.
+cargo run --release -p nm-bench --bin perf -- --quick
 
 # Resilience harness: deterministic seeded chaos run + JSON key schema.
 cargo run --release -p nm-bench --bin resilience -- --seed 42

@@ -1,9 +1,11 @@
 //! Minimal API-compatible shim for the `bytes` crate surface this workspace
 //! uses. Vendored because the build environment has no registry access.
 //!
-//! [`Bytes`] is a refcounted view (`Arc<[u8]>` + range), so `clone`,
+//! [`Bytes`] is a refcounted view (`Arc<Vec<u8>>` + range), so `clone`,
 //! `slice` and `split_to` are zero-copy exactly like the real crate —
-//! the property the engine's zero-copy hot paths rely on.
+//! the property the engine's zero-copy hot paths rely on. Taking ownership
+//! of a `Vec<u8>` (or freezing a [`BytesMut`]) keeps its heap buffer: the
+//! only allocation is the small refcount block that holds the `Vec`.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -120,7 +122,7 @@ impl BufMut for Vec<u8> {
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
 }
 
 impl Repr {
@@ -228,9 +230,11 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes over `v`'s heap buffer: no byte is copied and the data pointer
+    /// is preserved.
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
-        Bytes { repr: Repr::Shared(Arc::from(v)), start: 0, end: len }
+        Bytes { repr: Repr::Shared(Arc::new(v)), start: 0, end: len }
     }
 }
 
@@ -248,8 +252,7 @@ impl From<&'static str> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
-        let len = b.len();
-        Bytes { repr: Repr::Shared(Arc::from(b)), start: 0, end: len }
+        Bytes::from(b.into_vec())
     }
 }
 
@@ -374,7 +377,8 @@ impl BytesMut {
         self.buf.reserve(additional);
     }
 
-    /// Converts to an immutable [`Bytes`] without copying.
+    /// Converts to an immutable [`Bytes`] that owns this buffer's
+    /// allocation: no byte is copied (see `From<Vec<u8>>`).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -424,6 +428,27 @@ mod tests {
         assert_eq!(&rest[..], &[3, 4, 5, 6, 7]);
         // The original is untouched.
         assert_eq!(b.len(), 8);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        // The zero-copy proof: the data pointer survives the conversion.
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(100..200).as_ptr(), ptr.wrapping_add(100));
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.extend_from_slice(&[9u8; 1000]);
+        let ptr = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(&b[..], &[9u8; 1000][..]);
+
+        let boxed: Box<[u8]> = vec![1u8; 64].into_boxed_slice();
+        let ptr = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ptr(), ptr);
     }
 
     #[test]

@@ -192,6 +192,27 @@ fn bench_wire(c: &mut Criterion) {
             black_box(r.into_message())
         })
     });
+
+    // Integrity mode: the checksum alone, then encode (fused checksum and
+    // copy) and decode (verify, zero-copy payload) at the framed workload's
+    // three sizes.
+    for size in [4usize << 10, 64 << 10, 1 << 20] {
+        let payload =
+            bytes::Bytes::from((0..size).map(|i| (i * 31 % 251) as u8).collect::<Vec<u8>>());
+        let header = PacketHeader { total_len: size as u64, ..header };
+        let packet = Packet::new(header, payload.clone()).with_integrity(true);
+        let wire = packet.encode();
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_with_input(BenchmarkId::new("crc32c", size), &payload, |b, p| {
+            b.iter(|| black_box(nm_proto::crc32c(black_box(p))))
+        });
+        g.bench_with_input(BenchmarkId::new("integrity_encode", size), &packet, |b, p| {
+            b.iter(|| black_box(black_box(p).encode()))
+        });
+        g.bench_with_input(BenchmarkId::new("integrity_decode", size), &wire, |b, w| {
+            b.iter(|| black_box(Packet::decode(&mut black_box(w).clone()).unwrap()))
+        });
+    }
     g.finish();
 }
 

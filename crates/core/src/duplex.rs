@@ -218,6 +218,9 @@ impl Endpoint {
             PacketKind::Eager => {
                 let h = packet.header;
                 let key = (h.flow, h.msg_id);
+                // `total_len` is authenticated only in integrity mode; the
+                // reassembler holds views of what arrived and allocates
+                // nothing from the claim.
                 let asm =
                     self.assemblers.entry(key).or_insert_with(|| Reassembler::new(h.total_len));
                 let complete = match asm.feed(h.offset, &packet.payload) {
@@ -417,6 +420,34 @@ mod tests {
         let (tag, data) = b.ready.pop_front().expect("message released");
         assert_eq!(tag, 3);
         assert_eq!(&data[..], b"abcdefgh");
+    }
+
+    /// Legacy mode does not authenticate the header, so `total_len` is
+    /// whatever the wire says: it must size nothing until the bytes arrive.
+    #[test]
+    fn unauthenticated_total_len_sizes_no_allocation() {
+        use nm_proto::PacketHeader;
+        let cfg = DuplexConfig { integrity: false, ..DuplexConfig::default() };
+        let (mut a, mut b) = pair(cfg);
+        let pkt = Packet::new(
+            PacketHeader {
+                kind: PacketKind::Eager,
+                flow: 4,
+                msg_id: 0,
+                offset: 0,
+                total_len: 1 << 40,
+                chunk_index: 0,
+                payload_len: 0,
+            },
+            Bytes::from_static(&[0xAB; 16]),
+        );
+        b.ingest(pkt.encode());
+        assert_eq!(b.received_count(), 0, "16 bytes of a claimed terabyte complete nothing");
+        assert_eq!(b.assemblers.len(), 1);
+        // The endpoint is unharmed and other flows keep working.
+        a.send(1, payload(5_000, 2));
+        let (_, data) = b.recv(T).expect("clean traffic still flows");
+        assert_eq!(data, payload(5_000, 2));
     }
 
     #[test]

@@ -939,13 +939,14 @@ impl<T: Transport> Engine<T> {
             }
             let pack_id = self.next_pack;
             // With framing on, the receiver needs the pack header to
-            // dispatch to unpack_aggregate; otherwise the bare pack
+            // dispatch to unpack_aggregate, and the segments are gathered
+            // straight into the wire buffer; otherwise the bare pack
             // payload suffices for integrity checking.
-            agg.flush(pack_id).map(|p| {
+            agg.flush_segments(pack_id).map(|pack| {
                 if self.framing {
-                    p.with_integrity(self.integrity).encode()
+                    pack.encode(self.integrity)
                 } else {
-                    p.payload
+                    pack.into_packet().payload
                 }
             })
         } else {
@@ -1033,19 +1034,22 @@ impl<T: Transport> Engine<T> {
                         }
                         None => {
                             // A timed-out chunk the transport could not
-                            // retract may still deliver; swallow it.
+                            // retract may still deliver; swallow it — and
+                            // remember it as delivered, because a
+                            // duplication fault can re-deliver a zombie
+                            // just like any completed chunk.
                             let late =
                                 self.health.as_mut().is_some_and(|ft| ft.abandoned.remove(&chunk));
-                            if !late {
+                            if late {
+                                self.note_delivered(chunk);
+                            } else if self.recent_delivered_set.contains(&chunk) {
                                 // A duplication fault re-delivers completed
                                 // chunks: recognize, count, drop.
-                                if self.recent_delivered_set.contains(&chunk) {
-                                    self.stats.duplicate_chunks_dropped += 1;
-                                } else {
-                                    return Err(EngineError::Transport(format!(
-                                        "delivery for unknown chunk {chunk:?}"
-                                    )));
-                                }
+                                self.stats.duplicate_chunks_dropped += 1;
+                            } else {
+                                return Err(EngineError::Transport(format!(
+                                    "delivery for unknown chunk {chunk:?}"
+                                )));
                             }
                         }
                     }

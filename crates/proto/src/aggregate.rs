@@ -11,7 +11,7 @@
 
 use crate::error::ProtoError;
 use crate::header::{PacketHeader, PacketKind};
-use crate::packet::Packet;
+use crate::packet::{encode_segments, Packet};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Per-entry overhead inside an aggregation pack.
@@ -156,6 +156,13 @@ impl AggPack {
     /// Total payload bytes across all segments.
     pub fn payload_len(&self) -> usize {
         self.segments.iter().map(|s| s.len()).sum()
+    }
+
+    /// Encodes the pack as one wire packet, gathering the segments straight
+    /// into the wire buffer — byte-identical to `into_packet()` followed by
+    /// [`Packet::encode`], without the intermediate contiguous payload.
+    pub fn encode(&self, integrity: bool) -> Bytes {
+        encode_segments(&self.header, integrity, self.segments.iter().map(|s| &s[..]))
     }
 
     /// Gathers the segments into one contiguous [`Packet`] — the single
@@ -315,6 +322,21 @@ mod tests {
         let packet = pack.into_packet();
         assert_eq!(packet.header.msg_id, 8);
         assert_eq!(unpack_aggregate(&packet).unwrap(), entries);
+    }
+
+    #[test]
+    fn segment_encode_equals_gather_then_encode() {
+        let entries = vec![entry(3, 30, b"abc"), entry(4, 40, b""), entry(5, 50, &[9u8; 20_000])];
+        for integrity in [false, true] {
+            let mut agg = Aggregator::new(32 * 1024);
+            for e in &entries {
+                assert!(agg.push(e.clone()));
+            }
+            let pack = agg.flush_segments(8).unwrap();
+            let direct = pack.encode(integrity);
+            let gathered = pack.into_packet().with_integrity(integrity).encode();
+            assert_eq!(direct, gathered, "integrity {integrity}");
+        }
     }
 
     #[test]

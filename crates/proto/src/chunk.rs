@@ -58,6 +58,12 @@ pub fn split_evenly(total: u64, n: usize) -> Vec<ChunkDesc> {
 
 /// Rebuilds one message from chunks arriving in any order.
 ///
+/// Chunks are held as zero-copy views of the buffers they arrived in:
+/// memory is proportional to the bytes *received*, never to the
+/// `total_len` a (possibly unauthenticated) header claimed, and no byte is
+/// copied until [`Self::into_message`] gathers them — a message that
+/// arrived as one chunk is returned as that chunk.
+///
 /// Duplicate chunks (exact same range, byte-identical content) are
 /// tolerated, *counted* in [`Self::duplicates_dropped`], and ignored — a
 /// rail retry may deliver twice. A duplicate whose bytes *differ* from the
@@ -68,7 +74,7 @@ pub fn split_evenly(total: u64, n: usize) -> Vec<ChunkDesc> {
 /// The reassembler also carries an *epoch*: failover re-planning bumps it,
 /// after which chunks stamped with an older epoch (stragglers from the
 /// superseded plan) are rejected with [`ProtoError::StaleEpoch`] instead of
-/// being spliced into the new plan's buffer.
+/// being spliced into the new plan's message.
 ///
 /// ```
 /// use bytes::Bytes;
@@ -83,9 +89,8 @@ pub fn split_evenly(total: u64, n: usize) -> Vec<ChunkDesc> {
 #[derive(Debug)]
 pub struct Reassembler {
     total_len: u64,
-    buffer: Vec<u8>,
-    /// Received (offset, len) ranges, kept sorted by offset.
-    ranges: Vec<(u64, u64)>,
+    /// Received `(offset, bytes)` chunks, disjoint, kept sorted by offset.
+    chunks: Vec<(u64, Bytes)>,
     received: u64,
     /// Exact byte-identical duplicates that were dropped.
     duplicates_dropped: u64,
@@ -94,17 +99,10 @@ pub struct Reassembler {
 }
 
 impl Reassembler {
-    /// A reassembler for a message of `total_len` bytes.
+    /// A reassembler for a message of `total_len` bytes. Allocates nothing.
     pub fn new(total_len: u64) -> Self {
         assert!(total_len <= usize::MAX as u64, "message exceeds address space");
-        Reassembler {
-            total_len,
-            buffer: vec![0; total_len as usize],
-            ranges: Vec::new(),
-            received: 0,
-            duplicates_dropped: 0,
-            epoch: 0,
-        }
+        Reassembler { total_len, chunks: Vec::new(), received: 0, duplicates_dropped: 0, epoch: 0 }
     }
 
     /// Exact duplicates dropped so far.
@@ -146,9 +144,11 @@ impl Reassembler {
         self.feed(offset, data)
     }
 
-    /// Feeds one chunk. Returns `true` when the message became complete.
-    // nm-analyzer: allow(unbounded-growth) -- ranges hold disjoint chunk spans of one message;
-    // overlap rejection above caps them at total_len / min-chunk-size
+    /// Feeds one chunk — kept as a view of `data`, not copied. Returns
+    /// `true` when the message became complete.
+    // nm-analyzer: allow(unbounded-growth) -- chunks are disjoint non-empty spans of one message;
+    // overlap rejection below caps them at total_len / min-chunk-size
+    // nm-analyzer: allow(clone) -- refcount bump on the arriving buffer; that is the zero-copy hold
     pub fn feed(&mut self, offset: u64, data: &Bytes) -> Result<bool, ProtoError> {
         let len = data.len() as u64;
         let end = offset
@@ -163,41 +163,35 @@ impl Reassembler {
         if len == 0 {
             return Ok(self.is_complete());
         }
-        // Duplicate or overlap detection against recorded ranges.
-        let pos = self.ranges.partition_point(|&(o, _)| o < offset);
-        if let Some(&(o, l)) = self.ranges.get(pos) {
-            if o == offset && l == len {
+        // Duplicate or overlap detection against the neighbouring chunks.
+        let overlap = |o: u64, held: &Bytes| {
+            ProtoError::BadChunk(format!(
+                "chunk [{offset}, {end}) overlaps [{o}, {})",
+                o + held.len() as u64
+            ))
+        };
+        let pos = self.chunks.partition_point(|(o, _)| *o < offset);
+        if let Some((o, held)) = self.chunks.get(pos) {
+            if *o == offset && held.len() == data.len() {
                 // Exact duplicate range: only byte-identical content may be
                 // dropped — differing bytes mean one copy is corrupt, and
                 // silently keeping either would mask it.
-                // nm-analyzer: allow(index) -- end <= total_len checked above;
-                // buffer is allocated at total_len
-                if self.buffer[offset as usize..end as usize] != data[..] {
+                if held != data {
                     return Err(ProtoError::DuplicateMismatch { offset });
                 }
                 self.duplicates_dropped += 1;
                 return Ok(self.is_complete());
             }
-            if o < end {
-                return Err(ProtoError::BadChunk(format!(
-                    "chunk [{offset}, {end}) overlaps [{o}, {})",
-                    o + l
-                )));
+            if *o < end {
+                return Err(overlap(*o, held));
             }
         }
-        if pos > 0 {
-            // nm-analyzer: allow(index) -- guarded by pos > 0
-            let (o, l) = self.ranges[pos - 1];
-            if o + l > offset {
-                return Err(ProtoError::BadChunk(format!(
-                    "chunk [{offset}, {end}) overlaps [{o}, {})",
-                    o + l
-                )));
+        if let Some((o, held)) = pos.checked_sub(1).and_then(|p| self.chunks.get(p)) {
+            if o + held.len() as u64 > offset {
+                return Err(overlap(*o, held));
             }
         }
-        // nm-analyzer: allow(index) -- end <= total_len checked on entry
-        self.buffer[offset as usize..end as usize].copy_from_slice(data);
-        self.ranges.insert(pos, (offset, len));
+        self.chunks.insert(pos, (offset, data.clone()));
         self.received += len;
         Ok(self.is_complete())
     }
@@ -212,11 +206,22 @@ impl Reassembler {
         self.received
     }
 
-    /// Consumes the reassembler and returns the message. Panics if it is
-    /// not complete — check [`Self::is_complete`] first.
-    pub fn into_message(self) -> Bytes {
+    /// Consumes the reassembler and returns the message: the chunk itself
+    /// when the message arrived whole, otherwise one gather copy of the
+    /// chunks in offset order. Panics if the message is not complete —
+    /// check [`Self::is_complete`] first.
+    pub fn into_message(mut self) -> Bytes {
         assert!(self.is_complete(), "message incomplete: {}/{}", self.received, self.total_len);
-        Bytes::from(self.buffer)
+        if self.chunks.len() <= 1 {
+            return self.chunks.pop().map(|(_, whole)| whole).unwrap_or_default();
+        }
+        // Complete means received == total_len: the allocation is backed
+        // byte for byte by data that arrived.
+        let mut message = Vec::with_capacity(self.total_len as usize);
+        for (_, chunk) in &self.chunks {
+            message.extend_from_slice(chunk);
+        }
+        Bytes::from(message)
     }
 }
 
@@ -360,6 +365,30 @@ mod tests {
         assert!(r.feed(0, &too_long).is_err());
         let past = Bytes::from(vec![0u8; 2]);
         assert!(r.feed(9, &past).is_err());
+    }
+
+    /// `total_len` comes from a header that legacy mode does not
+    /// authenticate: claiming a terabyte must cost nothing until that many
+    /// bytes have actually arrived.
+    #[test]
+    fn claimed_length_is_not_allocated() {
+        let mut r = Reassembler::new(1 << 40);
+        let chunk = Bytes::from(vec![5u8; 16]);
+        assert!(!r.feed(1 << 39, &chunk).unwrap());
+        assert_eq!(r.received(), 16);
+        assert!(!r.is_complete());
+        // The chunk is held as a view of the arriving buffer, not a copy.
+        assert_eq!(r.chunks[0].1.as_ptr(), chunk.as_ptr());
+    }
+
+    #[test]
+    fn whole_message_is_returned_without_a_copy() {
+        let msg = Bytes::from(vec![7u8; 4096]);
+        let mut r = Reassembler::new(4096);
+        assert!(r.feed(0, &msg).unwrap());
+        assert!(r.feed(0, &msg).unwrap(), "a duplicate after completion is still absorbed");
+        assert_eq!(r.duplicates_dropped(), 1);
+        assert_eq!(r.into_message().as_ptr(), msg.as_ptr());
     }
 
     #[test]
