@@ -17,6 +17,17 @@ check_bench_schema() {
     done
 }
 
+# The virtual-time harnesses below are deterministic: regenerating their
+# committed BENCH file must reproduce it byte for byte. A diff means a
+# schedule, split or fault outcome moved — never acceptable as a side
+# effect (a PR that means to move one commits the new file).
+check_bench_unchanged() {
+    git diff --exit-code -- "$1" || {
+        echo "$1 no longer regenerates byte-identical" >&2
+        exit 1
+    }
+}
+
 cargo build --release
 cargo test -q
 # `undocumented_unsafe_blocks` is promoted to deny: every unsafe block
@@ -114,6 +125,7 @@ check_bench_schema BENCH_resilience.json \
     bench seed msgs msg_bytes fault_free_completion_us faulted_completion_us \
     completion_inflation_pct failover_latency_us_mean retransmitted_bytes \
     retries failovers quarantines readmissions probes_sent
+check_bench_unchanged BENCH_resilience.json
 
 # Overload harness: deterministic admission-control sweep + JSON key schema.
 cargo run --release -p nm-bench --bin overload -- --seed 42
@@ -121,6 +133,7 @@ check_bench_schema BENCH_overload.json \
     bench seed msg_bytes deadline_us offered_msgs accepted rejected shed \
     completed goodput_mibps p99_completion_us corrupt_chunks retries \
     degrade_transitions
+check_bench_unchanged BENCH_overload.json
 
 # Multicore scaling harness: replicated decision state vs the locked
 # baseline under health churn. decision_overhead runs immediately before
@@ -146,6 +159,7 @@ check_bench_schema BENCH_collectives.json \
     bench provenance node_counts crossover_matches series collective bytes \
     variants algorithm predicted_us measured_us selected \
     predicted_crossover_n measured_crossover_n crossover_match
+check_bench_unchanged BENCH_collectives.json
 
 # Cluster-resilience harness: seeded mid-operation node death + neighbour
 # port kill at 8/16/32 nodes; the collectives must self-heal (watchdog +
@@ -155,3 +169,4 @@ check_bench_schema BENCH_cluster_resilience.json \
     bench seed provenance node_counts series collective algorithm bytes \
     nodes fault_free_us faulted_us inflation_pct repairs hops_retried \
     hops_rerouted repair_latency_us retry_queue_peak dead_nodes
+check_bench_unchanged BENCH_cluster_resilience.json

@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the engine's hot paths: prediction, split
-//! computation, the simulator calendar, and the wire protocol.
+//! computation, the simulator calendar, the wire protocol, and the host
+//! cost of predicting and running a collective.
 //!
 //! These are the operations the paper's strategy performs *per message* on
 //! the critical path — they must be negligible against microsecond-scale
@@ -231,12 +232,38 @@ fn bench_sampling(c: &mut Criterion) {
     g.finish();
 }
 
+/// Host cost of the collectives layer on 16 nodes: the DAG cost model on a
+/// warm bank (every hop time already in the memo), and one prediction-
+/// selected all-to-all on a stack that persists across iterations, as an
+/// application's would (240 hops through 240 kept engines).
+fn bench_collectives(c: &mut Criterion) {
+    use nm_collectives::{cost, Algorithm, Collective, Collectives, ProfileBank};
+    use nm_model::builtin;
+    use nm_sim::ClusterSpec;
+    let spec = || ClusterSpec::homogeneous(16, 4, builtin::paper_testbed());
+    let mut g = c.benchmark_group("collectives");
+    g.sample_size(10);
+    let dag = Algorithm::AlltoallPairwise.dag(16, 16 * 1024);
+    g.throughput(Throughput::Elements(dag.hops.len() as u64));
+    let mut bank = ProfileBank::new(spec());
+    black_box(cost::predict_dag_us(&mut bank, &dag));
+    g.bench_function("predict_dag_warm/alltoall_pairwise_16x16KiB", |b| {
+        b.iter(|| black_box(cost::predict_dag_us(&mut bank, black_box(&dag))))
+    });
+    let mut stack = Collectives::new(spec());
+    g.bench_function("run/alltoall_16x16KiB", |b| {
+        b.iter(|| black_box(stack.run(Collective::AllToAll, 16 * 1024).expect("run")))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_prediction,
     bench_split,
     bench_event_queue,
     bench_wire,
-    bench_sampling
+    bench_sampling,
+    bench_collectives
 );
 criterion_main!(benches);

@@ -48,22 +48,6 @@ pub fn predict_dag_us(bank: &mut ProfileBank, dag: &HopDag) -> f64 {
     makespan
 }
 
-/// Predicted makespans of both algorithm variants of `collective`, in
-/// [`crate::schedule::Collective::algorithms`] order.
-#[must_use]
-pub fn predict_variants_us(
-    bank: &mut ProfileBank,
-    collective: crate::schedule::Collective,
-    nodes: usize,
-    bytes: u64,
-) -> [(crate::schedule::Algorithm, f64); 2] {
-    let [a, b] = collective.algorithms();
-    [
-        (a, predict_dag_us(bank, &a.dag(nodes, bytes))),
-        (b, predict_dag_us(bank, &b.dag(nodes, bytes))),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,8 +95,9 @@ mod tests {
     fn pairwise_beats_ring_beyond_two_nodes() {
         let mut b = bank(8);
         for n in [3usize, 4, 8] {
-            let [(_, pairwise), (_, ring)] =
-                predict_variants_us(&mut b, crate::schedule::Collective::AllToAll, n, 64 * KIB);
+            let [pairwise, ring] = crate::schedule::Collective::AllToAll
+                .algorithms()
+                .map(|a| predict_dag_us(&mut b, &a.dag(n, 64 * KIB)));
             assert!(
                 pairwise < ring,
                 "n={n}: pairwise {pairwise} must beat store-and-forward ring {ring}"

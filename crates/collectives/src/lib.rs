@@ -119,15 +119,43 @@ impl Collectives {
         algorithm: Algorithm,
         bytes: u64,
     ) -> Result<CompletedOp, String> {
+        let dag = algorithm.dag(self.nodes(), bytes);
+        let predicted_us = cost::predict_dag_us(&mut self.bank, &dag);
+        self.run_dag(&dag, predicted_us)
+    }
+
+    /// Runs `collective` with the prediction-chosen variant — the
+    /// crate's headline operation. Each candidate's DAG is built and
+    /// predicted once; the winner's goes straight to the runner. On a
+    /// healing cluster each candidate's corrected prediction additionally
+    /// carries a health penalty for routing hops through sick nodes, so
+    /// sustained degradation shifts the choice (flat → tree when the hub's
+    /// rails are failing); on a healthy one every penalty is zero and the
+    /// choice is the plain corrected argmin.
+    pub fn run(&mut self, collective: Collective, bytes: u64) -> Result<CompletedOp, String> {
         let nodes = self.nodes();
-        let predicted_us = self.predict_us(algorithm, bytes);
-        let dag = algorithm.dag(nodes, bytes);
-        let result = self.runner.run(&mut self.bank, &dag)?;
+        let candidates = collective.algorithms().map(|a| {
+            let dag = a.dag(nodes, bytes);
+            let predicted = cost::predict_dag_us(&mut self.bank, &dag);
+            let penalty = dag_health_penalty_us(&dag, self.runner.node_sickness());
+            (dag, predicted, penalty)
+        });
+        let scored = candidates.each_ref().map(|(dag, p, q)| (dag.algorithm, *p, *q));
+        let (chosen, _) =
+            self.selector.choose_penalized(&scored).ok_or("no algorithm candidates")?;
+        let (dag, predicted, _) =
+            candidates.iter().find(|c| c.0.algorithm == chosen).expect("chosen among candidates");
+        self.run_dag(dag, *predicted)
+    }
+
+    /// Executes `dag` and feeds `(predicted, measured)` back to the selector.
+    fn run_dag(&mut self, dag: &HopDag, predicted_us: f64) -> Result<CompletedOp, String> {
+        let result = self.runner.run(&mut self.bank, dag)?;
         let op = CompletedOp {
-            collective: algorithm.collective(),
-            algorithm,
-            nodes,
-            bytes,
+            collective: dag.algorithm.collective(),
+            algorithm: dag.algorithm,
+            nodes: dag.nodes,
+            bytes: dag.bytes,
             predicted_us,
             measured_us: result.duration_us,
             stats: result.stats,
@@ -141,36 +169,6 @@ impl Collectives {
             measured_us: op.measured_us,
         });
         Ok(op)
-    }
-
-    /// Runs `collective` with the prediction-chosen variant — the
-    /// crate's headline operation. On a healing cluster each candidate's
-    /// corrected prediction additionally carries a health penalty for
-    /// routing hops through sick nodes, so sustained degradation shifts
-    /// the choice (flat → tree when the hub's rails are failing).
-    pub fn run(&mut self, collective: Collective, bytes: u64) -> Result<CompletedOp, String> {
-        let nodes = self.nodes();
-        let algorithm = if self.runner.healing() {
-            let candidates: Vec<(Algorithm, f64, f64)> = collective
-                .algorithms()
-                .into_iter()
-                .map(|a| {
-                    let dag = a.dag(nodes, bytes);
-                    let predicted = cost::predict_dag_us(&mut self.bank, &dag);
-                    let penalty = dag_health_penalty_us(&dag, self.runner.node_sickness());
-                    (a, predicted, penalty)
-                })
-                .collect();
-            self.selector.choose_penalized(&candidates).ok_or("no algorithm candidates")?.0
-        } else {
-            let candidates: Vec<(Algorithm, f64)> = collective
-                .algorithms()
-                .into_iter()
-                .map(|a| (a, cost::predict_dag_us(&mut self.bank, &a.dag(nodes, bytes))))
-                .collect();
-            self.selector.choose(&candidates).ok_or("no algorithm candidates")?.0
-        };
-        self.run_algorithm(algorithm, bytes)
     }
 }
 

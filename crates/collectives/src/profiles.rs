@@ -15,11 +15,38 @@ use nm_sampler::{sample_rail, SampleTransport, SamplingConfig, SimTransport};
 use nm_sim::{ClusterSpec, RailId};
 use std::collections::HashMap;
 
+/// Hop times the memo holds before it is emptied and refilled. A workload
+/// asks for a handful of `(rail set, size)` points, over and over; the cap
+/// only keeps a caller sweeping sizes from growing the map without end.
+const HOP_MEMO_CAP: usize = 1024;
+
+/// What one sampling run of a rail set's two-node twin yields.
+struct Sampled {
+    predictor: Predictor,
+    /// Fastest rail's time at the smallest sampled size (µs).
+    latency_us: f64,
+}
+
 /// Sampled cost knowledge for every node pair of one cluster spec.
+///
+/// Answering "how long does this hop take" is a table lookup: each pair
+/// is resolved to its rail set once, at construction, and the
+/// equal-completion dichotomy behind [`ProfileBank::hop_time_us`] runs
+/// once per distinct `(rail set, size)` — on a homogeneous cluster every
+/// hop of an all-to-all asks the same question, and the DAG cost model asks
+/// it for every candidate algorithm of every operation.
 pub struct ProfileBank {
     spec: ClusterSpec,
-    /// Predictors keyed by the (ascending) physical common-rail set.
-    cache: HashMap<Vec<usize>, Predictor>,
+    /// The distinct (ascending) physical common-rail sets of the spec's
+    /// pairs. Pairs sharing no rail have the empty set.
+    rail_sets: Vec<Vec<usize>>,
+    /// Index into `rail_sets` per ordered pair, row-major over nodes.
+    pair_set: Vec<usize>,
+    /// Per rail set, filled by the first question about it.
+    sampled: Vec<Option<Sampled>>,
+    /// `(rail-set index, bytes)` → [`ProfileBank::hop_time_us`]. Point
+    /// lookups only: hash order never reaches a result.
+    hop_times: HashMap<(usize, u64), f64>,
 }
 
 impl ProfileBank {
@@ -27,7 +54,21 @@ impl ProfileBank {
     /// distinct common-rail set.
     pub fn new(spec: ClusterSpec) -> Self {
         assert!(spec.validate().is_ok(), "invalid cluster spec");
-        ProfileBank { spec, cache: HashMap::new() }
+        let n = spec.nodes.len();
+        let mut rail_sets: Vec<Vec<usize>> = Vec::new();
+        let mut pair_set = Vec::with_capacity(n * n);
+        for src in 0..n {
+            for dst in 0..n {
+                let rails = spec.common_rails(src, dst);
+                let set = rail_sets.iter().position(|s| *s == rails).unwrap_or_else(|| {
+                    rail_sets.push(rails);
+                    rail_sets.len() - 1
+                });
+                pair_set.push(set);
+            }
+        }
+        let sampled = rail_sets.iter().map(|_| None).collect();
+        ProfileBank { spec, rail_sets, pair_set, sampled, hop_times: HashMap::new() }
     }
 
     /// The cluster spec this bank describes.
@@ -37,18 +78,25 @@ impl ProfileBank {
 
     /// Distinct rail sets sampled so far (observability for tests/benches).
     pub fn sampled_sets(&self) -> usize {
-        self.cache.len()
+        self.sampled.iter().flatten().count()
     }
 
-    // nm-analyzer: allow(unbounded-growth) -- memoization keyed by rail set; population is the
-    // number of distinct rail sets the topology exposes, guarded by contains_key
-    fn predictor_for_rails(&mut self, rails: &[usize]) -> &Predictor {
-        if !self.cache.contains_key(rails) {
+    /// Rail-set index of the `src -> dst` pair. Panics when the pair shares
+    /// no rail — the same condition the driver rejects.
+    fn rail_set(&self, src: usize, dst: usize) -> usize {
+        let set = self.pair_set[src * self.spec.nodes.len() + dst];
+        assert!(!self.rail_sets[set].is_empty(), "nodes {src} and {dst} share no rail");
+        set
+    }
+
+    fn sampled(&mut self, set: usize) -> &Sampled {
+        let (spec, rails) = (&self.spec, &self.rail_sets[set]);
+        self.sampled[set].get_or_insert_with(|| {
             // A private two-node twin with only the shared links: local
             // rail i of the pair is twin rail i.
             let links = rails
                 .iter()
-                .map(|&r| self.spec.rails.get(r).expect("validated rail index").clone())
+                .map(|&r| spec.rails.get(r).expect("validated rail index").clone())
                 .collect::<Vec<_>>();
             let twin = ClusterSpec::two_nodes(4, links.clone());
             let mut sampler = SimTransport::new(twin);
@@ -57,7 +105,7 @@ impl ProfileBank {
             // equal-completion splits and the crossover points the bench
             // pins (issue #8).
             let cfg = SamplingConfig::default();
-            let views = (0..sampler.rail_count())
+            let views: Vec<RailView> = (0..sampler.rail_count())
                 .map(|i| {
                     let natural = sample_rail(&mut sampler, i, &cfg).expect("sampling");
                     let eager_cfg =
@@ -72,9 +120,12 @@ impl ProfileBank {
                     }
                 })
                 .collect();
-            self.cache.insert(rails.to_vec(), Predictor::new(views));
-        }
-        self.cache.get(rails).expect("just inserted")
+            let latency_us = views
+                .iter()
+                .map(|r| r.natural.predict_us(r.natural.sampled_range().0))
+                .fold(f64::INFINITY, f64::min);
+            Sampled { predictor: Predictor::new(views), latency_us }
+        })
     }
 
     /// The predictor for the `src -> dst` pair, in the pair's dense local
@@ -82,9 +133,8 @@ impl ProfileBank {
     /// Panics when the pair shares no rail — the same condition the driver
     /// rejects.
     pub fn predictor_for_pair(&mut self, src: usize, dst: usize) -> Predictor {
-        let rails = self.spec.common_rails(src, dst);
-        assert!(!rails.is_empty(), "nodes {src} and {dst} share no rail");
-        self.predictor_for_rails(&rails).clone()
+        let set = self.rail_set(src, dst);
+        self.sampled(set).predictor.clone()
     }
 
     /// Predicted best-effort time (µs) for `bytes` between `src` and
@@ -93,12 +143,19 @@ impl ProfileBank {
     // nm-analyzer: allow(unit-bare) -- µs-f64 numeric core of the DAG cost
     // model, beneath the typed Micros boundary
     pub fn hop_time_us(&mut self, src: usize, dst: usize, bytes: u64) -> f64 {
-        let rails = self.spec.common_rails(src, dst);
-        assert!(!rails.is_empty(), "nodes {src} and {dst} share no rail");
-        let p = self.predictor_for_rails(&rails);
+        let key = (self.rail_set(src, dst), bytes.max(1));
+        if let Some(&t) = self.hop_times.get(&key) {
+            return t;
+        }
+        let p = &self.sampled(key.0).predictor;
         let candidates: Vec<(RailId, f64)> =
             (0..p.rail_count()).map(|i| (RailId(i), 0.0)).collect();
-        equal_completion_split(&p.natural_cost(), &candidates, bytes.max(1)).completion_us
+        let t = equal_completion_split(&p.natural_cost(), &candidates, key.1).completion_us;
+        if self.hop_times.len() >= HOP_MEMO_CAP {
+            self.hop_times.clear();
+        }
+        self.hop_times.insert(key, t);
+        t
     }
 
     /// Predicted one-way latency floor (µs) of the pair: the fastest
@@ -108,13 +165,8 @@ impl ProfileBank {
     // nm-analyzer: allow(unit-bare) -- µs-f64 numeric core of the DAG cost
     // model, beneath the typed Micros boundary
     pub fn hop_latency_us(&mut self, src: usize, dst: usize) -> f64 {
-        let rails = self.spec.common_rails(src, dst);
-        assert!(!rails.is_empty(), "nodes {src} and {dst} share no rail");
-        let p = self.predictor_for_rails(&rails);
-        p.rails()
-            .iter()
-            .map(|r| r.natural.predict_us(r.natural.sampled_range().0))
-            .fold(f64::INFINITY, f64::min)
+        let set = self.rail_set(src, dst);
+        self.sampled(set).latency_us
     }
 }
 
@@ -124,6 +176,98 @@ mod tests {
     use nm_model::builtin;
     use nm_model::units::MIB;
     use nm_sim::NodeSpec;
+    use proptest::prelude::*;
+
+    /// Sixteen nodes; with `partial`, node 3 has a NIC on rail 0 only, so
+    /// its pairs form a second rail set (without the low-latency rail).
+    fn sixteen(partial: bool) -> ClusterSpec {
+        let mut spec = ClusterSpec::homogeneous(16, 4, builtin::paper_testbed());
+        if partial {
+            spec.nodes[3] = NodeSpec::with_cores(4).on_rails(vec![0]);
+        }
+        spec
+    }
+
+    /// The hop time as it was computed before the memo: straight from the
+    /// pair's predictor, one dichotomy per question.
+    fn uncached_hop_time_us(bank: &mut ProfileBank, src: usize, dst: usize, bytes: u64) -> f64 {
+        let p = bank.predictor_for_pair(src, dst);
+        let candidates: Vec<(RailId, f64)> =
+            (0..p.rail_count()).map(|i| (RailId(i), 0.0)).collect();
+        equal_completion_split(&p.natural_cost(), &candidates, bytes.max(1)).completion_us
+    }
+
+    fn uncached_hop_latency_us(bank: &mut ProfileBank, src: usize, dst: usize) -> f64 {
+        bank.predictor_for_pair(src, dst)
+            .rails()
+            .iter()
+            .map(|r| r.natural.predict_us(r.natural.sampled_range().0))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// A bank that has answered anything before answers exactly what a
+        /// bank asked for the first time computes — across rail sets too.
+        #[test]
+        fn warm_answers_equal_fresh_ones_bit_for_bit(
+            partial in any::<bool>(),
+            queries in proptest::collection::vec((0usize..16, 1usize..16, 0u64..(8 * MIB)), 1..48),
+        ) {
+            let mut warm = ProfileBank::new(sixteen(partial));
+            let mut fresh = ProfileBank::new(sixteen(partial));
+            // Asked forwards, then again backwards: every answer but the
+            // first comes after others, most of them from the memo.
+            for &(src, step, bytes) in queries.iter().chain(queries.iter().rev()) {
+                let dst = (src + step) % 16;
+                let t = warm.hop_time_us(src, dst, bytes);
+                let l = warm.hop_latency_us(src, dst);
+                prop_assert_eq!(
+                    t.to_bits(), uncached_hop_time_us(&mut fresh, src, dst, bytes).to_bits(),
+                    "T({}, {}, {})", src, dst, bytes
+                );
+                prop_assert_eq!(
+                    l.to_bits(), uncached_hop_latency_us(&mut fresh, src, dst).to_bits(),
+                    "L({}, {})", src, dst
+                );
+            }
+            prop_assert!(fresh.hop_times.is_empty(), "the oracle must not touch the memo");
+        }
+    }
+
+    #[test]
+    fn rail_sets_do_not_alias_in_the_memo() {
+        let mut bank = ProfileBank::new(sixteen(true));
+        let both = bank.hop_time_us(0, 1, MIB);
+        let one = bank.hop_time_us(0, 3, MIB);
+        assert!(one > both, "same size, different rail set: {one} vs {both}");
+        assert_eq!(bank.hop_time_us(3, 0, MIB), one, "either direction shares the set");
+        assert_eq!(bank.hop_time_us(7, 9, MIB), both);
+        assert_eq!(bank.hop_times.len(), 2);
+        assert!(bank.hop_latency_us(0, 3) > bank.hop_latency_us(0, 1));
+    }
+
+    #[test]
+    fn memo_roll_over_returns_the_same_values() {
+        let mut bank = ProfileBank::new(sixteen(false));
+        let sizes: Vec<u64> = (0..HOP_MEMO_CAP as u64 + 40).map(|i| 1024 + 97 * i).collect();
+        let first: Vec<f64> = sizes.iter().map(|&b| bank.hop_time_us(0, 1, b)).collect();
+        assert!(bank.hop_times.len() <= HOP_MEMO_CAP);
+        assert!(bank.hop_times.len() < sizes.len(), "the sweep must have rolled the memo over");
+        // The early sizes were evicted: asking again recomputes them.
+        for (&b, &t) in sizes.iter().zip(&first).take(60) {
+            assert_eq!(bank.hop_time_us(0, 1, b).to_bits(), t.to_bits());
+            assert!(bank.hop_times.len() <= HOP_MEMO_CAP);
+        }
+    }
+
+    #[test]
+    fn zero_and_one_byte_share_an_entry() {
+        let mut bank = ProfileBank::new(sixteen(false));
+        assert_eq!(bank.hop_time_us(0, 1, 0).to_bits(), bank.hop_time_us(0, 1, 1).to_bits());
+        assert_eq!(bank.hop_times.len(), 1);
+    }
 
     #[test]
     fn homogeneous_cluster_samples_one_twin() {

@@ -13,12 +13,33 @@
 //! Letting any single engine's `poll` free-run the clock instead would
 //! post dependent hops *after* the clock passed their true ready time,
 //! deforming the schedule.
+//!
+//! Host cost follows the events, not the engines. A 16-node all-to-all
+//! keeps 240 engines, and one calendar step concerns one or two of them:
+//!
+//! * the runner polls the engines on the cluster's *ready list*
+//!   ([`SimCluster::take_ready`]) — those an event was just routed to —
+//!   rather than asking every engine after every step. Same-instant
+//!   deliveries leave several inboxes filled at once, and the order they
+//!   are polled in decides same-instant submit order downstream; the list
+//!   arrives sorted by `(src, dst)`, which is also the iteration order of
+//!   the pair-keyed engine map, so polling from the list and scanning the
+//!   map produce the same schedule (`tests/schedule_pin.rs` holds digests
+//!   of every delivery time, taken from the scanning runner);
+//! * an engine with nothing queued tells its driver so and is sent no
+//!   NIC/core idle events ([`nm_core::transport::Transport::set_idle_interest`]):
+//!   the n−2 sibling engines of a busy node are left alone instead of each
+//!   being polled to interrogate an empty queue. Healing engines (fault
+//!   tolerance on) keep receiving them — their polls also run timeouts;
+//! * the watchdog looks at hop deadlines only once the clock has reached
+//!   the earliest one.
 
 use crate::profiles::ProfileBank;
 use crate::repair::{self, HopRole};
 use crate::schedule::{Algorithm, Collective, Hop, HopDag};
 use nm_core::driver::cluster::{PairDriver, SimCluster};
 use nm_core::engine::{Engine, MsgId};
+use nm_core::error::EngineError;
 use nm_core::health::HealthConfig;
 use nm_core::strategy::StrategyKind;
 use nm_faults::ClusterFaultSchedule;
@@ -95,6 +116,20 @@ pub struct RunResult {
     pub stats: RunStats,
 }
 
+impl RunResult {
+    /// The run finished when its last delivered hop was delivered.
+    fn new(
+        started_at: SimTime,
+        deliveries: Vec<Option<SimTime>>,
+        hops: Vec<Hop>,
+        stats: RunStats,
+    ) -> Self {
+        let finished_at = deliveries.iter().flatten().copied().max().unwrap_or(started_at);
+        let duration_us = finished_at.saturating_since(started_at).as_micros_f64();
+        RunResult { started_at, finished_at, duration_us, deliveries, hops, stats }
+    }
+}
+
 /// Execution state of one hop in the (growing) DAG.
 #[derive(Debug, Clone)]
 enum HopState {
@@ -107,6 +142,23 @@ enum HopState {
     /// Torn out (retries exhausted, endpoint dead, or dependency lost);
     /// owed work is replanned by repair, never by resurrecting this index.
     Cancelled,
+}
+
+/// A posted hop as its engine knows it: `(src, dst, message id)`.
+type HopKey = (usize, usize, MsgId);
+
+/// An engine whose poll failed (it is dropped), and the error.
+type Poisoned = ((usize, usize), EngineError);
+
+/// The healing run's ledger of hops.
+struct Watch {
+    state: Vec<HopState>,
+    /// Which hop each live engine message is.
+    posted: BTreeMap<HopKey, usize>,
+    /// No live deadline is earlier than this. It may lag behind (the hop
+    /// that set it has since completed); the watchdog scan it then triggers
+    /// finds nothing due and re-derives it from the hops still posted.
+    next_deadline: SimTime,
 }
 
 /// A simulated cluster plus the per-pair engines collectives run on.
@@ -127,6 +179,8 @@ pub struct CollectiveCluster {
     /// Per-node failure EWMA, persisted across runs so the selector can
     /// penalize schedules through a sick hub. All zeros when healthy.
     sickness: Vec<f64>,
+    /// Engine polls made so far, over every run.
+    engine_polls: u64,
 }
 
 impl CollectiveCluster {
@@ -134,13 +188,18 @@ impl CollectiveCluster {
     pub fn new(spec: ClusterSpec) -> Self {
         assert!(spec.validate().is_ok(), "invalid cluster spec");
         let cluster = SimCluster::new(spec.clone());
+        CollectiveCluster::over(cluster, spec, false)
+    }
+
+    fn over(cluster: SimCluster, spec: ClusterSpec, healing: bool) -> Self {
         let nodes = spec.nodes.len();
         CollectiveCluster {
             cluster,
             spec,
             engines: BTreeMap::new(),
-            healing: false,
+            healing,
             sickness: vec![0.0; nodes],
+            engine_polls: 0,
         }
     }
 
@@ -151,14 +210,7 @@ impl CollectiveCluster {
     pub fn with_faults(spec: ClusterSpec, schedule: &ClusterFaultSchedule) -> Result<Self, String> {
         spec.validate()?;
         let cluster = SimCluster::with_faults(spec.clone(), schedule)?;
-        let nodes = spec.nodes.len();
-        Ok(CollectiveCluster {
-            cluster,
-            spec,
-            engines: BTreeMap::new(),
-            healing: !schedule.is_empty(),
-            sickness: vec![0.0; nodes],
-        })
+        Ok(CollectiveCluster::over(cluster, spec, !schedule.is_empty()))
     }
 
     /// The cluster spec.
@@ -184,6 +236,13 @@ impl CollectiveCluster {
     /// Per-node failure EWMA (all zeros when nothing has failed).
     pub fn node_sickness(&self) -> &[f64] {
         &self.sickness
+    }
+
+    /// `Engine::poll` calls made by every run so far — the host-side work a
+    /// collective costs beyond its hops; it should stay a small multiple of
+    /// the hops executed.
+    pub fn engine_polls(&self) -> u64 {
+        self.engine_polls
     }
 
     // nm-analyzer: allow(unbounded-growth) -- one engine per directed node pair, guarded by
@@ -217,6 +276,40 @@ impl CollectiveCluster {
         }
     }
 
+    /// One round of the drain phase: polls each engine the cluster lists as
+    /// ready, in pair order, and queues the ids they report done. `None`
+    /// once nothing was ready (newly posted hops can fill inboxes, so
+    /// callers repeat until then); otherwise the engines whose poll failed,
+    /// already dropped from the map.
+    fn drain_ready(
+        &mut self,
+        done_queue: &mut Vec<HopKey>,
+        queue_peak: &mut usize,
+    ) -> Result<Option<Vec<Poisoned>>, String> {
+        let ready = self.cluster.take_ready();
+        let mut poisoned = Vec::new();
+        for &pair in &ready {
+            // Not ours: a driver someone else registered on `cluster()`.
+            let Some(engine) = self.engines.get_mut(&pair) else { continue };
+            self.engine_polls += 1;
+            match engine.poll() {
+                Ok(done) => done_queue.extend(done.into_iter().map(|id| (pair.0, pair.1, id))),
+                Err(e) => {
+                    self.engines.remove(&pair);
+                    poisoned.push((pair, e));
+                }
+            }
+        }
+        *queue_peak = (*queue_peak).max(done_queue.len());
+        if done_queue.len() > DONE_QUEUE_BOUND {
+            return Err(format!(
+                "flow-held completion queue wedged at {} entries",
+                done_queue.len()
+            ));
+        }
+        Ok((!ready.is_empty()).then_some(poisoned))
+    }
+
     fn run_clean(&mut self, bank: &mut ProfileBank, dag: &HopDag) -> Result<RunResult, String> {
         dag.check()?;
         let started_at = self.cluster.now();
@@ -235,12 +328,12 @@ impl CollectiveCluster {
             }
         }
 
-        let mut posted: BTreeMap<(usize, usize, MsgId), usize> = BTreeMap::new();
+        let mut posted: BTreeMap<HopKey, usize> = BTreeMap::new();
         let mut deliveries: Vec<Option<SimTime>> = vec![None; dag.hops.len()];
         let mut outstanding = 0usize;
 
         let post = |engines: &mut BTreeMap<(usize, usize), Engine<PairDriver>>,
-                    posted: &mut BTreeMap<(usize, usize, MsgId), usize>,
+                    posted: &mut BTreeMap<HopKey, usize>,
                     hop_idx: usize|
          -> Result<(), String> {
             let h = &dag.hops[hop_idx];
@@ -264,38 +357,15 @@ impl CollectiveCluster {
         // engine has not *released* yet: per-flow in-order release may hold
         // a completion until its flow predecessors finish, so
         // `try_completion` can trail `poll`'s done list by a few events.
-        let mut done_queue: Vec<(usize, usize, MsgId)> = Vec::new();
+        let mut done_queue: Vec<HopKey> = Vec::new();
         let mut retry_queue_peak = 0usize;
         while outstanding > 0 {
             // Drain phase: deliver every event already routed to an inbox
             // before touching the clock, releasing dependents as hops
-            // complete. Newly-posted hops can themselves fill inboxes, so
-            // iterate to a fixed point.
-            loop {
-                // Same-instant deliveries leave several inboxes pending at
-                // once, and poll order decides same-instant submit order
-                // downstream: engines live in a BTreeMap precisely so this
-                // collects in pair order and runs stay bit-deterministic.
-                let pending: Vec<(usize, usize)> = self
-                    .engines
-                    .iter()
-                    .filter(|(_, e)| e.transport().pending_events() > 0)
-                    .map(|(&k, _)| k)
-                    .collect();
-                if pending.is_empty() {
-                    break;
-                }
-                for pair in pending {
-                    let engine = self.engines.get_mut(&pair).expect("engine exists");
-                    let done = engine.poll().map_err(|e| format!("poll {pair:?}: {e}"))?;
-                    done_queue.extend(done.into_iter().map(|id| (pair.0, pair.1, id)));
-                }
-                retry_queue_peak = retry_queue_peak.max(done_queue.len());
-                if done_queue.len() > DONE_QUEUE_BOUND {
-                    return Err(format!(
-                        "flow-held completion queue wedged at {} entries",
-                        done_queue.len()
-                    ));
+            // complete.
+            while let Some(poisoned) = self.drain_ready(&mut done_queue, &mut retry_queue_peak)? {
+                if let Some((pair, e)) = poisoned.first() {
+                    return Err(format!("poll {pair:?}: {e}"));
                 }
                 let mut ready: Vec<usize> = Vec::new();
                 for key in std::mem::take(&mut done_queue) {
@@ -304,8 +374,7 @@ impl CollectiveCluster {
                         done_queue.push(key);
                         continue;
                     };
-                    let hop_idx = *posted.get(&key).ok_or("untracked completion")?;
-                    posted.remove(&key);
+                    let hop_idx = posted.remove(&key).ok_or("untracked completion")?;
                     deliveries[hop_idx] = Some(completion.delivered_at);
                     outstanding -= 1;
                     for &dep in &dependents[hop_idx] {
@@ -332,15 +401,8 @@ impl CollectiveCluster {
         if deliveries.iter().any(Option::is_none) {
             return Err("hop never delivered".into());
         }
-        let finished_at = deliveries.iter().flatten().copied().max().unwrap_or(started_at);
-        Ok(RunResult {
-            started_at,
-            finished_at,
-            duration_us: finished_at.saturating_since(started_at).as_micros_f64(),
-            deliveries,
-            hops: dag.hops.clone(),
-            stats: RunStats { retry_queue_peak, ..RunStats::default() },
-        })
+        let stats = RunStats { retry_queue_peak, ..RunStats::default() };
+        Ok(RunResult::new(started_at, deliveries, dag.hops.clone(), stats))
     }
 
     /// The self-healing execution path: every posted hop carries a
@@ -358,7 +420,11 @@ impl CollectiveCluster {
         let mut hops: Vec<Hop> = dag.hops.clone();
         let mut roles: Vec<HopRole> =
             hops.iter().enumerate().map(|(i, h)| original_role(dag.algorithm, n, i, h)).collect();
-        let mut state: Vec<HopState> = vec![HopState::Pending; hops.len()];
+        let mut watch = Watch {
+            state: vec![HopState::Pending; hops.len()],
+            posted: BTreeMap::new(),
+            next_deadline: SimTime::FAR_FUTURE,
+        };
         let mut remaining: Vec<usize> = hops.iter().map(|h| h.deps.len()).collect();
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); hops.len()];
         for (i, h) in hops.iter().enumerate() {
@@ -374,19 +440,18 @@ impl CollectiveCluster {
         let mut holders: BTreeSet<usize> = [0].into();
         let mut block_done: BTreeSet<(usize, usize)> = BTreeSet::new();
 
-        let mut posted_ids: BTreeMap<(usize, usize, MsgId), usize> = BTreeMap::new();
         let mut stats = RunStats::default();
         let mut first_failure: Option<SimTime> = None;
         let mut last_repair_delivery: Option<SimTime> = None;
         let mut outstanding = 0usize;
-        let mut done_queue: Vec<(usize, usize, MsgId)> = Vec::new();
+        let mut done_queue: Vec<HopKey> = Vec::new();
 
         for hop in &hops {
             self.ensure_engine(bank, hop.src, hop.dst);
         }
         for (i, &rem) in remaining.iter().enumerate() {
             if rem == 0 {
-                self.post_watched(bank, &hops, &mut state, &mut posted_ids, i, 0)?;
+                self.post_watched(bank, &hops, &mut watch, i, 0)?;
                 outstanding += 1;
             }
         }
@@ -394,53 +459,28 @@ impl CollectiveCluster {
         loop {
             // Event loop until every hop is Done or Cancelled.
             while outstanding > 0 {
-                // Drain inboxes to a fixed point, then process completions.
-                loop {
-                    // BTreeMap iteration is pair-ordered, so poll (and thus
-                    // same-instant submit) order is reproducible by
-                    // construction.
-                    let pending: Vec<(usize, usize)> = self
-                        .engines
-                        .iter()
-                        .filter(|(_, e)| e.transport().pending_events() > 0)
-                        .map(|(&k, _)| k)
-                        .collect();
-                    if pending.is_empty() {
-                        break;
-                    }
-                    for pair in pending {
-                        let Some(engine) = self.engines.get_mut(&pair) else { continue };
-                        match engine.poll() {
-                            Ok(done) => {
-                                done_queue.extend(done.into_iter().map(|id| (pair.0, pair.1, id)));
+                // Drain inboxes to a fixed point, processing completions.
+                while let Some(poisoned) =
+                    self.drain_ready(&mut done_queue, &mut stats.retry_queue_peak)?
+                {
+                    for (pair, _) in poisoned {
+                        // Poisoned engine (e.g. a chunk burned through
+                        // every retry), already dropped: write off its live
+                        // hops; repair re-plans the owed work and a fresh
+                        // engine replaces it.
+                        let mut victims = Vec::new();
+                        watch.posted.retain(|k, i| {
+                            (k.0, k.1) != pair || {
+                                victims.push(*i);
+                                false
                             }
-                            Err(_e) => {
-                                // Poisoned engine (e.g. a chunk burned
-                                // through every retry): drop it, write off
-                                // its live hops; repair re-plans the owed
-                                // work and a fresh engine replaces it.
-                                self.engines.remove(&pair);
-                                let mut victims: Vec<usize> = posted_ids
-                                    .iter()
-                                    .filter(|((s, d, _), _)| (*s, *d) == pair)
-                                    .map(|(_, &i)| i)
-                                    .collect();
-                                victims.sort_unstable();
-                                for i in victims {
-                                    posted_ids.retain(|_, &mut v| v != i);
-                                    self.note_failure(hops[i].src, hops[i].dst);
-                                    first_failure.get_or_insert(self.cluster.now());
-                                    outstanding -= cancel_cascade(&mut state, &dependents, i);
-                                }
-                            }
+                        });
+                        victims.sort_unstable();
+                        for i in victims {
+                            self.note_failure(hops[i].src, hops[i].dst);
+                            first_failure.get_or_insert(self.cluster.now());
+                            outstanding -= cancel_cascade(&mut watch.state, &dependents, i);
                         }
-                    }
-                    stats.retry_queue_peak = stats.retry_queue_peak.max(done_queue.len());
-                    if done_queue.len() > DONE_QUEUE_BOUND {
-                        return Err(format!(
-                            "flow-held completion queue wedged at {} entries",
-                            done_queue.len()
-                        ));
                     }
                     let mut ready: Vec<usize> = Vec::new();
                     for key in std::mem::take(&mut done_queue) {
@@ -451,15 +491,14 @@ impl CollectiveCluster {
                             done_queue.push(key);
                             continue;
                         };
-                        let Some(&hop_idx) = posted_ids.get(&key) else {
+                        let Some(hop_idx) = watch.posted.remove(&key) else {
                             continue; // hop was written off while held
                         };
-                        posted_ids.remove(&key);
-                        if !matches!(state[hop_idx], HopState::Posted { .. }) {
+                        if !matches!(watch.state[hop_idx], HopState::Posted { .. }) {
                             continue;
                         }
                         let at = completion.delivered_at;
-                        state[hop_idx] = HopState::Done(at);
+                        watch.state[hop_idx] = HopState::Done(at);
                         outstanding -= 1;
                         self.note_success(hops[hop_idx].src, hops[hop_idx].dst);
                         match roles[hop_idx] {
@@ -480,7 +519,8 @@ impl CollectiveCluster {
                         }
                         for &dep in &dependents[hop_idx] {
                             remaining[dep] = remaining[dep].saturating_sub(1);
-                            if remaining[dep] == 0 && matches!(state[dep], HopState::Pending) {
+                            if remaining[dep] == 0 && matches!(watch.state[dep], HopState::Pending)
+                            {
                                 ready.push(dep);
                             }
                         }
@@ -488,7 +528,7 @@ impl CollectiveCluster {
                     ready.sort_unstable();
                     for hop_idx in ready {
                         self.ensure_engine(bank, hops[hop_idx].src, hops[hop_idx].dst);
-                        self.post_watched(bank, &hops, &mut state, &mut posted_ids, hop_idx, 0)?;
+                        self.post_watched(bank, &hops, &mut watch, hop_idx, 0)?;
                         outstanding += 1;
                     }
                 }
@@ -499,18 +539,28 @@ impl CollectiveCluster {
                     return Err(format!("calendar drained with {outstanding} hops outstanding"));
                 }
                 // Watchdog: deadlines are pinned on the calendar, so a
-                // wedged hop is noticed the moment the clock passes it.
+                // wedged hop is noticed the moment the clock passes it —
+                // and until the clock reaches the earliest one there is
+                // nothing to look for.
                 let now = self.cluster.now();
-                let expired: Vec<usize> = state
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| match s {
-                        HopState::Posted { deadline, .. } if *deadline <= now => Some(i),
-                        _ => None,
-                    })
-                    .collect();
+                if now < watch.next_deadline {
+                    continue;
+                }
+                // Hops still in time set the next look; each deadline given
+                // out below (fresh or reposted) lowers it again.
+                watch.next_deadline = SimTime::FAR_FUTURE;
+                let mut expired: Vec<usize> = Vec::new();
+                for (i, s) in watch.state.iter().enumerate() {
+                    match s {
+                        HopState::Posted { deadline, .. } if *deadline <= now => expired.push(i),
+                        HopState::Posted { deadline, .. } => {
+                            watch.next_deadline = watch.next_deadline.min(*deadline);
+                        }
+                        _ => {}
+                    }
+                }
                 for i in expired {
-                    let (id, attempts) = match &state[i] {
+                    let (id, attempts) = match &watch.state[i] {
                         HopState::Posted { id, attempts, .. } => (*id, *attempts),
                         _ => continue,
                     };
@@ -524,26 +574,20 @@ impl CollectiveCluster {
                             // it a fresh deadline and keep waiting.
                             let deadline = now + self.hop_timeout(bank, &hops[i], 0);
                             self.cluster.schedule_wakeup(deadline);
-                            state[i] = HopState::Posted { id, deadline, attempts };
+                            watch.state[i] = HopState::Posted { id, deadline, attempts };
+                            watch.next_deadline = watch.next_deadline.min(deadline);
                         }
                         Ok(true) => {
-                            posted_ids.remove(&(pair.0, pair.1, id));
+                            watch.posted.remove(&(pair.0, pair.1, id));
                             self.note_failure(pair.0, pair.1);
                             first_failure.get_or_insert(now);
                             let endpoint_dead = self.cluster.node_is_down(pair.0)
                                 || self.cluster.node_is_down(pair.1);
                             if !endpoint_dead && attempts < MAX_HOP_RETRIES {
                                 stats.hops_retried += 1;
-                                self.post_watched(
-                                    bank,
-                                    &hops,
-                                    &mut state,
-                                    &mut posted_ids,
-                                    i,
-                                    attempts + 1,
-                                )?;
+                                self.post_watched(bank, &hops, &mut watch, i, attempts + 1)?;
                             } else {
-                                outstanding -= cancel_cascade(&mut state, &dependents, i);
+                                outstanding -= cancel_cascade(&mut watch.state, &dependents, i);
                             }
                         }
                         Err(e) => return Err(format!("abandon hop {i} {pair:?}: {e}")),
@@ -586,7 +630,7 @@ impl CollectiveCluster {
                 let abs_deps: Vec<usize> = rh.deps.iter().map(|&d| d + base).collect();
                 hops.push(Hop { src: rh.src, dst: rh.dst, bytes: rh.bytes, deps: abs_deps });
                 roles.push(rh.role);
-                state.push(HopState::Pending);
+                watch.state.push(HopState::Pending);
                 remaining.push(rh.deps.len());
                 dependents.push(Vec::new());
                 stats.hops_rerouted += 1;
@@ -599,13 +643,14 @@ impl CollectiveCluster {
             for i in base..hops.len() {
                 self.ensure_engine(bank, hops[i].src, hops[i].dst);
                 if remaining[i] == 0 {
-                    self.post_watched(bank, &hops, &mut state, &mut posted_ids, i, 0)?;
+                    self.post_watched(bank, &hops, &mut watch, i, 0)?;
                     outstanding += 1;
                 }
             }
         }
 
-        let deliveries: Vec<Option<SimTime>> = state
+        let deliveries: Vec<Option<SimTime>> = watch
+            .state
             .iter()
             .map(|s| match s {
                 HopState::Done(at) => Some(*at),
@@ -615,15 +660,7 @@ impl CollectiveCluster {
         if let (Some(begin), Some(end)) = (first_failure, last_repair_delivery) {
             stats.repair_latency_us = end.saturating_since(begin).as_micros_f64();
         }
-        let finished_at = deliveries.iter().flatten().copied().max().unwrap_or(started_at);
-        Ok(RunResult {
-            started_at,
-            finished_at,
-            duration_us: finished_at.saturating_since(started_at).as_micros_f64(),
-            deliveries,
-            hops,
-            stats,
-        })
+        Ok(RunResult::new(started_at, deliveries, hops, stats))
     }
 
     /// Posts hop `i` on its pair's engine with a pinned watchdog deadline
@@ -633,8 +670,7 @@ impl CollectiveCluster {
         &mut self,
         bank: &mut ProfileBank,
         hops: &[Hop],
-        state: &mut [HopState],
-        posted_ids: &mut BTreeMap<(usize, usize, MsgId), usize>,
+        watch: &mut Watch,
         i: usize,
         attempts: u32,
     ) -> Result<(), String> {
@@ -649,8 +685,9 @@ impl CollectiveCluster {
             .map_err(|e| format!("hop {i} ({}->{}): {e}", h.src, h.dst))?;
         let deadline = self.cluster.now() + timeout;
         self.cluster.schedule_wakeup(deadline);
-        posted_ids.insert((h.src, h.dst, id), i);
-        state[i] = HopState::Posted { id, deadline, attempts };
+        watch.posted.insert((h.src, h.dst, id), i);
+        watch.state[i] = HopState::Posted { id, deadline, attempts };
+        watch.next_deadline = watch.next_deadline.min(deadline);
         Ok(())
     }
 
@@ -820,6 +857,22 @@ mod tests {
             cc2.run(&mut bank2, &Algorithm::BcastFlat.dag(2, 256 * KIB)).expect("run").duration_us
         };
         assert!(res.duration_us > single);
+    }
+
+    #[test]
+    fn polls_scale_with_hops_not_with_engines() {
+        // 240 engines, 240 hops: each hop's events concern its own engine
+        // (and, while something is queued there, its node's siblings).
+        // Polling all 15 engines of a node on each of its NIC/core idle
+        // events takes 42 polls per hop.
+        let (mut cc, mut bank) = setup(16);
+        let dag = Algorithm::AlltoallPairwise.dag(16, 16 * KIB);
+        cc.run(&mut bank, &dag).expect("run");
+        let per_hop = cc.engine_polls() as f64 / dag.hops.len() as f64;
+        assert!(per_hop <= 8.0, "{per_hop} engine polls per hop");
+        let first = cc.engine_polls();
+        cc.run(&mut bank, &dag).expect("run");
+        assert!(cc.engine_polls() > first, "the count is cumulative over runs");
     }
 
     #[test]

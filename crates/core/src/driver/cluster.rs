@@ -14,6 +14,30 @@
 //! inboxes; any driver's `poll` may advance the shared clock and feed its
 //! peers' inboxes.
 //!
+//! Three routing rules keep the host cost of an event proportional to the
+//! drivers it concerns, not to the drivers that exist:
+//!
+//! * **Ready list.** The first event routed to an inbox puts its driver on
+//!   a ready list. A workload driver stepping the clock itself
+//!   ([`SimCluster::pump_one`]) takes the list with
+//!   [`SimCluster::take_ready`] instead of asking every driver whether
+//!   anything arrived. The list comes back sorted by `(src, dst)`: that is
+//!   the order a scan over a pair-keyed `BTreeMap` of engines visits them,
+//!   and the order engines are polled at one instant decides the order they
+//!   submit at that instant — so it is part of the modeled result, not a
+//!   convenience.
+//! * **Idle interest.** `NicIdle`/`CoreIdle` go to every driver sourced at
+//!   the node *that asked for them* ([`Transport::set_idle_interest`]; the
+//!   default is to ask). An engine with nothing queued has no use for an
+//!   idle event — its poll would interrogate an empty queue — and an
+//!   all-to-all keeps n−1 engines per node, all but one or two of them in
+//!   that state at any instant. Completions, failures and wakeups are
+//!   routed to their owner regardless.
+//! * **Retirement.** Dropping a [`PairDriver`] retires its slot: the inbox
+//!   is emptied and nothing is routed to it again (idle events, late
+//!   deliveries of its own transfers, timers), so the inbox of a driver
+//!   nobody will poll cannot grow.
+//!
 //! A cluster built with [`SimCluster::with_faults`] replays a seeded
 //! [`ClusterFaultSchedule`] against the shared transport: submissions onto
 //! a downed NIC port fail immediately, a `DownBegin` kills the port's
@@ -66,12 +90,28 @@ struct ClusterFaults {
     next_rejected: u64,
 }
 
+/// What the shared transport keeps per registered driver.
+struct Slot {
+    inbox: VecDeque<TransportEvent>,
+    src: NodeId,
+    dst: NodeId,
+    /// Whether the source node's `NicIdle`/`CoreIdle` are routed here.
+    idle_wanted: bool,
+    /// On [`Shared::ready`] already (a slot is listed at most once).
+    listed: bool,
+    /// The driver was dropped; nothing is routed here any more.
+    retired: bool,
+}
+
 struct Shared {
     sim: Simulator,
-    /// One inbox per registered driver.
-    inboxes: Vec<VecDeque<TransportEvent>>,
-    /// Source node of each driver (for idle-event routing).
-    sources: Vec<NodeId>,
+    /// One slot per registered driver, indexed by [`PairDriver::index`].
+    slots: Vec<Slot>,
+    /// Slot indices by source node: who shares each node's NICs and cores.
+    by_source: Vec<Vec<usize>>,
+    /// Slots that received an event since [`SimCluster::take_ready`] last
+    /// emptied this list.
+    ready: Vec<usize>,
     /// Which driver submitted each transfer.
     owner: HashMap<TransferId, usize>,
     /// Fault replay; `None` keeps every injection hook fully disabled.
@@ -79,11 +119,55 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(sim: Simulator, faults: Option<Box<ClusterFaults>>) -> Self {
+        let by_source = vec![Vec::new(); sim.spec().nodes.len()];
+        Shared {
+            sim,
+            slots: Vec::new(),
+            by_source,
+            ready: Vec::new(),
+            owner: HashMap::new(),
+            faults,
+        }
+    }
+
+    /// Routes one event to driver `i`'s inbox and lists the driver as ready.
+    // nm-analyzer: allow(unbounded-growth) -- an inbox is emptied by its driver's next poll and
+    // takes nothing once the driver is dropped; the ready list holds each slot at most once
+    // (`listed`), so it is bounded by the drivers registered
+    fn deliver(&mut self, i: usize, ev: TransportEvent) {
+        let Some(slot) = self.slots.get_mut(i) else { return };
+        if slot.retired {
+            return;
+        }
+        slot.inbox.push_back(ev);
+        if !slot.listed {
+            slot.listed = true;
+            self.ready.push(i);
+        }
+    }
+
+    /// Routes an event about `transfer` to the driver that submitted it.
+    fn deliver_to_owner(&mut self, transfer: TransferId, ev: TransportEvent) {
+        if let Some(&o) = self.owner.get(&transfer) {
+            self.deliver(o, ev);
+        }
+    }
+
+    /// Routes a NIC/core idle event of `node` to every driver sending from
+    /// it (they share the NIC) that asked for idle events.
+    fn deliver_idle(&mut self, node: NodeId, ev: &TransportEvent) {
+        for k in 0..self.by_source[node.index()].len() {
+            let i = self.by_source[node.index()][k];
+            if self.slots[i].idle_wanted {
+                self.deliver(i, ev.clone());
+            }
+        }
+    }
+
     /// Applies every fault transition due at or before `at`. Called per
     /// routed event (each transition instant also has a pinned wakeup), so
     /// the state a submission consults is always current for `now`.
-    // nm-analyzer: allow(unbounded-growth) -- per-port inboxes; every push is drained by the
-    // owning driver's next poll
     fn apply_transitions_until(&mut self, at: SimTime) {
         loop {
             let Some(f) = self.faults.as_deref_mut() else { return };
@@ -107,16 +191,14 @@ impl Shared {
                         })
                         .map(|(&id, _)| id)
                         .collect();
+                    for id in &victims {
+                        f.inflight.remove(id);
+                        f.doomed.remove(id);
+                        f.suppressed.insert(*id);
+                    }
                     for id in victims {
-                        f.inflight.remove(&id);
-                        f.doomed.remove(&id);
-                        f.suppressed.insert(id);
-                        if let Some(&o) = self.owner.get(&id) {
-                            self.inboxes[o].push_back(TransportEvent::ChunkFailed {
-                                chunk: ChunkId(id.0),
-                                at: t.at,
-                            });
-                        }
+                        let failed = TransportEvent::ChunkFailed { chunk: ChunkId(id.0), at: t.at };
+                        self.deliver_to_owner(id, failed);
                     }
                 }
                 Change::ShapeBegin { time_scale, extra_latency } => {
@@ -134,8 +216,6 @@ impl Shared {
     }
 
     /// Steps the simulator once and routes the produced events.
-    // nm-analyzer: allow(unbounded-growth) -- per-port inboxes; every routed event is drained
-    // by the owning driver's next poll
     fn pump(&mut self) -> bool {
         let events = self.sim.step();
         if events.is_empty() {
@@ -147,55 +227,31 @@ impl Shared {
             }
             match ev {
                 SimEvent::Delivered { transfer, at } => {
+                    let chunk = ChunkId(transfer.0);
+                    let mut routed = TransportEvent::ChunkDelivered { chunk, at };
                     if let Some(f) = self.faults.as_deref_mut() {
                         f.inflight.remove(&transfer);
                         if f.suppressed.remove(&transfer) {
                             continue; // failure already reported at onset
                         }
                         if f.doomed.remove(&transfer) {
-                            if let Some(&o) = self.owner.get(&transfer) {
-                                self.inboxes[o].push_back(TransportEvent::ChunkFailed {
-                                    chunk: ChunkId(transfer.0),
-                                    at,
-                                });
-                            }
-                            continue;
+                            routed = TransportEvent::ChunkFailed { chunk, at };
                         }
                     }
-                    if let Some(&o) = self.owner.get(&transfer) {
-                        self.inboxes[o].push_back(TransportEvent::ChunkDelivered {
-                            chunk: ChunkId(transfer.0),
-                            at,
-                        });
-                    }
+                    self.deliver_to_owner(transfer, routed);
                 }
                 SimEvent::SendDone { transfer, at } => {
-                    if let Some(f) = self.faults.as_deref() {
-                        if f.suppressed.contains(&transfer) {
-                            continue;
-                        }
+                    if self.faults.as_deref().is_some_and(|f| f.suppressed.contains(&transfer)) {
+                        continue;
                     }
-                    if let Some(&o) = self.owner.get(&transfer) {
-                        self.inboxes[o].push_back(TransportEvent::ChunkSendDone {
-                            chunk: ChunkId(transfer.0),
-                            at,
-                        });
-                    }
+                    let chunk = ChunkId(transfer.0);
+                    self.deliver_to_owner(transfer, TransportEvent::ChunkSendDone { chunk, at });
                 }
                 SimEvent::NicIdle { node, rail, at } => {
-                    // Every engine sending *from* this node shares the NIC.
-                    for (i, &src) in self.sources.iter().enumerate() {
-                        if src == node {
-                            self.inboxes[i].push_back(TransportEvent::RailIdle { rail, at });
-                        }
-                    }
+                    self.deliver_idle(node, &TransportEvent::RailIdle { rail, at });
                 }
                 SimEvent::CoreIdle { node, core, at } => {
-                    for (i, &src) in self.sources.iter().enumerate() {
-                        if src == node {
-                            self.inboxes[i].push_back(TransportEvent::CoreIdle { core, at });
-                        }
-                    }
+                    self.deliver_idle(node, &TransportEvent::CoreIdle { core, at });
                 }
                 SimEvent::Wakeup { token, at } => {
                     // Engine retry/probe timers route back to their driver;
@@ -203,9 +259,7 @@ impl Shared {
                     // instants (the step itself is the payload).
                     if token >= ENGINE_WAKEUP_BASE {
                         let i = (token - ENGINE_WAKEUP_BASE) as usize;
-                        if let Some(inbox) = self.inboxes.get_mut(i) {
-                            inbox.push_back(TransportEvent::Wakeup { at });
-                        }
+                        self.deliver(i, TransportEvent::Wakeup { at });
                     }
                 }
                 SimEvent::RtsArrived { .. } => {}
@@ -235,15 +289,7 @@ pub struct SimCluster {
 impl SimCluster {
     /// Wraps a cluster spec in a shared simulator.
     pub fn new(spec: ClusterSpec) -> Self {
-        SimCluster {
-            shared: Rc::new(RefCell::new(Shared {
-                sim: Simulator::new(spec),
-                inboxes: Vec::new(),
-                sources: Vec::new(),
-                owner: HashMap::new(),
-                faults: None,
-            })),
-        }
+        SimCluster { shared: Rc::new(RefCell::new(Shared::new(Simulator::new(spec), None))) }
     }
 
     /// Wraps a cluster spec in a shared simulator that replays `schedule`.
@@ -273,13 +319,7 @@ impl SimCluster {
             suppressed: HashSet::new(),
             next_rejected: 0,
         };
-        let mut shared = Shared {
-            sim,
-            inboxes: Vec::new(),
-            sources: Vec::new(),
-            owner: HashMap::new(),
-            faults: Some(Box::new(faults)),
-        };
+        let mut shared = Shared::new(sim, Some(Box::new(faults)));
         // Transitions scheduled at t=0 are already due: apply them now so
         // the first submission sees them without waiting for a pump.
         shared.apply_transitions_until(SimTime::ZERO);
@@ -327,9 +367,16 @@ impl SimCluster {
         let rail_map: Vec<RailId> =
             s.sim.spec().common_rails(src.index(), dst.index()).into_iter().map(RailId).collect();
         assert!(!rail_map.is_empty(), "nodes {src} and {dst} share no rail");
-        let index = s.inboxes.len();
-        s.inboxes.push(VecDeque::new());
-        s.sources.push(src);
+        let index = s.slots.len();
+        s.by_source[src.index()].push(index);
+        s.slots.push(Slot {
+            inbox: VecDeque::new(),
+            src,
+            dst,
+            idle_wanted: true,
+            listed: false,
+            retired: false,
+        });
         PairDriver { shared: self.shared.clone(), index, src, dst, rail_map }
     }
 
@@ -350,11 +397,30 @@ impl SimCluster {
     /// Workload drivers that coordinate *several* engines (collectives) use
     /// this instead of letting any one engine's `poll` free-run the clock:
     /// after each single step they drain every engine whose inbox filled
-    /// ([`PairDriver::pending_events`]), so dependent sends are posted at
+    /// ([`SimCluster::take_ready`]), so dependent sends are posted at
     /// their true virtual time instead of wherever another engine happened
     /// to drag the clock.
     pub fn pump_one(&self) -> bool {
         self.shared.borrow_mut().pump()
+    }
+
+    /// The `(src, dst)` of every driver whose inbox holds events routed
+    /// since the previous call, ascending — the order a scan of a
+    /// pair-keyed `BTreeMap` would find them in. A driver that was polled in
+    /// the meantime (its inbox is empty again) is left out.
+    pub fn take_ready(&self) -> Vec<(usize, usize)> {
+        let mut s = self.shared.borrow_mut();
+        let s = &mut *s;
+        let mut pairs = Vec::new();
+        for i in s.ready.drain(..) {
+            let slot = &mut s.slots[i];
+            slot.listed = false;
+            if !slot.inbox.is_empty() {
+                pairs.push((slot.src.index(), slot.dst.index()));
+            }
+        }
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Cumulative reserved time on the switch backplane of a physical rail
@@ -396,7 +462,22 @@ impl PairDriver {
     /// Events queued in this driver's inbox, deliverable by the next `poll`
     /// without advancing the shared clock.
     pub fn pending_events(&self) -> usize {
-        self.shared.borrow().inboxes[self.index].len()
+        self.shared.borrow().slots[self.index].inbox.len()
+    }
+}
+
+impl Drop for PairDriver {
+    /// Retires the slot: whoever held the driver is gone, so nothing routed
+    /// to its inbox from here on would ever be read.
+    fn drop(&mut self) {
+        // Never panic in drop: skip the clean-up if the cluster is borrowed.
+        if let Ok(mut s) = self.shared.try_borrow_mut() {
+            if let Some(slot) = s.slots.get_mut(self.index) {
+                slot.retired = true;
+                slot.idle_wanted = false;
+                slot.inbox = VecDeque::new();
+            }
+        }
     }
 }
 
@@ -442,7 +523,7 @@ impl Transport for PairDriver {
                 let id = ChunkId(REJECTED_CHUNK_BASE | f.next_rejected);
                 f.next_rejected += 1;
                 let at = s.sim.now();
-                s.inboxes[self.index].push_back(TransportEvent::ChunkFailed { chunk: id, at });
+                s.deliver(self.index, TransportEvent::ChunkFailed { chunk: id, at });
                 return id;
             }
         }
@@ -476,6 +557,10 @@ impl Transport for PairDriver {
         s.sim.schedule_wakeup(at, ENGINE_WAKEUP_BASE + self.index as u64);
     }
 
+    fn set_idle_interest(&mut self, wanted: bool) {
+        self.shared.borrow_mut().slots[self.index].idle_wanted = wanted;
+    }
+
     fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
         if chunks.is_empty() {
             return false;
@@ -505,10 +590,10 @@ impl Transport for PairDriver {
         loop {
             let drained: Vec<TransportEvent> = {
                 let mut s = self.shared.borrow_mut();
-                if s.inboxes[self.index].is_empty() && !s.pump() {
+                if s.slots[self.index].inbox.is_empty() && !s.pump() {
                     return Vec::new();
                 }
-                s.inboxes[self.index].drain(..).collect()
+                s.slots[self.index].inbox.drain(..).collect()
             };
             // Physical rail events fold into the local rail space; idle
             // notifications for rails this pair cannot use are dropped
@@ -567,6 +652,40 @@ mod tests {
             })
             .collect();
         crate::predictor::Predictor::new(rails)
+    }
+
+    fn engine_on(
+        cluster: &SimCluster,
+        src: usize,
+        dst: usize,
+        strategy: StrategyKind,
+    ) -> Engine<PairDriver> {
+        Engine::new(
+            cluster.pair_driver(NodeId(src), NodeId(dst)),
+            predictor_for(&cluster.spec()),
+            strategy.build(),
+        )
+        .expect("engine")
+    }
+
+    /// Runs the calendar dry the way the collectives runner steps it: one
+    /// event, then a poll of whichever engine got something — an engine is
+    /// never polled into pumping the clock itself.
+    fn step_to_quiescence<T: Transport>(
+        cluster: &SimCluster,
+        engines: &mut [Engine<T>],
+        pending: impl Fn(&T) -> usize,
+    ) {
+        loop {
+            for e in engines.iter_mut() {
+                while pending(e.transport()) > 0 {
+                    let _ = e.poll().expect("poll");
+                }
+            }
+            if !cluster.pump_one() {
+                return;
+            }
+        }
     }
 
     #[test]
@@ -871,6 +990,217 @@ mod tests {
         let done = e01.wait(b).expect("wait b");
         assert!(done.delivered_at > SimTime::ZERO);
         e01.drain().expect("drain");
+    }
+
+    #[test]
+    fn a_dropped_driver_is_retired_and_its_inbox_stays_empty() {
+        let cluster = SimCluster::new(three_node_spec());
+        let mut e01 = engine_on(&cluster, 0, 1, StrategyKind::HeteroSplit);
+        // A second driver on node 0 goes away with a transfer of its own
+        // still on the wire.
+        let mut gone = cluster.pair_driver(NodeId(0), NodeId(2));
+        let retired = gone.index;
+        gone.submit(ChunkSubmit::new(RailId(1), MIB));
+        drop(gone);
+        // Node 0's NICs and cores now go idle again and again, and the
+        // orphaned transfer completes: none of it may pile up in the slot.
+        let id = e01.post_send(4 * MIB).expect("post");
+        e01.wait(id).expect("wait");
+        while cluster.pump_one() {}
+        assert!(
+            cluster.shared.borrow().slots[retired].inbox.is_empty(),
+            "events were routed to a driver nobody can poll"
+        );
+        let ready = cluster.take_ready();
+        assert!(!ready.contains(&(0, 2)), "a retired driver must not be listed ready: {ready:?}");
+        // The pair can be served again by a fresh driver.
+        let mut e02 = engine_on(&cluster, 0, 2, StrategyKind::HeteroSplit);
+        let id = e02.post_send(MIB).expect("post");
+        assert!(e02.wait(id).expect("wait").delivered_at > SimTime::ZERO);
+    }
+
+    #[test]
+    fn take_ready_lists_each_filled_inbox_once_in_pair_order() {
+        let cluster = SimCluster::new(three_node_spec());
+        // Registered out of pair order on purpose.
+        let mut e21 = engine_on(&cluster, 2, 1, StrategyKind::HeteroSplit);
+        let mut e01 = engine_on(&cluster, 0, 1, StrategyKind::HeteroSplit);
+        assert!(cluster.take_ready().is_empty(), "nothing routed yet");
+        let _ = e21.post_send(64 * 1024).expect("post");
+        let _ = e01.post_send(64 * 1024).expect("post");
+        // Both transfers run the same course on their own NICs: their
+        // events fire at the same instants, several per inbox.
+        while cluster.pump_one() {}
+        assert!(e01.transport().pending_events() > 1 && e21.transport().pending_events() > 1);
+        assert_eq!(cluster.take_ready(), [(0, 1), (2, 1)]);
+        assert!(cluster.take_ready().is_empty(), "listed once; nothing new arrived");
+        // A driver polled behind the list's back is not reported.
+        e01.drain().expect("drain");
+        e21.drain().expect("drain");
+        let _ = e21.post_send(64 * 1024).expect("post");
+        while cluster.pump_one() {}
+        let _ = e21.poll().expect("poll");
+        assert!(cluster.take_ready().is_empty());
+    }
+
+    /// Idle events left in the inbox of a node-0 engine that has completed
+    /// everything it posted, after a sibling engine's 4 MiB from node 0.
+    fn idle_events_seen_by_an_idle_sibling(fault_tolerant: bool) -> usize {
+        let cluster = SimCluster::new(three_node_spec());
+        let mut e01 = engine_on(&cluster, 0, 1, StrategyKind::HeteroSplit);
+        let mut e02 = engine_on(&cluster, 0, 2, StrategyKind::HeteroSplit);
+        if fault_tolerant {
+            e02 = e02.with_fault_tolerance(crate::health::HealthConfig::default()).expect("health");
+        }
+        let id = e02.post_send(64 * 1024).expect("post");
+        e02.wait(id).expect("wait");
+        while cluster.pump_one() {}
+        while e02.transport().pending_events() > 0 {
+            let _ = e02.poll().expect("poll");
+        }
+        let id = e01.post_send(4 * MIB).expect("post");
+        e01.wait(id).expect("wait");
+        e02.transport().pending_events()
+    }
+
+    #[test]
+    fn an_engine_with_nothing_queued_is_sent_no_idle_events() {
+        assert_eq!(idle_events_seen_by_an_idle_sibling(false), 0);
+    }
+
+    #[test]
+    fn a_fault_tolerant_engine_keeps_receiving_idle_events() {
+        // Its polls run timeouts, retries and probes off every event.
+        assert!(idle_events_seen_by_an_idle_sibling(true) > 0);
+    }
+
+    #[test]
+    fn an_engine_waiting_for_a_nic_is_kicked_when_it_idles() {
+        let cluster = SimCluster::new(three_node_spec());
+        let mut engines = [
+            engine_on(&cluster, 0, 1, StrategyKind::HeteroSplit),
+            // Greedy balancing defers while every NIC is busy.
+            engine_on(&cluster, 0, 2, StrategyKind::GreedyBalance),
+        ];
+        // The waiter has been idle before (and said so to its driver).
+        let id = engines[1].post_send(64 * 1024).expect("post");
+        engines[1].wait(id).expect("wait");
+        // Node 0's NICs are both taken by the sibling's split...
+        let _ = engines[0].post_send(8 * MIB).expect("flood");
+        let first_idle = (0..2)
+            .map(|r| engines[1].transport().rail_busy_until(RailId(r)))
+            .min()
+            .expect("two rails");
+        assert!(first_idle > cluster.now());
+        // ...so this post is deferred, and only a NIC-idle event can get
+        // it going: nobody polls an engine that has no event.
+        let id = engines[1].post_send(MIB).expect("post");
+        assert_eq!(engines[1].stats().defers, 1);
+        step_to_quiescence(&cluster, &mut engines, PairDriver::pending_events);
+        let done = engines[1].try_completion(id).expect("the deferred message must complete");
+        assert!(done.delivered_at > first_idle, "it cannot have left before a NIC was free");
+    }
+
+    /// A transport wrapper written before `set_idle_interest` existed: it
+    /// forwards everything it knows about and inherits the default no-op.
+    struct Opaque(PairDriver);
+
+    impl Transport for Opaque {
+        fn now(&self) -> SimTime {
+            self.0.now()
+        }
+        fn rail_count(&self) -> usize {
+            self.0.rail_count()
+        }
+        fn rail_name(&self, rail: RailId) -> String {
+            self.0.rail_name(rail)
+        }
+        fn rdv_threshold(&self, rail: RailId) -> u64 {
+            self.0.rdv_threshold(rail)
+        }
+        fn rail_busy_until(&self, rail: RailId) -> SimTime {
+            self.0.rail_busy_until(rail)
+        }
+        fn core_count(&self) -> usize {
+            self.0.core_count()
+        }
+        fn idle_cores(&self) -> Vec<CoreId> {
+            self.0.idle_cores()
+        }
+        fn submit(&mut self, chunk: ChunkSubmit) -> ChunkId {
+            self.0.submit(chunk)
+        }
+        fn poll(&mut self) -> Vec<TransportEvent> {
+            self.0.poll()
+        }
+        fn schedule_wakeup(&mut self, at: SimTime) {
+            self.0.schedule_wakeup(at)
+        }
+        fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
+            self.0.cancel_chunks(chunks)
+        }
+    }
+
+    /// When a message was delivered, and as which chunks.
+    type Delivery = (SimTime, Vec<(RailId, u64)>);
+
+    /// Two rounds of a 4-node all-to-all (every ordered pair sends 256 KiB,
+    /// then 16 KiB behind it), stepped like the collectives runner; returns
+    /// every message's delivery instant and chunk layout plus the polls made.
+    fn alltoall_on<T: Transport>(
+        wrap: impl Fn(PairDriver) -> T,
+        pending: impl Fn(&T) -> usize,
+    ) -> (Vec<Delivery>, u64) {
+        let spec = ClusterSpec {
+            nodes: vec![NodeSpec::dual_dual_core_opteron(); 4],
+            rails: builtin::paper_testbed(),
+            switch: None,
+        };
+        let cluster = SimCluster::new(spec.clone());
+        let mut engines: Vec<Engine<T>> = (0..4)
+            .flat_map(|s| (0..4).filter(move |&d| d != s).map(move |d| (s, d)))
+            .map(|(s, d)| {
+                Engine::new(
+                    wrap(cluster.pair_driver(NodeId(s), NodeId(d))),
+                    predictor_for(&spec),
+                    StrategyKind::HeteroSplit.build(),
+                )
+                .expect("engine")
+            })
+            .collect();
+        let mut ids = Vec::new();
+        for bytes in [256 * 1024, 16 * 1024] {
+            for e in &mut engines {
+                ids.push(e.post_send(bytes).expect("post"));
+            }
+        }
+        let polls = std::cell::Cell::new(0u64);
+        step_to_quiescence(&cluster, &mut engines, |t| {
+            let n = pending(t);
+            polls.set(polls.get() + u64::from(n > 0));
+            n
+        });
+        let deliveries = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let c = engines[i % 12].try_completion(id).expect("every message completes");
+                (c.delivered_at, c.chunks)
+            })
+            .collect();
+        (deliveries, polls.get())
+    }
+
+    #[test]
+    fn a_wrapper_that_ignores_idle_interest_delivers_identically() {
+        let (honoured, polls) = alltoall_on(|d| d, PairDriver::pending_events);
+        let (ignored, polls_ignored) = alltoall_on(Opaque, |t| t.0.pending_events());
+        assert_eq!(honoured.len(), 24);
+        assert_eq!(honoured, ignored, "an idle event an engine did not ask for changed a result");
+        assert!(
+            polls < polls_ignored,
+            "honouring the hint must save polls: {polls} vs {polls_ignored}"
+        );
     }
 
     #[test]

@@ -262,6 +262,9 @@ pub struct Engine<T: Transport> {
     /// the hot path allocates nothing per message in steady state.
     scratch_sizes: Vec<u64>,
     scratch_waits: Vec<f64>,
+    /// What the transport was last told through
+    /// [`Transport::set_idle_interest`] (drivers start out delivering).
+    idle_interest: bool,
     /// Fault tolerance (health tracking, retries, probes); `None` keeps
     /// every fault path fully disabled.
     health: Option<Box<FaultTolerance>>,
@@ -326,6 +329,7 @@ impl<T: Transport> Engine<T> {
             predictor_epoch: 0,
             scratch_sizes: Vec::new(),
             scratch_waits: Vec::with_capacity(rails),
+            idle_interest: true,
             health: None,
             admission: None,
             shared: None,
@@ -626,6 +630,14 @@ impl<T: Transport> Engine<T> {
         waits.clear();
         self.scratch_sizes = sizes;
         self.scratch_waits = waits;
+        // An idle NIC or core matters only while something waits for one.
+        // The fault and admission layers do time-driven work on every poll
+        // (timeouts, retries, probes, shedding), so they take every event.
+        let wanted = !self.queue.is_empty() || self.health.is_some() || self.admission.is_some();
+        if wanted != self.idle_interest {
+            self.idle_interest = wanted;
+            self.transport.set_idle_interest(wanted);
+        }
         result
     }
 

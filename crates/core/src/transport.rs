@@ -144,6 +144,22 @@ pub trait Transport {
     /// on every other event.
     fn schedule_wakeup(&mut self, _at: SimTime) {}
 
+    /// Tells the driver whether this engine currently has any use for
+    /// [`TransportEvent::RailIdle`]/[`TransportEvent::CoreIdle`]. The engine
+    /// calls it when the answer changes: `false` once nothing is queued
+    /// (an idle event could only make it interrogate an empty queue),
+    /// `true` again at the end of the scheduling pass that leaves work
+    /// queued — a pass that has just read the current rail state, so no
+    /// idle transition that fired in between is ever missed.
+    ///
+    /// A hint, never an obligation: a driver that ignores it (the default —
+    /// every driver serving a single engine, and any wrapper that does not
+    /// forward it) delivers every idle event as before, which is always
+    /// correct and merely costs the engine some empty polls. Only a driver
+    /// that fans one NIC's idle events out to many engines
+    /// ([`crate::driver::cluster::PairDriver`]) gains by honouring it.
+    fn set_idle_interest(&mut self, _wanted: bool) {}
+
     /// Atomically retracts a set of submitted chunks none of whose
     /// resources started serving them, releasing the reserved rail time.
     /// All-or-nothing: returns `false` (and retracts nothing) when any
@@ -185,6 +201,9 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
     }
     fn schedule_wakeup(&mut self, at: SimTime) {
         (**self).schedule_wakeup(at)
+    }
+    fn set_idle_interest(&mut self, wanted: bool) {
+        (**self).set_idle_interest(wanted)
     }
     fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
         (**self).cancel_chunks(chunks)
