@@ -114,6 +114,13 @@ if [ "${NM_TSAN:-0}" = "1" ]; then
     fi
 fi
 
+# Long differential lane: the closed-form profile inverse and the direct
+# water level against the searches they replaced (kept under test as
+# oracles) — a million seeded cases each, `u64` / `Split ==`, in release
+# mode so the whole lane takes a few seconds.
+cargo test -q --release -p nm-model --lib -- --ignored inverse_matches_search_long
+cargo test -q --release -p nm-tests --test split_differential -- --ignored matches_bisection_long
+
 # Perf smoke lane: every workload of the benchmark at tiny op counts. The
 # bin checks its own outputs (receiver byte-compares, conservation, golden
 # splits) and exits non-zero when any check fails; no timing is gated here.

@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nm_core::predictor::{CostModel, Predictor, RailView};
+use nm_core::selection::select_rails;
 use nm_core::split::{dichotomy_split, equal_completion_split};
 use nm_model::{PerfProfile, SimTime};
 use nm_proto::aggregate::{AggEntry, Aggregator};
@@ -20,15 +21,27 @@ fn affine_profile(name: &str, lat: f64, bw: f64) -> PerfProfile {
     PerfProfile::from_samples(name, samples).unwrap()
 }
 
-fn predictor() -> Predictor {
-    let mk = |i: usize, name: &str, lat: f64, bw: f64| RailView {
+fn affine_rail(i: usize, name: &str, lat: f64, bw: f64) -> RailView {
+    RailView {
         rail: RailId(i),
         name: name.into(),
         natural: affine_profile(name, lat, bw),
         eager: affine_profile(name, lat, bw * 0.8),
         rdv_threshold: 128 * 1024,
-    };
-    Predictor::new(vec![mk(0, "a", 2.8, 1226.8), mk(1, "b", 1.6, 877.6)])
+    }
+}
+
+fn predictor() -> Predictor {
+    Predictor::new(vec![affine_rail(0, "a", 2.8, 1226.8), affine_rail(1, "b", 1.6, 877.6)])
+}
+
+fn four_rail_predictor() -> Predictor {
+    Predictor::new(vec![
+        affine_rail(0, "a", 2.8, 1226.8),
+        affine_rail(1, "b", 1.6, 877.6),
+        affine_rail(2, "c", 2.0, 1500.0),
+        affine_rail(3, "d", 45.0, 117.0),
+    ])
 }
 
 fn bench_prediction(c: &mut Criterion) {
@@ -37,9 +50,15 @@ fn bench_prediction(c: &mut Criterion) {
     g.bench_function("interpolate_one_size", |b| {
         b.iter(|| black_box(p.natural_cost().time_us(RailId(0), black_box(123_456))))
     });
-    g.bench_function("bytes_within_budget", |b| {
-        b.iter(|| black_box(p.natural_cost().bytes_within(RailId(1), black_box(500.0))))
-    });
+    // The inverse at three depths of the table: inside the first sampled
+    // segment, mid-table, and extrapolated past the last sample.
+    for (depth, budget_us) in
+        [("first_segment", 1.606), ("mid_table", 500.0), ("extrapolated", 5e4)]
+    {
+        g.bench_with_input(BenchmarkId::new("bytes_within_budget", depth), &budget_us, |b, &t| {
+            b.iter(|| black_box(p.natural_cost().bytes_within(RailId(1), black_box(t))))
+        });
+    }
     g.finish();
 }
 
@@ -68,7 +87,28 @@ fn bench_split(c: &mut Criterion) {
                 ))
             })
         });
+        // Fig 2's case: one rail still busy, so the waits are fresh on
+        // every message and no plan cache can answer.
+        g.bench_with_input(BenchmarkId::new("water_filling_busy_rail", size), &size, |b, &s| {
+            b.iter(|| {
+                black_box(equal_completion_split(
+                    &cost,
+                    &[(RailId(0), 0.0), (RailId(1), black_box(300.0))],
+                    black_box(s),
+                ))
+            })
+        });
     }
+    let p4 = four_rail_predictor();
+    let cost4 = p4.natural_cost();
+    let four_idle: Vec<(RailId, f64)> = (0..4).map(|i| (RailId(i), 0.0)).collect();
+    g.bench_function("water_filling_4_rails/4194304", |b| {
+        b.iter(|| black_box(equal_completion_split(&cost4, &four_idle, black_box(4 << 20))))
+    });
+    // Four candidates capped at two chunks: one split, two re-splits.
+    g.bench_function("select_rails_capped/4194304", |b| {
+        b.iter(|| black_box(select_rails(&cost4, &four_idle, black_box(4 << 20), 2)))
+    });
     g.finish();
 }
 

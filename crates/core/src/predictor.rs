@@ -37,8 +37,17 @@ pub trait CostModel {
     /// Predicted transfer duration of `bytes` on `rail`, in microseconds.
     fn time_us(&self, rail: RailId, bytes: u64) -> f64;
 
-    /// Largest size predicted to finish within `budget_us` on `rail`.
+    /// Largest size predicted to finish within `budget_us` on `rail`: the
+    /// exact inverse of [`Self::time_us`] (the largest `n` with
+    /// `time_us(rail, n) <= budget_us`). The water-fill locates capacity
+    /// steps from `time_us` and reads capacity from here, so the two must
+    /// agree to the byte.
     fn bytes_within(&self, rail: RailId, budget_us: f64) -> u64;
+
+    /// Marginal bandwidth (bytes per µs) of `rail` around `bytes` — the
+    /// slope the water-fill's Newton step follows. Only steers the search:
+    /// no split depends on its exact value.
+    fn marginal_rate(&self, rail: RailId, bytes: u64) -> f64;
 }
 
 /// Sampled knowledge of every rail plus prediction arithmetic.
@@ -144,6 +153,9 @@ impl CostModel for NaturalCost<'_> {
         // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
         self.p.rails[rail.index()].natural.bytes_within_us(budget_us)
     }
+    fn marginal_rate(&self, rail: RailId, bytes: u64) -> f64 {
+        self.p.rail(rail).natural.marginal_rate(bytes)
+    }
 }
 
 /// Forced-eager view of a [`Predictor`].
@@ -163,6 +175,9 @@ impl CostModel for EagerCost<'_> {
     fn bytes_within(&self, rail: RailId, budget_us: f64) -> u64 {
         // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
         self.p.rails[rail.index()].eager.bytes_within_us(budget_us)
+    }
+    fn marginal_rate(&self, rail: RailId, bytes: u64) -> f64 {
+        self.p.rail(rail).eager.marginal_rate(bytes)
     }
 }
 

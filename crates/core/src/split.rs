@@ -10,11 +10,29 @@
 //!   from an equal split and binary-search the ratio until both predicted
 //!   completions (wait + transfer) match.
 //! * [`equal_completion_split`] — a k-rail generalization (the paper's
-//!   future-work direction) by *water-filling*: binary-search the common
-//!   completion time `T` and give each rail the largest chunk it can finish
-//!   by `T`. For two rails both algorithms agree (tested).
+//!   future-work direction) by *water-filling*: find the common completion
+//!   time `T` and give each rail the largest chunk it can finish by `T`.
+//!   For two rails both algorithms agree (tested).
 //!
 //! Both operate purely on a [`CostModel`], i.e. on sampled predictions.
+//!
+//! ## The water level
+//!
+//! What each rail finishes by `T` is an integer, so the rails' capacity is
+//! a staircase in `T`: rail `r` steps from `n` to `n + 1` bytes where
+//! `T - wait_r` reaches `time_us(r, n + 1)`. The level the split wants is
+//! the **smallest `f64` `T` whose capacity covers the message**. Bisecting
+//! `[0, best single-rail completion]` 64 times converges on exactly that
+//! value — the interval ends far narrower than one ulp — at 64 evaluations
+//! of every rail. [`equal_completion_split`] gets the same `f64` from a
+//! few: Newton steps on the piecewise-linear curve under the staircase
+//! ([`CostModel::marginal_rate`] is its slope) land within a few bytes
+//! below the message size, and from there the next stair edges are walked
+//! in order, each nudged by ulps until the subtraction the capacity makes
+//! clears it, up to the first one that covers the size. The bisection
+//! stays as the fall-through for every input where that equivalence is
+//! not established (see [`equal_completion_split`]); sampled link models
+//! never take it (`tests/tests/split_differential.rs` pins the call count).
 
 use crate::predictor::CostModel;
 use nm_model::{InlineVec, MAX_RAILS};
@@ -154,12 +172,197 @@ pub fn dichotomy_split<C: CostModel>(
     Split { assignments, completion_us: split_completion }
 }
 
+/// Levels [`water_level`] evaluates before giving up on an input.
+const LEVEL_STEPS: usize = 32;
+
+/// Stair edges (one per byte a rail gains) [`water_level`] is willing to
+/// leave between its last level and the answer: that close, walking the
+/// edges one by one beats another evaluation of every rail.
+const WALK_BYTES: u64 = 8;
+
+/// The `f64` one ulp above a finite `x >= 0` (`f64::next_up` postdates the
+/// workspace's minimum Rust).
+// nm-analyzer: no_alloc
+fn ulp_above(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1)
+}
+
+/// The `f64` one ulp below a finite `x >= 0`.
+// nm-analyzer: no_alloc
+fn ulp_below(x: f64) -> f64 {
+    if x > 0.0 {
+        f64::from_bits(x.to_bits() - 1)
+    } else {
+        -f64::from_bits(1)
+    }
+}
+
+/// Smallest level (µs from now) at which a rail that is busy for `wait`
+/// more µs has finished `bytes + 1` bytes: the smallest `f64` `t` with
+/// `t - wait >= time_us(rail, bytes + 1)`, which is where
+/// `bytes_within(rail, t - wait)` steps past `bytes`. Infinite when the
+/// rail never gets there; `None` when rounding cannot be settled within a
+/// few ulps.
+// nm-analyzer: no_alloc
+fn next_edge<C: CostModel>(cost: &C, rail: RailId, wait: f64, bytes: u64) -> Option<f64> {
+    let Some(more) = bytes.checked_add(1) else { return Some(f64::INFINITY) };
+    let due = cost.time_us(rail, more);
+    let mut edge = wait + due;
+    if !edge.is_finite() {
+        return Some(f64::INFINITY);
+    }
+    // `wait + due` and the subtraction the capacity makes each round once,
+    // so the true edge is an ulp or two from the sum, on either side.
+    for _ in 0..4 {
+        if edge - wait < due {
+            edge = ulp_above(edge);
+        } else if ulp_below(edge) - wait >= due {
+            edge = ulp_below(edge);
+        } else {
+            return Some(edge);
+        }
+    }
+    None
+}
+
+/// Steps from `below` to each next level at which some rail finishes one
+/// more byte, until the rails together cover `size`. Capacity is constant
+/// between those edges, so the level returned is the smallest `f64` that
+/// covers `size`. `None` if `below` already covers it (nothing smaller is
+/// known then) or a few times [`WALK_BYTES`] edges do not get there.
+// nm-analyzer: no_alloc
+fn walk_edges<C: CostModel>(
+    cost: &C,
+    rails: &[(RailId, f64)],
+    size: u64,
+    below: f64,
+) -> Option<f64> {
+    // Per rail: wait, bytes finished by the current level, next edge.
+    let mut fill: InlineVec<(RailId, f64, u64, f64), MAX_RAILS> = InlineVec::new();
+    let mut capacity = 0u64;
+    for &(rail, wait) in rails {
+        let wait = wait.max(0.0);
+        let bytes = cost.bytes_within(rail, below - wait);
+        fill.push((rail, wait, bytes, next_edge(cost, rail, wait, bytes)?));
+        capacity = capacity.saturating_add(bytes);
+    }
+    if capacity >= size {
+        return None;
+    }
+    for _ in 0..4 * WALK_BYTES {
+        let level = fill.iter().map(|f| f.3).fold(f64::INFINITY, f64::min);
+        if !level.is_finite() {
+            return None;
+        }
+        capacity = 0;
+        for (rail, wait, bytes, edge) in fill.iter_mut() {
+            if *edge <= level {
+                *bytes = cost.bytes_within(*rail, level - *wait);
+                *edge = next_edge(cost, *rail, *wait, *bytes)?;
+            }
+            capacity = capacity.saturating_add(*bytes);
+        }
+        if capacity >= size {
+            return Some(level);
+        }
+    }
+    None
+}
+
+/// The water level: the smallest `f64` completion time by which the rails
+/// together finish at least `size` bytes, or `None` when it cannot be
+/// established (the caller then bisects).
+///
+/// Capacity is a staircase over a piecewise-linear curve. Newton steps on
+/// the curve, kept inside the bracket `capacity(lo) < size <= capacity(hi)`
+/// (halving it whenever a step would leave), close in on `size` from
+/// `hi0`; once a level is within [`WALK_BYTES`] stairs of the answer —
+/// by its shortfall, or because the whole bracket is that narrow, which
+/// is how a flat run's jump in capacity shows — [`walk_edges`] finds the
+/// exact stair.
+// nm-analyzer: no_alloc
+fn water_level<C: CostModel>(
+    cost: &C,
+    rails: &[(RailId, f64)],
+    size: u64,
+    hi0: f64,
+) -> Option<f64> {
+    if !hi0.is_finite() {
+        return None;
+    }
+    // Aim one byte short: the walk starts strictly below the answer.
+    let aim = size as f64 - 1.0;
+    let (mut lo, mut hi, mut level) = (0.0f64, hi0, hi0);
+    // Marginal rates at the bracket's ends: stairs per µs around there.
+    let (mut lo_rate, mut hi_rate) = (0.0f64, 0.0f64);
+    for _ in 0..LEVEL_STEPS {
+        let (mut capacity, mut rate) = (0u64, 0.0f64);
+        for &(rail, wait) in rails {
+            let bytes = cost.bytes_within(rail, level - wait.max(0.0));
+            capacity = capacity.saturating_add(bytes);
+            // A rail on a flat run gains its bytes in one jump, not at a rate.
+            let marginal = if bytes > 0 { cost.marginal_rate(rail, bytes) } else { 0.0 };
+            if marginal.is_finite() {
+                rate += marginal;
+            }
+        }
+        if capacity >= size {
+            (hi, hi_rate) = (level, rate);
+        } else if level == hi0 {
+            return None; // not even the single-rail bound covers `size`
+        } else {
+            (lo, lo_rate) = (level, rate);
+            if size - capacity <= WALK_BYTES {
+                return walk_edges(cost, rails, size, lo);
+            }
+        }
+        if (hi - lo) * lo_rate.max(hi_rate) <= WALK_BYTES as f64 {
+            return walk_edges(cost, rails, size, lo);
+        }
+        let newton = level + (aim - capacity as f64) / rate;
+        level = if lo < newton && newton < hi { newton } else { 0.5 * (lo + hi) };
+        if !(lo < level && level < hi) {
+            return None;
+        }
+    }
+    None
+}
+
+/// The water level by plain bisection: 64 halvings of `[0, hi0]`. Once the
+/// bracket `capacity(0) < size <= capacity(hi0)` holds and the answer is
+/// not vanishingly small next to `hi0`, this converges on the same value
+/// [`water_level`] computes — the interval ends narrower than one ulp.
+// nm-analyzer: no_alloc
+fn bisect_level(capacity: impl Fn(f64) -> u64, size: u64, hi0: f64) -> f64 {
+    let (mut lo, mut hi) = (0.0f64, hi0);
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if capacity(mid) >= size {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 /// K-rail equal-completion split by water-filling on the completion time.
 ///
 /// `rails` lists candidate rails with their waits; rails that cannot
 /// contribute by the optimal completion time receive nothing and are
 /// omitted (this is how Fig 2's NIC discarding emerges). The returned
 /// assignments always cover `size` exactly.
+///
+/// The water level is the smallest `f64` `T` with `capacity(T) >= size`,
+/// where `capacity(T)` sums what each rail finishes by `T`. That is what
+/// 64 halvings of `[0, hi0]` converge on whenever they start from a valid
+/// bracket and `T` is within a factor 256 of `hi0` (the remaining
+/// iterations then narrow the interval to adjacent floats); it is computed
+/// directly by [`water_level`] in a handful of cost-model lookups. Any
+/// input outside those conditions — a capacity that already covers `size`
+/// at 0 or misses it at `hi0`, non-finite costs, rounding the edge walk
+/// cannot settle — takes the bisection itself, so the result never depends
+/// on the fast path being applicable.
 // nm-analyzer: no_alloc
 #[must_use]
 pub fn equal_completion_split<C: CostModel>(cost: &C, rails: &[(RailId, f64)], size: u64) -> Split {
@@ -183,28 +386,28 @@ pub fn equal_completion_split<C: CostModel>(cost: &C, rails: &[(RailId, f64)], s
         .fold(f64::INFINITY, f64::min)
         * (1.0 + 1e-9)
         + 1e-6;
-    let (mut lo, mut hi) = (0.0f64, hi0);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if capacity(mid) >= size {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
+    let hi = match water_level(cost, rails, size, hi0) {
+        Some(level) if level * 256.0 >= hi0 => level,
+        _ => bisect_level(capacity, size, hi0),
+    };
 
     // Assign each rail what it can finish by `hi`, trimming the surplus
     // from the largest assignments (they have the highest marginal rate, so
     // trimming them distorts completion the least).
     let mut raw: Assignments =
         rails.iter().map(|&(r, w)| (r, cost.bytes_within(r, hi - w.max(0.0)))).collect();
-    let mut surplus = raw.iter().map(|&(_, b)| b).sum::<u64>().saturating_sub(size);
+    // (Summed in `u128`: a rail whose profile ends flat reports `u64::MAX`,
+    // and two of those — noisy samples smooth into flat tails — overflow a
+    // `u64` sum.)
+    let total: u128 = raw.iter().map(|&(_, b)| u128::from(b)).sum();
+    let mut surplus = total.saturating_sub(u128::from(size));
     while surplus > 0 {
         // `raw` mirrors `rails`, which is non-empty by the entry assert; the
         // `else` arm is unreachable but costs nothing to make total.
         let Some((_, bytes)) = raw.iter_mut().max_by_key(|(_, b)| *b) else { break };
-        let cut = surplus.min(*bytes);
-        *bytes -= cut;
+        let cut = surplus.min(u128::from(*bytes));
+        // `cut <= *bytes`, so it fits.
+        *bytes -= cut as u64;
         surplus -= cut;
     }
     // Rounding in bytes_within may also leave a deficit; give it to the
@@ -306,6 +509,30 @@ mod tests {
         let size = 64u64 * 1024;
         let s = equal_completion_split(&p.natural_cost(), &[(R0, 0.0), (R1, 1e6)], size);
         assert_eq!(s.assignments, vec![(R0, size)]);
+    }
+
+    #[test]
+    fn flat_tailed_rails_still_cover_the_message_exactly() {
+        // Noisy sampling smooths into flat tails; past them a rail's
+        // capacity is unbounded (`u64::MAX`), and two of those used to
+        // overflow the assignment sum.
+        let flat = |index: usize| {
+            let profile =
+                nm_model::PerfProfile::from_samples("flat", vec![(4, 1.0), (8, 2.0), (16, 2.0)])
+                    .unwrap();
+            crate::predictor::RailView {
+                rail: RailId(index),
+                name: "flat".into(),
+                natural: profile.clone(),
+                eager: profile,
+                rdv_threshold: 128 * 1024,
+            }
+        };
+        let p = Predictor::new(vec![flat(0), flat(1)]);
+        for size in [1u64, 8, 9, 1 << 20] {
+            let s = equal_completion_split(&p.natural_cost(), &[(R0, 0.0), (R1, 0.0)], size);
+            assert_eq!(s.total(), size, "{:?}", s.assignments);
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::selection::select_rails;
 use crate::strategy::hetero::HeteroSplit;
 use crate::strategy::{Action, ChunkList, ChunkPlan, Ctx, Strategy};
 use nm_model::{SimDuration, TransferMode};
+use nm_sim::RailId;
 
 /// Offload-aware eager splitting.
 #[derive(Debug, Clone)]
@@ -77,12 +78,16 @@ impl Strategy for MulticoreEager {
         let cost = ctx.predictor.eager_cost();
         let candidates = ctx.rail_candidates();
 
-        // Single-rail reference: fastest rail, no offload.
-        let best_single = candidates
-            .iter()
-            .map(|&(r, w)| (r, w.max(0.0) + cost.time_us(r, size)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("non-empty");
+        // Single-rail reference: fastest rail, no offload. A total scan, as
+        // in `Predictor::fastest_rail`: a NaN completion loses every `<`,
+        // so a degenerate wait or profile picks a rail instead of unwinding.
+        let mut best_single = (RailId(0), f64::INFINITY);
+        for &(r, w) in &candidates {
+            let done = w.max(0.0) + cost.time_us(r, size);
+            if done < best_single.1 {
+                best_single = (r, done);
+            }
+        }
 
         // Paper §III-B: at most min{idle NICs, idle cores} chunks.
         let idle_nics = ctx.idle_rails().len();
@@ -204,6 +209,20 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn nan_wait_picks_a_rail_instead_of_unwinding() {
+        // A wait that is not a number must not reach a panicking compare:
+        // with or without idle cores the decision is still a send.
+        for cores in [vec![], vec![1, 2, 3]] {
+            let mut s = MulticoreEager::new();
+            let action = decide_with(&mut s, vec![f64::NAN, 0.0], cores, &[512]);
+            assert_eq!(split_total(&action), 512);
+        }
+        let mut s = MulticoreEager::new();
+        let action = decide_with(&mut s, vec![f64::NAN, f64::NAN], vec![1, 2], &[64 << 10]);
+        assert_eq!(split_total(&action), 64 << 10);
     }
 
     #[test]

@@ -174,12 +174,95 @@ impl PerfProfile {
         }
     }
 
-    /// Largest size predicted to complete within `budget_us` microseconds.
-    /// Returns 0 if not even the smallest extrapolation fits. The answer is
-    /// exact up to prediction granularity because predictions are monotone.
+    /// Reciprocal slope (bytes per µs) of the segment starting at sample
+    /// `i`; infinite where the running-max smoothing left it flat.
+    fn segment_rate(&self, i: usize) -> f64 {
+        let (s0, t0) = self.samples[i];
+        let (s1, t1) = self.samples[i + 1];
+        (s1 - s0) as f64 / (t1 - t0)
+    }
+
+    /// Marginal bandwidth (bytes per µs) of the segment `size` falls on —
+    /// the reciprocal of the slope [`Self::predict_us`] interpolates with.
+    /// Infinite on a flat segment.
+    pub fn marginal_rate(&self, size: u64) -> f64 {
+        self.segment_rate(self.bracket(size))
+    }
+
+    /// Largest size predicted to complete within `budget_us` microseconds:
+    /// the exact inverse of [`Self::predict_us`], i.e. the largest `n` with
+    /// `predict_us(n) <= budget_us` (predictions are monotone, so it is
+    /// unique). Returns 0 if not even one byte fits and `u64::MAX` when
+    /// every representable size does (a flat tail).
+    ///
+    /// O(log samples): the table is inverted directly — locate the last
+    /// segment whose start fits, invert its line — and the integer is then
+    /// settled against `predict_us` by galloping outward from that guess,
+    /// which costs two probes when the guess is exact and stays correct
+    /// however far floating-point rounding pushed it.
     // nm-analyzer: allow(unit-bare) -- µs-f64 numeric core of the link
     // model, beneath the typed Micros boundary
     pub fn bytes_within_us(&self, budget_us: f64) -> u64 {
+        let fits = |n: u64| self.predict_us(n) <= budget_us;
+        let starts_within = self.samples.partition_point(|&(_, t)| t <= budget_us);
+        // A budget at or past the first sample's duration covers one byte.
+        if starts_within == 0 && self.predict_us(1) > budget_us {
+            return 0;
+        }
+        let i = starts_within.saturating_sub(1).min(self.samples.len() - 2);
+        let (s0, t0) = self.samples[i];
+        // A flat segment is only ever picked as the tail, where its start
+        // fitting means everything fits.
+        let rate = self.segment_rate(i);
+        let guess =
+            if rate.is_finite() { s0 as f64 + (budget_us - t0) * rate } else { f64::INFINITY };
+        // Sizes are searched below `cap`, the last sampled size doubled as
+        // far as `u64` allows; a budget that still covers it is unbounded.
+        let last = self.samples.last().expect("non-empty").0.max(2);
+        let cap = last << last.leading_zeros();
+        let guess = (guess as u64).clamp(1, cap);
+
+        // Bracket the answer: fits(lo) && !fits(hi), galloping away from
+        // the guess with doubling strides.
+        let (mut lo, mut hi, mut stride) = (guess, guess, 1u64);
+        if fits(guess) {
+            loop {
+                if lo == cap {
+                    return u64::MAX;
+                }
+                hi = lo.saturating_add(stride).min(cap);
+                if !fits(hi) {
+                    break;
+                }
+                lo = hi;
+                stride = stride.saturating_mul(2);
+            }
+        } else {
+            loop {
+                lo = hi.saturating_sub(stride).max(1);
+                // One byte fits (checked on entry), so the descent ends.
+                if lo == 1 || fits(lo) {
+                    break;
+                }
+                hi = lo;
+                stride = stride.saturating_mul(2);
+            }
+        }
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The exponential + binary search [`Self::bytes_within_us`] replaced,
+    /// kept verbatim as the differential oracle.
+    #[cfg(test)]
+    fn bytes_within_us_by_search(&self, budget_us: f64) -> u64 {
         if self.predict_us(1) > budget_us {
             return 0;
         }
@@ -263,6 +346,7 @@ impl PerfProfile {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn ladder() -> PerfProfile {
         // A clean alpha-beta law sampled at powers of two: 2 + s/1000 us.
@@ -336,6 +420,141 @@ mod tests {
         assert_eq!(p.bytes_within_us(1.0), 0, "below base latency nothing fits");
     }
 
+    // One ulp either side of a finite, positive duration (`f64::next_up`
+    // postdates the workspace's minimum Rust).
+    fn ulp_above(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+    fn ulp_below(x: f64) -> f64 {
+        f64::from_bits(x.to_bits().saturating_sub(1))
+    }
+
+    /// A random monotone ladder: power-of-two or irregular sizes (the
+    /// `binary_search` bracket path), 2–24 samples, flat runs and
+    /// near-flat steps mixed with ordinary ones.
+    fn random_ladder(rng: &mut TestRng) -> PerfProfile {
+        let len = 2 + rng.below(23) as usize;
+        let pow2 = rng.below(2) == 0;
+        let mut size = if pow2 { 1u64 << rng.below(6) } else { 1 + rng.below(64) };
+        let mut t = [0.0, 0.05, 1.6, 45.0][rng.below(4) as usize];
+        let mut samples = Vec::with_capacity(len);
+        for _ in 0..len {
+            samples.push((size, t));
+            let max_gap = 1u64 << rng.below(18);
+            size = if pow2 { size * 2 } else { size + 1 + rng.below(max_gap) };
+            t += match rng.below(8) {
+                0 | 1 => 0.0,
+                2 => t * f64::EPSILON * (1 + rng.below(4)) as f64,
+                3 => rng.unit_f64() * 1e-6,
+                4 => rng.unit_f64() * 1e4,
+                _ => rng.unit_f64() * size as f64 / 500.0,
+            };
+        }
+        PerfProfile::from_samples("random", samples).unwrap()
+    }
+
+    /// Budgets at every edge the inverse has: under one byte's duration,
+    /// on sample durations and on predictions exactly (± an ulp), inside
+    /// segments, far past the table, and the non-numbers.
+    fn random_budget(p: &PerfProfile, rng: &mut TestRng) -> f64 {
+        let (first, last) = p.sampled_range();
+        let on_sample = p.samples()[rng.below(p.samples().len() as u64) as usize].1;
+        let on_prediction = p.predict_us(1 + rng.below(last * 4));
+        let t_last = p.samples().last().unwrap().1;
+        match rng.below(12) {
+            0 => p.predict_us(1) * rng.unit_f64(),
+            1 => on_sample,
+            2 => ulp_above(on_sample),
+            3 => ulp_below(on_sample),
+            4 => on_prediction,
+            5 => ulp_above(on_prediction),
+            6 => ulp_below(on_prediction),
+            7 => p.predict_us(1 + rng.below(first + 1)),
+            8 => t_last * (1.0 + rng.unit_f64() * 1e3),
+            9 => t_last * 1e12 * rng.unit_f64(),
+            10 => [0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX]
+                [rng.below(6) as usize],
+            _ => t_last * rng.unit_f64(),
+        }
+    }
+
+    fn assert_inverse_matches_search(p: &PerfProfile, budget: f64) {
+        assert_eq!(
+            p.bytes_within_us(budget),
+            p.bytes_within_us_by_search(budget),
+            "budget {budget:?} ({:#x}) on {:?}",
+            budget.to_bits(),
+            p.samples()
+        );
+    }
+
+    /// Natural and forced-eager profiles of a link model at the sampler's
+    /// default sizes (4 B … 8 MiB, powers of two).
+    fn builtin_profiles() -> Vec<PerfProfile> {
+        use crate::builtin::{gige, ib_ddr, myri_10g, qsnet2, shmem};
+        let mut out = Vec::new();
+        for link in [myri_10g(), qsnet2(), gige(), ib_ddr(), shmem()] {
+            let sizes = (2..=23).map(|p| 1u64 << p);
+            let natural = sizes.clone().map(|s| (s, link.one_way_us(s).get())).collect();
+            let eager = sizes
+                .map(|s| (s, link.one_way_us_in_mode(s, crate::TransferMode::Eager).get()))
+                .collect();
+            out.push(PerfProfile::from_samples(link.name.clone(), natural).unwrap());
+            out.push(PerfProfile::from_samples(link.name.clone(), eager).unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn inverse_edge_cases_match_search() {
+        // Two samples, flat: nothing below the plateau, everything on it.
+        let flat = PerfProfile::from_samples("flat", vec![(4, 3.0), (8, 3.0)]).unwrap();
+        assert_eq!(flat.bytes_within_us(2.9), 0);
+        assert_eq!(flat.bytes_within_us(3.0), u64::MAX);
+        // Flat tail behind a rising segment.
+        let tail = PerfProfile::from_samples("tail", vec![(4, 1.0), (8, 3.0), (16, 3.0)]).unwrap();
+        assert_eq!(tail.bytes_within_us(3.0), u64::MAX);
+        assert_eq!(tail.bytes_within_us(ulp_below(3.0)), 7);
+        // Flat run in the middle: the budget that covers its start covers
+        // it whole.
+        let mid = PerfProfile::from_samples("mid", vec![(4, 1.0), (8, 2.0), (16, 2.0), (32, 4.0)])
+            .unwrap();
+        assert_eq!(mid.bytes_within_us(2.0), 16);
+        for p in [&flat, &tail, &mid, &ladder()] {
+            for &(_, t) in p.samples() {
+                for budget in [t, ulp_above(t), ulp_below(t), 0.0, f64::NAN, f64::INFINITY] {
+                    assert_inverse_matches_search(p, budget);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_matches_search_on_builtin_link_models() {
+        let mut rng = TestRng::seed_from_u64(0x1d1c);
+        for p in builtin_profiles() {
+            for _ in 0..2_000 {
+                assert_inverse_matches_search(&p, random_budget(&p, &mut rng));
+            }
+        }
+    }
+
+    /// The long lane (`ci.sh` runs it in release mode): a million seeded
+    /// inversions, half on random ladders, half on the built-in models.
+    #[test]
+    #[ignore = "long differential lane; run by ci.sh in release mode"]
+    fn inverse_matches_search_long() {
+        let mut rng = TestRng::seed_from_u64(15);
+        let builtin = builtin_profiles();
+        for round in 0..10_000 {
+            let random = random_ladder(&mut rng);
+            let p = if round % 2 == 0 { &random } else { &builtin[round / 2 % builtin.len()] };
+            for _ in 0..100 {
+                assert_inverse_matches_search(p, random_budget(p, &mut rng));
+            }
+        }
+    }
+
     #[test]
     fn merge_min_takes_the_best_of_both_runs() {
         let a = PerfProfile::from_samples("r", vec![(4, 2.0), (8, 3.0), (16, 9.0)]).unwrap();
@@ -364,6 +583,17 @@ mod tests {
     }
 
     proptest! {
+        /// The closed-form inverse returns exactly what the search it
+        /// replaced returns, on random monotone ladders.
+        #[test]
+        fn inverse_matches_search_on_random_ladders(seed in any::<u64>()) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let p = random_ladder(&mut rng);
+            for _ in 0..32 {
+                assert_inverse_matches_search(&p, random_budget(&p, &mut rng));
+            }
+        }
+
         /// Interpolated predictions always land between the bracketing
         /// sample durations (or extend monotonically outside the range).
         #[test]
