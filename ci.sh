@@ -28,6 +28,13 @@ check_bench_unchanged() {
     }
 }
 
+# One simulated transport, one fault model: exactly one file in nm-core may
+# step a `Simulator`, and the second shaping slot / fault state stay gone.
+[ "$(grep -rlE '\.step\(\)' crates/core/src | wc -l)" -eq 1 ] \
+    || { echo "Simulator::step is called from more than one file under crates/core/src" >&2; exit 1; }
+! grep -rnE 'set_rail_fault|struct FaultState' crates/*/src \
+    || { echo "a second fault-shaping slot or fault state is back" >&2; exit 1; }
+
 cargo build --release
 cargo test -q
 # `undocumented_unsafe_blocks` is promoted to deny: every unsafe block

@@ -1,18 +1,26 @@
-//! Shared-simulator cluster: several engines over one simulated machine.
+//! The simulated transport: one [`Simulator`], any number of engines.
 //!
 //! The paper's motivation is nodes where *many cores share few NICs*; its
-//! testbed, though, is a single point-to-point pair. This driver extends
-//! the reproduction to N nodes: one [`Simulator`] is shared by several
-//! [`PairDriver`]s (one per directed node pair), so engines contend for
-//! real NIC state — an engine sending node0→node1 sees the rail busy-until
-//! raised by *another* engine sending node0→node2, and incast (two senders,
-//! one receiver) contends on the destination NIC exactly as it would in
-//! hardware.
+//! testbed, though, is a single point-to-point pair. Both are served by one
+//! core, `SimCore`: the only code in this crate that steps a simulator,
+//! turns its events into [`TransportEvent`]s and replays a fault schedule
+//! against them. A core has one **slot** per directed node pair that an
+//! engine drives, and three handles reach it:
 //!
-//! Single-threaded by design (`Rc<RefCell>`): the simulator is one clock,
-//! and engines interleave by polling. Events are routed to per-driver
-//! inboxes; any driver's `poll` may advance the shared clock and feed its
-//! peers' inboxes.
+//! * [`SimCluster`] + [`PairDriver`] — N nodes: the cluster shares one core
+//!   (`Rc<RefCell>`) among as many pair drivers as the workload registers,
+//!   so engines contend for real NIC state — an engine sending node0→node1
+//!   sees the rail busy-until raised by *another* engine sending
+//!   node0→node2, and incast (two senders, one receiver) contends on the
+//!   destination NIC exactly as it would in hardware.
+//! * [`SimDriver`](super::sim::SimDriver) and
+//!   [`FaultSimDriver`](super::faulty::FaultSimDriver) — the paper's two
+//!   nodes: each *owns* a core whose single slot is `node 0 → node 1`.
+//!   Owning it (no `Rc`) keeps an `Engine` over them `Send`.
+//!
+//! Single-threaded by design: the simulator is one clock, and engines
+//! interleave by polling. Events are routed to per-slot inboxes; any
+//! slot's `poll` may advance the shared clock and feed its peers' inboxes.
 //!
 //! Three routing rules keep the host cost of an event proportional to the
 //! drivers it concerns, not to the drivers that exist:
@@ -38,27 +46,53 @@
 //!   deliveries of its own transfers, timers), so the inbox of a driver
 //!   nobody will poll cannot grow.
 //!
-//! A cluster built with [`SimCluster::with_faults`] replays a seeded
-//! [`ClusterFaultSchedule`] against the shared transport: submissions onto
-//! a downed NIC port fail immediately, a `DownBegin` kills the port's
-//! in-flight transfers, transient loss dooms submissions by lottery, and
-//! shaping windows forward to the simulator's per-port fault slots. Every
-//! transition instant is pinned by a calendar wakeup, so transitions apply
-//! at their exact virtual time even when no traffic is moving. An empty
-//! schedule is inert: no wakeups, no lotteries, no extra branches taken —
-//! the fault-free cluster stays bit-identical to [`SimCluster::new`].
+//! A core built with a [`ClusterFaultSchedule`] replays it against the
+//! transport, every fault addressed at a NIC port `(node, rail)` and
+//! striking the transfers that touch the port in either direction:
+//!
+//! * **Rail down** — submissions are rejected (the chunk fails at once,
+//!   under a synthetic id, without touching the simulator) and transfers
+//!   already in flight fail at onset, their residual simulator events
+//!   swallowed.
+//! * **Transient loss** — each submission draws the port's seeded lottery;
+//!   a doomed chunk runs normally on the wire but its delivery is reported
+//!   as [`TransportEvent::ChunkFailed`] (the receive side never confirms —
+//!   the send side still completes, as on real hardware).
+//! * **Latency spike / bandwidth degrade** — forwarded to the simulator's
+//!   per-port duration shaping ([`Simulator::set_nic_fault`]).
+//! * **Payload / header corruption** — the chunk's bytes are damaged in
+//!   flight (one byte XORed). Whether the receiver *detects* it follows the
+//!   wire contract: size-only chunks model a NIC-level CRC (always
+//!   detected, reported as [`TransportEvent::ChunkCorrupt`]); framed
+//!   payloads are re-decoded — integrity framing catches the flip, legacy
+//!   framing lets it through *silently* (the pre-integrity failure mode the
+//!   checksums exist to close).
+//! * **Duplicate chunk** — a cleanly delivered chunk raises
+//!   [`TransportEvent::ChunkDelivered`] twice back-to-back.
+//! * **Reorder storm** — deliveries across the port are held while the
+//!   window is open and released in reverse arrival order (re-stamped) when
+//!   it closes.
+//!
+//! Every transition instant is pinned by a calendar wakeup, so transitions
+//! apply at their exact virtual time even when no traffic is moving; those
+//! timers are the core's own and never surface to an engine. An empty
+//! schedule is inert: no wakeups, no randomness consumed, events pass
+//! through untouched — a fault-free chaos run is bit-identical to a run
+//! without a schedule.
 
 use crate::transport::{ChunkId, ChunkSubmit, Transport, TransportEvent};
+use bytes::Bytes;
 use nm_faults::cluster::{ClusterFaultSchedule, ClusterFaultState, ClusterTransition};
 use nm_faults::Change;
 use nm_model::SimTime;
+use nm_proto::{Packet, HEADER_LEN};
 use nm_sim::{ClusterSpec, CoreId, NodeId, RailId, SendSpec, SimEvent, Simulator, TransferId};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 /// Synthetic id space for chunks rejected at submission (port down) — far
-/// above anything the shared simulator will ever allocate.
+/// above anything the simulator will ever allocate.
 const REJECTED_CHUNK_BASE: u64 = 1 << 63;
 
 /// Calendar wakeup token pinning fault transition instants.
@@ -68,99 +102,223 @@ const FAULT_WAKEUP_TOKEN: u64 = 1;
 /// ([`SimCluster::schedule_wakeup`] — the collectives watchdog).
 const WATCHDOG_WAKEUP_TOKEN: u64 = 2;
 
-/// Tokens at or above this are per-driver engine timers: token =
-/// `ENGINE_WAKEUP_BASE + driver index`, routed back to that inbox.
+/// Tokens at or above this are per-slot engine timers: token =
+/// `ENGINE_WAKEUP_BASE + slot`, routed back to that inbox.
 const ENGINE_WAKEUP_BASE: u64 = 16;
 
-/// Fault-replay state threaded through the shared transport.
+/// What the fault layer decided about one live transfer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    /// Nothing: the delivery passes through.
+    Clean,
+    /// Lost the loss lottery: the delivery is rewritten to `ChunkFailed`
+    /// (the send side completes normally, delivery never happens).
+    Doomed,
+    /// Damaged in flight. Detected damage surfaces as `ChunkCorrupt`;
+    /// undetected damage delivers normally (silent corruption).
+    Corrupt { detected: bool },
+    /// Delivered twice. Only clean chunks duplicate — a corrupt chunk
+    /// delivered twice would double-count the corruption it models.
+    Duplicate,
+    /// Failed by a `DownBegin` and already reported: its residual
+    /// simulator events are swallowed.
+    Killed,
+}
+
+/// Fault-replay state threaded through the core.
 struct ClusterFaults {
     state: ClusterFaultState,
     /// Compiled schedule, time-sorted; `next` is the replay cursor.
     timeline: Vec<ClusterTransition>,
     next: usize,
-    /// `(src, dst, physical rail)` of each live submitted transfer.
-    /// Id-ordered so fault onsets fail victims in id order without a sort.
-    inflight: BTreeMap<TransferId, (usize, usize, usize)>,
-    /// Loss-lottery victims: their delivery is rewritten to `ChunkFailed`
-    /// (the send side completes normally, delivery never happens).
-    doomed: HashSet<TransferId>,
-    /// Transfers already reported failed (killed by `DownBegin`): their
-    /// residual simulator events are swallowed.
-    suppressed: HashSet<TransferId>,
+    /// One entry per transfer between its submission and its delivery (or
+    /// retraction). Id-ordered so fault onsets fail victims in id order
+    /// without a sort; where a transfer runs is the simulator's to know.
+    ledger: BTreeMap<TransferId, Fate>,
+    /// Deliveries a reorder storm is holding, in arrival order: the
+    /// storming port `(node, rail)`, the transfer, and whether it arrived
+    /// detectably corrupt.
+    held: Vec<(usize, RailId, TransferId, bool)>,
     next_rejected: u64,
 }
 
-/// What the shared transport keeps per registered driver.
+/// Whether the receiver will *detect* one byte of `payload` damaged in
+/// flight (`header` selects the header area of a framed packet vs the data
+/// area). Size-only chunks model a NIC-level CRC (always detected); framed
+/// payloads are re-decoded — integrity framing catches the flip, legacy
+/// framing passes it through silently.
+fn corruption_detected(payload: Option<&Bytes>, header: bool) -> bool {
+    let Some(bytes) = payload.filter(|b| !b.is_empty()) else {
+        return true; // nothing to flip: the modeled NIC CRC fires
+    };
+    if !Packet::decode(&mut bytes.clone()).is_ok_and(|p| p.integrity) {
+        return false;
+    }
+    let mut raw = bytes.to_vec();
+    let idx = if header {
+        // Byte 4 is the first header field past kind/flags/check (the flow
+        // id) — damaging it misroutes the chunk.
+        4.min(raw.len() - 1)
+    } else if raw.len() > HEADER_LEN {
+        HEADER_LEN + (raw.len() - HEADER_LEN) / 2
+    } else {
+        raw.len() / 2
+    };
+    raw[idx] ^= 0xA5;
+    Packet::decode(&mut Bytes::from(raw)).is_err()
+}
+
+/// The event a transfer's arrival raises toward its engine.
+fn arrival(transfer: TransferId, corrupt: bool, at: SimTime) -> TransportEvent {
+    let chunk = ChunkId(transfer.0);
+    if corrupt {
+        TransportEvent::ChunkCorrupt { chunk, at }
+    } else {
+        TransportEvent::ChunkDelivered { chunk, at }
+    }
+}
+
+/// What the core keeps per registered slot.
 struct Slot {
     inbox: VecDeque<TransportEvent>,
     src: NodeId,
     dst: NodeId,
+    /// The slot's *dense local rail space*: local rail `i` is the `i`-th
+    /// rail both endpoints have a NIC on, `rail_map[local] == physical`.
+    /// Rails are translated on submit and back on events, so the engine
+    /// above never sees a rail it cannot use.
+    rail_map: Vec<RailId>,
     /// Whether the source node's `NicIdle`/`CoreIdle` are routed here.
     idle_wanted: bool,
-    /// On [`Shared::ready`] already (a slot is listed at most once).
+    /// On [`SimCore::ready`] already (a slot is listed at most once).
     listed: bool,
     /// The driver was dropped; nothing is routed here any more.
     retired: bool,
 }
 
-struct Shared {
+/// A simulator, the slots engines drive it through, and the fault replay.
+pub(super) struct SimCore {
     sim: Simulator,
-    /// One slot per registered driver, indexed by [`PairDriver::index`].
+    /// One slot per registered driver.
     slots: Vec<Slot>,
     /// Slot indices by source node: who shares each node's NICs and cores.
     by_source: Vec<Vec<usize>>,
     /// Slots that received an event since [`SimCluster::take_ready`] last
     /// emptied this list.
     ready: Vec<usize>,
-    /// Which driver submitted each transfer.
-    owner: HashMap<TransferId, usize>,
     /// Fault replay; `None` keeps every injection hook fully disabled.
     faults: Option<Box<ClusterFaults>>,
 }
 
-impl Shared {
-    fn new(sim: Simulator, faults: Option<Box<ClusterFaults>>) -> Self {
-        let by_source = vec![Vec::new(); sim.spec().nodes.len()];
-        Shared {
-            sim,
-            slots: Vec::new(),
-            by_source,
-            ready: Vec::new(),
-            owner: HashMap::new(),
-            faults,
-        }
+impl SimCore {
+    /// A fault-free core over a fresh simulator for `spec`.
+    pub(super) fn new(spec: ClusterSpec) -> Self {
+        Self::over(Simulator::new(spec), None)
     }
 
-    /// Routes one event to driver `i`'s inbox and lists the driver as ready.
+    /// A core over a fresh simulator for `spec`, replaying `schedule`.
+    ///
+    /// Validates the schedule against the spec, compiles it to per-port
+    /// transitions, and pins every distinct transition instant with a
+    /// calendar wakeup so faults begin and end at their exact virtual time.
+    pub(super) fn with_faults(
+        spec: ClusterSpec,
+        schedule: &ClusterFaultSchedule,
+    ) -> Result<Self, String> {
+        schedule.validate(&spec)?;
+        let mut sim = Simulator::new(spec);
+        let timeline = schedule.transitions(sim.spec());
+        let mut last_at = None;
+        for t in &timeline {
+            if last_at != Some(t.at) {
+                sim.schedule_wakeup(t.at, FAULT_WAKEUP_TOKEN);
+                last_at = Some(t.at);
+            }
+        }
+        let faults = ClusterFaults {
+            state: ClusterFaultState::new(sim.spec(), schedule.seed()),
+            timeline,
+            next: 0,
+            ledger: BTreeMap::new(),
+            held: Vec::new(),
+            next_rejected: 0,
+        };
+        let mut core = Self::over(sim, Some(Box::new(faults)));
+        // Transitions scheduled at t=0 are already due: apply them now so
+        // the first submission sees them without waiting for a pump.
+        core.apply_transitions_until(SimTime::ZERO);
+        Ok(core)
+    }
+
+    fn over(sim: Simulator, faults: Option<Box<ClusterFaults>>) -> Self {
+        let by_source = vec![Vec::new(); sim.spec().nodes.len()];
+        SimCore { sim, slots: Vec::new(), by_source, ready: Vec::new(), faults }
+    }
+
+    /// Registers a slot for the directed pair `src -> dst`. Panics when the
+    /// pair shares no rail (the cluster is partitioned for this pair).
+    pub(super) fn register(&mut self, src: NodeId, dst: NodeId) -> usize {
+        assert_ne!(src, dst, "loopback pairs are not modeled");
+        let rail_map: Vec<RailId> = self
+            .sim
+            .spec()
+            .common_rails(src.index(), dst.index())
+            .into_iter()
+            .map(RailId)
+            .collect();
+        assert!(!rail_map.is_empty(), "nodes {src} and {dst} share no rail");
+        let slot = self.slots.len();
+        self.by_source[src.index()].push(slot);
+        self.slots.push(Slot {
+            inbox: VecDeque::new(),
+            src,
+            dst,
+            rail_map,
+            idle_wanted: true,
+            listed: false,
+            retired: false,
+        });
+        slot
+    }
+
+    /// Retires a slot: whoever drove it is gone, so nothing routed to its
+    /// inbox from here on would ever be read.
+    fn retire(&mut self, slot: usize) {
+        let s = &mut self.slots[slot];
+        s.retired = true;
+        s.idle_wanted = false;
+        s.inbox = VecDeque::new();
+    }
+
+    /// Routes one event to a slot's inbox and lists the slot as ready.
     // nm-analyzer: allow(unbounded-growth) -- an inbox is emptied by its driver's next poll and
     // takes nothing once the driver is dropped; the ready list holds each slot at most once
     // (`listed`), so it is bounded by the drivers registered
-    fn deliver(&mut self, i: usize, ev: TransportEvent) {
-        let Some(slot) = self.slots.get_mut(i) else { return };
-        if slot.retired {
+    fn deliver(&mut self, slot: usize, ev: TransportEvent) {
+        let Some(s) = self.slots.get_mut(slot) else { return };
+        if s.retired {
             return;
         }
-        slot.inbox.push_back(ev);
-        if !slot.listed {
-            slot.listed = true;
-            self.ready.push(i);
+        s.inbox.push_back(ev);
+        if !s.listed {
+            s.listed = true;
+            self.ready.push(slot);
         }
     }
 
-    /// Routes an event about `transfer` to the driver that submitted it.
+    /// Routes an event about `transfer` to the slot that submitted it (the
+    /// tag it left on the simulator's record).
     fn deliver_to_owner(&mut self, transfer: TransferId, ev: TransportEvent) {
-        if let Some(&o) = self.owner.get(&transfer) {
-            self.deliver(o, ev);
-        }
+        self.deliver(self.sim.transfer(transfer).tag as usize, ev);
     }
 
-    /// Routes a NIC/core idle event of `node` to every driver sending from
+    /// Routes a NIC/core idle event of `node` to every slot sending from
     /// it (they share the NIC) that asked for idle events.
     fn deliver_idle(&mut self, node: NodeId, ev: &TransportEvent) {
         for k in 0..self.by_source[node.index()].len() {
-            let i = self.by_source[node.index()][k];
-            if self.slots[i].idle_wanted {
-                self.deliver(i, ev.clone());
+            let slot = self.by_source[node.index()][k];
+            if self.slots[slot].idle_wanted {
+                self.deliver(slot, ev.clone());
             }
         }
     }
@@ -183,18 +341,16 @@ impl Shared {
                     // Kill in-flight transfers crossing the downed port.
                     // The ledger is id-ordered (BTreeMap), so failure
                     // events replay identically by construction.
-                    let victims: Vec<TransferId> = f
-                        .inflight
-                        .iter()
-                        .filter(|(_, &(s, d, r))| {
-                            r == t.rail.index() && (s == t.node || d == t.node)
-                        })
-                        .map(|(&id, _)| id)
-                        .collect();
-                    for id in &victims {
-                        f.inflight.remove(id);
-                        f.doomed.remove(id);
-                        f.suppressed.insert(*id);
+                    let sim = &self.sim;
+                    let mut victims = Vec::new();
+                    for (&id, fate) in f.ledger.iter_mut() {
+                        let x = sim.transfer(id);
+                        let crosses = x.rail == t.rail
+                            && (x.src.index() == t.node || x.dst.index() == t.node);
+                        if crosses && *fate != Fate::Killed {
+                            *fate = Fate::Killed;
+                            victims.push(id);
+                        }
                     }
                     for id in victims {
                         let failed = TransportEvent::ChunkFailed { chunk: ChunkId(id.0), at: t.at };
@@ -207,10 +363,55 @@ impl Shared {
                 Change::ShapeEnd => {
                     self.sim.clear_nic_fault(NodeId(t.node), t.rail);
                 }
-                // Loss windows act at submission time via the state's
-                // lottery; down-end only flips the state bit (already
-                // applied above).
+                Change::ReorderEnd => {
+                    // Release what this port held in reverse arrival order,
+                    // re-stamped at the storm's close (the original
+                    // instants are in the past).
+                    let (released, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut f.held)
+                        .into_iter()
+                        .partition(|&(node, rail, ..)| node == t.node && rail == t.rail);
+                    f.held = kept;
+                    for (_, _, transfer, corrupt) in released.into_iter().rev() {
+                        self.deliver_to_owner(transfer, arrival(transfer, corrupt, t.at));
+                    }
+                }
+                // Lottery windows act at submission time and a storm's
+                // opening at delivery time, both via the state; down-end
+                // only flips the state bit (already applied above).
                 _ => {}
+            }
+        }
+    }
+
+    /// Routes a transfer's delivery as its [`Fate`] dictates (with no fault
+    /// layer watching, it passes through).
+    fn route_delivery(&mut self, transfer: TransferId, at: SimTime) {
+        let Some(f) = self.faults.as_deref_mut() else {
+            return self.deliver_to_owner(transfer, arrival(transfer, false, at));
+        };
+        let (corrupt, copies) = match f.ledger.remove(&transfer) {
+            Some(Fate::Killed) => return, // failure already reported at onset
+            Some(Fate::Doomed) => {
+                let failed = TransportEvent::ChunkFailed { chunk: ChunkId(transfer.0), at };
+                return self.deliver_to_owner(transfer, failed);
+            }
+            Some(Fate::Corrupt { detected: true }) => (true, 1),
+            Some(Fate::Duplicate) => (false, 2),
+            Some(Fate::Clean | Fate::Corrupt { detected: false }) | None => (false, 1),
+        };
+        let x = self.sim.transfer(transfer);
+        let rail = x.rail;
+        let storming =
+            [x.src.index(), x.dst.index()].into_iter().find(|&n| f.state.reorder_active(n, rail));
+        match storming {
+            // Held until the storm closes (released reversed).
+            Some(node) => {
+                f.held.extend(std::iter::repeat_n((node, rail, transfer, corrupt), copies));
+            }
+            None => {
+                for _ in 0..copies {
+                    self.deliver_to_owner(transfer, arrival(transfer, corrupt, at));
+                }
             }
         }
     }
@@ -222,30 +423,21 @@ impl Shared {
             return false;
         }
         for ev in events {
-            if self.faults.is_some() {
-                self.apply_transitions_until(event_time(&ev));
-            }
+            self.apply_transitions_until(event_time(&ev));
             match ev {
-                SimEvent::Delivered { transfer, at } => {
-                    let chunk = ChunkId(transfer.0);
-                    let mut routed = TransportEvent::ChunkDelivered { chunk, at };
-                    if let Some(f) = self.faults.as_deref_mut() {
-                        f.inflight.remove(&transfer);
-                        if f.suppressed.remove(&transfer) {
-                            continue; // failure already reported at onset
-                        }
-                        if f.doomed.remove(&transfer) {
-                            routed = TransportEvent::ChunkFailed { chunk, at };
-                        }
-                    }
-                    self.deliver_to_owner(transfer, routed);
-                }
+                SimEvent::Delivered { transfer, at } => self.route_delivery(transfer, at),
                 SimEvent::SendDone { transfer, at } => {
-                    if self.faults.as_deref().is_some_and(|f| f.suppressed.contains(&transfer)) {
-                        continue;
+                    let killed = self
+                        .faults
+                        .as_deref()
+                        .is_some_and(|f| f.ledger.get(&transfer) == Some(&Fate::Killed));
+                    if !killed {
+                        let chunk = ChunkId(transfer.0);
+                        self.deliver_to_owner(
+                            transfer,
+                            TransportEvent::ChunkSendDone { chunk, at },
+                        );
                     }
-                    let chunk = ChunkId(transfer.0);
-                    self.deliver_to_owner(transfer, TransportEvent::ChunkSendDone { chunk, at });
                 }
                 SimEvent::NicIdle { node, rail, at } => {
                     self.deliver_idle(node, &TransportEvent::RailIdle { rail, at });
@@ -254,18 +446,161 @@ impl Shared {
                     self.deliver_idle(node, &TransportEvent::CoreIdle { core, at });
                 }
                 SimEvent::Wakeup { token, at } => {
-                    // Engine retry/probe timers route back to their driver;
+                    // Engine retry/probe timers route back to their slot;
                     // fault and watchdog tokens exist only to pin calendar
                     // instants (the step itself is the payload).
                     if token >= ENGINE_WAKEUP_BASE {
-                        let i = (token - ENGINE_WAKEUP_BASE) as usize;
-                        self.deliver(i, TransportEvent::Wakeup { at });
+                        let slot = (token - ENGINE_WAKEUP_BASE) as usize;
+                        self.deliver(slot, TransportEvent::Wakeup { at });
                     }
                 }
                 SimEvent::RtsArrived { .. } => {}
             }
         }
         true
+    }
+
+    pub(super) fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+
+    /// Physical rail behind a slot's local index.
+    fn physical(&self, slot: usize, rail: RailId) -> RailId {
+        self.slots[slot].rail_map[rail.index()]
+    }
+
+    pub(super) fn rail_count(&self, slot: usize) -> usize {
+        self.slots[slot].rail_map.len()
+    }
+
+    pub(super) fn rail_name(&self, slot: usize, rail: RailId) -> String {
+        self.sim.link(self.physical(slot, rail)).name.clone()
+    }
+
+    pub(super) fn rdv_threshold(&self, slot: usize, rail: RailId) -> u64 {
+        self.sim.link(self.physical(slot, rail)).rdv_threshold
+    }
+
+    pub(super) fn rail_busy_until(&self, slot: usize, rail: RailId) -> SimTime {
+        // Shared state: another engine's traffic from this node raises it.
+        self.sim.nic_busy_until(self.slots[slot].src, self.physical(slot, rail))
+    }
+
+    pub(super) fn core_count(&self, slot: usize) -> usize {
+        self.sim.spec().nodes[self.slots[slot].src.index()].cores
+    }
+
+    pub(super) fn idle_cores(&self, slot: usize) -> Vec<CoreId> {
+        self.sim.idle_cores(self.slots[slot].src)
+    }
+
+    pub(super) fn submit(&mut self, slot: usize, chunk: ChunkSubmit) -> ChunkId {
+        let Slot { src, dst, .. } = self.slots[slot];
+        let rail = self.physical(slot, chunk.rail);
+        let mut fate = Fate::Clean;
+        if let Some(f) = self.faults.as_deref_mut() {
+            if f.state.is_down(src.index(), rail) || f.state.is_down(dst.index(), rail) {
+                // Either endpoint's port is dark: reject without touching
+                // the simulator; the failure event carries a synthetic id.
+                let id = ChunkId(REJECTED_CHUNK_BASE | f.next_rejected);
+                f.next_rejected += 1;
+                let at = self.sim.now();
+                self.deliver(slot, TransportEvent::ChunkFailed { chunk: id, at });
+                return id;
+            }
+            // Fixed draw order (tx port, then rx port) keeps the lottery's
+            // RNG stream stable across runs.
+            let tx = f.state.draw(src.index(), rail);
+            let rx = f.state.draw(dst.index(), rail);
+            let corrupt_header = tx.corrupt_header || rx.corrupt_header;
+            fate = if tx.drop || rx.drop {
+                Fate::Doomed
+            } else if corrupt_header || tx.corrupt_payload || rx.corrupt_payload {
+                Fate::Corrupt {
+                    detected: corruption_detected(chunk.payload.as_ref(), corrupt_header),
+                }
+            } else if tx.duplicate || rx.duplicate {
+                Fate::Duplicate
+            } else {
+                Fate::Clean
+            };
+        }
+        let id = self.sim.submit(SendSpec {
+            src,
+            dst,
+            rail,
+            size: chunk.bytes,
+            send_core: chunk.send_core,
+            recv_core: chunk.recv_core,
+            mode: chunk.mode,
+            offload_delay: chunk.offload_delay,
+            tag: slot as u32,
+        });
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.ledger.insert(id, fate);
+        }
+        ChunkId(id.0)
+    }
+
+    pub(super) fn schedule_wakeup(&mut self, slot: usize, at: SimTime) {
+        // Timers derived from an event's timestamp may land just before the
+        // post-batch clock (a poll can drain several instants at once); the
+        // contract is "wake no later than `at`", so clamp to now.
+        let at = at.max(self.sim.now());
+        self.sim.schedule_wakeup(at, ENGINE_WAKEUP_BASE + slot as u64);
+    }
+
+    pub(super) fn set_idle_interest(&mut self, slot: usize, wanted: bool) {
+        self.slots[slot].idle_wanted = wanted;
+    }
+
+    pub(super) fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
+        // Synthetic rejected ids never reached the simulator (which refuses
+        // any id it did not issue); there is nothing to retract behind them.
+        let ids: Vec<TransferId> = chunks.iter().map(|c| TransferId(c.0)).collect();
+        if !self.sim.try_cancel_all(&ids) {
+            return false;
+        }
+        if let Some(f) = self.faults.as_deref_mut() {
+            for id in &ids {
+                f.ledger.remove(id);
+            }
+        }
+        true
+    }
+
+    pub(super) fn poll(&mut self, slot: usize) -> Vec<TransportEvent> {
+        loop {
+            if self.slots[slot].inbox.is_empty() && !self.pump() {
+                return Vec::new();
+            }
+            // Physical rail events fold into the local rail space; idle
+            // notifications for rails this pair cannot use are dropped
+            // (possibly leaving nothing — then keep pumping).
+            let Slot { inbox, rail_map, .. } = &mut self.slots[slot];
+            let events: Vec<TransportEvent> = inbox
+                .drain(..)
+                .filter_map(|ev| match ev {
+                    TransportEvent::RailIdle { rail, at } => rail_map
+                        .iter()
+                        .position(|&r| r == rail)
+                        .map(|local| TransportEvent::RailIdle { rail: RailId(local), at }),
+                    other => Some(other),
+                })
+                .collect();
+            if !events.is_empty() {
+                return events;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl SimCore {
+    /// Per-transfer entries the fault layer holds right now (none without
+    /// a schedule).
+    pub(super) fn fault_entries(&self) -> usize {
+        self.faults.as_deref().map_or(0, |f| f.ledger.len() + f.held.len())
     }
 }
 
@@ -281,49 +616,70 @@ fn event_time(ev: &SimEvent) -> SimTime {
     }
 }
 
+/// `impl Transport` for a handle on one slot of a [`SimCore`]: every method
+/// is the core's method of the same name, called on that slot. The caller
+/// passes `self` and, in terms of it, how to reach the core (shared, then
+/// exclusive) and which slot is the handle's.
+macro_rules! slot_transport {
+    ($handle:ty, $self:ident, $core:expr, $core_mut:expr, $slot:expr) => {
+        impl Transport for $handle {
+            fn now(&$self) -> SimTime {
+                $core.now()
+            }
+            fn rail_count(&$self) -> usize {
+                $core.rail_count($slot)
+            }
+            fn rail_name(&$self, rail: RailId) -> String {
+                $core.rail_name($slot, rail)
+            }
+            fn rdv_threshold(&$self, rail: RailId) -> u64 {
+                $core.rdv_threshold($slot, rail)
+            }
+            fn rail_busy_until(&$self, rail: RailId) -> SimTime {
+                $core.rail_busy_until($slot, rail)
+            }
+            fn core_count(&$self) -> usize {
+                $core.core_count($slot)
+            }
+            fn idle_cores(&$self) -> Vec<CoreId> {
+                $core.idle_cores($slot)
+            }
+            fn submit(&mut $self, chunk: ChunkSubmit) -> ChunkId {
+                $core_mut.submit($slot, chunk)
+            }
+            fn poll(&mut $self) -> Vec<TransportEvent> {
+                $core_mut.poll($slot)
+            }
+            fn schedule_wakeup(&mut $self, at: SimTime) {
+                $core_mut.schedule_wakeup($slot, at)
+            }
+            fn set_idle_interest(&mut $self, wanted: bool) {
+                $core_mut.set_idle_interest($slot, wanted)
+            }
+            fn cancel_chunks(&mut $self, chunks: &[ChunkId]) -> bool {
+                $core_mut.cancel_chunks(chunks)
+            }
+        }
+    };
+}
+pub(super) use slot_transport;
+
 /// A multi-node simulated cluster shared by several pair drivers.
 pub struct SimCluster {
-    shared: Rc<RefCell<Shared>>,
+    shared: Rc<RefCell<SimCore>>,
 }
 
 impl SimCluster {
     /// Wraps a cluster spec in a shared simulator.
     pub fn new(spec: ClusterSpec) -> Self {
-        SimCluster { shared: Rc::new(RefCell::new(Shared::new(Simulator::new(spec), None))) }
+        SimCluster { shared: Rc::new(RefCell::new(SimCore::new(spec))) }
     }
 
-    /// Wraps a cluster spec in a shared simulator that replays `schedule`.
-    ///
-    /// Validates the schedule against the spec, compiles it to per-port
-    /// transitions, and pins every distinct transition instant with a
-    /// calendar wakeup so faults begin and end at their exact virtual time.
-    /// An empty schedule produces a cluster indistinguishable from
-    /// [`SimCluster::new`].
+    /// Wraps a cluster spec in a shared simulator that replays `schedule`
+    /// (validated against the spec). An empty schedule produces a cluster
+    /// indistinguishable from [`SimCluster::new`].
     pub fn with_faults(spec: ClusterSpec, schedule: &ClusterFaultSchedule) -> Result<Self, String> {
-        schedule.validate(&spec)?;
-        let mut sim = Simulator::new(spec);
-        let timeline = schedule.transitions(sim.spec());
-        let mut last_at = None;
-        for t in &timeline {
-            if last_at != Some(t.at) {
-                sim.schedule_wakeup(t.at, FAULT_WAKEUP_TOKEN);
-                last_at = Some(t.at);
-            }
-        }
-        let faults = ClusterFaults {
-            state: ClusterFaultState::new(sim.spec(), schedule.seed()),
-            timeline,
-            next: 0,
-            inflight: BTreeMap::new(),
-            doomed: HashSet::new(),
-            suppressed: HashSet::new(),
-            next_rejected: 0,
-        };
-        let mut shared = Shared::new(sim, Some(Box::new(faults)));
-        // Transitions scheduled at t=0 are already due: apply them now so
-        // the first submission sees them without waiting for a pump.
-        shared.apply_transitions_until(SimTime::ZERO);
-        Ok(SimCluster { shared: Rc::new(RefCell::new(shared)) })
+        Ok(SimCluster { shared: Rc::new(RefCell::new(SimCore::with_faults(spec, schedule)?)) })
     }
 
     /// Whether this cluster was built with a fault schedule (even an empty
@@ -362,22 +718,8 @@ impl SimCluster {
     /// Panics when the pair shares no rail (the cluster is partitioned for
     /// this pair).
     pub fn pair_driver(&self, src: NodeId, dst: NodeId) -> PairDriver {
-        assert_ne!(src, dst, "loopback pairs are not modeled");
-        let mut s = self.shared.borrow_mut();
-        let rail_map: Vec<RailId> =
-            s.sim.spec().common_rails(src.index(), dst.index()).into_iter().map(RailId).collect();
-        assert!(!rail_map.is_empty(), "nodes {src} and {dst} share no rail");
-        let index = s.slots.len();
-        s.by_source[src.index()].push(index);
-        s.slots.push(Slot {
-            inbox: VecDeque::new(),
-            src,
-            dst,
-            idle_wanted: true,
-            listed: false,
-            retired: false,
-        });
-        PairDriver { shared: self.shared.clone(), index, src, dst, rail_map }
+        let index = self.shared.borrow_mut().register(src, dst);
+        PairDriver { shared: self.shared.clone(), index }
     }
 
     /// Current shared virtual time.
@@ -430,35 +772,14 @@ impl SimCluster {
     }
 }
 
-/// One directed pair's view of the shared cluster.
-///
-/// Rail indices at this interface are *local*: dense `0..rail_count()`
-/// over the rails both endpoints share, translated to physical rails on
-/// submit and back on events. `rail_map[local] == physical`.
+/// One directed pair's view of the shared cluster: slot `index` of its
+/// core. Rail indices at this interface are the slot's *local* ones.
 pub struct PairDriver {
-    shared: Rc<RefCell<Shared>>,
+    shared: Rc<RefCell<SimCore>>,
     index: usize,
-    src: NodeId,
-    dst: NodeId,
-    rail_map: Vec<RailId>,
 }
 
 impl PairDriver {
-    /// Physical rail behind a local index.
-    fn physical(&self, rail: RailId) -> RailId {
-        self.rail_map[rail.index()]
-    }
-
-    /// Local index of a physical rail, when this pair uses it.
-    fn local(&self, physical: RailId) -> Option<RailId> {
-        self.rail_map.iter().position(|&r| r == physical).map(RailId)
-    }
-
-    /// The physical rails behind the local rail space, in local order.
-    pub fn rail_map(&self) -> &[RailId] {
-        &self.rail_map
-    }
-
     /// Events queued in this driver's inbox, deliverable by the next `poll`
     /// without advancing the shared clock.
     pub fn pending_events(&self) -> usize {
@@ -467,152 +788,15 @@ impl PairDriver {
 }
 
 impl Drop for PairDriver {
-    /// Retires the slot: whoever held the driver is gone, so nothing routed
-    /// to its inbox from here on would ever be read.
     fn drop(&mut self) {
         // Never panic in drop: skip the clean-up if the cluster is borrowed.
-        if let Ok(mut s) = self.shared.try_borrow_mut() {
-            if let Some(slot) = s.slots.get_mut(self.index) {
-                slot.retired = true;
-                slot.idle_wanted = false;
-                slot.inbox = VecDeque::new();
-            }
+        if let Ok(mut core) = self.shared.try_borrow_mut() {
+            core.retire(self.index);
         }
     }
 }
 
-impl Transport for PairDriver {
-    fn now(&self) -> SimTime {
-        self.shared.borrow().sim.now()
-    }
-
-    fn rail_count(&self) -> usize {
-        self.rail_map.len()
-    }
-
-    fn rail_name(&self, rail: RailId) -> String {
-        self.shared.borrow().sim.spec().rails[self.physical(rail).index()].name.clone()
-    }
-
-    fn rdv_threshold(&self, rail: RailId) -> u64 {
-        self.shared.borrow().sim.spec().rails[self.physical(rail).index()].rdv_threshold
-    }
-
-    fn rail_busy_until(&self, rail: RailId) -> SimTime {
-        // Shared state: another engine's traffic from this node raises it.
-        self.shared.borrow().sim.nic_busy_until(self.src, self.physical(rail))
-    }
-
-    fn core_count(&self) -> usize {
-        let s = self.shared.borrow();
-        s.sim.spec().nodes[self.src.index()].cores
-    }
-
-    fn idle_cores(&self) -> Vec<CoreId> {
-        self.shared.borrow().sim.idle_cores(self.src)
-    }
-
-    fn submit(&mut self, chunk: ChunkSubmit) -> ChunkId {
-        let rail = self.physical(chunk.rail);
-        let mut s = self.shared.borrow_mut();
-        let s = &mut *s;
-        if let Some(f) = s.faults.as_deref_mut() {
-            if f.state.is_down(self.src.index(), rail) || f.state.is_down(self.dst.index(), rail) {
-                // Either endpoint's port is dark: reject without touching
-                // the simulator; the failure event carries a synthetic id.
-                let id = ChunkId(REJECTED_CHUNK_BASE | f.next_rejected);
-                f.next_rejected += 1;
-                let at = s.sim.now();
-                s.deliver(self.index, TransportEvent::ChunkFailed { chunk: id, at });
-                return id;
-            }
-        }
-        let id = s.sim.submit(SendSpec {
-            src: self.src,
-            dst: self.dst,
-            rail,
-            size: chunk.bytes,
-            send_core: chunk.send_core,
-            recv_core: chunk.recv_core,
-            mode: chunk.mode,
-            offload_delay: chunk.offload_delay,
-        });
-        s.owner.insert(id, self.index);
-        if let Some(f) = s.faults.as_deref_mut() {
-            f.inflight.insert(id, (self.src.index(), self.dst.index(), rail.index()));
-            // Fixed draw order (tx port, then rx port) keeps the loss
-            // lottery's RNG stream stable across runs.
-            let drop_tx = f.state.should_drop(self.src.index(), rail);
-            let drop_rx = f.state.should_drop(self.dst.index(), rail);
-            if drop_tx || drop_rx {
-                f.doomed.insert(id);
-            }
-        }
-        ChunkId(id.0)
-    }
-
-    fn schedule_wakeup(&mut self, at: SimTime) {
-        let mut s = self.shared.borrow_mut();
-        let at = at.max(s.sim.now());
-        s.sim.schedule_wakeup(at, ENGINE_WAKEUP_BASE + self.index as u64);
-    }
-
-    fn set_idle_interest(&mut self, wanted: bool) {
-        self.shared.borrow_mut().slots[self.index].idle_wanted = wanted;
-    }
-
-    fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
-        if chunks.is_empty() {
-            return false;
-        }
-        // Synthetic rejected ids never reached the simulator; there is
-        // nothing to retract behind them.
-        if chunks.iter().any(|c| c.0 >= REJECTED_CHUNK_BASE) {
-            return false;
-        }
-        let ids: Vec<TransferId> = chunks.iter().map(|c| TransferId(c.0)).collect();
-        let mut s = self.shared.borrow_mut();
-        let s = &mut *s;
-        if !s.sim.try_cancel_all(&ids) {
-            return false;
-        }
-        for id in &ids {
-            s.owner.remove(id);
-            if let Some(f) = s.faults.as_deref_mut() {
-                f.inflight.remove(id);
-                f.doomed.remove(id);
-            }
-        }
-        true
-    }
-
-    fn poll(&mut self) -> Vec<TransportEvent> {
-        loop {
-            let drained: Vec<TransportEvent> = {
-                let mut s = self.shared.borrow_mut();
-                if s.slots[self.index].inbox.is_empty() && !s.pump() {
-                    return Vec::new();
-                }
-                s.slots[self.index].inbox.drain(..).collect()
-            };
-            // Physical rail events fold into the local rail space; idle
-            // notifications for rails this pair cannot use are dropped
-            // (possibly leaving nothing — then keep pumping).
-            let events: Vec<TransportEvent> = drained
-                .into_iter()
-                .filter_map(|ev| match ev {
-                    TransportEvent::RailIdle { rail, at } => {
-                        self.local(rail).map(|rail| TransportEvent::RailIdle { rail, at })
-                    }
-                    other => Some(other),
-                })
-                .collect();
-            if !events.is_empty() {
-                return events;
-            }
-        }
-    }
-}
+slot_transport!(PairDriver, self, self.shared.borrow(), self.shared.borrow_mut(), self.index);
 
 #[cfg(test)]
 mod tests {
@@ -787,7 +971,7 @@ mod tests {
         let cluster = SimCluster::new(spec.clone());
         let mut d01 = cluster.pair_driver(NodeId(0), NodeId(1));
         assert_eq!(d01.rail_count(), 1);
-        assert_eq!(d01.rail_map(), &[RailId(1)]);
+        assert_eq!(cluster.shared.borrow().slots[d01.index].rail_map, [RailId(1)]);
         assert_eq!(d01.rail_name(RailId(0)), "qsnet2");
         assert_eq!(d01.rdv_threshold(RailId(0)), spec.rails[1].rdv_threshold);
 
@@ -960,6 +1144,62 @@ mod tests {
             "some traffic must have been rerouted off the dead port: {:?}",
             done.chunks
         );
+        // Killed, retried and delivered: once the calendar is dry the fault
+        // layer remembers none of them.
+        e01.drain().expect("drain");
+        while cluster.pump_one() {}
+        assert_eq!(cluster.shared.borrow().fault_entries(), 0, "state kept for a finished chunk");
+    }
+
+    #[test]
+    fn a_corrupting_port_strikes_transfers_into_and_out_of_it() {
+        use nm_faults::{ClusterFaultSchedule, ClusterFaultSpec, FaultKind};
+        let schedule = ClusterFaultSchedule::new(3).with(ClusterFaultSpec::port(
+            1,
+            RailId(0),
+            SimTime::ZERO,
+            FaultKind::PayloadCorrupt {
+                prob: 1.0,
+                duration: nm_model::SimDuration::from_micros(1_000_000),
+            },
+        ));
+        let cluster = SimCluster::with_faults(three_node_spec(), &schedule).expect("schedule");
+        // (driver, rail, must the chunk arrive corrupt)
+        let mut cases = [
+            (cluster.pair_driver(NodeId(0), NodeId(1)), RailId(0), true), // into the port
+            (cluster.pair_driver(NodeId(1), NodeId(2)), RailId(0), true), // out of it
+            (cluster.pair_driver(NodeId(0), NodeId(1)), RailId(1), false), // its other rail
+            (cluster.pair_driver(NodeId(0), NodeId(2)), RailId(0), false), // the rail, elsewhere
+        ];
+        let ids: Vec<ChunkId> = cases
+            .iter_mut()
+            .map(|(d, rail, _)| d.submit(ChunkSubmit::new(*rail, 64 * 1024)))
+            .collect();
+        while cluster.pump_one() {}
+        for ((d, rail, corrupt), id) in cases.iter_mut().zip(ids) {
+            let ends: Vec<TransportEvent> = std::iter::from_fn(|| Some(d.poll()))
+                .take_while(|evs| !evs.is_empty())
+                .flatten()
+                .filter(|ev| {
+                    matches!(
+                        ev,
+                        TransportEvent::ChunkDelivered { .. } | TransportEvent::ChunkCorrupt { .. }
+                    )
+                })
+                .collect();
+            let want_corrupt = *corrupt;
+            assert!(
+                matches!(
+                    ends[..],
+                    [TransportEvent::ChunkCorrupt { chunk, .. }] if want_corrupt && chunk == id
+                ) || matches!(
+                    ends[..],
+                    [TransportEvent::ChunkDelivered { chunk, .. }] if !want_corrupt && chunk == id
+                ),
+                "rail {rail:?}, corrupt {want_corrupt}: its owner saw {ends:?}"
+            );
+        }
+        assert_eq!(cluster.shared.borrow().fault_entries(), 0, "state kept for a finished chunk");
     }
 
     #[test]

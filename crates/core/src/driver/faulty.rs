@@ -1,388 +1,49 @@
-//! The chaos substrate: a [`SimDriver`] replaying a fault schedule.
+//! The chaos substrate: the two-node driver replaying a fault schedule.
 //!
-//! [`FaultSimDriver`] wraps the simulated-cluster driver and injects the
-//! failures of an [`nm_faults::FaultSchedule`] at exact virtual instants
-//! (each transition is pinned with a simulator wakeup, so onset never
-//! depends on polling cadence):
-//!
-//! * **Rail down** — submissions to the rail are rejected (the chunk fails
-//!   on the next poll without touching the simulator) and chunks already in
-//!   flight fail at onset, their residual simulator events swallowed.
-//! * **Transient loss** — each submission draws the schedule's seeded
-//!   lottery; a doomed chunk runs normally on the wire but its delivery is
-//!   reported as [`TransportEvent::ChunkFailed`] (the receive side never
-//!   confirms — the send side still completes, as on real hardware).
-//! * **Latency spike / bandwidth degrade** — mapped onto the simulator's
-//!   per-rail duration shaping ([`nm_sim::Simulator::set_rail_fault`]).
-//! * **Payload / header corruption** — the chunk's bytes are damaged in
-//!   flight (one byte XORed). Whether the receiver *detects* it follows the
-//!   wire contract: size-only chunks model a NIC-level CRC (always
-//!   detected, reported as [`TransportEvent::ChunkCorrupt`]); framed
-//!   payloads are re-decoded on delivery — integrity framing catches the
-//!   flip, legacy framing lets it through *silently* (the pre-integrity
-//!   failure mode the checksums exist to close).
-//! * **Duplicate chunk** — a cleanly delivered chunk raises
-//!   [`TransportEvent::ChunkDelivered`] twice back-to-back.
-//! * **Reorder storm** — deliveries on the rail are held while the window
-//!   is open and released in reverse arrival order (re-stamped) when it
-//!   closes.
-//!
-//! With an **empty schedule** every hook is inert: no wakeups are
-//! scheduled, no RNG is consumed and events pass through untouched, so a
-//! fault-free chaos run is bit-identical to a plain [`SimDriver`] run —
-//! pinned by the resilience golden test in `nm-bench`.
+//! A [`FaultSimDriver`] is the `node 0 → node 1` slot of a `SimCore`
+//! built with an [`nm_faults::FaultSchedule`]: the schedule lowers to the
+//! port-addressed cluster model (rail `r` is the sender's port
+//! `(node 0, r)`) and the core replays it — see [`super::cluster`] for what
+//! each fault kind does to the event stream. With an **empty schedule**
+//! every hook is inert, so a fault-free chaos run is bit-identical to a
+//! plain [`SimDriver`](super::sim::SimDriver) run — pinned by the
+//! resilience golden test in `nm-bench`.
 
-use crate::driver::sim::SimDriver;
+use super::cluster::{slot_transport, SimCore};
 use crate::transport::{ChunkId, ChunkSubmit, Transport, TransportEvent};
-use bytes::Bytes;
-use nm_faults::{Change, FaultSchedule, FaultState, Transition};
+use nm_faults::FaultSchedule;
 use nm_model::SimTime;
-use nm_proto::{Packet, HEADER_LEN};
-use nm_sim::{ClusterSpec, CoreId, RailId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use nm_sim::{ClusterSpec, CoreId, NodeId, RailId};
 
-/// Chunk ids minted for submissions rejected at the driver (down rail);
-/// disjoint from the simulator's transfer-id space.
-const REJECTED_CHUNK_BASE: u64 = 1 << 63;
-
-/// Wakeup token marking fault-transition timers (the engine's own wakeups
-/// use token 0; both surface identically as [`TransportEvent::Wakeup`]).
-const FAULT_WAKEUP_TOKEN: u64 = 1;
-
-/// A [`SimDriver`] with a fault schedule spliced into its event stream.
+/// The two-node driver with a fault schedule spliced into its event stream.
 pub struct FaultSimDriver {
-    inner: SimDriver,
-    state: FaultState,
-    timeline: Vec<Transition>,
-    next_transition: usize,
-    /// Live chunks per rail — the victims list when a rail goes down.
-    inflight: BTreeMap<ChunkId, RailId>,
-    /// Chunks that lost the loss lottery: delivery becomes failure.
-    doomed: HashSet<ChunkId>,
-    /// Chunks failed at rail-down onset: residual sim events are swallowed.
-    suppressed: HashSet<ChunkId>,
-    /// Chunks corrupted in flight → was the damage *detected*? Detected
-    /// corruption surfaces as [`TransportEvent::ChunkCorrupt`]; undetected
-    /// corruption delivers normally (the silent-corruption failure mode).
-    corrupted: HashMap<ChunkId, bool>,
-    /// Chunks the duplication lottery selected: delivered twice.
-    dup: HashSet<ChunkId>,
-    /// Per-rail delivery hold buffers while a reorder storm is open.
-    held: Vec<Vec<TransportEvent>>,
-    /// Rejected submissions awaiting their failure report.
-    pending_failures: Vec<ChunkId>,
-    next_rejected: u64,
+    core: SimCore,
 }
 
 impl FaultSimDriver {
     /// A driver over a fresh simulator for `spec`, replaying `schedule`.
     /// Panics on an invalid schedule.
     pub fn new(spec: ClusterSpec, schedule: FaultSchedule) -> Self {
-        Self::from_driver(SimDriver::new(spec), schedule)
+        let mut core =
+            SimCore::with_faults(spec, &schedule.lowered()).expect("invalid fault schedule");
+        core.register(NodeId(0), NodeId(1));
+        FaultSimDriver { core }
     }
 
     /// The paper's testbed under `schedule`.
     pub fn paper_testbed(schedule: FaultSchedule) -> Self {
         Self::new(ClusterSpec::paper_testbed(), schedule)
     }
-
-    /// Wraps an existing driver (e.g. one whose simulator has jitter).
-    pub fn from_driver(mut inner: SimDriver, schedule: FaultSchedule) -> Self {
-        schedule.validate().expect("invalid fault schedule");
-        let rails = inner.rail_count();
-        let timeline = schedule.transitions();
-        // Pin every transition instant with a wakeup so faults strike at
-        // exact virtual times even when the calendar is otherwise quiet.
-        let mut last_at = None;
-        for t in &timeline {
-            if last_at != Some(t.at) {
-                inner.simulator_mut().schedule_wakeup(t.at, FAULT_WAKEUP_TOKEN);
-                last_at = Some(t.at);
-            }
-        }
-        FaultSimDriver {
-            inner,
-            state: FaultState::new(rails, schedule.seed()),
-            timeline,
-            next_transition: 0,
-            inflight: BTreeMap::new(),
-            doomed: HashSet::new(),
-            suppressed: HashSet::new(),
-            corrupted: HashMap::new(),
-            dup: HashSet::new(),
-            held: vec![Vec::new(); rails],
-            pending_failures: Vec::new(),
-            next_rejected: 0,
-        }
-    }
-
-    /// The wrapped driver.
-    pub fn inner(&self) -> &SimDriver {
-        &self.inner
-    }
-
-    /// True while the rail's hard-down window is open.
-    pub fn rail_is_down(&self, rail: RailId) -> bool {
-        self.state.is_down(rail)
-    }
-
-    /// Applies every transition due at or before `at`; rail-down onsets
-    /// fail the rail's in-flight chunks into `out`.
-    // nm-analyzer: allow(unbounded-growth) -- suppression set holds one id per chunk failed by
-    // a rail-down onset, cleared when the underlying delivery event is swallowed
-    fn apply_transitions_until(&mut self, at: SimTime, out: &mut Vec<TransportEvent>) {
-        while let Some(t) = self.timeline.get(self.next_transition) {
-            if t.at > at {
-                break;
-            }
-            let t = t.clone();
-            self.next_transition += 1;
-            self.state.apply(&t);
-            match t.change {
-                Change::DownBegin => {
-                    // Id-ordered ledger: victims fail in chunk-id order by
-                    // construction, no normalizing sort needed.
-                    let victims: Vec<ChunkId> = self
-                        .inflight
-                        .iter()
-                        .filter(|&(_, r)| *r == t.rail)
-                        .map(|(c, _)| *c)
-                        .collect();
-                    for chunk in victims {
-                        self.inflight.remove(&chunk);
-                        self.doomed.remove(&chunk);
-                        self.suppressed.insert(chunk);
-                        out.push(TransportEvent::ChunkFailed { chunk, at: t.at });
-                    }
-                }
-                Change::ShapeBegin { time_scale, extra_latency } => {
-                    self.inner.simulator_mut().set_rail_fault(t.rail, time_scale, extra_latency);
-                }
-                Change::ShapeEnd => {
-                    self.inner.simulator_mut().clear_rail_fault(t.rail);
-                }
-                Change::ReorderEnd => {
-                    // Release held deliveries in reverse arrival order,
-                    // re-stamped at the storm's close (their original
-                    // instants are in the past).
-                    let held = std::mem::take(&mut self.held[t.rail.index()]);
-                    for ev in held.into_iter().rev() {
-                        out.push(match ev {
-                            TransportEvent::ChunkDelivered { chunk, .. } => {
-                                TransportEvent::ChunkDelivered { chunk, at: t.at }
-                            }
-                            TransportEvent::ChunkCorrupt { chunk, .. } => {
-                                TransportEvent::ChunkCorrupt { chunk, at: t.at }
-                            }
-                            other => other,
-                        });
-                    }
-                }
-                Change::DownEnd
-                | Change::LossBegin { .. }
-                | Change::LossEnd
-                | Change::CorruptBegin { .. }
-                | Change::CorruptEnd { .. }
-                | Change::DupBegin { .. }
-                | Change::DupEnd
-                | Change::ReorderBegin => {}
-            }
-        }
-    }
-
-    /// Damages one byte of the chunk's payload in flight (`header` selects
-    /// the header area of a framed packet vs the data area). Returns
-    /// whether the receiver will *detect* the damage: size-only chunks
-    /// model a NIC-level CRC (always detected); framed payloads are
-    /// re-decoded — integrity framing catches the flip, legacy framing
-    /// passes it through silently.
-    fn corrupt_in_flight(chunk: &mut ChunkSubmit, header: bool) -> bool {
-        let Some(bytes) = chunk.payload.take() else {
-            return true; // size-only chunk: modeled NIC CRC fires
-        };
-        if bytes.is_empty() {
-            chunk.payload = Some(bytes);
-            return true; // nothing to flip; treat as a detected frame error
-        }
-        let framed_integrity =
-            Packet::decode(&mut bytes.clone()).map(|p| p.integrity).unwrap_or(false);
-        let mut raw = bytes.to_vec();
-        let idx = if header {
-            // Byte 4 is the first header field past kind/flags/check (the
-            // flow id) — damaging it misroutes the chunk; clamp for tiny
-            // unframed payloads.
-            4.min(raw.len() - 1)
-        } else if raw.len() > HEADER_LEN {
-            HEADER_LEN + (raw.len() - HEADER_LEN) / 2
-        } else {
-            raw.len() / 2
-        };
-        raw[idx] ^= 0xA5;
-        let corrupted = Bytes::from(raw);
-        let detected = framed_integrity && Packet::decode(&mut corrupted.clone()).is_err();
-        chunk.payload = Some(corrupted);
-        detected
-    }
-
-    fn event_time(ev: &TransportEvent) -> SimTime {
-        match ev {
-            TransportEvent::ChunkDelivered { at, .. }
-            | TransportEvent::ChunkSendDone { at, .. }
-            | TransportEvent::RailIdle { at, .. }
-            | TransportEvent::CoreIdle { at, .. }
-            | TransportEvent::ChunkFailed { at, .. }
-            | TransportEvent::ChunkCorrupt { at, .. }
-            | TransportEvent::Wakeup { at } => *at,
-        }
-    }
 }
 
-impl Transport for FaultSimDriver {
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn rail_count(&self) -> usize {
-        self.inner.rail_count()
-    }
-
-    fn rail_name(&self, rail: RailId) -> String {
-        self.inner.rail_name(rail)
-    }
-
-    fn rdv_threshold(&self, rail: RailId) -> u64 {
-        self.inner.rdv_threshold(rail)
-    }
-
-    fn rail_busy_until(&self, rail: RailId) -> SimTime {
-        self.inner.rail_busy_until(rail)
-    }
-
-    fn core_count(&self) -> usize {
-        self.inner.core_count()
-    }
-
-    fn idle_cores(&self) -> Vec<CoreId> {
-        self.inner.idle_cores()
-    }
-
-    // nm-analyzer: allow(unbounded-growth) -- per-run fault-sim bookkeeping: one ledger entry
-    // per live chunk (removed on delivery) plus scripted failure/corruption/dup schedules
-    fn submit(&mut self, mut chunk: ChunkSubmit) -> ChunkId {
-        let rail = chunk.rail;
-        if self.state.is_down(rail) {
-            let id = ChunkId(REJECTED_CHUNK_BASE | self.next_rejected);
-            self.next_rejected += 1;
-            self.pending_failures.push(id);
-            return id;
-        }
-        // Fixed lottery order keeps the RNG stream reproducible; each draw
-        // consumes randomness only while its window is open.
-        let doomed = self.state.should_drop(rail);
-        let corrupt_header = self.state.should_corrupt_header(rail);
-        let corrupt_payload = self.state.should_corrupt_payload(rail);
-        let duplicate = self.state.should_duplicate(rail);
-        let corruption = if corrupt_header || corrupt_payload {
-            Some(Self::corrupt_in_flight(&mut chunk, corrupt_header))
-        } else {
-            None
-        };
-        let id = self.inner.submit(chunk);
-        self.inflight.insert(id, rail);
-        if doomed {
-            self.doomed.insert(id);
-        } else if let Some(detected) = corruption {
-            self.corrupted.insert(id, detected);
-        } else if duplicate {
-            // Only clean chunks duplicate — a corrupt chunk delivered twice
-            // would double-count the corruption it models.
-            self.dup.insert(id);
-        }
-        id
-    }
-
-    fn poll(&mut self) -> Vec<TransportEvent> {
-        let mut out = Vec::new();
-        let now = self.inner.now();
-        for chunk in self.pending_failures.drain(..) {
-            out.push(TransportEvent::ChunkFailed { chunk, at: now });
-        }
-        // A whole inner batch can be swallowed (suppressed chunks of a
-        // downed rail); keep polling so that an empty return always means
-        // the wrapped driver is exhausted.
-        loop {
-            let inner_events = self.inner.poll();
-            let exhausted = inner_events.is_empty();
-            for ev in inner_events {
-                self.apply_transitions_until(Self::event_time(&ev), &mut out);
-                match ev {
-                    TransportEvent::ChunkDelivered { chunk, at } => {
-                        if self.suppressed.remove(&chunk) {
-                            continue; // already reported failed at rail-down onset
-                        }
-                        let rail = self.inflight.remove(&chunk);
-                        if self.doomed.remove(&chunk) {
-                            out.push(TransportEvent::ChunkFailed { chunk, at });
-                            continue;
-                        }
-                        let delivery = match self.corrupted.remove(&chunk) {
-                            Some(true) => TransportEvent::ChunkCorrupt { chunk, at },
-                            // Undetected corruption (or none): delivers
-                            // normally from the transport's point of view.
-                            Some(false) | None => TransportEvent::ChunkDelivered { chunk, at },
-                        };
-                        let twice = self.dup.remove(&chunk);
-                        let storm = rail.is_some_and(|r| self.state.reorder_active(r));
-                        let sink = if storm {
-                            // Held until the storm closes (released reversed).
-                            &mut self.held[rail.unwrap().index()]
-                        } else {
-                            &mut out
-                        };
-                        sink.push(delivery.clone());
-                        if twice {
-                            sink.push(delivery);
-                        }
-                    }
-                    TransportEvent::ChunkSendDone { chunk, .. } => {
-                        if !self.suppressed.contains(&chunk) {
-                            out.push(ev);
-                        }
-                    }
-                    other => out.push(other),
-                }
-            }
-            if !out.is_empty() || exhausted {
-                return out;
-            }
-        }
-    }
-
-    fn schedule_wakeup(&mut self, at: SimTime) {
-        self.inner.schedule_wakeup(at);
-    }
-
-    fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
-        if chunks.iter().any(|c| c.0 >= REJECTED_CHUNK_BASE) {
-            return false; // rejected chunks have no simulator backing
-        }
-        if self.inner.cancel_chunks(chunks) {
-            for c in chunks {
-                self.inflight.remove(c);
-                self.doomed.remove(c);
-                self.corrupted.remove(c);
-                self.dup.remove(c);
-            }
-            true
-        } else {
-            false
-        }
-    }
-}
+// The pair registered at construction is the core's first slot.
+slot_transport!(FaultSimDriver, self, self.core, self.core, 0);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::sim::SimDriver;
+    use bytes::Bytes;
     use nm_faults::{FaultKind, FaultSpec};
     use nm_model::units::{KIB, MIB};
     use nm_model::SimDuration;
@@ -394,15 +55,27 @@ mod tests {
         SimDuration::from_micros(us)
     }
 
+    /// Polls the calendar dry; by then every chunk has been delivered,
+    /// failed or found corrupt, and the fault layer must have let go of it.
     fn drain(driver: &mut FaultSimDriver) -> Vec<TransportEvent> {
         let mut all = Vec::new();
         loop {
             let evs = driver.poll();
             if evs.is_empty() {
+                assert_eq!(driver.core.fault_entries(), 0, "state kept for a finished chunk");
                 return all;
             }
             all.extend(evs);
         }
+    }
+
+    #[test]
+    fn engines_over_the_owning_handles_can_cross_threads() {
+        // Both handles own their core (no `Rc`): `admission_stress` shares
+        // an `Engine<SimDriver>` between threads under a mutex.
+        fn assert_send<T: Send>() {}
+        assert_send::<crate::Engine<SimDriver>>();
+        assert_send::<crate::Engine<FaultSimDriver>>();
     }
 
     #[test]
@@ -430,12 +103,10 @@ mod tests {
             at: SimTime::ZERO,
             kind: FaultKind::RailDown { duration: d(1000) },
         });
+        // A window scheduled at t = 0 is open from construction.
         let mut driver = FaultSimDriver::paper_testbed(schedule);
-        // Advance past the onset wakeup so the window is open.
-        let _ = driver.poll();
-        assert!(driver.rail_is_down(RailId(0)));
         let id = driver.submit(ChunkSubmit::new(RailId(0), 64 * KIB));
-        assert!(id.0 >= REJECTED_CHUNK_BASE);
+        assert!(id.0 >= 1 << 63, "rejected ids are synthetic");
         assert_eq!(driver.rail_busy_until(RailId(0)), SimTime::ZERO, "sim untouched");
         let events = driver.poll();
         assert!(
@@ -477,7 +148,6 @@ mod tests {
             kind: FaultKind::PayloadCorrupt { prob: 1.0, duration: d(1_000_000) },
         });
         let mut driver = FaultSimDriver::paper_testbed(schedule);
-        let _ = driver.poll(); // open the window
         let id = driver.submit(ChunkSubmit::new(RailId(0), 64 * KIB));
         let clean = driver.submit(ChunkSubmit::new(RailId(1), 64 * KIB));
         let events = drain(&mut driver);
@@ -503,7 +173,7 @@ mod tests {
 
     #[test]
     fn framed_corruption_detection_follows_the_integrity_flag() {
-        use nm_proto::{PacketHeader, PacketKind};
+        use nm_proto::{Packet, PacketHeader, PacketKind};
         let packet = |integrity: bool| {
             Packet::new(
                 PacketHeader {
@@ -529,7 +199,6 @@ mod tests {
             let schedule =
                 FaultSchedule::new(3).with(FaultSpec { rail: RailId(0), at: SimTime::ZERO, kind });
             let mut driver = FaultSimDriver::paper_testbed(schedule);
-            let _ = driver.poll();
             let mut sub = ChunkSubmit::new(RailId(0), 1024);
             sub.payload = Some(packet(integrity));
             let id = driver.submit(sub);
@@ -551,7 +220,6 @@ mod tests {
             kind: FaultKind::DuplicateChunk { prob: 1.0, duration: d(1_000_000) },
         });
         let mut driver = FaultSimDriver::paper_testbed(schedule);
-        let _ = driver.poll();
         let id = driver.submit(ChunkSubmit::new(RailId(0), 64 * KIB));
         let events = drain(&mut driver);
         let deliveries = events
@@ -569,7 +237,6 @@ mod tests {
             kind: FaultKind::ChunkReorderStorm { duration: d(1_000_000) },
         });
         let mut driver = FaultSimDriver::paper_testbed(schedule);
-        let _ = driver.poll();
         let ids: Vec<ChunkId> =
             (0..4).map(|_| driver.submit(ChunkSubmit::new(RailId(0), 4 * KIB))).collect();
         let events = drain(&mut driver);
@@ -601,7 +268,6 @@ mod tests {
         };
         let run = |seed| {
             let mut driver = FaultSimDriver::paper_testbed(schedule(seed));
-            let _ = driver.poll(); // open the window
             let ids: Vec<ChunkId> =
                 (0..16).map(|_| driver.submit(ChunkSubmit::new(RailId(0), 4 * KIB))).collect();
             let events = drain(&mut driver);

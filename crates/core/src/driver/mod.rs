@@ -1,15 +1,19 @@
 //! Transfer-layer drivers.
 //!
-//! * [`sim`] — the evaluation substrate: a [`nm_sim::Simulator`] cluster
-//!   behind the [`crate::Transport`] contract. Deterministic virtual time;
-//!   all paper figures are regenerated on it.
+//! * [`cluster`] — the evaluation substrate: a [`nm_sim::Simulator`] behind
+//!   the [`crate::Transport`] contract, optionally replaying an `nm-faults`
+//!   schedule. Deterministic virtual time; all paper figures are regenerated
+//!   on it. One core steps the simulator, maps its events and replays
+//!   faults; [`cluster::SimCluster`] shares it among the
+//!   [`cluster::PairDriver`]s of an N-node cluster.
+//! * [`sim`] / [`faulty`] — the same core for the paper's two nodes:
+//!   [`sim::SimDriver`] and [`faulty::FaultSimDriver`] (the chaos substrate,
+//!   for exercising health tracking and failover deterministically) each
+//!   own a core whose single slot sends node 0 → node 1.
 //! * [`shmem`] — the correctness substrate: real OS threads move real bytes
 //!   through throttled in-process rails, with checksum verification at the
 //!   receive side. It proves the engine/strategy/protocol stack is not
 //!   simulator-shaped.
-//! * [`faulty`] — the chaos substrate: a [`sim::SimDriver`] replaying an
-//!   [`nm_faults::FaultSchedule`], for exercising health tracking and
-//!   failover deterministically.
 
 pub mod cluster;
 pub mod faulty;

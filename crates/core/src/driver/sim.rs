@@ -1,144 +1,37 @@
-//! The simulated-cluster driver.
+//! The simulated two-node driver.
 //!
-//! Adapts a [`Simulator`] (node 0 → node 1, the paper's two-node testbed)
-//! to the engine's [`Transport`] contract. Chunk ids are the simulator's
-//! transfer ids; only *local* (node-0) NIC/core idle events are surfaced —
-//! the engine schedules sends, not receives.
+//! The paper's testbed is the smallest cluster the simulated transport
+//! serves: a [`SimDriver`] owns a `SimCore` whose single slot sends
+//! node 0 → node 1, and holds no logic of its own. Chunk ids are the
+//! simulator's transfer ids; only *local* (node-0) NIC/core idle events are
+//! surfaced — the engine schedules sends, not receives.
 
+use super::cluster::{slot_transport, SimCore};
 use crate::transport::{ChunkId, ChunkSubmit, Transport, TransportEvent};
 use nm_model::SimTime;
-use nm_sim::{ClusterSpec, CoreId, NodeId, RailId, SendSpec, SimEvent, Simulator};
+use nm_sim::{ClusterSpec, CoreId, NodeId, RailId};
 
 /// Discrete-event transport between two simulated nodes.
 pub struct SimDriver {
-    sim: Simulator,
-    src: NodeId,
-    dst: NodeId,
+    core: SimCore,
 }
 
 impl SimDriver {
     /// A driver over a fresh simulator for `spec`, sending node 0 → node 1.
     pub fn new(spec: ClusterSpec) -> Self {
-        SimDriver { sim: Simulator::new(spec), src: NodeId(0), dst: NodeId(1) }
+        let mut core = SimCore::new(spec);
+        core.register(NodeId(0), NodeId(1));
+        SimDriver { core }
     }
 
     /// The paper's testbed (2× four-core nodes, Myri-10G + QsNetII).
     pub fn paper_testbed() -> Self {
         SimDriver::new(ClusterSpec::paper_testbed())
     }
-
-    /// Wraps an existing simulator (e.g. one with jitter or tracing).
-    pub fn from_simulator(sim: Simulator) -> Self {
-        SimDriver { sim, src: NodeId(0), dst: NodeId(1) }
-    }
-
-    /// Read access to the underlying simulator.
-    pub fn simulator(&self) -> &Simulator {
-        &self.sim
-    }
-
-    /// Mutable access to the underlying simulator (fault injection, extra
-    /// wakeups). The engine never uses this; wrappers like the fault
-    /// driver do.
-    pub fn simulator_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
-    }
-
-    /// The cluster spec.
-    pub fn spec(&self) -> &ClusterSpec {
-        self.sim.spec()
-    }
 }
 
-impl Transport for SimDriver {
-    fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    fn rail_count(&self) -> usize {
-        self.sim.spec().rail_count()
-    }
-
-    fn rail_name(&self, rail: RailId) -> String {
-        self.sim.spec().rails[rail.index()].name.clone()
-    }
-
-    fn rdv_threshold(&self, rail: RailId) -> u64 {
-        self.sim.spec().rails[rail.index()].rdv_threshold
-    }
-
-    fn rail_busy_until(&self, rail: RailId) -> SimTime {
-        self.sim.nic_busy_until(self.src, rail)
-    }
-
-    fn core_count(&self) -> usize {
-        self.sim.spec().nodes[self.src.index()].cores
-    }
-
-    fn idle_cores(&self) -> Vec<CoreId> {
-        self.sim.idle_cores(self.src)
-    }
-
-    fn submit(&mut self, chunk: ChunkSubmit) -> ChunkId {
-        let id = self.sim.submit(SendSpec {
-            src: self.src,
-            dst: self.dst,
-            rail: chunk.rail,
-            size: chunk.bytes,
-            send_core: chunk.send_core,
-            recv_core: chunk.recv_core,
-            mode: chunk.mode,
-            offload_delay: chunk.offload_delay,
-        });
-        ChunkId(id.0)
-    }
-
-    fn poll(&mut self) -> Vec<TransportEvent> {
-        // A step may surface only foreign events (remote-node activity,
-        // rendezvous handshake progress); keep stepping so that an empty
-        // return always means the calendar is exhausted.
-        loop {
-            let events = self.sim.step();
-            if events.is_empty() {
-                return Vec::new();
-            }
-            let mapped: Vec<TransportEvent> = events
-                .into_iter()
-                .filter_map(|ev| match ev {
-                    SimEvent::Delivered { transfer, at } => {
-                        Some(TransportEvent::ChunkDelivered { chunk: ChunkId(transfer.0), at })
-                    }
-                    SimEvent::SendDone { transfer, at } => {
-                        Some(TransportEvent::ChunkSendDone { chunk: ChunkId(transfer.0), at })
-                    }
-                    SimEvent::NicIdle { node, rail, at } if node == self.src => {
-                        Some(TransportEvent::RailIdle { rail, at })
-                    }
-                    SimEvent::CoreIdle { node, core, at } if node == self.src => {
-                        Some(TransportEvent::CoreIdle { core, at })
-                    }
-                    SimEvent::Wakeup { at, .. } => Some(TransportEvent::Wakeup { at }),
-                    _ => None,
-                })
-                .collect();
-            if !mapped.is_empty() {
-                return mapped;
-            }
-        }
-    }
-
-    fn schedule_wakeup(&mut self, at: SimTime) {
-        // Timers derived from an event's timestamp may land just before the
-        // post-batch clock (a poll can drain several instants at once); the
-        // contract is "wake no later than `at`", so clamp to now.
-        self.sim.schedule_wakeup(at.max(self.sim.now()), 0);
-    }
-
-    fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
-        let ids: Vec<nm_sim::TransferId> = chunks.iter().map(|c| nm_sim::TransferId(c.0)).collect();
-        self.sim.try_cancel_all(&ids)
-    }
-}
+// The pair registered at construction is the core's first slot.
+slot_transport!(SimDriver, self, self.core, self.core, 0);
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,9 @@
 //!                                          · MulticoreEager (paper §III-D)
 //!                         │
 //!                     Transport         (transfer layer: drivers)
-//!                    · SimDriver  — discrete-event cluster (evaluation)
+//!                    · simulated cluster — one discrete-event core, three handles:
+//!                        SimDriver / FaultSimDriver (two nodes, ± fault schedule)
+//!                        SimCluster + PairDriver    (N nodes, shared clock)
 //!                    · ShmemDriver — real threads + throttled rails
 //! ```
 //!
@@ -82,7 +84,6 @@ pub use transport::{ChunkSubmit, Transport, TransportEvent};
 
 /// Convenient glob import for applications.
 pub mod prelude {
-    pub use crate::driver::faulty::FaultSimDriver;
     pub use crate::driver::shmem::ShmemDriver;
     pub use crate::driver::sim::SimDriver;
     pub use crate::engine::{Engine, MsgCompletion, MsgId};

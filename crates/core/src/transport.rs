@@ -2,10 +2,16 @@
 //!
 //! NewMadeleine's drivers (MX, Elan, Verbs, TCP) all reduce, for the
 //! scheduler's purposes, to this contract: report rail state, accept chunk
-//! submissions, and raise events. Two implementations ship with this crate:
-//! [`crate::driver::sim::SimDriver`] (discrete-event cluster, the evaluation
-//! substrate) and [`crate::driver::shmem::ShmemDriver`] (real threads moving
-//! real bytes through throttled in-process rails).
+//! submissions, and raise events. Two mechanisms implement it in this crate.
+//! The simulated one (discrete-event cluster, the evaluation substrate) is a
+//! single core in [`crate::driver::cluster`] reached through three handles:
+//! [`crate::driver::sim::SimDriver`] and
+//! [`crate::driver::faulty::FaultSimDriver`] for the paper's two nodes
+//! (without and with a fault schedule) and
+//! [`crate::driver::cluster::PairDriver`] for one directed pair of an N-node
+//! [`crate::driver::cluster::SimCluster`]. The other is
+//! [`crate::driver::shmem::ShmemDriver`]: real threads moving real bytes
+//! through throttled in-process rails.
 
 use bytes::Bytes;
 use nm_model::{SimDuration, SimTime, TransferMode};
@@ -152,12 +158,12 @@ pub trait Transport {
     /// queued — a pass that has just read the current rail state, so no
     /// idle transition that fired in between is ever missed.
     ///
-    /// A hint, never an obligation: a driver that ignores it (the default —
-    /// every driver serving a single engine, and any wrapper that does not
-    /// forward it) delivers every idle event as before, which is always
-    /// correct and merely costs the engine some empty polls. Only a driver
-    /// that fans one NIC's idle events out to many engines
-    /// ([`crate::driver::cluster::PairDriver`]) gains by honouring it.
+    /// A hint, never an obligation: a driver that ignores it (the default,
+    /// and any wrapper that does not forward it) delivers every idle event
+    /// as before, which is always correct and merely costs the engine some
+    /// empty polls. The simulated transport honours it: that is what keeps
+    /// one NIC's idle events from fanning out to every engine sourced at
+    /// the node ([`crate::driver::cluster`]).
     fn set_idle_interest(&mut self, _wanted: bool) {}
 
     /// Atomically retracts a set of submitted chunks none of whose

@@ -20,8 +20,13 @@
 //! | [`FaultKind::DuplicateChunk`] | chunk delivered twice with `prob` |
 //! | [`FaultKind::ChunkReorderStorm`] | deliveries held, released in reverse order |
 //!
-//! A [`FaultSchedule`] validates its windows and compiles to time-sorted
-//! [`Transition`]s; a [`FaultState`] applies them as virtual time advances.
+//! There is one fault model. A [`ClusterFaultSchedule`] addresses each fault
+//! at a NIC port `(node, rail)`, validates its windows and compiles to
+//! time-sorted [`ClusterTransition`]s; a [`ClusterFaultState`] applies them
+//! as virtual time advances. The rail-addressed [`FaultSchedule`] of the
+//! two-node testbed is a builder that lowers to it (rail `r` is the
+//! sender's port `(node 0, r)`), so all eight kinds behave the same on two
+//! nodes and on N.
 //! Everything probabilistic draws from one RNG seeded by the schedule, so
 //! `(workload, schedule)` fully determines a chaos run. An **empty**
 //! schedule is guaranteed inert: the injecting driver adds no events,
@@ -33,8 +38,8 @@
 
 pub mod cluster;
 pub mod schedule;
-pub mod state;
 
-pub use cluster::{ClusterFaultSchedule, ClusterFaultSpec, ClusterFaultState, ClusterTransition};
-pub use schedule::{Change, FaultKind, FaultSchedule, FaultSpec, Transition};
-pub use state::FaultState;
+pub use cluster::{
+    ClusterFaultSchedule, ClusterFaultSpec, ClusterFaultState, ClusterTransition, Draw,
+};
+pub use schedule::{Change, FaultKind, FaultSchedule, FaultSpec};

@@ -1,19 +1,25 @@
 //! Fault schedules: what goes wrong, where, and when.
 //!
-//! A [`FaultSchedule`] is a declarative, validated list of [`FaultSpec`]s —
-//! each one a rail, an onset instant and a [`FaultKind`]. Schedules carry
-//! the RNG seed for any probabilistic model (transient loss), so a chaos
-//! run is a pure function of `(workload, schedule)`: replaying the same
-//! schedule reproduces the same failures, retries and recoveries bit for
-//! bit.
+//! A [`FaultSchedule`] is a declarative list of [`FaultSpec`]s — each one a
+//! rail, an onset instant and a [`FaultKind`] — for the two-node testbed,
+//! where a rail *is* a location. Schedules carry the RNG seed for every
+//! probabilistic model, so a chaos run is a pure function of
+//! `(workload, schedule)`: replaying the same schedule reproduces the same
+//! failures, retries and recoveries bit for bit.
 //!
-//! Consumers do not interpret specs directly; they compile the schedule
-//! into a time-sorted list of [`Transition`]s (every fault contributes a
-//! begin and an end) and feed those to a
-//! [`FaultState`](crate::state::FaultState) as virtual time passes.
+//! The schedule holds no fault logic of its own: it lowers to the
+//! port-addressed [`ClusterFaultSchedule`] (rail `r` is the sender's port
+//! `(node 0, r)`), which validates it, compiles it into time-sorted
+//! transitions and drives the one runtime state.
 
+use crate::cluster::{ClusterFaultSchedule, ClusterFaultSpec, ClusterTransition, LOTTERY_SALT};
 use nm_model::{SimDuration, SimTime};
 use nm_sim::RailId;
+
+/// What seeded the lottery of rail-addressed schedules before they lowered
+/// to the cluster model; [`FaultSchedule::lowered`] pre-mixes the seed with
+/// it so every such schedule keeps drawing the stream it always drew.
+const RAIL_LOTTERY_SALT: u64 = 0x6e6d_666c_7400;
 
 /// What kind of failure strikes a rail.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,18 +132,7 @@ pub struct FaultSpec {
     pub kind: FaultKind,
 }
 
-/// A state change at one instant, produced by compiling a schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transition {
-    /// When the change takes effect.
-    pub at: SimTime,
-    /// Affected rail.
-    pub rail: RailId,
-    /// The change itself.
-    pub change: Change,
-}
-
-/// The state change carried by a [`Transition`].
+/// The state change carried by a [`ClusterTransition`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Change {
     /// Rail goes hard-down.
@@ -242,139 +237,29 @@ impl FaultSchedule {
         self.faults.is_empty()
     }
 
+    /// The same schedule in cluster terms: each fault strikes the sender's
+    /// port `(node 0, rail)`. The seed is pre-mixed so that the cluster
+    /// state's lottery draws the stream rail-addressed schedules always drew.
+    pub fn lowered(&self) -> ClusterFaultSchedule {
+        let seed = self.seed ^ RAIL_LOTTERY_SALT ^ LOTTERY_SALT;
+        self.faults.iter().fold(ClusterFaultSchedule::new(seed), |schedule, f| {
+            schedule.with(ClusterFaultSpec::port(0, f.rail, f.at, f.kind.clone()))
+        })
+    }
+
     /// Checks parameter sanity and rejects overlapping windows of the same
     /// class on one rail (the runtime state tracks one active window per
-    /// class per rail).
+    /// class per port). Whether the rails exist is checked against the
+    /// topology by the transport that replays the schedule.
     pub fn validate(&self) -> Result<(), String> {
-        for f in &self.faults {
-            if f.kind.duration() <= SimDuration::ZERO {
-                return Err(format!(
-                    "{} on {:?}: duration must be positive",
-                    f.kind.label(),
-                    f.rail
-                ));
-            }
-            match f.kind {
-                FaultKind::TransientLoss { prob, .. } => {
-                    if !(0.0..=1.0).contains(&prob) {
-                        return Err(format!("transient-loss prob {prob} outside [0, 1]"));
-                    }
-                }
-                FaultKind::BandwidthDegrade { factor, .. } => {
-                    if !(factor > 0.0 && factor <= 1.0) {
-                        return Err(format!("bandwidth-degrade factor {factor} outside (0, 1]"));
-                    }
-                }
-                FaultKind::LatencySpike { extra, .. } => {
-                    if extra <= SimDuration::ZERO {
-                        return Err("latency-spike extra latency must be positive".into());
-                    }
-                }
-                FaultKind::PayloadCorrupt { prob, .. }
-                | FaultKind::HeaderCorrupt { prob, .. }
-                | FaultKind::DuplicateChunk { prob, .. } => {
-                    if !(0.0..=1.0).contains(&prob) {
-                        return Err(format!("{} prob {prob} outside [0, 1]", f.kind.label()));
-                    }
-                }
-                FaultKind::RailDown { .. } | FaultKind::ChunkReorderStorm { .. } => {}
-            }
-        }
-        for (i, a) in self.faults.iter().enumerate() {
-            for b in &self.faults[i + 1..] {
-                if a.rail == b.rail && Self::same_class(&a.kind, &b.kind) && Self::overlap(a, b) {
-                    return Err(format!(
-                        "overlapping {} windows on {:?} (at {} and {})",
-                        a.kind.label(),
-                        a.rail,
-                        a.at,
-                        b.at
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn same_class(a: &FaultKind, b: &FaultKind) -> bool {
-        use FaultKind::*;
-        matches!(
-            (a, b),
-            (RailDown { .. }, RailDown { .. })
-                | (TransientLoss { .. }, TransientLoss { .. })
-                | (LatencySpike { .. }, LatencySpike { .. } | BandwidthDegrade { .. })
-                | (BandwidthDegrade { .. }, LatencySpike { .. } | BandwidthDegrade { .. })
-                | (PayloadCorrupt { .. }, PayloadCorrupt { .. })
-                | (HeaderCorrupt { .. }, HeaderCorrupt { .. })
-                | (DuplicateChunk { .. }, DuplicateChunk { .. })
-                | (ChunkReorderStorm { .. }, ChunkReorderStorm { .. })
-        )
-    }
-
-    pub(crate) fn windows_overlap(
-        a_at: SimTime,
-        a_dur: SimDuration,
-        b_at: SimTime,
-        b_dur: SimDuration,
-    ) -> bool {
-        a_at < b_at + b_dur && b_at < a_at + a_dur
-    }
-
-    fn overlap(a: &FaultSpec, b: &FaultSpec) -> bool {
-        Self::windows_overlap(a.at, a.kind.duration(), b.at, b.kind.duration())
+        self.lowered().validate_windows()
     }
 
     /// Compiles the schedule into a time-sorted transition list. Ties are
     /// broken by (rail, end-before-begin) so a back-to-back window on one
     /// rail closes before the next opens.
-    pub fn transitions(&self) -> Vec<Transition> {
-        let mut out = Vec::with_capacity(self.faults.len() * 2);
-        for f in &self.faults {
-            let end_at = f.at + f.kind.duration();
-            let (begin, end) = match f.kind {
-                FaultKind::RailDown { .. } => (Change::DownBegin, Change::DownEnd),
-                FaultKind::TransientLoss { prob, .. } => {
-                    (Change::LossBegin { prob }, Change::LossEnd)
-                }
-                FaultKind::LatencySpike { extra, .. } => {
-                    (Change::ShapeBegin { time_scale: 1.0, extra_latency: extra }, Change::ShapeEnd)
-                }
-                FaultKind::BandwidthDegrade { factor, .. } => (
-                    Change::ShapeBegin {
-                        time_scale: 1.0 / factor,
-                        extra_latency: SimDuration::ZERO,
-                    },
-                    Change::ShapeEnd,
-                ),
-                FaultKind::PayloadCorrupt { prob, .. } => (
-                    Change::CorruptBegin { prob, header: false },
-                    Change::CorruptEnd { header: false },
-                ),
-                FaultKind::HeaderCorrupt { prob, .. } => (
-                    Change::CorruptBegin { prob, header: true },
-                    Change::CorruptEnd { header: true },
-                ),
-                FaultKind::DuplicateChunk { prob, .. } => {
-                    (Change::DupBegin { prob }, Change::DupEnd)
-                }
-                FaultKind::ChunkReorderStorm { .. } => (Change::ReorderBegin, Change::ReorderEnd),
-            };
-            out.push(Transition { at: f.at, rail: f.rail, change: begin });
-            out.push(Transition { at: end_at, rail: f.rail, change: end });
-        }
-        out.sort_by_key(|t| {
-            let is_begin = matches!(
-                t.change,
-                Change::DownBegin
-                    | Change::LossBegin { .. }
-                    | Change::ShapeBegin { .. }
-                    | Change::CorruptBegin { .. }
-                    | Change::DupBegin { .. }
-                    | Change::ReorderBegin
-            );
-            (t.at, t.rail.index(), is_begin)
-        });
-        out
+    pub fn transitions(&self) -> Vec<ClusterTransition> {
+        self.lowered().compile(None)
     }
 }
 

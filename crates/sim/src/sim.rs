@@ -59,6 +59,10 @@ pub struct SendSpec {
     /// T_O paid when the chunk was handed to another core (3 µs, or 6 µs
     /// with a preemption signal; paper §III-D).
     pub offload_delay: SimDuration,
+    /// The submitter's own label, opaque to the simulator and kept on the
+    /// [`Transfer`] record — a driver multiplexing several engines over one
+    /// simulator notes here whose transfer this is.
+    pub tag: u32,
 }
 
 impl SendSpec {
@@ -73,6 +77,7 @@ impl SendSpec {
             recv_core: CoreId(0),
             mode: None,
             offload_delay: SimDuration::ZERO,
+            tag: 0,
         }
     }
 
@@ -217,14 +222,13 @@ pub struct Simulator {
     /// Reserved windows per transfer, parallel to `transfers` — what
     /// [`Self::try_cancel_all`] retracts.
     windows: Vec<Vec<Window>>,
-    /// Per-rail fault shaping `(time_scale, extra_latency)` applied to
-    /// subsequently submitted transfers; `(1.0, ZERO)` bypasses the
-    /// arithmetic entirely.
-    rail_fault: Vec<(f64, SimDuration)>,
-    /// Per-NIC-port fault shaping `nic_fault[node][rail]`, composed with
-    /// the rail-wide slot: scales multiply, extra latencies add. Nominal
-    /// entries compose exactly (`x * 1.0 == x`, `d + ZERO == d`), so a
-    /// cluster that never faults a port stays bit-identical.
+    /// Per-NIC-port fault shaping `nic_fault[node][rail]`, a
+    /// `(time_scale, extra_latency)` applied to subsequently submitted
+    /// transfers that touch the port; the two endpoints' entries compose
+    /// (scales multiply, extra latencies add). Nominal entries compose
+    /// exactly (`x * 1.0 == x`, `d + ZERO == d`) and `(1.0, ZERO)` bypasses
+    /// the arithmetic entirely, so a cluster that never faults a port stays
+    /// bit-identical.
     nic_fault: Vec<Vec<(f64, SimDuration)>>,
     trace: Trace,
     jitter_frac: f64,
@@ -253,7 +257,6 @@ impl Simulator {
         } else {
             Vec::new()
         };
-        let rail_fault = vec![(1.0, SimDuration::ZERO); spec.rail_count()];
         let nic_fault = vec![vec![(1.0, SimDuration::ZERO); spec.rail_count()]; spec.nodes.len()];
         Simulator {
             spec,
@@ -266,7 +269,6 @@ impl Simulator {
             cores,
             switch,
             windows: Vec::new(),
-            rail_fault,
             nic_fault,
             trace: Trace::disabled(),
             jitter_frac: 0.0,
@@ -384,30 +386,13 @@ impl Simulator {
         self.calendar.push(at, Ev::Wakeup(token));
     }
 
-    /// Sets fault shaping on a rail: modeled durations of transfers
-    /// submitted *from now on* are stretched by `time_scale` and each
-    /// one-way flight pays `extra_latency` on top. `(1.0, ZERO)` is
-    /// nominal — and with nominal shaping the computation is skipped
-    /// outright, so an unfaulted simulator stays bit-identical to one
-    /// that never heard of faults.
-    pub fn set_rail_fault(&mut self, rail: RailId, time_scale: f64, extra_latency: SimDuration) {
-        assert!(
-            time_scale.is_finite() && time_scale > 0.0,
-            "fault time scale must be positive, got {time_scale}"
-        );
-        self.rail_fault[rail.index()] = (time_scale, extra_latency);
-    }
-
-    /// Restores nominal shaping on a rail.
-    pub fn clear_rail_fault(&mut self, rail: RailId) {
-        self.rail_fault[rail.index()] = (1.0, SimDuration::ZERO);
-    }
-
-    /// Sets fault shaping on one NIC port `(node, rail)`: transfers
-    /// submitted from now on that *touch* the port (as sender or receiver)
-    /// are stretched by `time_scale` and pay `extra_latency` per one-way
-    /// flight, composed with the rail-wide slot and the other endpoint's
-    /// port (scales multiply, latencies add).
+    /// Sets fault shaping on one NIC port `(node, rail)`: modeled durations
+    /// of transfers submitted *from now on* that touch the port (as sender
+    /// or receiver) are stretched by `time_scale` and each one-way flight
+    /// pays `extra_latency` on top, composed with the other endpoint's port
+    /// (scales multiply, latencies add). `(1.0, ZERO)` is nominal — and with
+    /// nominal shaping the computation is skipped outright, so an unfaulted
+    /// simulator stays bit-identical to one that never heard of faults.
     pub fn set_nic_fault(
         &mut self,
         node: NodeId,
@@ -427,16 +412,15 @@ impl Simulator {
         self.nic_fault[node.index()][rail.index()] = (1.0, SimDuration::ZERO);
     }
 
-    /// Effective `(time_scale, extra_latency)` for a transfer: the rail
-    /// slot composed with both endpoints' port slots. All-nominal inputs
-    /// compose to exactly `(1.0, ZERO)` — IEEE multiplication by 1.0 and
-    /// adding a zero duration are exact — so the fast-path guards in the
-    /// submit arithmetic still skip faulting entirely.
+    /// Effective `(time_scale, extra_latency)` for a transfer: both
+    /// endpoints' port slots composed. All-nominal inputs compose to
+    /// exactly `(1.0, ZERO)` — IEEE multiplication by 1.0 and adding a zero
+    /// duration are exact — so the fast-path guards in the submit
+    /// arithmetic still skip faulting entirely.
     fn fault_shaping(&self, src: NodeId, dst: NodeId, rail: RailId) -> (f64, SimDuration) {
-        let (rail_scale, rail_extra) = self.rail_fault[rail.index()];
         let (src_scale, src_extra) = self.nic_fault[src.index()][rail.index()];
         let (dst_scale, dst_extra) = self.nic_fault[dst.index()][rail.index()];
-        (rail_scale * src_scale * dst_scale, rail_extra + src_extra + dst_extra)
+        (src_scale * dst_scale, src_extra + dst_extra)
     }
 
     /// Submits a transfer; send-side work starts as soon as the required
@@ -457,6 +441,7 @@ impl Simulator {
             mode,
             send_core: spec.send_core,
             recv_core: spec.recv_core,
+            tag: spec.tag,
             state: TransferState::Pending,
             submitted_at: self.now,
             started_at: None,
@@ -756,7 +741,10 @@ impl Simulator {
             return false;
         }
         for &id in ids {
-            let t = &self.transfers[id.0 as usize];
+            // An id this simulator never issued has nothing to retract.
+            let Some(t) = self.transfers.get(id.0 as usize) else {
+                return false;
+            };
             if t.state == TransferState::Cancelled
                 || t.send_done_at.is_some()
                 || t.delivered_at.is_some()
@@ -1151,14 +1139,14 @@ mod tests {
             s.run_until_delivered(id).as_micros_f64()
         };
         let mut s = sim();
-        s.set_rail_fault(MYRI, 4.0, SimDuration::ZERO);
+        s.set_nic_fault(N0, MYRI, 4.0, SimDuration::ZERO);
         let slow = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let slow_at = s.run_until_delivered(slow).as_micros_f64();
         assert!(
             (slow_at - 4.0 * clean).abs() / clean < 0.05,
             "4x time scale: {slow_at:.1}us vs clean {clean:.1}us"
         );
-        s.clear_rail_fault(MYRI);
+        s.clear_nic_fault(N0, MYRI);
         let healed = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let healed_dur = s.run_until_delivered(healed) - s.transfer(healed).started_at.unwrap();
         assert!((healed_dur.as_micros_f64() - clean).abs() < 0.01, "shaping must clear");
@@ -1170,44 +1158,29 @@ mod tests {
         let extra = SimDuration::from_micros(500);
         let clean = builtin::myri_10g().one_way_us(size).get();
         let mut s = sim();
-        s.set_rail_fault(MYRI, 1.0, extra);
+        s.set_nic_fault(N0, MYRI, 1.0, extra);
         let id = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let at = s.run_until_delivered(id).as_micros_f64();
         assert!((at - (clean + 500.0)).abs() < 0.01, "spiked {at:.1}us vs clean {clean:.1}us");
     }
 
     #[test]
-    fn nominal_fault_shaping_is_exactly_inert() {
-        let run = |touch: bool| {
-            let mut s = Simulator::paper_testbed().with_jitter(0.05, 11);
-            if touch {
-                s.set_rail_fault(MYRI, 1.0, SimDuration::ZERO);
-            }
-            let a = s.submit(SendSpec::simple(N0, N1, MYRI, 64 * KIB));
-            let b = s.submit(SendSpec::simple(N0, N1, QUAD, 2 * MIB));
-            s.run_until_idle();
-            (s.transfer(a).delivered_at, s.transfer(b).delivered_at)
-        };
-        assert_eq!(run(false), run(true), "(1.0, ZERO) shaping must be bit-identical");
-    }
-
-    #[test]
-    fn nic_port_shaping_composes_with_the_rail_slot() {
+    fn nic_port_shaping_composes_across_both_endpoints() {
         let size = 64 * KIB;
         let clean = {
             let mut s = sim();
             let id = s.submit(SendSpec::simple(N0, N1, MYRI, size));
             s.run_until_delivered(id).as_micros_f64()
         };
-        // 2x on the rail, 2x on the sender's port: 4x total.
+        // 2x on the receiver's port, 2x on the sender's port: 4x total.
         let mut s = sim();
-        s.set_rail_fault(MYRI, 2.0, SimDuration::ZERO);
+        s.set_nic_fault(N1, MYRI, 2.0, SimDuration::ZERO);
         s.set_nic_fault(N0, MYRI, 2.0, SimDuration::ZERO);
         let id = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let at = s.run_until_delivered(id).as_micros_f64();
         assert!((at - 4.0 * clean).abs() / clean < 0.05, "composed 4x: {at:.1} vs {clean:.1}");
-        // The untouched reverse port is nominal after clearing.
-        s.clear_rail_fault(MYRI);
+        // Both ports are nominal after clearing.
+        s.clear_nic_fault(N1, MYRI);
         s.clear_nic_fault(N0, MYRI);
         let healed = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let dur = s.run_until_delivered(healed) - s.transfer(healed).started_at.unwrap();
@@ -1264,6 +1237,19 @@ mod tests {
         assert_eq!(s.transfer(b).delivered_at, None);
         // Double cancel is refused.
         assert!(!s.try_cancel_all(&[b]));
+    }
+
+    #[test]
+    fn cancel_refuses_an_id_the_simulator_never_issued() {
+        assert!(!sim().try_cancel_all(&[TransferId(7)]));
+        let mut s = sim();
+        let a = s.submit(SendSpec::simple(N0, N1, MYRI, MIB));
+        let b = s.submit(SendSpec::simple(N0, N1, MYRI, MIB));
+        let busy = s.nic_busy_until(N0, MYRI);
+        assert!(!s.try_cancel_all(&[b, TransferId(1 << 63)]), "all-or-nothing");
+        assert_eq!(s.nic_busy_until(N0, MYRI), busy, "a refused set retracts nothing");
+        assert_ne!(s.transfer(a).state, TransferState::Cancelled);
+        assert_ne!(s.transfer(b).state, TransferState::Cancelled);
     }
 
     #[test]

@@ -36,6 +36,8 @@ pub struct Transfer {
     pub send_core: CoreId,
     /// Core that absorbs the receive copy (eager only).
     pub recv_core: CoreId,
+    /// The submitter's label ([`crate::SendSpec::tag`]).
+    pub tag: u32,
     /// Current state.
     pub state: TransferState,
     /// When the engine submitted the transfer.
@@ -78,6 +80,7 @@ mod tests {
             mode: TransferMode::Eager,
             send_core: CoreId(0),
             recv_core: CoreId(0),
+            tag: 0,
             state: TransferState::Pending,
             submitted_at: SimTime::from_micros(10),
             started_at: None,

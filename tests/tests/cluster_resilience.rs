@@ -99,6 +99,42 @@ fn seeded_rail_kill_mid_barrier_heals_below_the_dag() {
     assert_eq!(first.stats.hops_rerouted, 0);
 }
 
+/// Contract 2 holds for the corruption classes too, which the N-node
+/// transport serves since it became the only simulated transport: a port
+/// that damages every chunk crossing it (here the low-latency rail the
+/// barrier's tokens ride, on node 1 of 3) costs retries and a failover to
+/// the other rail, below the runner — the barrier still completes.
+#[test]
+fn barrier_completes_over_a_port_that_corrupts_every_chunk() {
+    let corrupt_all = |rail| {
+        ClusterFaultSchedule::new(9).with(ClusterFaultSpec::port(
+            1,
+            RailId(rail),
+            SimTime::ZERO,
+            FaultKind::PayloadCorrupt { prob: 1.0, duration: SimDuration::from_micros(50_000) },
+        ))
+    };
+    let run = |schedule: &ClusterFaultSchedule| {
+        Collectives::new_faulted(testbed(3), schedule)
+            .expect("corruption classes validate on a cluster")
+            .run_algorithm(Algorithm::BarrierTree, 1)
+            .expect("the engines' retry path absorbs detected corruption")
+    };
+    let clean = run(&ClusterFaultSchedule::empty());
+    let struck = run(&corrupt_all(1));
+    assert_eq!(struck, run(&corrupt_all(1)), "same seed, same world");
+    assert!(
+        struck.measured_us > clean.measured_us,
+        "retrying corrupt tokens must cost virtual time: {} vs clean {}",
+        struck.measured_us,
+        clean.measured_us
+    );
+    assert_eq!(struck.stats.dead_nodes, 0);
+    assert_eq!(struck.stats.repairs, 0, "corruption is healed below the DAG");
+    // The rail the tokens do not ride is corrupted for nothing.
+    assert_eq!(run(&corrupt_all(0)).measured_us, clean.measured_us);
+}
+
 /// Contract 3 (the issue's acceptance run): an 8-node binomial-tree
 /// barrier loses node 5 at t = 1 µs — its fan-in arrival is mid-flight —
 /// and neighbour 4 additionally loses its rail-0 port. Retries cannot
