@@ -161,8 +161,9 @@ impl Endpoint {
             if let Some(front) = self.ready.pop_front() {
                 return Some(front);
             }
-            // Keep our own sends progressing while we wait. Completion ids
-            // are claimed later by `flush`; errors must still surface.
+            // Keep our own sends progressing while we wait. The completions
+            // this releases are claimed later by `flush`; errors must still
+            // surface.
             self.engine.poll().expect("send engine poll");
             match self.incoming.recv_timeout(Duration::from_millis(1)) {
                 Ok(delivery) => self.ingest(delivery.payload),
@@ -350,6 +351,29 @@ mod tests {
         b.flush();
         assert_eq!(a.received_count(), 4);
         assert_eq!(b.received_count(), 4);
+    }
+
+    /// `recv` pumps the sending engine, which releases completions nobody
+    /// asks for by id; `flush` must claim them or each send leaks one.
+    #[test]
+    fn flush_leaves_no_completion_behind_in_the_sending_engine() {
+        let (mut a, mut b) = pair(DuplexConfig::default());
+        let mut ids = Vec::new();
+        for round in 0..3u8 {
+            for i in 0..4u8 {
+                ids.push(a.send(u32::from(i % 2), payload(6_000, round * 4 + i)));
+            }
+            for _ in 0..4 {
+                b.recv(T).expect("a->b");
+            }
+            // Nothing comes back: this only polls a's own sends to completion.
+            assert!(a.recv(Duration::from_millis(5)).is_none());
+            a.flush();
+        }
+        assert_eq!(a.engine().stats().msgs_completed, ids.len() as u64);
+        for id in ids {
+            assert!(a.engine.try_completion(id).is_none(), "{id:?} outlived flush");
+        }
     }
 
     #[test]

@@ -1556,7 +1556,8 @@ impl<T: Transport> Engine<T> {
     }
 
     // nm-analyzer: allow(unbounded-growth) -- completions hold one record per posted message
-    // until wait/drain collects it; held is capped per flow by the sequencer's reorder window
+    // until wait/try_completion claims it or drain claims them all; held is capped per flow by
+    // the sequencer's reorder window
     fn note_chunk_done(&mut self, id: MsgId, at: SimTime) -> bool {
         let m = self.inflight.get_mut(&id).expect("chunk owner implies inflight");
         m.chunks_done += 1;
@@ -1630,15 +1631,18 @@ impl<T: Transport> Engine<T> {
         }
     }
 
-    /// Runs until every posted message completes; returns all completions
-    /// in completion order (ties broken by id). Messages shed past their
-    /// deadline while draining are skipped, not errors.
+    /// Runs until every posted message completes; returns every completion
+    /// nobody has claimed yet — those an earlier [`Self::poll`] or
+    /// [`Self::wait`] already released included — in id (posted) order.
+    /// Messages shed past their deadline while draining are skipped, not
+    /// errors.
     // nm-analyzer: allow(determinism-taint) -- ids are collected then sort_unstable'd; wait order is id order
     #[must_use = "dropping the completions loses delivery results; at minimum check for errors"]
     pub fn drain(&mut self) -> Result<Vec<MsgCompletion>, EngineError> {
         let mut ids: Vec<MsgId> = self.queue.iter().map(|m| m.id).collect();
         ids.extend(self.inflight.keys().copied());
         ids.extend(self.held.iter().copied());
+        ids.extend(self.completions.keys().copied());
         ids.sort_unstable();
         ids.into_iter()
             .filter_map(|id| match self.wait(id) {

@@ -107,6 +107,19 @@ fn waiting_twice_on_the_same_message_fails_cleanly() {
 }
 
 #[test]
+fn drain_claims_completions_released_before_it_was_called() {
+    let mut engine = paper_engine_kind(StrategyKind::SingleRail(Some(RailId(0))));
+    let a = engine.post_send(4 * KIB).expect("post");
+    let b = engine.post_send(4 * KIB).expect("post");
+    // Same rail, same flow: waiting for `b` releases `a` on the way.
+    engine.wait(b).expect("wait");
+    let rest = engine.drain().expect("drain");
+    assert_eq!(rest.iter().map(|c| c.id).collect::<Vec<_>>(), vec![a]);
+    assert!(engine.try_completion(a).is_none(), "drain must leave nothing behind");
+    assert!(engine.drain().expect("drain").is_empty());
+}
+
+#[test]
 fn fifo_messages_on_one_rail_complete_in_post_order() {
     let mut engine = paper_engine_kind(StrategyKind::SingleRail(Some(RailId(0))));
     let ids: Vec<_> = (0..5).map(|_| engine.post_send(64 * KIB).expect("post")).collect();
