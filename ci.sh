@@ -35,6 +35,16 @@ check_bench_unchanged() {
 ! grep -rnE 'set_rail_fault|struct FaultState' crates/*/src \
     || { echo "a second fault-shaping slot or fault state is back" >&2; exit 1; }
 
+# A smaller engine: one function puts chunks on the wire, one releases
+# messages from their flow, and the three chunk-keyed ledgers that one
+# record replaced stay gone.
+[ "$(grep -rF 'transport.submit(' crates/core/src/engine/ | wc -l)" -eq 1 ] \
+    || { echo "Transport::submit must have exactly one caller under crates/core/src/engine/" >&2; exit 1; }
+[ "$(grep -rF 'Sequencer::new(' crates/core/src/engine/ | wc -l)" -eq 1 ] \
+    || { echo "the per-flow release must be written exactly once under crates/core/src/engine/" >&2; exit 1; }
+! grep -rnE 'chunk_owner|chunk_prediction|chunk_meta' crates/*/src \
+    || { echo "a parallel chunk-keyed ledger is back" >&2; exit 1; }
+
 cargo build --release
 cargo test -q
 # `undocumented_unsafe_blocks` is promoted to deny: every unsafe block
@@ -127,6 +137,9 @@ fi
 # mode so the whole lane takes a few seconds.
 cargo test -q --release -p nm-model --lib -- --ignored inverse_matches_search_long
 cargo test -q --release -p nm-tests --test split_differential -- --ignored matches_bisection_long
+# The engine's observable stream (48 seeded fault/overload scripts) in
+# release mode too: optimisation must not move a digest.
+cargo test -q --release -p nm-core --test engine_stream_pin
 
 # Perf smoke lane: every workload of the benchmark at tiny op counts. The
 # bin checks its own outputs (receiver byte-compares, conservation, golden

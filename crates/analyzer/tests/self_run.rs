@@ -56,4 +56,10 @@ fn growth_and_determinism_tables_are_proven() {
         );
     }
     assert!(analysis.growth_sites.iter().any(|g| g.status == "bounded" && !g.cap.is_empty()));
+    // A determinism root that matches no file checks nothing, silently: the
+    // engine's directory root must keep reporting the engine's ledgers.
+    assert!(
+        analysis.growth_sites.iter().any(|g| g.file.starts_with("crates/core/src/engine/")),
+        "no growth site under crates/core/src/engine/ — is the `[determinism] roots` entry stale?"
+    );
 }

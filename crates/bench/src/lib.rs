@@ -23,37 +23,23 @@
 use nm_core::driver::faulty::FaultSimDriver;
 use nm_core::driver::sim::SimDriver;
 use nm_core::engine::Engine;
-use nm_core::predictor::{Predictor, RailView};
+use nm_core::predictor::Predictor;
 use nm_core::strategy::{Strategy, StrategyKind};
 use nm_core::transport::Transport;
 use nm_core::HealthConfig;
 use nm_faults::FaultSchedule;
 use nm_model::units::{format_size, pow2_sizes, KIB, MIB};
-use nm_model::{Micros, TransferMode};
-use nm_sampler::{sample_rail, SampleTransport, SamplingConfig, SimTransport};
+use nm_model::Micros;
+use nm_sampler::{SamplingConfig, SimTransport};
 use nm_sim::{ClusterSpec, RailId};
 
 /// Samples a cluster spec into a [`Predictor`] (natural + forced-eager
 /// profiles per rail) — what a session does at init, exposed for harnesses
 /// that drive the engine manually.
 pub fn sample_predictor(spec: &ClusterSpec) -> Predictor {
-    let mut sampler = SimTransport::new(spec.clone());
     let cfg = SamplingConfig { iters: 1, warmup: 0, ..Default::default() };
-    let rails = (0..sampler.rail_count())
-        .map(|i| {
-            let natural = sample_rail(&mut sampler, i, &cfg).expect("sampling");
-            let eager_cfg = SamplingConfig { mode: Some(TransferMode::Eager), ..cfg.clone() };
-            let eager = sample_rail(&mut sampler, i, &eager_cfg).expect("sampling");
-            RailView {
-                rail: RailId(i),
-                name: sampler.rail_name(i).into(),
-                natural,
-                eager,
-                rdv_threshold: spec.rails[i].rdv_threshold,
-            }
-        })
-        .collect();
-    Predictor::new(rails)
+    let threshold_of = |i: usize| spec.rails[i].rdv_threshold;
+    Predictor::sampled(&mut SimTransport::new(spec.clone()), &cfg, threshold_of).expect("sampling")
 }
 
 /// Builds an engine over a fresh paper-testbed simulator with the given

@@ -8,10 +8,9 @@
 //! homogeneous cluster that is a single sampling run however many nodes
 //! exist.
 
-use nm_core::predictor::{Predictor, RailView};
+use nm_core::predictor::Predictor;
 use nm_core::split::equal_completion_split;
-use nm_model::TransferMode;
-use nm_sampler::{sample_rail, SampleTransport, SamplingConfig, SimTransport};
+use nm_sampler::{SamplingConfig, SimTransport};
 use nm_sim::{ClusterSpec, RailId};
 use std::collections::HashMap;
 
@@ -98,33 +97,21 @@ impl ProfileBank {
                 .iter()
                 .map(|&r| spec.rails.get(r).expect("validated rail index").clone())
                 .collect::<Vec<_>>();
-            let twin = ClusterSpec::two_nodes(4, links.clone());
-            let mut sampler = SimTransport::new(twin);
+            let mut sampler = SimTransport::new(ClusterSpec::two_nodes(4, links.clone()));
             // Sampler defaults (multi-iter, warmed): a 1-iter/0-warmup
             // config fed the predictor cold-cache outliers, skewing the
             // equal-completion splits and the crossover points the bench
             // pins (issue #8).
-            let cfg = SamplingConfig::default();
-            let views: Vec<RailView> = (0..sampler.rail_count())
-                .map(|i| {
-                    let natural = sample_rail(&mut sampler, i, &cfg).expect("sampling");
-                    let eager_cfg =
-                        SamplingConfig { mode: Some(TransferMode::Eager), ..cfg.clone() };
-                    let eager = sample_rail(&mut sampler, i, &eager_cfg).expect("sampling");
-                    RailView {
-                        rail: RailId(i),
-                        name: sampler.rail_name(i).into(),
-                        natural,
-                        eager,
-                        rdv_threshold: links.get(i).expect("twin rail").rdv_threshold,
-                    }
-                })
-                .collect();
-            let latency_us = views
+            let predictor = Predictor::sampled(&mut sampler, &SamplingConfig::default(), |i| {
+                links.get(i).expect("twin rail").rdv_threshold
+            })
+            .expect("sampling");
+            let latency_us = predictor
+                .rails()
                 .iter()
                 .map(|r| r.natural.predict_us(r.natural.sampled_range().0))
                 .fold(f64::INFINITY, f64::min);
-            Sampled { predictor: Predictor::new(views), latency_us }
+            Sampled { predictor, latency_us }
         })
     }
 

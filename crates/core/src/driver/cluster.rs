@@ -823,19 +823,8 @@ mod tests {
         // Sampler defaults: a 1-iter/0-warmup config seeds the predictor
         // with cold-cache points and skews split decisions (issue #8).
         let cfg = nm_sampler::SamplingConfig::default();
-        let rails = (0..spec.rail_count())
-            .map(|i| {
-                let natural = nm_sampler::sample_rail(&mut sampler, i, &cfg).expect("sampling");
-                crate::predictor::RailView {
-                    rail: RailId(i),
-                    name: spec.rails[i].name.as_str().into(),
-                    eager: natural.clone(),
-                    natural,
-                    rdv_threshold: spec.rails[i].rdv_threshold,
-                }
-            })
-            .collect();
-        crate::predictor::Predictor::new(rails)
+        crate::predictor::Predictor::sampled(&mut sampler, &cfg, |i| spec.rails[i].rdv_threshold)
+            .expect("sampling")
     }
 
     fn engine_on(

@@ -1,0 +1,652 @@
+//! The engine: application-layer queue + strategy interrogation + transfer
+//! submission (paper Fig 5).
+//!
+//! "The application enqueues packets into a list and immediately returns to
+//! computing. The packet scheduler is only activated when a NIC becomes
+//! idle in order to feed it." The [`Engine`] reproduces that control flow:
+//!
+//! * [`Engine::post_send`] enqueues a message and returns at once;
+//! * the strategy is interrogated immediately and again on every
+//!   [`TransportEvent::RailIdle`] / [`TransportEvent::CoreIdle`];
+//! * chunk deliveries are folded back into message completions.
+//!
+//! One file per layer of the figure, and one for what the figure lacks:
+//!
+//! * `post.rs` — the **application layer**: `post_*`, admission caps,
+//!   deadline shedding, the degradation latch, `cancel`, and
+//!   `release_flow`, the one way a message leaves its flow;
+//! * `schedule.rs` — the **optimizer-scheduler**: `kick` interrogates the
+//!   strategy, `apply_split`/`apply_aggregate` carry out its answer, and
+//!   `submit_chunk`, the one way onto the wire, opens the one `ChunkRecord`
+//!   kept per chunk;
+//! * this file — the seam to the **transfer layer**: the [`Engine`], its
+//!   builders and accessors, and [`Engine::poll`]'s fold of transport
+//!   events into completions, with `wait`/`drain` on top;
+//! * `recovery.rs` — beyond the paper: timeout watchdog, chunk failure,
+//!   retry and failover, health probes, `abandon`, and `RecentChunks`, the
+//!   bounded memory of chunk ids.
+
+mod post;
+mod recovery;
+mod schedule;
+
+use crate::admission::AdmissionConfig;
+use crate::error::EngineError;
+use crate::feedback::Feedback;
+use crate::health::{HealthConfig, HealthTracker};
+use crate::predictor::Predictor;
+use crate::replicated::{CounterKind, EngineOp, SharedDecisionState};
+use crate::strategy::ratio::BandwidthRatioSplit;
+use crate::strategy::Strategy;
+use crate::transport::{ChunkId, Transport, TransportEvent};
+use bytes::Bytes;
+use nm_model::{SimDuration, SimTime};
+use nm_sim::RailId;
+use recovery::{RecentChunks, RetryEntry};
+use schedule::{ChunkOwner, ChunkRecord};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+
+/// Message handle returned by [`Engine::post_send`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct MsgId(pub u64);
+
+/// A completed message's report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MsgCompletion {
+    /// Handle.
+    pub id: MsgId,
+    /// Logical flow tag the message was posted under.
+    pub tag: u32,
+    /// Message size in bytes.
+    pub size: u64,
+    /// When the application posted it.
+    pub posted_at: SimTime,
+    /// When the last chunk was delivered.
+    pub delivered_at: SimTime,
+    /// End-to-end duration.
+    pub duration: SimDuration,
+    /// Chunk layout actually used: `(rail, bytes)` per chunk; aggregated
+    /// messages report the rail of their pack with their own size.
+    pub chunks: Vec<(RailId, u64)>,
+}
+
+/// Aggregate counters (see [`Engine::stats`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EngineStats {
+    /// Messages completed.
+    pub msgs_completed: u64,
+    /// Payload bytes completed.
+    pub bytes_completed: u64,
+    /// Chunks submitted to the transport.
+    pub chunks_submitted: u64,
+    /// Aggregate packs submitted.
+    pub packs_submitted: u64,
+    /// Messages that traveled inside an aggregate pack.
+    pub msgs_aggregated: u64,
+    /// Queue promotions performed (reordering).
+    pub promotes: u64,
+    /// Messages cancelled while still queued.
+    pub cancelled: u64,
+    /// Messages forcibly torn out by [`Engine::abandon`] (collectives DAG
+    /// repair rerouting a stuck hop).
+    pub msgs_abandoned: u64,
+    /// Per-rail payload bytes put on the wire.
+    pub rail_bytes: Vec<u64>,
+    /// Times the strategy answered `Defer`.
+    pub defers: u64,
+    /// Chunks the transport reported failed (includes probe chunks).
+    pub chunks_failed: u64,
+    /// Chunks the engine's watchdog declared lost by timeout.
+    pub chunks_timed_out: u64,
+    /// Resubmissions of failed chunks.
+    pub retries: u64,
+    /// Payload bytes resubmitted after failures.
+    pub retransmitted_bytes: u64,
+    /// Failed chunks re-planned onto a rail other than the one that lost
+    /// them.
+    pub failovers: u64,
+    /// Quarantine transitions.
+    pub quarantines: u64,
+    /// Rails re-admitted after a passed probe ladder.
+    pub readmissions: u64,
+    /// Health-probe chunks submitted.
+    pub probes_sent: u64,
+    /// Sum over recovered chunks of (recovered delivery − first failure),
+    /// in µs — divide by [`Self::failover_completions`] for the mean
+    /// failover latency.
+    pub failover_latency_us_sum: f64,
+    /// Recovered deliveries contributing to the latency sum.
+    pub failover_completions: u64,
+    /// Per-rail payload-chunk failures (explicit + timeout).
+    pub rail_failures: Vec<u64>,
+    /// Per-rail retries, charged to the rail that lost the chunk.
+    pub rail_retries: Vec<u64>,
+    /// Chunks whose receive-side integrity verification failed (counted in
+    /// addition to `chunks_failed` — a corrupt chunk is retried like a lost
+    /// one).
+    pub corrupt_chunks: u64,
+    /// Duplicate deliveries of already-completed chunks that were
+    /// recognized and dropped.
+    pub duplicate_chunks_dropped: u64,
+    /// Queued messages shed past their deadline (admission control).
+    pub msgs_shed: u64,
+    /// Posts rejected by admission control at a cap.
+    pub backpressure_rejections: u64,
+    /// Strategy-degradation state flips (enter + exit both count).
+    pub degrade_transitions: u64,
+    /// Decisions taken by the degraded fallback strategy.
+    pub degraded_decisions: u64,
+}
+
+struct QueuedMsg {
+    id: MsgId,
+    tag: u32,
+    flow_seq: u64,
+    size: u64,
+    payload: Option<Bytes>,
+    posted_at: SimTime,
+    /// Absolute shed deadline (admission control); `None` never expires.
+    deadline: Option<SimTime>,
+}
+
+struct InflightMsg {
+    tag: u32,
+    flow_seq: u64,
+    size: u64,
+    posted_at: SimTime,
+    chunks_total: usize,
+    chunks_done: usize,
+    layout: Vec<(RailId, u64)>,
+}
+
+impl InflightMsg {
+    /// `msg` leaving the queue as one chunk per `layout` entry.
+    fn new(msg: &QueuedMsg, layout: Vec<(RailId, u64)>) -> Self {
+        InflightMsg {
+            tag: msg.tag,
+            flow_seq: msg.flow_seq,
+            size: msg.size,
+            posted_at: msg.posted_at,
+            chunks_total: layout.len(),
+            chunks_done: 0,
+            layout,
+        }
+    }
+}
+
+/// All admission-control state, boxed behind an `Option` so an engine
+/// without overload protection pays nothing and decides identically.
+struct Admission {
+    cfg: AdmissionConfig,
+    /// Messages currently pending (queued + in flight, minus completed).
+    pending_msgs: u64,
+    /// Payload bytes currently pending.
+    pending_bytes: u64,
+    /// Messages shed past their deadline; `wait` reports them as
+    /// [`EngineError::Shed`] exactly once.
+    shed: HashSet<MsgId>,
+    /// Hysteresis-guarded degradation latch: while set, decisions come from
+    /// `fallback` instead of the configured strategy.
+    degraded: bool,
+    /// The cheap strategy used while degraded (static bandwidth ratios —
+    /// constant-time decisions, no dichotomy).
+    fallback: BandwidthRatioSplit,
+}
+
+/// All fault-tolerance state, boxed behind an `Option` so the fault-free
+/// engine pays nothing (and stays bit-identical to the pre-failover code).
+struct FaultTolerance {
+    tracker: HealthTracker,
+    /// Failed chunks waiting out their retry backoff.
+    retries: VecDeque<RetryEntry>,
+    /// Chunks written off while the transport could not retract them: their
+    /// late deliveries must be swallowed, not treated as unknown chunks.
+    abandoned: RecentChunks,
+}
+
+/// The multirail engine over some transport.
+pub struct Engine<T: Transport> {
+    transport: T,
+    strategy: Box<dyn Strategy>,
+    predictor: Predictor,
+    queue: VecDeque<QueuedMsg>,
+    inflight: HashMap<MsgId, InflightMsg>,
+    /// One record per chunk on the wire, in id order: every scan over it
+    /// (watchdog expiry, retraction) is deterministic by construction.
+    chunks: BTreeMap<ChunkId, ChunkRecord>,
+    /// Completions released to the application (per-flow posted order).
+    completions: HashMap<MsgId, MsgCompletion>,
+    /// Per-tag release sequencers: a message physically delivered out of
+    /// order waits here until its flow predecessors complete.
+    flow_release: HashMap<u32, nm_proto::Sequencer<MsgCompletion>>,
+    /// Next sequence number to assign per tag.
+    flow_next_seq: HashMap<u32, u64>,
+    /// Messages physically done but held for flow ordering.
+    held: HashSet<MsgId>,
+    feedback: Feedback,
+    /// When set, chunk payloads are framed as wire packets (header with
+    /// flow/seq/offset/total) so a remote peer can reassemble and
+    /// re-sequence them — see [`crate::duplex`].
+    framing: bool,
+    /// When set (implies `framing`), framed packets carry the negotiated
+    /// integrity bit: header self-check plus a CRC32C payload trailer.
+    integrity: bool,
+    /// Recently delivered chunk ids: a transport re-delivering one
+    /// (duplication fault) is counted and dropped instead of erroring.
+    recent_delivered: RecentChunks,
+    next_msg: u64,
+    next_pack: u64,
+    stats: EngineStats,
+    /// Generation counter of the predictor, forwarded to strategies via
+    /// [`crate::strategy::Ctx`] so plan caches drop memoized splits whenever
+    /// the sampled knowledge changes (feedback correction, re-sampling).
+    predictor_epoch: u64,
+    /// Reusable buffers for the per-interrogation queue/wait snapshots —
+    /// the hot path allocates nothing per message in steady state.
+    scratch_sizes: Vec<u64>,
+    scratch_waits: Vec<f64>,
+    /// What the transport was last told through
+    /// [`Transport::set_idle_interest`] (drivers start out delivering).
+    idle_interest: bool,
+    /// Fault tolerance (health tracking, retries, probes); `None` keeps
+    /// every fault path fully disabled.
+    health: Option<Box<FaultTolerance>>,
+    /// Admission control (caps, deadlines, degradation); `None` keeps every
+    /// overload path fully disabled.
+    admission: Option<Box<Admission>>,
+    /// Replicated decision state fed by an op log (multicore workers read
+    /// it lock-free); `None` publishes nothing and keeps the engine's
+    /// single-threaded behaviour bit-identical.
+    shared: Option<SharedDecisionState>,
+}
+
+/// Maximum out-of-order completions buffered per flow.
+const FLOW_REORDER_WINDOW: usize = 4096;
+
+/// Publishes ops to the replicated decision state, if enabled. One batch =
+/// one combining-lock acquisition = atomically visible prefix.
+fn publish(shared: &Option<SharedDecisionState>, ops: &[EngineOp]) {
+    if let Some(shared) = shared {
+        shared.publish_batch(ops);
+    }
+}
+
+impl<T: Transport> Engine<T> {
+    /// Builds an engine. The predictor's rails must match the transport's.
+    pub fn new(
+        transport: T,
+        predictor: Predictor,
+        strategy: Box<dyn Strategy>,
+    ) -> Result<Self, EngineError> {
+        if predictor.rail_count() != transport.rail_count() {
+            return Err(EngineError::Config(format!(
+                "predictor knows {} rails but transport has {}",
+                predictor.rail_count(),
+                transport.rail_count()
+            )));
+        }
+        let rails = transport.rail_count();
+        Ok(Engine {
+            transport,
+            strategy,
+            predictor,
+            queue: VecDeque::new(),
+            inflight: HashMap::new(),
+            chunks: BTreeMap::new(),
+            completions: HashMap::new(),
+            flow_release: HashMap::new(),
+            flow_next_seq: HashMap::new(),
+            held: HashSet::new(),
+            feedback: Feedback::new(rails),
+            framing: false,
+            integrity: false,
+            recent_delivered: RecentChunks::default(),
+            next_msg: 0,
+            next_pack: 0,
+            stats: EngineStats {
+                rail_bytes: vec![0; rails],
+                rail_failures: vec![0; rails],
+                rail_retries: vec![0; rails],
+                ..Default::default()
+            },
+            predictor_epoch: 0,
+            scratch_sizes: Vec::new(),
+            scratch_waits: Vec::with_capacity(rails),
+            idle_interest: true,
+            health: None,
+            admission: None,
+            shared: None,
+        })
+    }
+
+    /// Enables fault tolerance: rail health tracking, quarantine/probing,
+    /// bounded retries with exponential backoff, and a timeout watchdog.
+    /// Without this, a [`TransportEvent::ChunkFailed`] is a hard error.
+    pub fn with_fault_tolerance(mut self, cfg: HealthConfig) -> Result<Self, EngineError> {
+        let tracker =
+            HealthTracker::new(cfg, self.transport.rail_count()).map_err(EngineError::Config)?;
+        self.health = Some(Box::new(FaultTolerance {
+            tracker,
+            retries: VecDeque::new(),
+            abandoned: RecentChunks::default(),
+        }));
+        Ok(self)
+    }
+
+    /// The health tracker, when fault tolerance is enabled.
+    pub fn health(&self) -> Option<&HealthTracker> {
+        self.health.as_deref().map(|ft| &ft.tracker)
+    }
+
+    /// Enables the replicated decision state: an op log the engine feeds at
+    /// every health transition, predictor-epoch bump, feedback update and
+    /// decision-relevant counter increment, so worker threads can read the
+    /// facts behind `decide()` lock-free via [`SharedDecisionState::reader`]
+    /// replicas. Call at construction (like the other builders): the log
+    /// mirrors mutations from this point on, starting from the all-healthy
+    /// epoch-0 state the engine itself starts in. With this off, nothing is
+    /// published and the engine is bit-identical to the unshared build.
+    pub fn with_shared_state(mut self) -> Self {
+        self.shared = Some(SharedDecisionState::new(self.transport.rail_count()));
+        self
+    }
+
+    /// The shared decision state, when enabled — clone it (cheap) to hand
+    /// to worker threads.
+    pub fn shared_state(&self) -> Option<&SharedDecisionState> {
+        self.shared.as_ref()
+    }
+
+    /// Enables wire framing: every chunk payload is prefixed with a
+    /// [`nm_proto::PacketHeader`] carrying (flow, flow-sequence, offset,
+    /// total length), which is what a remote receiver needs to reassemble
+    /// split messages and release flows in order. Only meaningful with a
+    /// byte-moving transport.
+    pub fn with_framing(mut self) -> Self {
+        self.framing = true;
+        self
+    }
+
+    /// Enables end-to-end integrity (implies framing): every wire packet
+    /// carries the negotiated [`nm_proto::FLAG_INTEGRITY`] bit, a header
+    /// self-check and a CRC32C payload trailer, so a receiver detects
+    /// in-flight corruption instead of consuming damaged bytes. With this
+    /// off, the wire format is bit-identical to the pre-integrity engine.
+    pub fn with_integrity(mut self) -> Self {
+        self.framing = true;
+        self.integrity = true;
+        self
+    }
+
+    /// Enables bounded-memory admission control: pending-message and
+    /// pending-byte caps (posts beyond them are rejected with
+    /// [`EngineError::Backpressure`]), optional per-message deadlines with
+    /// oldest-first shedding, and hysteresis-guarded degradation to the
+    /// static-ratio strategy under overload.
+    pub fn with_admission_control(mut self, cfg: AdmissionConfig) -> Result<Self, EngineError> {
+        cfg.validate().map_err(EngineError::Config)?;
+        self.admission = Some(Box::new(Admission {
+            cfg,
+            pending_msgs: 0,
+            pending_bytes: 0,
+            shed: HashSet::new(),
+            degraded: false,
+            fallback: BandwidthRatioSplit::new(),
+        }));
+        Ok(self)
+    }
+
+    /// Whether the engine is currently degraded to the fallback strategy.
+    pub fn is_degraded(&self) -> bool {
+        self.admission.as_ref().is_some_and(|a| a.degraded)
+    }
+
+    /// `(pending messages, pending bytes)` under admission control.
+    pub fn admission_pending(&self) -> Option<(u64, u64)> {
+        self.admission.as_ref().map(|a| (a.pending_msgs, a.pending_bytes))
+    }
+
+    /// Current transport time.
+    pub fn now(&self) -> SimTime {
+        self.transport.now()
+    }
+
+    /// The sampled knowledge the engine decides from.
+    pub fn predictor(&self) -> &Predictor {
+        &self.predictor
+    }
+
+    /// The active strategy's name.
+    pub fn strategy_name(&self) -> &'static str {
+        self.strategy.name()
+    }
+
+    /// Aggregate counters.
+    pub fn stats(&self) -> &EngineStats {
+        &self.stats
+    }
+
+    /// Borrow the transport (e.g. to inspect driver statistics).
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
+    /// Advances the transport once and folds events into completions.
+    /// Returns ids of messages that completed during this poll.
+    #[must_use = "dropping the completed ids silently loses completions; at minimum check for errors"]
+    pub fn poll(&mut self) -> Result<Vec<MsgId>, EngineError> {
+        let events = self.transport.poll();
+        let mut done = Vec::new();
+        let mut rekick = false;
+        for ev in events {
+            match ev {
+                TransportEvent::ChunkDelivered { chunk, at } => match self.chunks.remove(&chunk) {
+                    Some(record) => {
+                        self.recent_delivered.insert(chunk);
+                        rekick |= self.on_delivered(record, at, &mut done)?;
+                    }
+                    None => self.on_stray_delivery(chunk)?,
+                },
+                TransportEvent::ChunkSendDone { .. } => {}
+                TransportEvent::RailIdle { .. }
+                | TransportEvent::CoreIdle { .. }
+                | TransportEvent::Wakeup { .. } => {
+                    rekick = true;
+                }
+                TransportEvent::ChunkFailed { chunk, at } => {
+                    self.handle_chunk_failure(chunk, at, false)?;
+                    rekick = true;
+                }
+                TransportEvent::ChunkCorrupt { chunk, at } => {
+                    // Detected in-flight damage: the bytes are unusable, so
+                    // the chunk re-enters the failover path — retry with
+                    // backoff plus a health demerit for the rail.
+                    self.stats.corrupt_chunks += 1;
+                    self.handle_chunk_failure(chunk, at, false)?;
+                    rekick = true;
+                }
+            }
+        }
+        if self.health.is_some() {
+            let now = self.transport.now();
+            self.expire_overdue_chunks(now)?;
+            self.flush_due(now)?;
+        }
+        if self.admission.is_some() {
+            let now = self.transport.now();
+            self.shed_expired(now)?;
+        }
+        if rekick {
+            self.kick()?;
+        }
+        Ok(done)
+    }
+
+    /// Folds one delivered chunk into what it carried: a probe is judged,
+    /// anything else scores its prediction and counts toward its messages.
+    /// Returns `true` when a rail was re-admitted (the queue deserves a kick).
+    fn on_delivered(
+        &mut self,
+        record: ChunkRecord,
+        at: SimTime,
+        done: &mut Vec<MsgId>,
+    ) -> Result<bool, EngineError> {
+        let ChunkRecord { owner, rail, submitted, predicted, meta } = record;
+        if matches!(owner, ChunkOwner::Probe) {
+            return Ok(self.on_probe_delivered(rail, submitted, predicted, at));
+        }
+        self.feedback.record(rail, submitted, predicted, at);
+        // Mirror the rail's post-record EWMA and the observation count.
+        let ewma_ratio = self.feedback.rail(rail).ewma_ratio;
+        let ops = [
+            EngineOp::Feedback { rail: rail.index() as u8, ewma_ratio },
+            EngineOp::Counter { kind: CounterKind::FeedbackRecords, delta: 1 },
+        ];
+        publish(&self.shared, &ops);
+        if let Some(meta) = meta {
+            self.note_chunk_recovery(rail, &meta.lineage, at);
+        }
+        for &id in owner.msgs() {
+            if self.note_chunk_done(id, at)? {
+                done.push(id);
+            }
+        }
+        Ok(false)
+    }
+
+    fn note_chunk_done(&mut self, id: MsgId, at: SimTime) -> Result<bool, EngineError> {
+        let m = self.inflight.get_mut(&id).expect("chunk owner implies inflight");
+        m.chunks_done += 1;
+        if m.chunks_done < m.chunks_total {
+            return Ok(false);
+        }
+        let m = self.inflight.remove(&id).expect("present");
+        self.stats.msgs_completed += 1;
+        self.stats.bytes_completed += m.size;
+        let completion = MsgCompletion {
+            id,
+            tag: m.tag,
+            size: m.size,
+            posted_at: m.posted_at,
+            delivered_at: at,
+            duration: at - m.posted_at,
+            chunks: m.layout,
+        };
+        self.release_flow(m.tag, m.flow_seq, m.size, Some(completion))?;
+        Ok(true)
+    }
+
+    /// Whether `id` still has work ahead of it (queued or on the wire).
+    fn is_pending(&self, id: MsgId) -> bool {
+        self.inflight.contains_key(&id) || self.queue.iter().any(|m| m.id == id)
+    }
+
+    /// Blocks (advancing the transport) until `id` completes.
+    pub fn wait(&mut self, id: MsgId) -> Result<MsgCompletion, EngineError> {
+        loop {
+            if let Some(c) = self.completions.remove(&id) {
+                return Ok(c);
+            }
+            if let Some(adm) = self.admission.as_mut() {
+                if adm.shed.remove(&id) {
+                    // Reported exactly once; a second wait is UnknownMessage.
+                    return Err(EngineError::Shed(id.0));
+                }
+            }
+            if !self.is_pending(id) && !self.held.contains(&id) {
+                return Err(EngineError::UnknownMessage(id.0));
+            }
+            let made_progress = !self.poll()?.is_empty();
+            if !made_progress && self.transport_quiescent() {
+                // Nothing in flight: the strategy must act now or never.
+                self.kick()?;
+                if self.transport_quiescent()
+                    && !self.completions.contains_key(&id)
+                    && self.is_pending(id)
+                {
+                    return Err(EngineError::Transport(format!(
+                        "deadlock: transport quiescent but message {} incomplete",
+                        id.0
+                    )));
+                }
+            }
+        }
+    }
+
+    /// Runs until every posted message completes; returns every completion
+    /// nobody has claimed yet — those an earlier [`Self::poll`] or
+    /// [`Self::wait`] already released included — in id (posted) order.
+    /// Messages shed past their deadline while draining are skipped, not
+    /// errors.
+    // nm-analyzer: allow(determinism-taint) -- ids are collected then sort_unstable'd; wait order is id order
+    #[must_use = "dropping the completions loses delivery results; at minimum check for errors"]
+    pub fn drain(&mut self) -> Result<Vec<MsgCompletion>, EngineError> {
+        let mut ids: Vec<MsgId> = self.queue.iter().map(|m| m.id).collect();
+        ids.extend(self.inflight.keys().copied());
+        ids.extend(self.held.iter().copied());
+        ids.extend(self.completions.keys().copied());
+        ids.sort_unstable();
+        ids.into_iter()
+            .filter_map(|id| match self.wait(id) {
+                Ok(c) => Some(Ok(c)),
+                Err(EngineError::Shed(_)) => None,
+                Err(e) => Some(Err(e)),
+            })
+            .collect()
+    }
+
+    fn transport_quiescent(&self) -> bool {
+        self.chunks.is_empty() && self.health.as_ref().is_none_or(|ft| ft.retries.is_empty())
+    }
+
+    /// Takes an already-recorded completion without blocking.
+    pub fn try_completion(&mut self, id: MsgId) -> Option<MsgCompletion> {
+        self.completions.remove(&id)
+    }
+
+    /// Prediction-accuracy statistics accumulated so far.
+    pub fn feedback(&self) -> &Feedback {
+        &self.feedback
+    }
+
+    /// Replaces the predictor with a feedback-corrected copy (per-rail
+    /// duration scaling by the observed actual/predicted EWMA) and resets
+    /// the accumulated feedback. The cheap runtime alternative to a full
+    /// re-sampling when [`crate::feedback::Feedback::drift_detected`] fires.
+    pub fn adopt_feedback_correction(&mut self) {
+        let factors = self.feedback.correction_factors();
+        self.predictor = self.predictor.with_rail_scaling(&factors);
+        self.feedback = Feedback::new(self.predictor.rail_count());
+        // Memoized split plans embed the old predictions — invalidate them.
+        self.predictor_epoch += 1;
+        // The corrected predictor absorbs the drift that degraded rails.
+        if let Some(ft) = self.health.as_mut() {
+            ft.tracker.clear_degraded();
+        }
+        // Mirror the whole adoption as one batch: reset feedback ratios,
+        // refreshed health states (Degraded rails went Healthy above), and
+        // the plan-killing epoch bump — atomically visible to replicas.
+        if self.shared.is_some() {
+            let rails = self.predictor.rail_count();
+            let mut ops = Vec::with_capacity(2 * rails + 1);
+            for r in 0..rails {
+                ops.push(EngineOp::Feedback { rail: r as u8, ewma_ratio: 1.0 });
+            }
+            if let Some(ft) = self.health.as_deref() {
+                for r in 0..rails {
+                    ops.push(EngineOp::Health {
+                        rail: r as u8,
+                        state: ft.tracker.state(RailId(r)),
+                    });
+                }
+            }
+            ops.push(EngineOp::EpochBump);
+            publish(&self.shared, &ops);
+        }
+    }
+
+    /// Current predictor generation (bumped on every predictor swap).
+    pub fn predictor_epoch(&self) -> u64 {
+        self.predictor_epoch
+    }
+}

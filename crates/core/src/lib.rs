@@ -9,15 +9,17 @@
 //! ## Architecture (paper Fig 5)
 //!
 //! ```text
-//!  application  ──▶  Session / Engine   (application layer: message queue)
-//!                         │
-//!                   Strategy plug-in    (optimizer-scheduler layer)
+//!  application  ──▶  Session / Engine   (application layer: message queue,
+//!                         │              engine/post.rs)
+//!                   Strategy plug-in    (optimizer-scheduler layer, interrogated
+//!                                        and carried out by engine/schedule.rs)
 //!                    · SingleRail          · BandwidthRatioSplit (OMPI-like)
 //!                    · GreedyBalance       · HeteroSplit  (paper §II-B)
 //!                    · IsoSplit            · Aggregation  (paper §II-C)
 //!                                          · MulticoreEager (paper §III-D)
 //!                         │
-//!                     Transport         (transfer layer: drivers)
+//!                     Transport         (transfer layer: drivers; their events
+//!                                        fold into completions in engine/mod.rs)
 //!                    · simulated cluster — one discrete-event core, three handles:
 //!                        SimDriver / FaultSimDriver (two nodes, ± fault schedule)
 //!                        SimCluster + PairDriver    (N nodes, shared clock)
@@ -32,8 +34,9 @@
 //! Beyond the paper, [`Engine::with_fault_tolerance`](engine::Engine::with_fault_tolerance)
 //! arms a per-rail [`health`] state machine: failed or timed-out chunks are
 //! retried with backoff and re-split across surviving rails, failing rails
-//! are quarantined (excluded from selection) and probed back in, and the
-//! `nm-faults` crate injects deterministic rail outages to exercise it all.
+//! are quarantined (excluded from selection) and probed back in
+//! (`engine/recovery.rs`), and the `nm-faults` crate injects deterministic
+//! rail outages to exercise it all.
 //!
 //! ## Quick start
 //!

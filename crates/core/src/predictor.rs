@@ -6,7 +6,8 @@
 //! `r` if submitted now?" — the quantity the paper uses both to discard
 //! NICs (Fig 2) and to equalize chunk completions (Fig 1c).
 
-use nm_model::{PerfProfile, SimTime, MAX_RAILS};
+use nm_model::{ModelError, PerfProfile, SimTime, TransferMode, MAX_RAILS};
+use nm_sampler::{sample_rail, SampleTransport, SamplingConfig};
 use nm_sim::RailId;
 use nm_sync::Arc;
 
@@ -66,6 +67,31 @@ impl Predictor {
             assert_eq!(r.rail.index(), i, "rails must be sorted by index");
         }
         Predictor { rails }
+    }
+
+    /// Samples every rail of `transport` into a predictor — the natural
+    /// protocol choice first, then eager forced — as NewMadeleine does once
+    /// at initialization (paper §III-C). `rdv_threshold_of(i)` supplies
+    /// rail `i`'s rendezvous threshold, which a sampling transport does not
+    /// report.
+    pub fn sampled<S: SampleTransport>(
+        transport: &mut S,
+        config: &SamplingConfig,
+        rdv_threshold_of: impl Fn(usize) -> u64,
+    ) -> Result<Self, ModelError> {
+        let eager_config = SamplingConfig { mode: Some(TransferMode::Eager), ..*config };
+        let rails = (0..transport.rail_count())
+            .map(|i| {
+                Ok(RailView {
+                    rail: RailId(i),
+                    natural: sample_rail(transport, i, config)?,
+                    eager: sample_rail(transport, i, &eager_config)?,
+                    name: transport.rail_name(i).into(),
+                    rdv_threshold: rdv_threshold_of(i),
+                })
+            })
+            .collect::<Result<Vec<_>, ModelError>>()?;
+        Ok(Predictor::new(rails))
     }
 
     /// All rail views.

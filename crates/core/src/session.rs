@@ -8,12 +8,12 @@
 use crate::driver::shmem::ShmemDriver;
 use crate::driver::sim::SimDriver;
 use crate::engine::{Engine, EngineStats, MsgCompletion, MsgId};
-use crate::predictor::{Predictor, RailView};
+use crate::predictor::Predictor;
 use crate::strategy::{Strategy, StrategyKind};
 use crate::transport::Transport;
 use bytes::Bytes;
-use nm_model::{SimTime, TransferMode};
-use nm_sampler::{sample_rail, SampleTransport, SamplingConfig, SimTransport};
+use nm_model::SimTime;
+use nm_sampler::{SamplingConfig, SimTransport};
 use nm_sim::{ClusterSpec, RailId};
 
 /// A ready-to-use multirail communication session.
@@ -120,9 +120,9 @@ impl SessionBuilder {
     /// wires the engine.
     pub fn build_sim(self) -> Session {
         let mut sampler = SimTransport::new(self.spec.clone());
-        let rails =
-            sample_views(&mut sampler, &self.sampling, |i| self.spec.rails[i].rdv_threshold);
-        let predictor = Predictor::new(rails);
+        let predictor =
+            Predictor::sampled(&mut sampler, &self.sampling, |i| self.spec.rails[i].rdv_threshold)
+                .expect("sampling");
         let strategy = self.strategy.unwrap_or_else(|| StrategyKind::HeteroSplit.build());
         let transport: Box<dyn Transport> = Box::new(SimDriver::new(self.spec));
         Session { engine: Engine::new(transport, predictor, strategy).expect("engine config") }
@@ -133,34 +133,12 @@ impl SessionBuilder {
     pub fn build_shmem(self, mut driver: ShmemDriver) -> Session {
         let thresholds: Vec<u64> =
             (0..Transport::rail_count(&driver)).map(|i| driver.rdv_threshold(RailId(i))).collect();
-        let rails = sample_views(&mut driver, &self.sampling, |i| thresholds[i]);
-        let predictor = Predictor::new(rails);
+        let predictor =
+            Predictor::sampled(&mut driver, &self.sampling, |i| thresholds[i]).expect("sampling");
         let strategy = self.strategy.unwrap_or_else(|| StrategyKind::HeteroSplit.build());
         let transport: Box<dyn Transport> = Box::new(driver);
         Session { engine: Engine::new(transport, predictor, strategy).expect("engine config") }
     }
-}
-
-/// Samples natural + forced-eager profiles for every rail of a transport.
-fn sample_views<T: SampleTransport>(
-    sampler: &mut T,
-    config: &SamplingConfig,
-    threshold_of: impl Fn(usize) -> u64,
-) -> Vec<RailView> {
-    (0..sampler.rail_count())
-        .map(|i| {
-            let natural = sample_rail(sampler, i, config).expect("sampling");
-            let eager_cfg = SamplingConfig { mode: Some(TransferMode::Eager), ..config.clone() };
-            let eager = sample_rail(sampler, i, &eager_cfg).expect("eager sampling");
-            RailView {
-                rail: RailId(i),
-                name: sampler.rail_name(i).into(),
-                natural,
-                eager,
-                rdv_threshold: threshold_of(i),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
