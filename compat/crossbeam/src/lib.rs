@@ -2,7 +2,6 @@
 //! workspace uses. Vendored because the build environment has no registry
 //! access. Functionally equivalent, not lock-free: channels wrap
 //! `std::sync::mpsc` (with a `Mutex` around the receiver so `Receiver` is
-//! clonable and `Sync`), deques wrap `Mutex<VecDeque>`.
+//! clonable and `Sync`).
 
 pub mod channel;
-pub mod deque;

@@ -7,7 +7,6 @@
 //! poison the lock for everyone else).
 
 use std::sync::{self, TryLockError};
-use std::time::{Duration, Instant};
 
 /// A mutex whose `lock` never returns a `Result`.
 #[derive(Debug, Default)]
@@ -60,103 +59,9 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// Result of a timed condvar wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait returned because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// Condition variable paired with [`Mutex`].
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar { inner: sync::Condvar::new() }
-    }
-
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        replace_guard(guard, |g| match self.inner.wait(g) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        });
-    }
-
-    /// Blocks until notified or `timeout` elapsed.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let mut timed_out = false;
-        replace_guard(guard, |g| {
-            let (g, res) = match self.inner.wait_timeout(g, timeout) {
-                Ok(pair) => pair,
-                Err(p) => p.into_inner(),
-            };
-            timed_out = res.timed_out();
-            g
-        });
-        WaitTimeoutResult(timed_out)
-    }
-
-    /// Blocks until notified or `deadline` passed.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let now = Instant::now();
-        let timeout = deadline.saturating_duration_since(now);
-        self.wait_for(guard, timeout)
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-/// Applies a guard-consuming operation through an `&mut` slot. The
-/// temporary `ManuallyDrop` dance keeps the borrow checker satisfied while
-/// the guard round-trips through `Condvar::wait`.
-fn replace_guard<'a, T>(
-    slot: &mut MutexGuard<'a, T>,
-    f: impl FnOnce(MutexGuard<'a, T>) -> MutexGuard<'a, T>,
-) {
-    // SAFETY: `slot` is a valid guard; we move it out, transform it, and
-    // write the replacement back before anyone can observe the hole. `f`
-    // (std's condvar wait) either returns a guard or panics; on panic the
-    // process is already unwinding through a poisoned-lock path where the
-    // duplicate drop cannot occur because `ptr::read`'s copy is forgotten
-    // only on the success path — std's wait only panics before re-locking,
-    // when the guard it was passed has already been dropped by unlocking.
-    unsafe {
-        let guard = std::ptr::read(slot);
-        let new_guard = f(guard);
-        std::ptr::write(slot, new_guard);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn mutex_basic() {
@@ -164,33 +69,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn condvar_signalling() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let h = thread::spawn(move || {
-            let (m, c) = &*p2;
-            let mut done = m.lock();
-            *done = true;
-            c.notify_one();
-        });
-        let (m, c) = &*pair;
-        let mut done = m.lock();
-        while !*done {
-            let res = c.wait_for(&mut done, Duration::from_secs(5));
-            assert!(!res.timed_out(), "signal must arrive");
-        }
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let c = Condvar::new();
-        let mut g = m.lock();
-        let res = c.wait_for(&mut g, Duration::from_millis(10));
-        assert!(res.timed_out());
     }
 }

@@ -23,9 +23,6 @@ pub struct Config {
     /// Method names treated as blocking by the hot-path reachability rule
     /// (defaults applied when the section is absent).
     pub blocking_methods: Vec<String>,
-    /// Files exempt from blocking-reachability *as roots* — the files that
-    /// implement the blocking primitives themselves.
-    pub blocking_exempt_files: Vec<String>,
     /// Extra directories (beyond `crates/*/src`) scanned by the
     /// unsafe-SAFETY audit only.
     pub audit_dirs: Vec<String>,
@@ -103,7 +100,6 @@ impl Config {
             facade_crates: take("facade", "crates"),
             must_use_files: take("must_use", "files"),
             blocking_methods: take("blocking", "methods"),
-            blocking_exempt_files: take("blocking", "exempt_files"),
             audit_dirs: take("unsafe_audit", "extra_dirs"),
             det_roots: take("determinism", "roots"),
             wall_clock_files: take("determinism", "wall_clock_provenance"),

@@ -134,9 +134,7 @@ pub fn lock_discipline(
     for &n in &nodes {
         let file = &files[n.0];
         let f = &file.fns[n.1];
-        if !f.hot
-            || cfg.blocking_exempt_files.iter().any(|e| file.path.ends_with(e) || e == &file.path)
-        {
+        if !f.hot {
             continue;
         }
         let mut sites: Vec<(&Site, &BlockInfo)> = block_memo[&n].iter().collect();

@@ -55,3 +55,34 @@ pub fn hot_cold_fallback(a: &DevA) -> u32 {
     // nm-analyzer: allow(hot-path-blocking) -- cold-start fallback, measured off the fast path
     *a.m1.lock()
 }
+
+/// Two lock-owning types with a same-named `capacity`, each asking the
+/// collection *behind* its own lock — one through a guard alias, one
+/// through the call result. Those `.capacity()` calls target the protected
+/// `Vec`, not the other type's method; resolved by name, each would seem to
+/// take the other's lock under its own and close a phantom second cycle.
+/// 0 findings.
+pub struct Slots {
+    items: Vec<u32>,
+}
+
+pub struct QueueA {
+    inner: Mutex<Slots>,
+}
+
+pub struct QueueB {
+    inner: Mutex<Slots>,
+}
+
+impl QueueA {
+    pub fn capacity(&self) -> usize {
+        let q = self.inner.lock();
+        q.items.capacity()
+    }
+}
+
+impl QueueB {
+    pub fn capacity(&self) -> usize {
+        self.inner.lock().items.capacity()
+    }
+}

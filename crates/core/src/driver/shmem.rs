@@ -16,7 +16,7 @@ use crate::transport::{ChunkId, ChunkSubmit, Transport, TransportEvent};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use nm_model::SimTime;
-use nm_runtime::{Tasklet, WorkerPool};
+use nm_runtime::{OffloadSnapshot, Tasklet, WorkerPool};
 use nm_sim::{CoreId, RailId};
 use nm_sync::atomic::{AtomicU64, Ordering};
 use nm_sync::time::Instant;
@@ -149,7 +149,7 @@ impl ShmemDriver {
             outstanding,
             events_rx,
             events_tx,
-            pool: WorkerPool::new(nm_runtime::topology::Topology::new(1, cores.max(1))),
+            pool: WorkerPool::new(cores.max(1)),
             epoch,
             next_chunk: 0,
             stats,
@@ -185,7 +185,7 @@ impl ShmemDriver {
     }
 
     /// The worker pool's offload statistics (the measured T_O).
-    pub fn offload_stats(&self) -> Option<nm_runtime::stats::OffloadSnapshot> {
+    pub fn offload_stats(&self) -> Option<OffloadSnapshot> {
         self.pool.stats().snapshot()
     }
 
@@ -285,9 +285,10 @@ impl Transport for ShmemDriver {
         let offload = Duration::from_nanos(chunk.offload_delay.as_nanos());
         let worker = chunk.send_core.index().min(self.pool.worker_count() - 1);
         let events = self.events_tx.clone();
+        let epoch = self.epoch;
         self.pool.submit_to(
             worker,
-            Tasklet::high("shmem-send", move || {
+            Tasklet::new("shmem-send", move || {
                 if !offload.is_zero() {
                     thread::sleep(offload);
                 }
@@ -299,8 +300,10 @@ impl Transport for ShmemDriver {
                 } else {
                     (payload, tx_time)
                 };
+                // The sender's part ends here; stamped before the hand-over
+                // so it can never read later than the rail's delivery stamp.
+                let at = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
                 let _ = rail_tx.send(WireMsg { chunk: id, payload, checksum: sum, owed });
-                let at = SimTime::from_nanos(0); // stamped by the poller
                 let _ = events.send(TransportEvent::ChunkSendDone { chunk: id, at });
             }),
         );
@@ -387,6 +390,40 @@ mod tests {
         all
     }
 
+    /// Every chunk's `ChunkSendDone` carries a real instant, not after the
+    /// chunk's delivery. A send-done event may trail the delivery in the
+    /// queue, so this polls on until each chunk has one.
+    fn assert_send_done_stamped(
+        d: &mut ShmemDriver,
+        mut events: Vec<TransportEvent>,
+        ids: &[ChunkId],
+    ) {
+        let sent_at = |events: &[TransportEvent], id| {
+            events.iter().find_map(|e| match *e {
+                TransportEvent::ChunkSendDone { chunk, at } if chunk == id => Some(at),
+                _ => None,
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for &id in ids {
+            let sent = loop {
+                if let Some(at) = sent_at(&events, id) {
+                    break at;
+                }
+                assert!(Instant::now() < deadline, "no ChunkSendDone for {id:?}");
+                events.extend(d.poll());
+            };
+            let delivered = events
+                .iter()
+                .find_map(|e| match *e {
+                    TransportEvent::ChunkDelivered { chunk, at } if chunk == id => Some(at),
+                    _ => None,
+                })
+                .expect("drained until delivered");
+            assert!(SimTime::ZERO < sent && sent <= delivered, "{id:?}: {sent:?} / {delivered:?}");
+        }
+    }
+
     #[test]
     fn payload_integrity_end_to_end() {
         let mut d = ShmemDriver::two_rail_demo();
@@ -404,14 +441,13 @@ mod tests {
     #[test]
     fn synthesized_payloads_also_verify() {
         let mut d = ShmemDriver::two_rail_demo();
-        for rail in [RailId(0), RailId(1)] {
-            d.submit(ChunkSubmit::new(rail, 4096));
-        }
-        drain_until_delivered(&mut d, 2);
+        let ids = [RailId(0), RailId(1)].map(|rail| d.submit(ChunkSubmit::new(rail, 4096)));
+        let events = drain_until_delivered(&mut d, 2);
         let stats = d.stats();
         assert_eq!(stats.delivered, 2);
         assert_eq!(stats.corrupt, 0);
         assert_eq!(stats.bytes_verified, 8192);
+        assert_send_done_stamped(&mut d, events, &ids);
     }
 
     #[test]
@@ -437,10 +473,13 @@ mod tests {
     fn busy_until_moves_forward_on_submission() {
         let mut d = ShmemDriver::two_rail_demo();
         let before = d.rail_busy_until(RailId(0));
-        d.submit(ChunkSubmit::new(RailId(0), 1 << 20));
+        let id = d.submit(ChunkSubmit::new(RailId(0), 1 << 20));
         let after = d.rail_busy_until(RailId(0));
         assert!(after > before);
-        drain_until_delivered(&mut d, 1);
+        let events = drain_until_delivered(&mut d, 1);
+        // A rendezvous-sized chunk: the rail thread, not the worker, pays
+        // the transmission time, and the send side is stamped all the same.
+        assert_send_done_stamped(&mut d, events, &[id]);
     }
 
     #[test]

@@ -1,54 +1,43 @@
-//! # nm-runtime — Marcel/PIOMan-style multicore runtime
+//! # nm-runtime — the multicore mechanism of Fig 7, on real threads
 //!
-//! The paper's engine relies on two PM2 components: **Marcel**, a two-level
-//! thread scheduler with *tasklets* ("executed as soon as the scheduler
-//! reaches a point where it is safe to let them run"), and **PIOMan**, an
-//! I/O event manager that chooses polling or blocking detection and places
-//! work on suitable CPUs. This crate provides their operational contract on
-//! top of plain OS threads:
+//! The paper hands a split message to the machine's other cores: the
+//! strategy "registers chunk requests in a to-be-sent list and signals idle
+//! cores, which execute the PIO copies in parallel" (Fig 7), at a
+//! measured cost T_O of 3 µs — 6 µs when the target core must be preempted
+//! by a signal (§III-D). This crate is that mechanism and that measurement
+//! on plain OS threads, and nothing else:
 //!
-//! * [`Tasklet`] / [`tasklet::TaskletQueue`] — high-priority deferred work.
-//! * [`WorkerPool`] — one worker per logical core, with *idle tracking*
-//!   (the strategy asks "how many idle cores are there?" before splitting,
-//!   paper §III-B) and per-submission offload-latency accounting — the
-//!   measured counterpart of the paper's T_O = 3 µs (6 µs with preemption).
-//! * [`reqlist::RequestList`] — the "to-be-sent list" of Fig 7: the strategy
-//!   registers chunk requests, idle cores are signaled, callbacks execute
-//!   the submissions.
-//! * [`progress::ProgressionEngine`] — PIOMan's event detector: registered
-//!   pollables are pumped (polling) or awaited (blocking) until completion.
-//! * [`topology::Topology`] — the hierarchical machine description used for
-//!   placement decisions.
+//! * [`Tasklet`] — one deferred, run-once piece of communication work.
+//! * [`WorkerPool`] — one worker thread per logical core. A worker's channel
+//!   *is* its to-be-sent list; [`WorkerPool::idle_workers`] is the idle-core
+//!   set that bounds the split ("min{number of idle NICs, number of idle
+//!   cores} chunks at most"); a submission that finds its worker busy is
+//!   flagged *signaled* — the 6 µs path.
+//! * [`stats::OffloadStats`] — the measured T_O: submit → execution-start
+//!   latency, per-worker sharded, with the signaled path reported on its own
+//!   ([`OffloadSnapshot`]).
 //!
-//! On this reproduction's single-core CI machine real threads cannot show
-//! wall-clock speedup; the runtime is validated for *semantics* (ordering,
-//! idle accounting, completion) here and for *timing* in the discrete-event
-//! simulator, which models cores explicitly.
+//! Three surfaces drive the pool: `nm_core`'s `ShmemDriver` (the real-thread
+//! transport), the `table_offload` harness and `examples/multicore_eager`.
+//! On a CI machine with one or two cores real threads cannot show wall-clock
+//! speedup; the pool is validated for *semantics* (ordering, idle
+//! accounting, completion on drop) here and for *timing* in the
+//! discrete-event simulator, which models cores explicitly.
 //!
 //! ## Concurrency verification
 //!
-//! All shared state in this crate goes through the [`nm_sync`] facade.
-//! Compiled with `RUSTFLAGS="--cfg loom"`, the facade swaps in the
-//! vendored loom model checker and `tests/loom.rs` explores the
-//! interleavings of the stealing pool and request list exhaustively (up
-//! to the preemption bound) — see DESIGN.md §9 for the invariants and
-//! `ci.sh` for the lane. The crate contains no `unsafe` at all.
+//! All shared state goes through the [`nm_sync`] facade. The pool parks in
+//! `crossbeam::channel::recv`, which the vendored loom does not model, so it
+//! is covered by the unit and stress tests in `worker.rs` (the
+//! idle-set/queue invariant, drain-on-drop) and by the opt-in
+//! ThreadSanitizer lane in `ci.sh`. The crate contains no `unsafe` at all.
 
 #![forbid(unsafe_code)]
 
-pub mod progress;
-pub mod reqlist;
 pub mod stats;
-pub mod stealing;
 pub mod tasklet;
-pub mod timer;
-pub mod topology;
 pub mod worker;
 
-pub use progress::{Pollable, ProgressionEngine, WaitMode};
-pub use reqlist::RequestList;
-pub use stats::OffloadStats;
-pub use stealing::StealPool;
+pub use stats::OffloadSnapshot;
 pub use tasklet::Tasklet;
-pub use timer::PeriodicPump;
 pub use worker::WorkerPool;

@@ -26,6 +26,7 @@ struct Shard {
     count: AtomicU64,
     signaled: AtomicU64,
     total_ns: AtomicU64,
+    signaled_ns: AtomicU64,
     max_ns: AtomicU64,
     min_ns: AtomicU64,
 }
@@ -36,6 +37,7 @@ impl Default for Shard {
             count: AtomicU64::new(0),
             signaled: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
+            signaled_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
             min_ns: AtomicU64::new(u64::MAX),
         }
@@ -64,6 +66,9 @@ pub struct OffloadSnapshot {
     pub signaled: u64,
     /// Mean offload latency.
     pub mean: Duration,
+    /// Mean over the signaled offloads alone — the paper's "6 µs with
+    /// preemption", undiluted by the idle path; `None` when none was signaled.
+    pub signaled_mean: Option<Duration>,
     /// Maximum offload latency.
     pub max: Duration,
     /// Minimum offload latency.
@@ -104,6 +109,8 @@ impl OffloadStats {
         if signaled {
             // RELAXED-OK: same single-writer counter contract as above.
             shard.signaled.fetch_add(1, Ordering::Relaxed);
+            // RELAXED-OK: same single-writer counter contract as above.
+            shard.signaled_ns.fetch_add(ns, Ordering::Relaxed);
         }
         // RELAXED-OK: same single-writer counter contract as above.
         shard.total_ns.fetch_add(ns, Ordering::Relaxed);
@@ -115,7 +122,7 @@ impl OffloadStats {
 
     /// Merged snapshot of all shards; `None` before the first record.
     pub fn snapshot(&self) -> Option<OffloadSnapshot> {
-        let (mut count, mut signaled, mut total_ns) = (0u64, 0u64, 0u128);
+        let (mut count, mut signaled, mut total_ns, mut signaled_ns) = (0u64, 0u64, 0u128, 0u128);
         let (mut max_ns, mut min_ns) = (0u64, u64::MAX);
         for shard in &self.shards {
             // The writer side is all-Relaxed (see `record`), so an Acquire
@@ -130,6 +137,8 @@ impl OffloadStats {
             // RELAXED-OK: same merge contract as above.
             total_ns += u128::from(shard.total_ns.load(Ordering::Relaxed));
             // RELAXED-OK: same merge contract as above.
+            signaled_ns += u128::from(shard.signaled_ns.load(Ordering::Relaxed));
+            // RELAXED-OK: same merge contract as above.
             max_ns = max_ns.max(shard.max_ns.load(Ordering::Relaxed));
             // RELAXED-OK: same merge contract as above.
             min_ns = min_ns.min(shard.min_ns.load(Ordering::Relaxed));
@@ -141,6 +150,8 @@ impl OffloadStats {
             count,
             signaled,
             mean: Duration::from_nanos((total_ns / u128::from(count)) as u64),
+            signaled_mean: (signaled > 0)
+                .then(|| Duration::from_nanos((signaled_ns / u128::from(signaled)) as u64)),
             max: Duration::from_nanos(max_ns),
             min: Duration::from_nanos(if min_ns == u64::MAX { 0 } else { min_ns }),
         })
@@ -161,12 +172,14 @@ mod tests {
     fn aggregates_are_correct() {
         let s = OffloadStats::new();
         s.record(0, Duration::from_micros(2), false);
+        assert_eq!(s.snapshot().unwrap().signaled_mean, None, "nothing signaled yet");
         s.record(0, Duration::from_micros(4), true);
         s.record(0, Duration::from_micros(6), true);
         let snap = s.snapshot().unwrap();
         assert_eq!(snap.count, 3);
         assert_eq!(snap.signaled, 2);
         assert_eq!(snap.mean, Duration::from_micros(4));
+        assert_eq!(snap.signaled_mean, Some(Duration::from_micros(5)));
         assert_eq!(snap.min, Duration::from_micros(2));
         assert_eq!(snap.max, Duration::from_micros(6));
     }
@@ -183,6 +196,7 @@ mod tests {
         assert_eq!(snap.count, 4);
         assert_eq!(snap.signaled, 2);
         assert_eq!(snap.mean, Duration::from_micros(5));
+        assert_eq!(snap.signaled_mean, Some(Duration::from_micros(6)));
         assert_eq!(snap.min, Duration::from_micros(2));
         assert_eq!(snap.max, Duration::from_micros(8));
     }

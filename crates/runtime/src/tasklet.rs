@@ -1,43 +1,23 @@
-//! Tasklets: deferred, high-priority, run-once work items.
+//! Tasklets: deferred, run-once work items.
 //!
 //! Borrowed by Marcel from operating systems ("tasklets have been
 //! introduced in operating systems to defer treatments that cannot be
 //! performed within an interrupt handler ... executed as soon as the
 //! scheduler reaches a point where it is safe to let them run", paper
-//! §III-A). Here a tasklet is a boxed closure plus metadata; the queue
-//! serves tasklets strictly before ordinary work and in FIFO order within
-//! the same priority.
-
-use nm_sync::Mutex;
-use std::collections::VecDeque;
-
-/// Priority class of a tasklet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
-    /// Ordinary deferred work.
-    Normal,
-    /// Served before all normal work (I/O progression, PIO submissions).
-    High,
-}
+//! §III-A). Here a tasklet is a boxed closure plus a label; the worker it is
+//! submitted to runs its tasklets in submission order.
 
 /// A run-once deferred work item.
 pub struct Tasklet {
     /// Label for diagnostics.
     pub name: &'static str,
-    /// Priority class.
-    pub priority: Priority,
     work: Box<dyn FnOnce() + Send + 'static>,
 }
 
 impl Tasklet {
-    /// A high-priority tasklet (the common case for communication work).
-    pub fn high(name: &'static str, work: impl FnOnce() + Send + 'static) -> Self {
-        Tasklet { name, priority: Priority::High, work: Box::new(work) }
-    }
-
-    /// A normal-priority tasklet.
-    pub fn normal(name: &'static str, work: impl FnOnce() + Send + 'static) -> Self {
-        Tasklet { name, priority: Priority::Normal, work: Box::new(work) }
+    /// A tasklet that runs `work` once.
+    pub fn new(name: &'static str, work: impl FnOnce() + Send + 'static) -> Self {
+        Tasklet { name, work: Box::new(work) }
     }
 
     /// Consumes and executes the tasklet.
@@ -48,121 +28,18 @@ impl Tasklet {
 
 impl std::fmt::Debug for Tasklet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tasklet")
-            .field("name", &self.name)
-            .field("priority", &self.priority)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A two-class FIFO queue of tasklets.
-#[derive(Debug, Default)]
-pub struct TaskletQueue {
-    inner: Mutex<Queues>,
-}
-
-#[derive(Debug, Default)]
-struct Queues {
-    high: VecDeque<Tasklet>,
-    normal: VecDeque<Tasklet>,
-}
-
-impl TaskletQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues a tasklet in its priority class.
-    pub fn push(&self, t: Tasklet) {
-        // nm-analyzer: allow(hot-path-blocking) -- the tasklet queue IS the handoff primitive; the critical section is two deque ops, never held across user code
-        let mut q = self.inner.lock();
-        match t.priority {
-            Priority::High => q.high.push_back(t),
-            Priority::Normal => q.normal.push_back(t),
-        }
-    }
-
-    /// Dequeues the next tasklet: all high-priority work drains first.
-    pub fn pop(&self) -> Option<Tasklet> {
-        // nm-analyzer: allow(hot-path-blocking) -- same bounded critical section as `push`; pop is the steal loop's only lock
-        let mut q = self.inner.lock();
-        q.high.pop_front().or_else(|| q.normal.pop_front())
-    }
-
-    /// Number of queued tasklets.
-    pub fn len(&self) -> usize {
-        let q = self.inner.lock();
-        q.high.len() + q.normal.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Runs every queued tasklet to completion (including ones queued by
-    /// running tasklets). Returns how many ran.
-    pub fn drain(&self) -> usize {
-        let mut ran = 0;
-        while let Some(t) = self.pop() {
-            t.run();
-            ran += 1;
-        }
-        ran
+        f.debug_struct("Tasklet").field("name", &self.name).finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_sync::atomic::{AtomicUsize, Ordering};
-    use nm_sync::Arc;
-
-    #[test]
-    fn high_priority_drains_before_normal() {
-        let q = TaskletQueue::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for (name, prio) in [
-            ("n1", Priority::Normal),
-            ("h1", Priority::High),
-            ("n2", Priority::Normal),
-            ("h2", Priority::High),
-        ] {
-            let log = log.clone();
-            let t = match prio {
-                Priority::High => Tasklet::high(name, move || log.lock().push(name)),
-                Priority::Normal => Tasklet::normal(name, move || log.lock().push(name)),
-            };
-            q.push(t);
-        }
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.drain(), 4);
-        assert_eq!(*log.lock(), vec!["h1", "h2", "n1", "n2"]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn tasklets_queued_by_tasklets_also_run() {
-        let q = Arc::new(TaskletQueue::new());
-        let count = Arc::new(AtomicUsize::new(0));
-        let (q2, c2) = (q.clone(), count.clone());
-        q.push(Tasklet::high("outer", move || {
-            c2.fetch_add(1, Ordering::SeqCst);
-            let c3 = c2.clone();
-            q2.push(Tasklet::high("inner", move || {
-                c3.fetch_add(1, Ordering::SeqCst);
-            }));
-        }));
-        assert_eq!(q.drain(), 2);
-        assert_eq!(count.load(Ordering::SeqCst), 2);
-    }
 
     #[test]
     fn debug_formatting_mentions_name() {
-        let t = Tasklet::high("pio-copy", || {});
+        let t = Tasklet::new("pio-copy", || {});
         let s = format!("{t:?}");
         assert!(s.contains("pio-copy"));
-        assert!(s.contains("High"));
     }
 }

@@ -11,7 +11,6 @@
 
 use crate::stats::OffloadStats;
 use crate::tasklet::Tasklet;
-use crate::topology::Topology;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use nm_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use nm_sync::time::Instant;
@@ -39,7 +38,7 @@ struct WorkerShared {
 /// let pool = WorkerPool::dual_dual_core(); // the paper's 4-core node
 /// let hits = Arc::new(AtomicU32::new(0));
 /// let h = hits.clone();
-/// pool.submit_to(2, Tasklet::high("pio-copy", move || {
+/// pool.submit_to(2, Tasklet::new("pio-copy", move || {
 ///     h.fetch_add(1, Ordering::SeqCst);
 /// }));
 /// assert!(pool.wait_quiescent(Duration::from_secs(5)));
@@ -48,7 +47,6 @@ struct WorkerShared {
 /// assert_eq!(pool.stats().snapshot().unwrap().count, 1);
 /// ```
 pub struct WorkerPool {
-    topology: Topology,
     senders: Vec<Sender<Msg>>,
     shared: Vec<Arc<WorkerShared>>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -56,14 +54,14 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// A pool shaped like `topology` (one worker per logical CPU).
-    pub fn new(topology: Topology) -> Self {
-        let n = topology.cpu_count();
-        let stats = Arc::new(OffloadStats::with_shards(n));
-        let mut senders = Vec::with_capacity(n);
-        let mut shared = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for i in 0..n {
+    /// A pool of `cores` workers (one per logical CPU; at least one).
+    pub fn new(cores: usize) -> Self {
+        assert!(cores >= 1, "a pool needs at least one worker");
+        let stats = Arc::new(OffloadStats::with_shards(cores));
+        let mut senders = Vec::with_capacity(cores);
+        let mut shared = Vec::with_capacity(cores);
+        let mut handles = Vec::with_capacity(cores);
+        for i in 0..cores {
             let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
             let sh =
                 Arc::new(WorkerShared { idle: AtomicBool::new(true), queued: AtomicUsize::new(0) });
@@ -77,22 +75,17 @@ impl WorkerPool {
             shared.push(sh);
             handles.push(handle);
         }
-        WorkerPool { topology, senders, shared, handles, stats }
+        WorkerPool { senders, shared, handles, stats }
     }
 
     /// The paper's node shape: 2 packages × 2 cores.
     pub fn dual_dual_core() -> Self {
-        WorkerPool::new(Topology::dual_dual_core())
+        WorkerPool::new(4)
     }
 
     /// Number of workers.
     pub fn worker_count(&self) -> usize {
         self.senders.len()
-    }
-
-    /// The pool's topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Workers currently idle (not executing and nothing queued).
@@ -128,21 +121,6 @@ impl WorkerPool {
             // The receiver lives until shutdown() drains the pool; submitting
             // to a shut-down pool is a caller bug worth failing loudly on.
             .expect("worker alive");
-    }
-
-    /// Submits to the idle worker nearest `origin` (same package preferred).
-    /// When every worker is busy the tasklet is handed back so the caller
-    /// can run it inline — exactly the engine's fallback when there is no
-    /// idle core to offload to.
-    pub fn submit_nearest_idle(&self, origin: usize, tasklet: Tasklet) -> Result<usize, Tasklet> {
-        let idle = self.idle_workers();
-        match self.topology.nearest(origin, &idle) {
-            Some(target) => {
-                self.submit_to(target, tasklet);
-                Ok(target)
-            }
-            None => Err(tasklet),
-        }
     }
 
     /// Offload-latency statistics.
@@ -215,7 +193,7 @@ mod tests {
             let c = counter.clone();
             pool.submit_to(
                 i % 4,
-                Tasklet::high("inc", move || {
+                Tasklet::new("inc", move || {
                     c.fetch_add(1, Ordering::SeqCst);
                 }),
             );
@@ -230,7 +208,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..20 {
             let log = log.clone();
-            pool.submit_to(1, Tasklet::high("ordered", move || log.lock().push(i)));
+            pool.submit_to(1, Tasklet::new("ordered", move || log.lock().push(i)));
         }
         assert!(pool.wait_quiescent(Duration::from_secs(5)));
         assert_eq!(*log.lock(), (0..20).collect::<Vec<_>>());
@@ -245,7 +223,7 @@ mod tests {
         let g2 = gate.clone();
         pool.submit_to(
             2,
-            Tasklet::high("block", move || {
+            Tasklet::new("block", move || {
                 let _hold = g2.lock();
             }),
         );
@@ -265,7 +243,7 @@ mod tests {
     fn offload_latency_is_recorded() {
         let pool = WorkerPool::dual_dual_core();
         for _ in 0..10 {
-            pool.submit_to(0, Tasklet::high("noop", || {}));
+            pool.submit_to(0, Tasklet::new("noop", || {}));
         }
         assert!(pool.wait_quiescent(Duration::from_secs(5)));
         let snap = pool.stats().snapshot().expect("stats recorded");
@@ -283,12 +261,12 @@ mod tests {
         let g = gate.clone();
         pool.submit_to(
             0,
-            Tasklet::high("gate", move || {
+            Tasklet::new("gate", move || {
                 let _hold = g.lock();
             }),
         );
         for _ in 0..10 {
-            pool.submit_to(0, Tasklet::high("queued", || {}));
+            pool.submit_to(0, Tasklet::new("queued", || {}));
         }
         drop(guard);
         assert!(pool.wait_quiescent(Duration::from_secs(5)));
@@ -298,52 +276,56 @@ mod tests {
     }
 
     #[test]
-    fn nearest_idle_prefers_same_package() {
-        let pool = WorkerPool::dual_dual_core();
-        let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock();
-        // Busy out worker 0 so origin 0's same-package idle partner is 1.
-        let g = gate.clone();
-        pool.submit_to(
-            0,
-            Tasklet::high("gate", move || {
-                let _hold = g.lock();
-            }),
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.idle_workers().contains(&0) {
-            assert!(Instant::now() < deadline);
-            thread::yield_now();
+    fn a_worker_reported_idle_has_run_what_was_submitted_to_it() {
+        // `submit_to` raises `queued` before the send and the worker lowers
+        // it after the run, so once a submission has returned, its worker
+        // can only be seen idle-with-empty-queue after the tasklet ran. The
+        // first look falls while the message may still be in the channel
+        // (`idle` still true from the round before); the last is the first
+        // to find the worker idle again.
+        let pool = WorkerPool::new(2);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for i in 0..10_000 {
+            let w = i % 2;
+            let ran = Arc::new(AtomicBool::new(false));
+            let r = ran.clone();
+            pool.submit_to(w, Tasklet::new("flag", move || r.store(true, Ordering::SeqCst)));
+            while !pool.idle_workers().contains(&w) {
+                assert!(Instant::now() < deadline, "round {i}: worker {w} never idle again");
+                thread::yield_now();
+            }
+            assert!(ran.load(Ordering::SeqCst), "round {i}: worker {w} idle, tasklet not run");
         }
-        let chosen = pool.submit_nearest_idle(0, Tasklet::high("noop", || {}));
-        assert_eq!(chosen.ok(), Some(1));
-        drop(guard);
-        assert!(pool.wait_quiescent(Duration::from_secs(5)));
     }
 
     #[test]
-    fn no_idle_worker_returns_none() {
-        let pool = WorkerPool::new(Topology::new(1, 2));
-        let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock();
-        for w in 0..2 {
-            let g = gate.clone();
+    fn drop_runs_every_tasklet_still_queued() {
+        // Worker 0's gate opens when this sender is dropped. It is parked in
+        // a thread-local of worker 1, which exits only on the `Stop` that
+        // `drop` sends — after worker 0's — so the hundred tasklets behind
+        // the gate are all still queued when `drop` begins.
+        thread_local!(static OPENER: std::cell::RefCell<Option<Sender<()>>> =
+            const { std::cell::RefCell::new(None) });
+        let pool = WorkerPool::new(2);
+        let (open, gate) = unbounded::<()>();
+        pool.submit_to(1, Tasklet::new("park", move || OPENER.set(Some(open))));
+        pool.submit_to(
+            0,
+            Tasklet::new("gate", move || {
+                let _ = gate.recv();
+            }),
+        );
+        let ran = Arc::new(AtomicUsize::new(0));
+        for _ in 0..100 {
+            let r = ran.clone();
             pool.submit_to(
-                w,
-                Tasklet::high("gate", move || {
-                    let _hold = g.lock();
+                0,
+                Tasklet::new("queued", move || {
+                    r.fetch_add(1, Ordering::SeqCst);
                 }),
             );
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.idle_count() > 0 {
-            assert!(Instant::now() < deadline);
-            thread::yield_now();
-        }
-        let refused = pool.submit_nearest_idle(0, Tasklet::high("noop", || {}));
-        let tasklet = refused.expect_err("no idle worker: tasklet handed back");
-        tasklet.run(); // caller falls back to inline execution
-        drop(guard);
-        assert!(pool.wait_quiescent(Duration::from_secs(5)));
+        drop(pool);
+        assert_eq!(ran.load(Ordering::SeqCst), 100);
     }
 }

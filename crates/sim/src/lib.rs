@@ -36,11 +36,6 @@ pub mod topology;
 pub mod trace;
 pub mod transfer;
 
-/// The *network* topology module under an unambiguous name: call sites
-/// that also import `nm_runtime::topology` (the intra-node core hierarchy)
-/// can say `nm_sim::net::ClusterSpec` and read unambiguously.
-pub use topology as net;
-
 pub use event::{EventQueue, LegacyEventQueue};
 pub use ids::{CoreId, NicKey, NodeId, RailId, TransferId};
 pub use sim::{SendSpec, SimEvent, Simulator};

@@ -1,14 +1,5 @@
 //! **Network** topology: nodes, cores, rails and the switch fabric.
 //!
-//! Two modules in this workspace are called `topology`; they describe
-//! different machines and must not be confused:
-//!
-//! * **This one** (`nm_sim::topology`, re-exported as [`nm_sim::net`]) is
-//!   the *cluster interconnect*: which nodes exist, which rails each node
-//!   has a NIC on, and what the shared switch backplane looks like.
-//! * `nm_runtime::topology` is the *intra-node core hierarchy* (packages ×
-//!   cores) used for tasklet placement. It never names rails or nodes.
-//!
 //! The paper's testbed is two dual dual-core Opteron nodes with two rails
 //! (Myri-10G + QsNetII); [`ClusterSpec::paper_testbed`] builds exactly that.
 //! By default every node owns one NIC per rail and rails are independent

@@ -38,7 +38,7 @@ fn main() {
     // actually cost on THIS machine? (paper: 3us on 2008 Opterons)
     let pool = WorkerPool::dual_dual_core();
     for _ in 0..2000 {
-        pool.submit_to(1, Tasklet::high("probe", || {}));
+        pool.submit_to(1, Tasklet::new("probe", || {}));
         pool.wait_quiescent(Duration::from_secs(1));
     }
     if let Some(snap) = pool.stats().snapshot() {
