@@ -3,8 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Every machine-readable artifact (analyzer report, bench JSONs) is gated
-# on the same key-presence schema check.
+# The machine-readable artifacts that hold host-measured numbers (analyzer
+# report, scaling bench) are gated on key presence; the virtual-time BENCH
+# files are byte-compared with their committed copy instead, which
+# subsumes it.
 check_bench_schema() {
     local file="$1"
     shift
@@ -44,6 +46,15 @@ check_bench_unchanged() {
     || { echo "the per-flow release must be written exactly once under crates/core/src/engine/" >&2; exit 1; }
 ! grep -rnE 'chunk_owner|chunk_prediction|chunk_meta' crates/*/src \
     || { echo "a parallel chunk-keyed ledger is back" >&2; exit 1; }
+
+# One record per message: the id-ordered `msgs` table is the only
+# `MsgId`-keyed collection under the engine, and the four parallel ledgers
+# it replaced (two maps, two sets) stay gone. (`MsgCensus` has count fields
+# of those names; a collection-typed one is what must not come back.)
+[ "$(grep -rhoE '(HashMap|HashSet|BTreeMap)<MsgId' crates/core/src/engine/ | wc -l)" -eq 1 ] \
+    || { echo "exactly one MsgId-keyed collection may live under crates/core/src/engine/" >&2; exit 1; }
+! grep -rnE '^\s*(inflight|held|completions|shed): *(Hash|BTree|Vec)' crates/core/src/engine/ \
+    || { echo "a parallel message-keyed ledger is back" >&2; exit 1; }
 
 # One multicore runtime: every name `nm-runtime` re-exports is named by some
 # caller outside the crate, and the thread mechanisms nobody called (with
@@ -156,20 +167,12 @@ cargo test -q --release -p nm-core --test engine_stream_pin
 # splits) and exits non-zero when any check fails; no timing is gated here.
 cargo run --release -p nm-bench --bin perf -- --quick
 
-# Resilience harness: deterministic seeded chaos run + JSON key schema.
+# Resilience harness: deterministic seeded chaos run.
 cargo run --release -p nm-bench --bin resilience -- --seed 42
-check_bench_schema BENCH_resilience.json \
-    bench seed msgs msg_bytes fault_free_completion_us faulted_completion_us \
-    completion_inflation_pct failover_latency_us_mean retransmitted_bytes \
-    retries failovers quarantines readmissions probes_sent
 check_bench_unchanged BENCH_resilience.json
 
-# Overload harness: deterministic admission-control sweep + JSON key schema.
+# Overload harness: deterministic admission-control sweep.
 cargo run --release -p nm-bench --bin overload -- --seed 42
-check_bench_schema BENCH_overload.json \
-    bench seed msg_bytes deadline_us offered_msgs accepted rejected shed \
-    completed goodput_mibps p99_completion_us corrupt_chunks retries \
-    degrade_transitions
 check_bench_unchanged BENCH_overload.json
 
 # Multicore scaling harness: replicated decision state vs the locked
@@ -189,21 +192,13 @@ check_bench_schema BENCH_scaling.json \
 
 # Collectives harness: prediction-driven algorithm selection over the
 # N-node cluster model, completion vs node count 2..32 per primitive,
-# predicted/measured crossover points + JSON key schema. Deterministic
-# (virtual time only), so the numbers are reproducible bit-for-bit.
+# predicted/measured crossover points. Deterministic (virtual time only),
+# so the numbers are reproducible bit-for-bit.
 cargo run --release -p nm-bench --bin collectives
-check_bench_schema BENCH_collectives.json \
-    bench provenance node_counts crossover_matches series collective bytes \
-    variants algorithm predicted_us measured_us selected \
-    predicted_crossover_n measured_crossover_n crossover_match
 check_bench_unchanged BENCH_collectives.json
 
 # Cluster-resilience harness: seeded mid-operation node death + neighbour
 # port kill at 8/16/32 nodes; the collectives must self-heal (watchdog +
-# DAG repair) and the recovery stats are schema-gated.
+# DAG repair) with byte-identical recovery stats.
 cargo run --release -p nm-bench --bin cluster_resilience -- --seed 42
-check_bench_schema BENCH_cluster_resilience.json \
-    bench seed provenance node_counts series collective algorithm bytes \
-    nodes fault_free_us faulted_us inflation_pct repairs hops_retried \
-    hops_rerouted repair_latency_us retry_queue_peak dead_nodes
 check_bench_unchanged BENCH_cluster_resilience.json

@@ -13,7 +13,7 @@ use nm_core::split::{dichotomy_split, equal_completion_split};
 use nm_model::{PerfProfile, SimTime};
 use nm_proto::aggregate::{AggEntry, Aggregator};
 use nm_proto::{Packet, PacketHeader, PacketKind, Reassembler};
-use nm_sim::{EventQueue, LegacyEventQueue, RailId};
+use nm_sim::{EventQueue, RailId};
 use std::hint::black_box;
 
 fn affine_profile(name: &str, lat: f64, bw: f64) -> PerfProfile {
@@ -128,21 +128,8 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    g.bench_function("push_pop_1024_legacy_heap", |b| {
-        b.iter(|| {
-            let mut q = LegacyEventQueue::new();
-            for i in 0..1024u64 {
-                q.push(SimTime::from_nanos((i * 2_654_435_761) % 1_000_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            black_box(acc)
-        })
-    });
-    // Heavy retraction: half the scheduled events get cancelled — the
-    // calendar's O(1) generation-bump vs the legacy tombstone set.
+    // Heavy retraction: half the scheduled events get cancelled (an O(1)
+    // generation bump each).
     g.bench_function("push_cancel_half_pop_1024", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();

@@ -11,7 +11,7 @@
 //! * **warm** decisions — split-plan cache hit: the steady-state fast
 //!   path;
 //! * **event-queue throughput** — push+pop pairs per second through the
-//!   indexed calendar, vs the legacy binary heap.
+//!   indexed calendar.
 //!
 //! Results go to stdout and to `BENCH_decision.json` in the working
 //! directory (machine-readable, consumed by the README's Performance
@@ -20,7 +20,7 @@
 use nm_bench::sample_predictor;
 use nm_core::strategy::{Ctx, StrategyKind};
 use nm_model::SimTime;
-use nm_sim::{ClusterSpec, CoreId, EventQueue, LegacyEventQueue};
+use nm_sim::{ClusterSpec, CoreId, EventQueue};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -78,17 +78,7 @@ fn main() {
             black_box(v);
         }
     });
-    let legacy_ns = time_ns(500, || {
-        let mut q = LegacyEventQueue::new();
-        for i in 0..1024u64 {
-            q.push(SimTime::from_nanos((i * 2_654_435_761) % 1_000_000), i);
-        }
-        while let Some(v) = q.pop() {
-            black_box(v);
-        }
-    });
     let calendar_ops_per_sec = queue_ops_per_rep as f64 / (calendar_ns * 1e-9);
-    let legacy_ops_per_sec = queue_ops_per_rep as f64 / (legacy_ns * 1e-9);
     let speedup = cold_ns / warm_ns;
 
     println!("# decision-overhead ablation (paper-testbed predictor, 4 MiB head)");
@@ -96,10 +86,9 @@ fn main() {
     println!("warm decision (cache hit):  {warm_ns:8.1} ns");
     println!("warm speedup:               {speedup:8.1} x");
     println!("calendar queue:             {calendar_ops_per_sec:12.0} ops/s");
-    println!("legacy heap:                {legacy_ops_per_sec:12.0} ops/s");
 
     let json = format!(
-        "{{\n  \"bench\": \"decision_overhead\",\n  \"cold_ns_per_decision\": {cold_ns:.1},\n  \"warm_ns_per_decision\": {warm_ns:.1},\n  \"warm_speedup\": {speedup:.2},\n  \"event_queue_ops_per_sec\": {calendar_ops_per_sec:.0},\n  \"legacy_event_queue_ops_per_sec\": {legacy_ops_per_sec:.0}\n}}\n"
+        "{{\n  \"bench\": \"decision_overhead\",\n  \"cold_ns_per_decision\": {cold_ns:.1},\n  \"warm_ns_per_decision\": {warm_ns:.1},\n  \"warm_speedup\": {speedup:.2},\n  \"event_queue_ops_per_sec\": {calendar_ops_per_sec:.0}\n}}\n"
     );
     match std::fs::write("BENCH_decision.json", &json) {
         Ok(()) => eprintln!("wrote BENCH_decision.json"),

@@ -75,11 +75,6 @@ impl ProfileBank {
         &self.spec
     }
 
-    /// Distinct rail sets sampled so far (observability for tests/benches).
-    pub fn sampled_sets(&self) -> usize {
-        self.sampled.iter().flatten().count()
-    }
-
     /// Rail-set index of the `src -> dst` pair. Panics when the pair shares
     /// no rail — the same condition the driver rejects.
     fn rail_set(&self, src: usize, dst: usize) -> usize {
@@ -262,7 +257,7 @@ mod tests {
         let t01 = bank.hop_time_us(0, 1, MIB);
         let t56 = bank.hop_time_us(5, 6, MIB);
         assert_eq!(t01, t56, "identical pairs share one profile");
-        assert_eq!(bank.sampled_sets(), 1);
+        assert_eq!(bank.sampled.iter().flatten().count(), 1);
         assert!(t01 > 0.0);
     }
 
@@ -273,7 +268,7 @@ mod tests {
         let mut bank = ProfileBank::new(spec);
         let both_rails = bank.hop_time_us(0, 1, 4 * MIB);
         let one_rail = bank.hop_time_us(0, 3, 4 * MIB);
-        assert_eq!(bank.sampled_sets(), 2);
+        assert_eq!(bank.sampled.iter().flatten().count(), 2);
         assert!(
             one_rail > 1.5 * both_rails,
             "single-rail pair must be much slower: {one_rail} vs {both_rails}"

@@ -150,7 +150,7 @@ type HopKey = (usize, usize, MsgId);
 /// An engine whose poll failed (it is dropped), and the error.
 type Poisoned = ((usize, usize), EngineError);
 
-/// The healing run's ledger of hops.
+/// A run's ledger of hops.
 struct Watch {
     state: Vec<HopState>,
     /// Which hop each live engine message is.
@@ -172,8 +172,8 @@ pub struct CollectiveCluster {
     spec: ClusterSpec,
     engines: BTreeMap<(usize, usize), Engine<PairDriver>>,
     /// Healing machinery armed: the cluster replays a non-empty fault
-    /// schedule, engines run with fault tolerance, runs take the watchdog
-    /// path. An *empty* schedule keeps the plain path — inertness is a
+    /// schedule, engines run with fault tolerance, runs arm the watchdog
+    /// and repair. An *empty* schedule arms none of it — inertness is a
     /// guarantee, not an optimization.
     healing: bool,
     /// Per-node failure EWMA, persisted across runs so the selector can
@@ -204,7 +204,7 @@ impl CollectiveCluster {
     }
 
     /// A cluster that replays `schedule`: engines get fault tolerance and
-    /// runs take the self-healing path (watchdog + DAG repair), unless the
+    /// runs heal themselves (watchdog + DAG repair), unless the
     /// schedule is empty — then this is exactly [`CollectiveCluster::new`]
     /// over a fault-capable transport.
     pub fn with_faults(spec: ClusterSpec, schedule: &ClusterFaultSchedule) -> Result<Self, String> {
@@ -228,7 +228,7 @@ impl CollectiveCluster {
         self.cluster.now()
     }
 
-    /// Whether runs take the self-healing path.
+    /// Whether runs arm the watchdog and repair around failures.
     pub fn healing(&self) -> bool {
         self.healing
     }
@@ -259,20 +259,6 @@ impl CollectiveCluster {
                     .expect("default health config");
             }
             self.engines.insert((src, dst), engine);
-        }
-    }
-
-    /// Executes `dag` to completion, event-ordered. On a healing cluster
-    /// hops are deadline-watched and the DAG is repaired around quarantined
-    /// rails and dead nodes; otherwise any failure is fatal. Fails when the
-    /// simulator's calendar drains while hops are still outstanding (a
-    /// malformed schedule), an engine rejects a post, or repair cannot
-    /// converge.
-    pub fn run(&mut self, bank: &mut ProfileBank, dag: &HopDag) -> Result<RunResult, String> {
-        if self.healing {
-            self.run_resilient(bank, dag)
-        } else {
-            self.run_clean(bank, dag)
         }
     }
 
@@ -310,109 +296,20 @@ impl CollectiveCluster {
         Ok((!ready.is_empty()).then_some(poisoned))
     }
 
-    fn run_clean(&mut self, bank: &mut ProfileBank, dag: &HopDag) -> Result<RunResult, String> {
-        dag.check()?;
-        let started_at = self.cluster.now();
-
-        for hop in &dag.hops {
-            self.ensure_engine(bank, hop.src, hop.dst);
-        }
-
-        // Dataflow state: per-hop unmet-dependency counts and the reverse
-        // edges used to release dependents on delivery.
-        let mut remaining: Vec<usize> = dag.hops.iter().map(|h| h.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); dag.hops.len()];
-        for (i, h) in dag.hops.iter().enumerate() {
-            for &d in &h.deps {
-                dependents[d].push(i);
-            }
-        }
-
-        let mut posted: BTreeMap<HopKey, usize> = BTreeMap::new();
-        let mut deliveries: Vec<Option<SimTime>> = vec![None; dag.hops.len()];
-        let mut outstanding = 0usize;
-
-        let post = |engines: &mut BTreeMap<(usize, usize), Engine<PairDriver>>,
-                    posted: &mut BTreeMap<HopKey, usize>,
-                    hop_idx: usize|
-         -> Result<(), String> {
-            let h = &dag.hops[hop_idx];
-            let engine = engines.get_mut(&(h.src, h.dst)).expect("engine exists");
-            let id = engine
-                .post_send(h.bytes)
-                .map_err(|e| format!("hop {hop_idx} ({}->{}): {e}", h.src, h.dst))?;
-            posted.insert((h.src, h.dst, id), hop_idx);
-            Ok(())
-        };
-
-        for (i, r) in remaining.iter().enumerate() {
-            if *r == 0 {
-                post(&mut self.engines, &mut posted, i)?;
-                outstanding += 1;
-            }
-        }
-        debug_assert!(outstanding > 0, "a DAG has at least one root");
-
-        // Ids reported physically delivered whose completion record the
-        // engine has not *released* yet: per-flow in-order release may hold
-        // a completion until its flow predecessors finish, so
-        // `try_completion` can trail `poll`'s done list by a few events.
-        let mut done_queue: Vec<HopKey> = Vec::new();
-        let mut retry_queue_peak = 0usize;
-        while outstanding > 0 {
-            // Drain phase: deliver every event already routed to an inbox
-            // before touching the clock, releasing dependents as hops
-            // complete.
-            while let Some(poisoned) = self.drain_ready(&mut done_queue, &mut retry_queue_peak)? {
-                if let Some((pair, e)) = poisoned.first() {
-                    return Err(format!("poll {pair:?}: {e}"));
-                }
-                let mut ready: Vec<usize> = Vec::new();
-                for key in std::mem::take(&mut done_queue) {
-                    let engine = self.engines.get_mut(&(key.0, key.1)).expect("engine exists");
-                    let Some(completion) = engine.try_completion(key.2) else {
-                        done_queue.push(key);
-                        continue;
-                    };
-                    let hop_idx = posted.remove(&key).ok_or("untracked completion")?;
-                    deliveries[hop_idx] = Some(completion.delivered_at);
-                    outstanding -= 1;
-                    for &dep in &dependents[hop_idx] {
-                        remaining[dep] -= 1;
-                        if remaining[dep] == 0 {
-                            ready.push(dep);
-                        }
-                    }
-                }
-                ready.sort_unstable();
-                for hop_idx in ready {
-                    post(&mut self.engines, &mut posted, hop_idx)?;
-                    outstanding += 1;
-                }
-            }
-            if outstanding == 0 {
-                break;
-            }
-            if !self.cluster.pump_one() {
-                return Err(format!("calendar drained with {outstanding} hops outstanding"));
-            }
-        }
-
-        if deliveries.iter().any(Option::is_none) {
-            return Err("hop never delivered".into());
-        }
-        let stats = RunStats { retry_queue_peak, ..RunStats::default() };
-        Ok(RunResult::new(started_at, deliveries, dag.hops.clone(), stats))
-    }
-
-    /// The self-healing execution path: every posted hop carries a
-    /// deadline (watchdog), torn-out hops are retried with backoff on
-    /// their pair, and when retries cannot meet an obligation — typically
-    /// because an endpoint died — the run reaches quiescence and a repair
-    /// round replans the owed semantics over the survivors
-    /// ([`crate::repair`]), grafting the plan as fresh hop indices
-    /// (exactly-once: identities are never reused).
-    fn run_resilient(&mut self, bank: &mut ProfileBank, dag: &HopDag) -> Result<RunResult, String> {
+    /// Executes `dag` to completion, event-ordered. Fails when the
+    /// simulator's calendar drains while hops are still outstanding (a
+    /// malformed schedule), an engine rejects a post, or repair cannot
+    /// converge.
+    ///
+    /// On a healing cluster every posted hop carries a deadline (watchdog),
+    /// torn-out hops are retried with backoff on their pair, and when
+    /// retries cannot meet an obligation — typically because an endpoint
+    /// died — the run reaches quiescence and a repair round replans the
+    /// owed semantics over the survivors ([`crate::repair`]), grafting the
+    /// plan as fresh hop indices (exactly-once: identities are never
+    /// reused). Without healing the same loop runs with no deadline armed:
+    /// no hop is ever torn out, and an engine failure is fatal.
+    pub fn run(&mut self, bank: &mut ProfileBank, dag: &HopDag) -> Result<RunResult, String> {
         dag.check()?;
         let started_at = self.cluster.now();
         let n = dag.nodes;
@@ -463,7 +360,10 @@ impl CollectiveCluster {
                 while let Some(poisoned) =
                     self.drain_ready(&mut done_queue, &mut stats.retry_queue_peak)?
                 {
-                    for (pair, _) in poisoned {
+                    for (pair, e) in poisoned {
+                        if !self.healing {
+                            return Err(format!("poll {pair:?}: {e}"));
+                        }
                         // Poisoned engine (e.g. a chunk burned through
                         // every retry), already dropped: write off its live
                         // hops; repair re-plans the owed work and a fresh
@@ -595,8 +495,13 @@ impl CollectiveCluster {
                 }
             }
 
-            // Quiescent: every hop Done or Cancelled. Check the owed
-            // semantics over the survivors; an empty plan is completion.
+            // Quiescent: every hop Done or Cancelled — and without healing
+            // nothing was ever cancelled, so nothing is owed.
+            if !self.healing {
+                break;
+            }
+            // Check the owed semantics over the survivors; an empty plan
+            // is completion.
             let survivors: BTreeSet<usize> =
                 (0..n).filter(|&i| !self.cluster.node_is_down(i)).collect();
             stats.dead_nodes = n - survivors.len();
@@ -663,9 +568,9 @@ impl CollectiveCluster {
         Ok(RunResult::new(started_at, deliveries, hops, stats))
     }
 
-    /// Posts hop `i` on its pair's engine with a pinned watchdog deadline
-    /// (`TIMEOUT_FACTOR ×` the bank's uncontended prediction, doubled per
-    /// prior attempt).
+    /// Posts hop `i` on its pair's engine — on a healing cluster with a
+    /// watchdog deadline pinned on the calendar (`TIMEOUT_FACTOR ×` the
+    /// bank's uncontended prediction, doubled per prior attempt).
     fn post_watched(
         &mut self,
         bank: &mut ProfileBank,
@@ -675,7 +580,7 @@ impl CollectiveCluster {
         attempts: u32,
     ) -> Result<(), String> {
         let h = &hops[i];
-        let timeout = self.hop_timeout(bank, h, attempts);
+        let timeout = self.healing.then(|| self.hop_timeout(bank, h, attempts));
         let engine = self
             .engines
             .get_mut(&(h.src, h.dst))
@@ -683,8 +588,14 @@ impl CollectiveCluster {
         let id = engine
             .post_send(h.bytes)
             .map_err(|e| format!("hop {i} ({}->{}): {e}", h.src, h.dst))?;
-        let deadline = self.cluster.now() + timeout;
-        self.cluster.schedule_wakeup(deadline);
+        let deadline = match timeout {
+            Some(timeout) => {
+                let deadline = self.cluster.now() + timeout;
+                self.cluster.schedule_wakeup(deadline);
+                deadline
+            }
+            None => SimTime::FAR_FUTURE,
+        };
         watch.posted.insert((h.src, h.dst, id), i);
         watch.state[i] = HopState::Posted { id, deadline, attempts };
         watch.next_deadline = watch.next_deadline.min(deadline);

@@ -14,11 +14,11 @@
 
 use crate::transport::{ChunkId, ChunkSubmit, Transport, TransportEvent};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use nm_model::SimTime;
-use nm_runtime::{OffloadSnapshot, Tasklet, WorkerPool};
+use nm_runtime::{Tasklet, WorkerPool};
 use nm_sim::{CoreId, RailId};
 use nm_sync::atomic::{AtomicU64, Ordering};
+use nm_sync::mpsc::{channel, Receiver, Sender};
 use nm_sync::time::Instant;
 use nm_sync::{thread, Arc, Mutex};
 use std::time::Duration;
@@ -118,15 +118,15 @@ impl ShmemDriver {
     pub fn new(rails: Vec<ShmemRail>, cores: usize) -> Self {
         assert!(!rails.is_empty(), "need at least one rail");
         let epoch = Instant::now();
-        let (events_tx, events_rx) = unbounded();
-        let (delivery_tx, delivery_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
+        let (delivery_tx, delivery_rx) = channel();
         let stats = Arc::new(Mutex::new(ShmemStats::default()));
         let mut rail_tx = Vec::new();
         let mut rail_reserved = Vec::new();
         let mut outstanding = Vec::new();
         let mut receivers = Vec::new();
         for (i, rail) in rails.iter().enumerate() {
-            let (tx, rx): (Sender<WireMsg>, Receiver<WireMsg>) = unbounded();
+            let (tx, rx): (Sender<WireMsg>, Receiver<WireMsg>) = channel();
             let out = Arc::new(AtomicU64::new(0));
             let ev = events_tx.clone();
             let st = stats.clone();
@@ -182,11 +182,6 @@ impl ShmemDriver {
     /// Integrity statistics.
     pub fn stats(&self) -> ShmemStats {
         self.stats.lock().clone()
-    }
-
-    /// The worker pool's offload statistics (the measured T_O).
-    pub fn offload_stats(&self) -> Option<OffloadSnapshot> {
-        self.pool.stats().snapshot()
     }
 
     fn wall_ns(&self) -> u64 {

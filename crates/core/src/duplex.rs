@@ -21,10 +21,10 @@ use crate::predictor::{Predictor, RailView};
 use crate::strategy::StrategyKind;
 use crate::transport::Transport;
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use nm_proto::{unpack_aggregate, Packet, PacketKind, Reassembler, Sequencer};
 use nm_sampler::{sample_rail, SampleTransport, SamplingConfig};
 use nm_sim::RailId;
+use nm_sync::mpsc::Receiver;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 

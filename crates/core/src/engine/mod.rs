@@ -10,6 +10,14 @@
 //!   [`TransportEvent::RailIdle`] / [`TransportEvent::CoreIdle`];
 //! * chunk deliveries are folded back into message completions.
 //!
+//! Where a message stands is written in one place, its `MsgRecord` in the
+//! id-ordered `msgs` table: `Queued → Inflight → Held → Released`, or
+//! `Queued → Shed`, never backwards (diagram in DESIGN.md §7). `wait`,
+//! `try_completion` and `drain` claim a `Released` or `Shed` record by
+//! removing it, `cancel`/`abandon` remove a `Queued` or `Inflight` one, and
+//! an id without a record is unknown. `queue` keeps only the order of the
+//! `Queued` ones and what `kick` reads from every entry in a row.
+//!
 //! One file per layer of the figure, and one for what the figure lacks:
 //!
 //! * `post.rs` — the **application layer**: `post_*`, admission caps,
@@ -44,7 +52,7 @@ use nm_model::{SimDuration, SimTime};
 use nm_sim::RailId;
 use recovery::{RecentChunks, RetryEntry};
 use schedule::{ChunkOwner, ChunkRecord};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Message handle returned by [`Engine::post_send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -138,40 +146,60 @@ pub struct EngineStats {
     pub degraded_decisions: u64,
 }
 
+/// A queued message's place in line, with what `kick` reads from every
+/// entry in order (the sizes) and what only matters until it is scheduled.
 struct QueuedMsg {
     id: MsgId,
-    tag: u32,
-    flow_seq: u64,
     size: u64,
     payload: Option<Bytes>,
-    posted_at: SimTime,
     /// Absolute shed deadline (admission control); `None` never expires.
     deadline: Option<SimTime>,
 }
 
-struct InflightMsg {
+/// The one record of a live message, from post until it is claimed.
+struct MsgRecord {
     tag: u32,
     flow_seq: u64,
     size: u64,
     posted_at: SimTime,
-    chunks_total: usize,
-    chunks_done: usize,
-    layout: Vec<(RailId, u64)>,
+    state: MsgState,
 }
 
-impl InflightMsg {
-    /// `msg` leaving the queue as one chunk per `layout` entry.
-    fn new(msg: &QueuedMsg, layout: Vec<(RailId, u64)>) -> Self {
-        InflightMsg {
-            tag: msg.tag,
-            flow_seq: msg.flow_seq,
-            size: msg.size,
-            posted_at: msg.posted_at,
-            chunks_total: layout.len(),
-            chunks_done: 0,
-            layout,
-        }
-    }
+enum MsgState {
+    /// In `queue`, waiting for the strategy.
+    Queued,
+    /// On the wire as one chunk per `layout` entry.
+    Inflight { chunks_total: usize, chunks_done: usize, layout: Vec<(RailId, u64)> },
+    /// Physically delivered; its completion waits in the flow's sequencer
+    /// for the flow's earlier messages.
+    Held,
+    /// Released to the application in flow order, not yet claimed.
+    Released(MsgCompletion),
+    /// Dropped from the queue past its deadline; [`Engine::wait`] reports
+    /// [`EngineError::Shed`] once.
+    Shed,
+}
+
+/// One flow (tag): the sequence number its next post takes, and the
+/// sequencer that releases its completions in that order.
+struct Flow {
+    next_seq: u64,
+    release: nm_proto::Sequencer<MsgCompletion>,
+}
+
+/// How many live messages are in each state (see [`Engine::msg_census`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MsgCensus {
+    /// Waiting in the queue for the strategy.
+    pub queued: usize,
+    /// On the wire.
+    pub inflight: usize,
+    /// Delivered, held for flow order.
+    pub held: usize,
+    /// Released and not yet claimed.
+    pub released: usize,
+    /// Shed verdicts not yet claimed.
+    pub shed: usize,
 }
 
 /// All admission-control state, boxed behind an `Option` so an engine
@@ -182,9 +210,6 @@ struct Admission {
     pending_msgs: u64,
     /// Payload bytes currently pending.
     pending_bytes: u64,
-    /// Messages shed past their deadline; `wait` reports them as
-    /// [`EngineError::Shed`] exactly once.
-    shed: HashSet<MsgId>,
     /// Hysteresis-guarded degradation latch: while set, decisions come from
     /// `fallback` instead of the configured strategy.
     degraded: bool,
@@ -209,20 +234,17 @@ pub struct Engine<T: Transport> {
     transport: T,
     strategy: Box<dyn Strategy>,
     predictor: Predictor,
+    /// The `Queued` messages in the order the strategy sees them.
     queue: VecDeque<QueuedMsg>,
-    inflight: HashMap<MsgId, InflightMsg>,
+    /// One record per live message, in id (posted) order: the only answer
+    /// to "where is message m?".
+    msgs: BTreeMap<MsgId, MsgRecord>,
     /// One record per chunk on the wire, in id order: every scan over it
     /// (watchdog expiry, retraction) is deterministic by construction.
     chunks: BTreeMap<ChunkId, ChunkRecord>,
-    /// Completions released to the application (per-flow posted order).
-    completions: HashMap<MsgId, MsgCompletion>,
-    /// Per-tag release sequencers: a message physically delivered out of
-    /// order waits here until its flow predecessors complete.
-    flow_release: HashMap<u32, nm_proto::Sequencer<MsgCompletion>>,
-    /// Next sequence number to assign per tag.
-    flow_next_seq: HashMap<u32, u64>,
-    /// Messages physically done but held for flow ordering.
-    held: HashSet<MsgId>,
+    /// Per-tag flows: a message physically delivered out of order waits in
+    /// its flow's sequencer until its flow predecessors complete.
+    flows: HashMap<u32, Flow>,
     feedback: Feedback,
     /// When set, chunk payloads are framed as wire packets (header with
     /// flow/seq/offset/total) so a remote peer can reassemble and
@@ -291,12 +313,9 @@ impl<T: Transport> Engine<T> {
             strategy,
             predictor,
             queue: VecDeque::new(),
-            inflight: HashMap::new(),
+            msgs: BTreeMap::new(),
             chunks: BTreeMap::new(),
-            completions: HashMap::new(),
-            flow_release: HashMap::new(),
-            flow_next_seq: HashMap::new(),
-            held: HashSet::new(),
+            flows: HashMap::new(),
             feedback: Feedback::new(rails),
             framing: false,
             integrity: false,
@@ -389,7 +408,6 @@ impl<T: Transport> Engine<T> {
             cfg,
             pending_msgs: 0,
             pending_bytes: 0,
-            shed: HashSet::new(),
             degraded: false,
             fallback: BandwidthRatioSplit::new(),
         }));
@@ -514,15 +532,17 @@ impl<T: Transport> Engine<T> {
         Ok(false)
     }
 
+    /// One more chunk of `id` arrived; on the last one the message completes
+    /// and goes to its flow. Returns `true` iff it completed.
     fn note_chunk_done(&mut self, id: MsgId, at: SimTime) -> Result<bool, EngineError> {
-        let m = self.inflight.get_mut(&id).expect("chunk owner implies inflight");
-        m.chunks_done += 1;
-        if m.chunks_done < m.chunks_total {
+        let Some(m) = self.msgs.get_mut(&id) else { return Ok(false) };
+        let MsgState::Inflight { chunks_total, chunks_done, layout } = &mut m.state else {
+            return Ok(false);
+        };
+        *chunks_done += 1;
+        if *chunks_done < *chunks_total {
             return Ok(false);
         }
-        let m = self.inflight.remove(&id).expect("present");
-        self.stats.msgs_completed += 1;
-        self.stats.bytes_completed += m.size;
         let completion = MsgCompletion {
             id,
             tag: m.tag,
@@ -530,40 +550,45 @@ impl<T: Transport> Engine<T> {
             posted_at: m.posted_at,
             delivered_at: at,
             duration: at - m.posted_at,
-            chunks: m.layout,
+            chunks: std::mem::take(layout),
         };
-        self.release_flow(m.tag, m.flow_seq, m.size, Some(completion))?;
+        m.state = MsgState::Held;
+        let (tag, flow_seq, size) = (m.tag, m.flow_seq, m.size);
+        self.stats.msgs_completed += 1;
+        self.stats.bytes_completed += size;
+        self.release_flow(tag, flow_seq, size, Some(completion))?;
         Ok(true)
     }
 
     /// Whether `id` still has work ahead of it (queued or on the wire).
     fn is_pending(&self, id: MsgId) -> bool {
-        self.inflight.contains_key(&id) || self.queue.iter().any(|m| m.id == id)
+        matches!(
+            self.msgs.get(&id).map(|m| &m.state),
+            Some(MsgState::Queued | MsgState::Inflight { .. })
+        )
     }
 
-    /// Blocks (advancing the transport) until `id` completes.
+    /// Blocks (advancing the transport) until `id` completes. The record
+    /// goes with the answer: a completion or a [`EngineError::Shed`] verdict
+    /// is reported exactly once, and the id is unknown from then on.
     pub fn wait(&mut self, id: MsgId) -> Result<MsgCompletion, EngineError> {
         loop {
-            if let Some(c) = self.completions.remove(&id) {
-                return Ok(c);
-            }
-            if let Some(adm) = self.admission.as_mut() {
-                if adm.shed.remove(&id) {
-                    // Reported exactly once; a second wait is UnknownMessage.
-                    return Err(EngineError::Shed(id.0));
+            match self.msgs.get(&id).map(|m| &m.state) {
+                // Never posted, removed, or claimed before.
+                None => return Err(EngineError::UnknownMessage(id.0)),
+                Some(MsgState::Released(_) | MsgState::Shed) => {
+                    return match self.msgs.remove(&id).map(|m| m.state) {
+                        Some(MsgState::Released(c)) => Ok(c),
+                        _ => Err(EngineError::Shed(id.0)),
+                    };
                 }
-            }
-            if !self.is_pending(id) && !self.held.contains(&id) {
-                return Err(EngineError::UnknownMessage(id.0));
+                Some(_) => {}
             }
             let made_progress = !self.poll()?.is_empty();
             if !made_progress && self.transport_quiescent() {
                 // Nothing in flight: the strategy must act now or never.
                 self.kick()?;
-                if self.transport_quiescent()
-                    && !self.completions.contains_key(&id)
-                    && self.is_pending(id)
-                {
+                if self.transport_quiescent() && self.is_pending(id) {
                     return Err(EngineError::Transport(format!(
                         "deadlock: transport quiescent but message {} incomplete",
                         id.0
@@ -573,26 +598,25 @@ impl<T: Transport> Engine<T> {
         }
     }
 
-    /// Runs until every posted message completes; returns every completion
-    /// nobody has claimed yet — those an earlier [`Self::poll`] or
-    /// [`Self::wait`] already released included — in id (posted) order.
-    /// Messages shed past their deadline while draining are skipped, not
-    /// errors.
-    // nm-analyzer: allow(determinism-taint) -- ids are collected then sort_unstable'd; wait order is id order
+    /// Runs until every posted message completes and claims everything:
+    /// returns every completion nobody has claimed yet — those an earlier
+    /// [`Self::poll`] or [`Self::wait`] already released included — in id
+    /// (posted) order. Shed verdicts, whether reached while draining or
+    /// left unclaimed from before, are forgotten, not errors: afterwards
+    /// the engine remembers no message.
     #[must_use = "dropping the completions loses delivery results; at minimum check for errors"]
     pub fn drain(&mut self) -> Result<Vec<MsgCompletion>, EngineError> {
-        let mut ids: Vec<MsgId> = self.queue.iter().map(|m| m.id).collect();
-        ids.extend(self.inflight.keys().copied());
-        ids.extend(self.held.iter().copied());
-        ids.extend(self.completions.keys().copied());
-        ids.sort_unstable();
-        ids.into_iter()
-            .filter_map(|id| match self.wait(id) {
-                Ok(c) => Some(Ok(c)),
-                Err(EngineError::Shed(_)) => None,
-                Err(e) => Some(Err(e)),
-            })
-            .collect()
+        let mut claimed = Vec::new();
+        // Every answer `wait` gives below takes its record along, so the
+        // oldest record left is always the next to wait for.
+        while let Some((&id, _)) = self.msgs.first_key_value() {
+            match self.wait(id) {
+                Ok(c) => claimed.push(c),
+                Err(EngineError::Shed(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(claimed)
     }
 
     fn transport_quiescent(&self) -> bool {
@@ -601,7 +625,26 @@ impl<T: Transport> Engine<T> {
 
     /// Takes an already-recorded completion without blocking.
     pub fn try_completion(&mut self, id: MsgId) -> Option<MsgCompletion> {
-        self.completions.remove(&id)
+        match self.msgs.get(&id)?.state {
+            // `wait` claims a released message without touching the transport.
+            MsgState::Released(_) => self.wait(id).ok(),
+            _ => None,
+        }
+    }
+
+    /// How many live messages stand in each state, counted off the table.
+    pub fn msg_census(&self) -> MsgCensus {
+        let mut census = MsgCensus::default();
+        for m in self.msgs.values() {
+            *match m.state {
+                MsgState::Queued => &mut census.queued,
+                MsgState::Inflight { .. } => &mut census.inflight,
+                MsgState::Held => &mut census.held,
+                MsgState::Released(_) => &mut census.released,
+                MsgState::Shed => &mut census.shed,
+            } += 1;
+        }
+        census
     }
 
     /// Prediction-accuracy statistics accumulated so far.
@@ -648,5 +691,80 @@ impl<T: Transport> Engine<T> {
     /// Current predictor generation (bumped on every predictor swap).
     pub fn predictor_epoch(&self) -> u64 {
         self.predictor_epoch
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::sim::SimDriver;
+    use crate::session::Session;
+    use crate::strategy::StrategyKind;
+    use nm_model::units::{KIB, MIB};
+
+    fn engine(kind: StrategyKind) -> Engine<SimDriver> {
+        let predictor = Session::builder().build_sim().predictor().clone();
+        Engine::new(SimDriver::paper_testbed(), predictor, kind.build()).unwrap()
+    }
+
+    fn poll_until(e: &mut Engine<SimDriver>, reached: impl Fn(MsgCensus) -> bool) {
+        for _ in 0..10_000 {
+            if reached(e.msg_census()) {
+                return;
+            }
+            let _ = e.poll().unwrap();
+        }
+        panic!("never reached: {:?}", e.msg_census());
+    }
+
+    #[test]
+    fn a_claimed_completion_and_a_claimed_shed_verdict_are_both_forgotten() {
+        // Greedy defers while both NICs are busy, so the third post stays
+        // queued past its deadline.
+        let mut e = engine(StrategyKind::GreedyBalance)
+            .with_admission_control(AdmissionConfig::default())
+            .unwrap();
+        let first = e.post_send(4 * MIB).unwrap();
+        let _second = e.post_send(4 * MIB).unwrap();
+        let doomed = e.post_send_with_deadline(4 * KIB, SimDuration::from_micros(1)).unwrap();
+        assert_eq!(e.msg_census(), MsgCensus { queued: 1, inflight: 2, ..Default::default() });
+        poll_until(&mut e, |c| c.shed == 1);
+        assert_eq!(e.try_completion(doomed), None, "a shed verdict is not a completion");
+        assert!(matches!(e.wait(doomed), Err(EngineError::Shed(id)) if id == doomed.0));
+        assert!(matches!(e.wait(doomed), Err(EngineError::UnknownMessage(_))));
+        assert_eq!(e.wait(first).unwrap().id, first);
+        assert!(matches!(e.wait(first), Err(EngineError::UnknownMessage(_))));
+        assert_eq!(e.try_completion(first), None);
+    }
+
+    #[test]
+    fn cancel_refuses_a_message_that_is_already_delivered() {
+        // Shortest-first wires the small message ahead of the big one; it
+        // is delivered first and held for the flow's posted order.
+        let mut e = engine(StrategyKind::ShortestFirst);
+        let ids = e.post_send_batch(&[4 * MIB, 2 * KIB]).unwrap();
+        poll_until(&mut e, |c| c.held == 1);
+        assert!(!e.cancel(ids[1]).unwrap(), "held");
+        poll_until(&mut e, |c| c.released == 2);
+        assert!(!e.cancel(ids[0]).unwrap(), "released");
+        assert!(!e.cancel(ids[1]).unwrap(), "released");
+        assert_eq!(e.stats().cancelled, 0);
+        assert_eq!(e.msg_census(), MsgCensus { released: 2, ..Default::default() });
+    }
+
+    #[test]
+    fn drain_returns_id_order_whatever_order_the_flows_released_in() {
+        let mut e = engine(StrategyKind::SingleRail(None));
+        let long = e.post_send_tagged(8 * MIB, 1).unwrap();
+        let short = e.post_send_tagged(4 * KIB, 2).unwrap();
+        let mut done = Vec::new();
+        while done.is_empty() {
+            done = e.poll().unwrap();
+        }
+        assert_eq!(done, [short], "the younger id, on its own flow, is released first");
+        assert_eq!(e.msg_census(), MsgCensus { inflight: 1, released: 1, ..Default::default() });
+        let ids: Vec<MsgId> = e.drain().unwrap().iter().map(|c| c.id).collect();
+        assert_eq!(ids, [long, short]);
+        assert_eq!(e.msg_census(), MsgCensus::default());
     }
 }

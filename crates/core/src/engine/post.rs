@@ -3,7 +3,9 @@
 //! their flow — completed, shed or cancelled — through `release_flow`.
 
 use super::schedule::ChunkOwner;
-use super::{Engine, MsgCompletion, MsgId, QueuedMsg, FLOW_REORDER_WINDOW};
+use super::{
+    Engine, Flow, MsgCompletion, MsgId, MsgRecord, MsgState, QueuedMsg, FLOW_REORDER_WINDOW,
+};
 use crate::admission::Backpressure;
 use crate::error::EngineError;
 use crate::transport::{ChunkId, Transport};
@@ -85,8 +87,9 @@ impl<T: Transport> Engine<T> {
         Ok(id)
     }
 
-    // nm-analyzer: allow(unbounded-growth) -- one queue entry and one flow slot per posted
-    // message; the queue drains every kick and shed_expired evicts overdue posts
+    // nm-analyzer: allow(unbounded-growth) -- one queue entry and one record per posted message,
+    // one flow per active tag; the queue drains every kick, shed_expired evicts overdue posts,
+    // and a record lives until wait/try_completion claims it or drain claims them all
     fn enqueue(
         &mut self,
         size: u64,
@@ -122,10 +125,14 @@ impl<T: Transport> Engine<T> {
         };
         let id = MsgId(self.next_msg);
         self.next_msg += 1;
-        let seq = self.flow_next_seq.entry(tag).or_insert(0);
-        let flow_seq = *seq;
-        *seq += 1;
-        self.queue.push_back(QueuedMsg { id, tag, flow_seq, size, payload, posted_at, deadline });
+        let flow = self.flows.entry(tag).or_insert_with(|| Flow {
+            next_seq: 0,
+            release: nm_proto::Sequencer::new(FLOW_REORDER_WINDOW),
+        });
+        let flow_seq = flow.next_seq;
+        flow.next_seq += 1;
+        self.queue.push_back(QueuedMsg { id, size, payload, deadline });
+        self.msgs.insert(id, MsgRecord { tag, flow_seq, size, posted_at, state: MsgState::Queued });
         Ok(id)
     }
 
@@ -157,25 +164,22 @@ impl<T: Transport> Engine<T> {
     /// messages release their flow slot (successors must not stall) and are
     /// reported by [`Engine::wait`] as [`EngineError::Shed`].
     pub(super) fn shed_expired(&mut self, now: SimTime) -> Result<(), EngineError> {
-        let overdue: Vec<usize> = self
-            .queue
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.deadline.is_some_and(|d| d <= now))
-            .map(|(at, _)| at)
-            .collect();
-        // Taken out back to front, so the positions still to come stay valid.
-        let mut victims: Vec<QueuedMsg> =
-            overdue.into_iter().rev().filter_map(|at| self.queue.remove(at)).collect();
+        let overdue = |m: &QueuedMsg| m.deadline.is_some_and(|d| d <= now);
+        let mut victims: Vec<MsgId> =
+            self.queue.iter().filter(|m| overdue(m)).map(|m| m.id).collect();
+        if victims.is_empty() {
+            return Ok(());
+        }
+        self.queue.retain(|m| !overdue(m));
         // Ids are assigned in posted order, so id order is oldest first
         // (a promotion may have moved a younger message ahead in the queue).
-        victims.sort_unstable_by_key(|m| m.id);
-        for msg in victims {
-            if let Some(adm) = self.admission.as_mut() {
-                adm.shed.insert(msg.id);
-            }
+        victims.sort_unstable();
+        for id in victims {
+            let Some(m) = self.msgs.get_mut(&id) else { continue };
+            m.state = MsgState::Shed;
+            let (tag, flow_seq, size) = (m.tag, m.flow_seq, m.size);
             self.stats.msgs_shed += 1;
-            self.release_flow(msg.tag, msg.flow_seq, msg.size, None)?;
+            self.release_flow(tag, flow_seq, size, None)?;
         }
         Ok(())
     }
@@ -187,36 +191,40 @@ impl<T: Transport> Engine<T> {
     /// others, or a chunk is mid-retry — cancellation fails and the message
     /// completes normally. Returns `true` iff the message was removed.
     pub fn cancel(&mut self, id: MsgId) -> Result<bool, EngineError> {
-        let (tag, flow_seq, size) = if let Some(pos) = self.queue.iter().position(|m| m.id == id) {
-            let msg = self.queue.remove(pos).expect("position found");
-            (msg.tag, msg.flow_seq, msg.size)
-        } else {
-            let Some(m) = self.inflight.get(&id) else {
-                return Ok(false); // held, completed or unknown
-            };
-            if m.chunks_done > 0 {
-                return Ok(false); // partially delivered: too late
+        match self.msgs.get(&id).map(|m| &m.state) {
+            Some(MsgState::Queued) => self.queue.retain(|m| m.id != id),
+            Some(&MsgState::Inflight { chunks_total, chunks_done, .. }) => {
+                if chunks_done > 0 {
+                    return Ok(false); // partially delivered: too late
+                }
+                // Fewer owned chunks than the ledger expects means some are
+                // packed with other messages or parked in the retry queue —
+                // unretractable.
+                let chunks = self.chunks_of(id);
+                if chunks.len() != chunks_total {
+                    return Ok(false);
+                }
+                if !self.transport.cancel_chunks(&chunks) {
+                    return Ok(false); // transport already started moving bytes
+                }
+                for c in &chunks {
+                    self.chunks.remove(c);
+                }
             }
-            // Fewer owned chunks than the ledger expects means some are
-            // packed with other messages or parked in the retry queue —
-            // unretractable.
-            let chunks = self.chunks_of(id);
-            if chunks.len() != m.chunks_total {
-                return Ok(false);
-            }
-            if !self.transport.cancel_chunks(&chunks) {
-                return Ok(false); // transport already started moving bytes
-            }
-            for c in &chunks {
-                self.chunks.remove(c);
-            }
-            let m = self.inflight.remove(&id).expect("checked above");
-            (m.tag, m.flow_seq, m.size)
-        };
-        // The flow must not stall waiting for the cancelled sequence.
-        self.release_flow(tag, flow_seq, size, None)?;
+            _ => return Ok(false), // held, released, shed or unknown
+        }
+        self.remove_from_flow(id)?;
         self.stats.cancelled += 1;
         Ok(true)
+    }
+
+    /// Forgets a message that will never complete here, and skips its flow
+    /// slot so the flow does not stall waiting for it.
+    pub(super) fn remove_from_flow(&mut self, id: MsgId) -> Result<(), EngineError> {
+        match self.msgs.remove(&id) {
+            Some(m) => self.release_flow(m.tag, m.flow_seq, m.size, None),
+            None => Ok(()),
+        }
     }
 
     /// The chunks on the wire that carry `id` alone (not packs), in id
@@ -233,14 +241,11 @@ impl<T: Transport> Engine<T> {
     /// the engine's hands: its admission budget is returned (each message
     /// releases exactly once) and its flow slot settled. `Some(completion)`
     /// accepts a physically delivered message in posted order — it waits
-    /// (`held`) until its flow predecessors are out, so rail races and
+    /// (`Held`) until its flow predecessors are out, so rail races and
     /// reordering strategies stay invisible to the application; `None`
     /// skips the slot of a message that will never complete, so its
-    /// successors do not wait for it. Whatever became releasable moves to
-    /// `completions`.
-    // nm-analyzer: allow(unbounded-growth) -- one sequencer per active tag; completions hold one
-    // record per posted message until wait/try_completion claims it or drain claims them all;
-    // held is capped per flow by the sequencer's reorder window
+    /// successors do not wait for it. Whatever became releasable is
+    /// `Released`.
     pub(super) fn release_flow(
         &mut self,
         tag: u32,
@@ -252,21 +257,18 @@ impl<T: Transport> Engine<T> {
             adm.pending_msgs = adm.pending_msgs.saturating_sub(1);
             adm.pending_bytes = adm.pending_bytes.saturating_sub(size);
         }
-        let sequencer = self
-            .flow_release
-            .entry(tag)
-            .or_insert_with(|| nm_proto::Sequencer::new(FLOW_REORDER_WINDOW));
+        let Some(flow) = self.flows.get_mut(&tag) else {
+            return Err(EngineError::Transport(format!("flow release: no flow {tag}")));
+        };
         let released = match completion {
-            Some(c) => {
-                self.held.insert(c.id);
-                sequencer.accept(flow_seq, c)
-            }
-            None => sequencer.skip(flow_seq),
+            Some(c) => flow.release.accept(flow_seq, c),
+            None => flow.release.skip(flow_seq),
         }
         .map_err(|e| EngineError::Transport(format!("flow release: {e}")))?;
         for c in released {
-            self.held.remove(&c.id);
-            self.completions.insert(c.id, c);
+            if let Some(m) = self.msgs.get_mut(&c.id) {
+                m.state = MsgState::Released(c);
+            }
         }
         Ok(())
     }

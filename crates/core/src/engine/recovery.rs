@@ -5,7 +5,7 @@
 //! [`Engine::with_fault_tolerance`].
 
 use super::schedule::{ChunkMeta, ChunkOwner, Lineage};
-use super::{publish, Engine, MsgId};
+use super::{publish, Engine, MsgId, MsgRecord, MsgState};
 use crate::error::EngineError;
 use crate::health::{HealthConfig, RailState};
 use crate::predictor::Predictor;
@@ -296,7 +296,10 @@ impl<T: Transport> Engine<T> {
             return Ok(());
         }
         let RetryEntry { owner, meta, .. } = entry;
-        if !owner.msgs().iter().any(|id| self.inflight.contains_key(id)) {
+        let on_wire = |id: &MsgId| {
+            matches!(self.msgs.get(id), Some(MsgRecord { state: MsgState::Inflight { .. }, .. }))
+        };
+        if !owner.msgs().iter().any(on_wire) {
             return Ok(()); // cancelled or abandoned while the retry waited
         }
         let candidates: InlineVec<(RailId, f64), MAX_RAILS> = (0..self.transport.rail_count())
@@ -325,11 +328,15 @@ impl<T: Transport> Engine<T> {
             if parts.iter().any(|&(r, _)| r != from_rail) {
                 self.stats.failovers += 1;
             }
-            let m = self.inflight.get_mut(&id).expect("checked above");
-            let appended_from = m.layout.len();
-            m.chunks_total += parts.len() - 1;
-            m.layout[lineage.layout_idx] = parts[0];
-            m.layout.extend_from_slice(&parts[1..]);
+            let Some(MsgRecord { state: MsgState::Inflight { chunks_total, layout, .. }, .. }) =
+                self.msgs.get_mut(&id)
+            else {
+                return Ok(());
+            };
+            let appended_from = layout.len();
+            *chunks_total += parts.len() - 1;
+            layout[lineage.layout_idx] = parts[0];
+            layout.extend_from_slice(&parts[1..]);
             for (i, &(rail, part_bytes)) in parts.iter().enumerate() {
                 let layout_idx = if i == 0 { lineage.layout_idx } else { appended_from + i - 1 };
                 self.stats.chunks_submitted += 1;
@@ -355,10 +362,12 @@ impl<T: Transport> Engine<T> {
         }
         let pack = matches!(owner, ChunkOwner::Pack(_));
         for id in owner.msgs() {
-            if let Some(m) = self.inflight.get_mut(id) {
+            if let Some(MsgRecord { state: MsgState::Inflight { layout, .. }, .. }) =
+                self.msgs.get_mut(id)
+            {
                 // A pack member keeps reporting its own size on the new
                 // rail; a lone chunk reports what goes on the wire.
-                let slot = &mut m.layout[lineage.layout_idx];
+                let slot = &mut layout[lineage.layout_idx];
                 *slot = (rail, if pack { slot.1 } else { bytes });
             }
         }
@@ -394,8 +403,8 @@ impl<T: Transport> Engine<T> {
         if self.cancel(id)? {
             return Ok(true);
         }
-        if !self.inflight.contains_key(&id) {
-            return Ok(false); // held, completed, or unknown: it will complete
+        if !self.is_pending(id) {
+            return Ok(false); // held, released, shed or unknown: nothing left to tear out
         }
         let chunks = self.chunks_of(id);
         // Without the fault layer there is no memory of abandoned chunks to
@@ -418,8 +427,7 @@ impl<T: Transport> Engine<T> {
             }
         }
         ft.retries.retain(|r| !parked(r));
-        let m = self.inflight.remove(&id).expect("checked above");
-        self.release_flow(m.tag, m.flow_seq, m.size, None)?;
+        self.remove_from_flow(id)?;
         self.stats.msgs_abandoned += 1;
         Ok(true)
     }

@@ -4,7 +4,7 @@
 //! each on the wire and opens its [`ChunkRecord`].
 
 use super::recovery::watchdog_deadline;
-use super::{Engine, InflightMsg, MsgId, QueuedMsg};
+use super::{Engine, MsgId, MsgState, QueuedMsg};
 use crate::error::EngineError;
 use crate::predictor::Predictor;
 use crate::strategy::{Action, ChunkList, Ctx, Strategy};
@@ -195,8 +195,6 @@ impl<T: Transport> Engine<T> {
         Ok(())
     }
 
-    // nm-analyzer: allow(unbounded-growth) -- one in-flight entry per live message, removed on
-    // completion, cancellation or abandonment
     fn apply_split(&mut self, chunks: ChunkList) -> Result<(), EngineError> {
         let head = self.queue.front().expect("kick checked non-empty");
         if chunks.is_empty() {
@@ -218,7 +216,7 @@ impl<T: Transport> Engine<T> {
 
         let msg = self.queue.pop_front().expect("validated above");
         let layout = chunks.iter().map(|c| (c.rail, c.bytes)).collect();
-        self.inflight.insert(msg.id, InflightMsg::new(&msg, layout));
+        let (tag, flow_seq) = self.put_inflight(msg.id, layout);
 
         let mut offset = 0u64;
         for (chunk_index, c) in chunks.into_iter().enumerate() {
@@ -229,8 +227,8 @@ impl<T: Transport> Engine<T> {
                     let packet = nm_proto::Packet::new(
                         nm_proto::PacketHeader {
                             kind: nm_proto::PacketKind::Eager,
-                            flow: msg.tag,
-                            msg_id: msg.flow_seq,
+                            flow: tag,
+                            msg_id: flow_seq,
                             offset,
                             total_len: msg.size,
                             chunk_index: chunk_index as u32,
@@ -262,8 +260,6 @@ impl<T: Transport> Engine<T> {
         Ok(())
     }
 
-    // nm-analyzer: allow(unbounded-growth) -- one in-flight entry per live packed message,
-    // removed when the pack delivers
     fn apply_aggregate(&mut self, count: usize, rail: RailId) -> Result<(), EngineError> {
         if count == 0 || count > self.queue.len() {
             return Err(EngineError::BadPlan(format!(
@@ -276,36 +272,30 @@ impl<T: Transport> Engine<T> {
 
         // Wire size of the pack, and the packed payload when bytes exist.
         let pack_bytes: u64 = msgs.iter().map(|m| m.size + ENTRY_OVERHEAD as u64).sum();
-        let all_have_payloads = msgs.iter().all(|m| m.payload.is_some());
-        let payload = if all_have_payloads {
-            let mut agg = Aggregator::new(pack_bytes as usize + 1);
-            for m in &msgs {
-                let ok = agg.push(AggEntry {
-                    flow: m.tag,
-                    msg_id: m.flow_seq,
-                    data: m.payload.clone().expect("checked"),
-                });
+        let mut agg = msgs
+            .iter()
+            .all(|m| m.payload.is_some())
+            .then(|| Aggregator::new(pack_bytes as usize + 1));
+        for m in &msgs {
+            let (flow, msg_id) = self.put_inflight(m.id, vec![(rail, m.size)]);
+            if let (Some(agg), Some(data)) = (agg.as_mut(), m.payload.clone()) {
+                let ok = agg.push(AggEntry { flow, msg_id, data });
                 debug_assert!(ok, "budget sized to fit all entries");
             }
-            // With framing on, the receiver needs the pack header to
-            // dispatch to unpack_aggregate, and the segments are gathered
-            // straight into the wire buffer; otherwise the bare pack
-            // payload suffices for integrity checking.
-            agg.flush_segments(self.next_pack).map(|pack| {
-                if self.framing {
-                    pack.encode(self.integrity)
-                } else {
-                    pack.into_packet().payload
-                }
-            })
-        } else {
-            None
-        };
+        }
+        // With framing on, the receiver needs the pack header to dispatch to
+        // unpack_aggregate, and the segments are gathered straight into the
+        // wire buffer; otherwise the bare pack payload suffices for
+        // integrity checking.
+        let payload = agg.and_then(|mut agg| agg.flush_segments(self.next_pack)).map(|pack| {
+            if self.framing {
+                pack.encode(self.integrity)
+            } else {
+                pack.into_packet().payload
+            }
+        });
         self.next_pack += 1;
 
-        for m in &msgs {
-            self.inflight.insert(m.id, InflightMsg::new(m, vec![(rail, m.size)]));
-        }
         self.stats.packs_submitted += 1;
         self.stats.msgs_aggregated += count as u64;
         self.stats.chunks_submitted += 1;
@@ -315,6 +305,14 @@ impl<T: Transport> Engine<T> {
         let ids = msgs.iter().map(|m| m.id).collect();
         self.submit_chunk(ChunkOwner::Pack(ids), submit, Lineage::default());
         Ok(())
+    }
+
+    /// `id` leaves the queue as one chunk per `layout` entry. Returns the
+    /// flow coordinates `(tag, flow_seq)` its wire headers carry.
+    fn put_inflight(&mut self, id: MsgId, layout: Vec<(RailId, u64)>) -> (u32, u64) {
+        let m = self.msgs.get_mut(&id).expect("a queued message has a record");
+        m.state = MsgState::Inflight { chunks_total: layout.len(), chunks_done: 0, layout };
+        (m.tag, m.flow_seq)
     }
 
     /// The one way onto the wire: predicts the chunk's completion, keeps a

@@ -128,8 +128,7 @@ impl Predictor {
     // CostModel trait; callers wrap at the API boundary
     #[must_use]
     pub fn completion_us(&self, rail: RailId, bytes: u64, wait_us: f64) -> f64 {
-        // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
-        wait_us.max(0.0) + self.rails[rail.index()].natural.predict_us(bytes)
+        wait_us.max(0.0) + self.rail(rail).natural.predict_us(bytes)
     }
 
     /// The rail with the lowest predicted completion for sending `bytes`
@@ -172,12 +171,10 @@ impl CostModel for NaturalCost<'_> {
         self.p.rails.len()
     }
     fn time_us(&self, rail: RailId, bytes: u64) -> f64 {
-        // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
-        self.p.rails[rail.index()].natural.predict_us(bytes)
+        self.p.rail(rail).natural.predict_us(bytes)
     }
     fn bytes_within(&self, rail: RailId, budget_us: f64) -> u64 {
-        // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
-        self.p.rails[rail.index()].natural.bytes_within_us(budget_us)
+        self.p.rail(rail).natural.bytes_within_us(budget_us)
     }
     fn marginal_rate(&self, rail: RailId, bytes: u64) -> f64 {
         self.p.rail(rail).natural.marginal_rate(bytes)
@@ -195,12 +192,10 @@ impl CostModel for EagerCost<'_> {
         self.p.rails.len()
     }
     fn time_us(&self, rail: RailId, bytes: u64) -> f64 {
-        // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
-        self.p.rails[rail.index()].eager.predict_us(bytes)
+        self.p.rail(rail).eager.predict_us(bytes)
     }
     fn bytes_within(&self, rail: RailId, budget_us: f64) -> u64 {
-        // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
-        self.p.rails[rail.index()].eager.bytes_within_us(budget_us)
+        self.p.rail(rail).eager.bytes_within_us(budget_us)
     }
     fn marginal_rate(&self, rail: RailId, bytes: u64) -> f64 {
         self.p.rail(rail).eager.marginal_rate(bytes)

@@ -83,23 +83,12 @@ impl Session {
     pub fn predictor(&self) -> &Predictor {
         self.engine.predictor()
     }
-
-    /// The underlying engine, for advanced use.
-    pub fn engine_mut(&mut self) -> &mut Engine<Box<dyn Transport>> {
-        &mut self.engine
-    }
 }
 
 impl SessionBuilder {
     /// Selects a built-in strategy (default: [`StrategyKind::HeteroSplit`]).
     pub fn strategy(mut self, kind: StrategyKind) -> Self {
         self.strategy = Some(kind.build());
-        self
-    }
-
-    /// Installs a custom strategy plug-in.
-    pub fn custom_strategy(mut self, strategy: Box<dyn Strategy>) -> Self {
-        self.strategy = Some(strategy);
         self
     }
 

@@ -16,8 +16,6 @@ use crate::strategy::{Action, ChunkList, ChunkPlan, Ctx, Strategy};
 /// Sampling-driven hetero split.
 #[derive(Debug, Clone)]
 pub struct HeteroSplit {
-    /// Cap on participating rails (`usize::MAX`: all useful rails).
-    pub max_chunks: usize,
     /// Memoized selection+split results (exact-match, epoch-invalidated).
     cache: PlanCache,
 }
@@ -25,13 +23,7 @@ pub struct HeteroSplit {
 impl HeteroSplit {
     /// Default hetero split: as many rails as are useful.
     pub fn new() -> Self {
-        HeteroSplit { max_chunks: usize::MAX, cache: PlanCache::new(Self::CACHE_ID) }
-    }
-
-    /// Caps the number of chunks (used by ablations).
-    pub fn with_max_chunks(max_chunks: usize) -> Self {
-        assert!(max_chunks >= 1);
-        HeteroSplit { max_chunks, cache: PlanCache::new(Self::CACHE_ID) }
+        HeteroSplit { cache: PlanCache::new(Self::CACHE_ID) }
     }
 
     /// Strategy id namespacing this plug-in's plan cache.
@@ -56,7 +48,7 @@ impl Strategy for HeteroSplit {
 
     fn decide(&mut self, ctx: &Ctx<'_>) -> Action {
         let size = ctx.head_size();
-        let cap = self.max_chunks.min(ctx.predictor.rail_count()).max(1);
+        let cap = ctx.predictor.rail_count().max(1);
         let split =
             match self.cache.lookup(ctx.predictor_epoch, cap as u64, size, ctx.rail_waits_us) {
                 Some(cached) => cached,
@@ -135,15 +127,6 @@ mod tests {
             Action::Split(chunks) => {
                 assert_eq!(chunks.len(), 2, "fast rail busy for 200us still helps");
             }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn chunk_cap_is_honored() {
-        let mut s = HeteroSplit::with_max_chunks(1);
-        match decide_with(&mut s, vec![0.0, 0.0], vec![0], &[4 << 20]) {
-            Action::Split(chunks) => assert_eq!(chunks.len(), 1),
             other => panic!("{other:?}"),
         }
     }

@@ -17,21 +17,16 @@ use crate::strategy::{Action, Ctx, Strategy};
 /// than the head, then delegates to `inner`.
 pub struct ShortestFirst {
     inner: Box<dyn Strategy>,
-    /// Promote only when `smallest * factor <= head` (hysteresis against
-    /// churn); 4 by default.
-    pub factor: u64,
 }
 
-impl ShortestFirst {
-    /// Wraps `inner` with shortest-first reordering (factor 4).
-    pub fn new(inner: Box<dyn Strategy>) -> Self {
-        ShortestFirst { inner, factor: 4 }
-    }
+/// Promote only when `smallest * PROMOTE_FACTOR <= head` (hysteresis against
+/// churn).
+const PROMOTE_FACTOR: u64 = 4;
 
-    /// Custom promotion factor (≥ 1).
-    pub fn with_factor(inner: Box<dyn Strategy>, factor: u64) -> Self {
-        assert!(factor >= 1);
-        ShortestFirst { inner, factor }
+impl ShortestFirst {
+    /// Wraps `inner` with shortest-first reordering.
+    pub fn new(inner: Box<dyn Strategy>) -> Self {
+        ShortestFirst { inner }
     }
 }
 
@@ -45,7 +40,7 @@ impl Strategy for ShortestFirst {
         if let Some((index, &size)) =
             ctx.queued_sizes.iter().enumerate().skip(1).min_by_key(|&(_, &s)| s)
         {
-            if size.saturating_mul(self.factor) <= head {
+            if size.saturating_mul(PROMOTE_FACTOR) <= head {
                 return Action::Promote { index };
             }
         }
@@ -91,12 +86,5 @@ mod tests {
         let mut s = sjf();
         let action = decide_with(&mut s, vec![0.0, 0.0], vec![0], &[1 << 20]);
         assert!(matches!(action, Action::Split(_)));
-    }
-
-    #[test]
-    fn factor_one_promotes_any_strictly_smaller() {
-        let mut s = ShortestFirst::with_factor(Box::new(HeteroSplit::new()), 1);
-        let action = decide_with(&mut s, vec![0.0, 0.0], vec![0], &[1000, 999]);
-        assert_eq!(action, Action::Promote { index: 1 });
     }
 }

@@ -18,6 +18,12 @@
 //! field (chunk layout included); and at the end the `EngineStats`, the
 //! per-rail `Feedback` (bit patterns), the rail health states and the
 //! replicated decision state.
+//!
+//! Beside the digest (and never fed into it), every scripted operation is
+//! followed by an audit of [`Engine::msg_census`] against what the script
+//! itself knows: each id it was handed and has not seen leave stands in
+//! exactly one state, and the messages with work ahead of them are the ones
+//! admission control counts as pending.
 
 use bytes::Bytes;
 use nm_core::driver::faulty::FaultSimDriver;
@@ -161,6 +167,16 @@ fn earlier(rng: &mut StdRng, known: &[MsgId], window: usize) -> Option<MsgId> {
     (!known.is_empty()).then(|| known[rng.random_range(from..known.len())])
 }
 
+/// The per-message state table, held against the script's own bookkeeping:
+/// `live` ids were handed out (or left queued by a batch that failed
+/// half-way) and have not been claimed, cancelled or abandoned since.
+fn audit(e: &Engine<FaultSimDriver>, live: usize) {
+    let c = e.msg_census();
+    assert_eq!(c.queued + c.inflight + c.held + c.released + c.shed, live, "{c:?}");
+    let (pending, _) = e.admission_pending().expect("admission is on");
+    assert_eq!((c.queued + c.inflight) as u64, pending, "{c:?}");
+}
+
 /// Forty phases of: a seeded burst of posts through every entry point, a
 /// seeded cancel and abandon of some earlier message, a seeded number of
 /// polls, and now and then a wait — then drain.
@@ -169,6 +185,9 @@ fn run(predictor: &Predictor, seed: u64, kind: StrategyKind, framed: bool) -> (u
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut e = engine(predictor, seed, kind, framed);
     let mut known: Vec<MsgId> = Vec::new();
+    // Records the script holds no id for (a batch rejected half-way leaves
+    // its accepted head queued), and ids it saw leave the table.
+    let (mut orphans, mut gone) = (0usize, 0usize);
     for _phase in 0..40 {
         for _ in 0..rng.random_range(1..=10u32) {
             match rng.random_range(0..4u32) {
@@ -184,13 +203,18 @@ fn run(predictor: &Predictor, seed: u64, kind: StrategyKind, framed: bool) -> (u
                     let sizes: Vec<u64> = (0..rng.random_range(1..=6u32))
                         .map(|_| rng.random_range(64..=24 * KIB))
                         .collect();
+                    let pending_before = e.admission_pending().expect("admission is on").0;
                     match e.post_send_batch(&sizes) {
                         Ok(ids) => {
                             for id in ids {
                                 h.posted(Ok(id), &mut known);
                             }
                         }
-                        Err(err) => h.error(&err),
+                        Err(err) => {
+                            h.error(&err);
+                            let pending = e.admission_pending().expect("admission is on").0;
+                            orphans += (pending - pending_before) as usize;
+                        }
                     }
                 }
                 _ => {
@@ -202,15 +226,22 @@ fn run(predictor: &Predictor, seed: u64, kind: StrategyKind, framed: bool) -> (u
                     h.posted(e.post_send_bytes_tagged(payload, tag), &mut known);
                 }
             }
+            audit(&e, known.len() + orphans - gone);
         }
         if rng.random_range(0..3u32) == 0 {
             if let Some(id) = earlier(&mut rng, &known, 12) {
-                h.removed(2, e.cancel(id));
+                let verdict = e.cancel(id);
+                gone += usize::from(matches!(verdict, Ok(true)));
+                h.removed(2, verdict);
+                audit(&e, known.len() + orphans - gone);
             }
         }
         if rng.random_range(0..3u32) == 0 {
             if let Some(id) = earlier(&mut rng, &known, 12) {
-                h.removed(3, e.abandon(id));
+                let verdict = e.abandon(id);
+                gone += usize::from(matches!(verdict, Ok(true)));
+                h.removed(3, verdict);
+                audit(&e, known.len() + orphans - gone);
             }
         }
         for _ in 0..rng.random_range(0..60u32) {
@@ -230,13 +261,21 @@ fn run(predictor: &Predictor, seed: u64, kind: StrategyKind, framed: bool) -> (u
             }
             let (msgs, bytes) = e.admission_pending().expect("admission is on");
             h.push(&[u64::from(e.is_degraded()), msgs, bytes]);
+            audit(&e, known.len() + orphans - gone);
         }
         for _ in 0..rng.random_range(0..3u32) {
             if let Some(id) = earlier(&mut rng, &known, 64) {
                 match e.wait(id) {
-                    Ok(c) => h.completion(&c),
-                    Err(err) => h.error(&err),
+                    Ok(c) => {
+                        gone += 1;
+                        h.completion(&c);
+                    }
+                    Err(err) => {
+                        gone += usize::from(matches!(err, EngineError::Shed(_)));
+                        h.error(&err);
+                    }
                 }
+                audit(&e, known.len() + orphans - gone);
             }
         }
         h.push(&[6, e.now().as_nanos()]);
@@ -250,6 +289,7 @@ fn run(predictor: &Predictor, seed: u64, kind: StrategyKind, framed: bool) -> (u
         }
         Err(err) => h.error(&err),
     }
+    audit(&e, 0);
     let stats = e.stats().clone();
     h.bytes(format!("{stats:?}").as_bytes());
     for fb in e.feedback().rails() {

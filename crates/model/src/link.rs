@@ -125,36 +125,6 @@ impl LinkModel {
         self.one_way_us(size).to_duration()
     }
 
-    /// Duration the sending NIC is busy with this transfer (serialization +
-    /// drain). For eager messages the NIC is busy for the wire time; for
-    /// rendezvous it is busy only during the DMA data phase.
-    #[must_use]
-    pub fn nic_busy_us(&self, size: u64) -> Micros {
-        Micros::new(match self.mode_for(size) {
-            TransferMode::Eager => self.eager.time_us(size),
-            TransferMode::Rendezvous => self.rdv.time_us(size),
-        })
-    }
-
-    /// Core occupancy on the *send* side (PIO copy for eager, negligible
-    /// descriptor work for rendezvous).
-    #[must_use]
-    pub fn sender_cpu_us(&self, size: u64) -> Micros {
-        Micros::new(match self.mode_for(size) {
-            TransferMode::Eager => self.pio.copy_time_us(size),
-            TransferMode::Rendezvous => self.rdv_setup_us,
-        })
-    }
-
-    /// Core occupancy on the *receive* side.
-    #[must_use]
-    pub fn receiver_cpu_us(&self, size: u64) -> Micros {
-        Micros::new(match self.mode_for(size) {
-            TransferMode::Eager => self.pio.copy_time_us(size),
-            TransferMode::Rendezvous => 0.0,
-        })
-    }
-
     /// Asymptotic bandwidth of the link in MB/s.
     pub fn asymptotic_bandwidth_mbps(&self) -> f64 {
         self.rdv.asymptotic_bandwidth_mbps()
@@ -182,7 +152,7 @@ impl LinkModel {
 mod tests {
     use super::*;
     use crate::builtin;
-    use crate::units::{KIB, MIB};
+    use crate::units::MIB;
 
     #[test]
     fn mode_switches_at_threshold() {
@@ -214,19 +184,6 @@ mod tests {
                 last_mode = Some(mode);
             }
         }
-    }
-
-    #[test]
-    fn rendezvous_frees_the_cpu() {
-        let m = builtin::myri_10g();
-        let big = 4 * MIB;
-        let small = 4 * KIB;
-        assert!(m.sender_cpu_us(small).get() > 1.0, "eager send must burn CPU");
-        assert!(
-            m.sender_cpu_us(big).get() < 5.0,
-            "rendezvous send must not burn CPU proportional to size"
-        );
-        assert_eq!(m.receiver_cpu_us(big), Micros::ZERO);
     }
 
     #[test]

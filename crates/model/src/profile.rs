@@ -291,19 +291,6 @@ impl PerfProfile {
         (self.samples[0].0, self.samples.last().expect("non-empty").0)
     }
 
-    /// Merges two sampling runs of the same rail, keeping the *minimum*
-    /// duration wherever both measured a size (noise is additive, so the
-    /// minimum is closest to the quiet-network truth). Sizes sampled by
-    /// only one run are kept as-is; the result is re-smoothed monotone.
-    pub fn merge_min(&self, other: &PerfProfile) -> Result<PerfProfile, ModelError> {
-        let mut by_size: std::collections::BTreeMap<u64, f64> =
-            self.samples.iter().copied().collect();
-        for &(size, us) in other.samples() {
-            by_size.entry(size).and_modify(|cur| *cur = cur.min(us)).or_insert(us);
-        }
-        PerfProfile::from_samples(self.name.clone(), by_size.into_iter().collect())
-    }
-
     /// Serializes to the NewMadeleine-style plain-text sampling format:
     /// comment header, then one `size<TAB>duration_us` line per sample.
     pub fn to_text(&self) -> String {
@@ -553,18 +540,6 @@ mod tests {
                 assert_inverse_matches_search(p, random_budget(p, &mut rng));
             }
         }
-    }
-
-    #[test]
-    fn merge_min_takes_the_best_of_both_runs() {
-        let a = PerfProfile::from_samples("r", vec![(4, 2.0), (8, 3.0), (16, 9.0)]).unwrap();
-        let b = PerfProfile::from_samples("r", vec![(4, 2.5), (8, 2.8), (32, 12.0)]).unwrap();
-        let m = a.merge_min(&b).unwrap();
-        assert_eq!(m.name(), "r");
-        assert_eq!(m.samples(), &[(4, 2.0), (8, 2.8), (16, 9.0), (32, 12.0)]);
-        // Merge never predicts worse than either input at shared sizes.
-        assert!(m.predict_us(8) <= a.predict_us(8));
-        assert!(m.predict_us(8) <= b.predict_us(8));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -281,8 +276,6 @@ mod tests {
         let late = SimTime::from_micros(2);
         assert_eq!(early - late, SimDuration::ZERO);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_micros(1)));
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

@@ -195,15 +195,6 @@ pub fn pow2_sizes(lo: u64, hi: u64) -> Vec<u64> {
     out
 }
 
-/// Rounds `bytes` down to a power of two (returns 1 for 0).
-pub fn floor_pow2(bytes: u64) -> u64 {
-    if bytes <= 1 {
-        1
-    } else {
-        1u64 << (63 - bytes.leading_zeros())
-    }
-}
-
 /// Log2 of a size rounded down; the index used for O(1) sample lookup
 /// ("using a logarithm in the case of power of 2 samples", paper §III-C).
 pub fn log2_floor(bytes: u64) -> u32 {
@@ -261,10 +252,6 @@ mod tests {
 
     #[test]
     fn log_and_floor_helpers() {
-        assert_eq!(floor_pow2(0), 1);
-        assert_eq!(floor_pow2(1), 1);
-        assert_eq!(floor_pow2(1023), 512);
-        assert_eq!(floor_pow2(1024), 1024);
         assert_eq!(log2_floor(1), 0);
         assert_eq!(log2_floor(4096), 12);
         assert_eq!(log2_floor(4097), 12);

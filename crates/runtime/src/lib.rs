@@ -15,7 +15,7 @@
 //!   flagged *signaled* — the 6 µs path.
 //! * [`stats::OffloadStats`] — the measured T_O: submit → execution-start
 //!   latency, per-worker sharded, with the signaled path reported on its own
-//!   ([`OffloadSnapshot`]).
+//!   ([`stats::OffloadSnapshot`]).
 //!
 //! Three surfaces drive the pool: `nm_core`'s `ShmemDriver` (the real-thread
 //! transport), the `table_offload` harness and `examples/multicore_eager`.
@@ -27,7 +27,7 @@
 //! ## Concurrency verification
 //!
 //! All shared state goes through the [`nm_sync`] facade. The pool parks in
-//! `crossbeam::channel::recv`, which the vendored loom does not model, so it
+//! `mpsc::Receiver::recv`, which the vendored loom does not model, so it
 //! is covered by the unit and stress tests in `worker.rs` (the
 //! idle-set/queue invariant, drain-on-drop) and by the opt-in
 //! ThreadSanitizer lane in `ci.sh`. The crate contains no `unsafe` at all.
@@ -38,6 +38,5 @@ pub mod stats;
 pub mod tasklet;
 pub mod worker;
 
-pub use stats::OffloadSnapshot;
 pub use tasklet::Tasklet;
 pub use worker::WorkerPool;

@@ -86,11 +86,6 @@ impl OffloadStats {
         Self { shards: (0..n.max(1)).map(|_| CachePadded::default()).collect() }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Records one offload into `worker`'s shard (indices beyond the shard
     /// count fold onto the last shard rather than being dropped). `signaled`
     /// marks submissions that had to wake a parked/busy worker.
@@ -187,7 +182,6 @@ mod tests {
     #[test]
     fn shards_merge_on_snapshot() {
         let s = OffloadStats::with_shards(4);
-        assert_eq!(s.shard_count(), 4);
         s.record(0, Duration::from_micros(2), false);
         s.record(1, Duration::from_micros(4), true);
         s.record(2, Duration::from_micros(6), false);

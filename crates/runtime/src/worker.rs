@@ -11,8 +11,8 @@
 
 use crate::stats::OffloadStats;
 use crate::tasklet::Tasklet;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use nm_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use nm_sync::mpsc::{channel, Receiver, Sender};
 use nm_sync::time::Instant;
 use nm_sync::{thread, Arc};
 use std::time::Duration;
@@ -62,7 +62,7 @@ impl WorkerPool {
         let mut shared = Vec::with_capacity(cores);
         let mut handles = Vec::with_capacity(cores);
         for i in 0..cores {
-            let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
+            let (tx, rx): (Sender<Msg>, Receiver<Msg>) = channel();
             let sh =
                 Arc::new(WorkerShared { idle: AtomicBool::new(true), queued: AtomicUsize::new(0) });
             let sh2 = sh.clone();
@@ -307,7 +307,7 @@ mod tests {
         thread_local!(static OPENER: std::cell::RefCell<Option<Sender<()>>> =
             const { std::cell::RefCell::new(None) });
         let pool = WorkerPool::new(2);
-        let (open, gate) = unbounded::<()>();
+        let (open, gate) = channel::<()>();
         pool.submit_to(1, Tasklet::new("park", move || OPENER.set(Some(open))));
         pool.submit_to(
             0,

@@ -5,26 +5,22 @@
 //! enqueued first" reasoning valid. Cancellation is supported by id — used
 //! to retract stale idle notifications when a resource gets re-busied.
 //!
-//! Two implementations share that contract:
+//! [`EventQueue`] is an **indexed calendar queue**: payloads live in a
+//! slab whose slots carry generation counters, so cancellation is O(1)
+//! (bump the generation, free the slot) with no tombstone set to search.
+//! Time is indexed by a ring of near-future buckets (events within ~1 ms
+//! of the cursor) backed by a binary heap for far-future events, which
+//! migrate into the ring lazily as the cursor approaches them.
 //!
-//! * [`EventQueue`] — an **indexed calendar queue**: payloads live in a
-//!   slab whose slots carry generation counters, so cancellation is O(1)
-//!   (bump the generation, free the slot) with no tombstone set to search.
-//!   Time is indexed by a ring of near-future buckets (events within
-//!   ~1 ms of the cursor) backed by a binary heap for far-future events,
-//!   which migrate into the ring lazily as the cursor approaches them.
-//! * [`LegacyEventQueue`] — the original binary heap with a cancelled-id
-//!   tombstone set, kept as the reference for equivalence tests. Its
-//!   hygiene bug (tombstones of already-popped events accumulating
-//!   forever) is fixed by draining eagerly once tombstones outnumber live
-//!   entries.
-//!
-//! Both pop in strictly ascending `(time, insertion order)` — swapping one
-//! for the other must never change a simulation's event order.
+//! It pops in strictly ascending `(time, insertion order)`. The contract is
+//! held by a sorted-`Vec` model in `tests/fig8_trace_determinism.rs`, under
+//! arbitrary interleavings of push, cancel and pop and on fig8's schedule;
+//! the binary heap with a tombstone set that the calendar replaced (and was
+//! first checked against) is gone.
 
 use nm_model::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Handle to a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -255,121 +251,6 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-/// Handle into a [`LegacyEventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LegacyEventId(u64);
-
-/// The original heap-plus-tombstones queue, kept as the behavioural
-/// reference for the calendar. Same contract as [`EventQueue`].
-#[derive(Debug)]
-pub struct LegacyEventQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
-    cancelled: HashSet<u64>,
-    next_seq: u64,
-}
-
-#[derive(Debug)]
-struct Entry<T> {
-    time: SimTime,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl<T> LegacyEventQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        LegacyEventQueue { heap: BinaryHeap::new(), cancelled: HashSet::new(), next_seq: 0 }
-    }
-
-    /// Schedules `payload` at `time`; returns a handle for cancellation.
-    // nm-analyzer: allow(unbounded-growth) -- reference heap kept for differential tests; one
-    // entry per outstanding event, popped by the drain loop
-    pub fn push(&mut self, time: SimTime, payload: T) -> LegacyEventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, payload }));
-        LegacyEventId(seq)
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an already-popped
-    /// or already-cancelled event is a no-op.
-    pub fn cancel(&mut self, id: LegacyEventId) {
-        self.cancelled.insert(id.0);
-        // Hygiene: once tombstones outnumber half the heap, rebuilding is
-        // cheaper than dragging them through every subsequent pop — and it
-        // reclaims ids of events that were already popped, which would
-        // otherwise pin HashSet memory forever.
-        if self.cancelled.len() * 2 > self.heap.len() {
-            self.drain_tombstones();
-        }
-    }
-
-    fn drain_tombstones(&mut self) {
-        let heap = std::mem::take(&mut self.heap);
-        self.heap =
-            heap.into_iter().filter(|Reverse(e)| !self.cancelled.contains(&e.seq)).collect();
-        self.cancelled.clear();
-    }
-
-    /// Removes and returns the earliest event, skipping cancelled ones.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    /// Timestamp of the earliest live event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
-    }
-
-    /// Number of live (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.heap.len().saturating_sub(self.cancelled.len())
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Default for LegacyEventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,33 +350,6 @@ mod tests {
         assert_eq!(q.pop(), Some((t(5000), "later")));
     }
 
-    #[test]
-    fn legacy_drains_tombstones_eagerly() {
-        let mut q = LegacyEventQueue::new();
-        let ids: Vec<_> = (0..100).map(|i| q.push(t(i), i)).collect();
-        for id in &ids[..60] {
-            q.cancel(*id);
-        }
-        // More than half the entries were tombstoned: the set was drained.
-        assert!(q.cancelled.len() * 2 <= q.heap.len().max(1), "tombstones drained");
-        assert_eq!(q.len(), 40);
-        assert_eq!(q.pop(), Some((t(60), 60)));
-    }
-
-    #[test]
-    fn legacy_cancel_of_popped_id_does_not_pin_memory() {
-        let mut q = LegacyEventQueue::new();
-        let ids: Vec<_> = (0..10).map(|i| q.push(t(i), i)).collect();
-        for _ in 0..10 {
-            q.pop();
-        }
-        for id in ids {
-            q.cancel(id); // ids of popped events: drained, not leaked
-        }
-        assert!(q.cancelled.is_empty());
-        assert_eq!(q.len(), 0);
-    }
-
     proptest! {
         /// Popping yields a non-decreasing time sequence regardless of
         /// insertion order and cancellations.
@@ -521,55 +375,6 @@ mod tests {
             let live = times.len()
                 - cancel_mask.iter().take(times.len()).filter(|&&d| d).count();
             prop_assert_eq!(popped, live);
-        }
-
-        /// The calendar pops the exact same `(time, payload)` sequence as
-        /// the legacy heap under arbitrary interleavings of push, cancel
-        /// and pop — the bit-identical-figures guarantee.
-        #[test]
-        fn calendar_matches_legacy_pop_order(
-            ops in proptest::collection::vec((0u8..10, 0u64..50_000u64), 1..300),
-        ) {
-            let mut cal = EventQueue::new();
-            let mut leg = LegacyEventQueue::new();
-            // Live handles only: the sim never cancels an already-fired
-            // event, and the legacy queue's len() is approximate under
-            // such stale cancels (tombstones of popped ids).
-            let mut live: Vec<(u64, EventId, LegacyEventId)> = Vec::new();
-            let mut tag = 0u64;
-            for &(op, arg) in &ops {
-                match op {
-                    // 60%: push at an arbitrary time.
-                    0..=5 => {
-                        tag += 1;
-                        live.push((tag, cal.push(t(arg), tag), leg.push(t(arg), tag)));
-                    }
-                    // 20%: cancel a still-pending event.
-                    6..=7 if !live.is_empty() => {
-                        let i = (arg as usize) % live.len();
-                        let (_, cid, lid) = live.swap_remove(i);
-                        cal.cancel(cid);
-                        leg.cancel(lid);
-                    }
-                    // 20%: pop and compare.
-                    _ => {
-                        let got = cal.pop();
-                        prop_assert_eq!(got, leg.pop());
-                        if let Some((_, popped_tag)) = got {
-                            live.retain(|&(g, _, _)| g != popped_tag);
-                        }
-                    }
-                }
-                prop_assert_eq!(cal.len(), leg.len());
-                prop_assert_eq!(cal.peek_time(), leg.peek_time());
-            }
-            loop {
-                let (a, b) = (cal.pop(), leg.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
         }
     }
 }

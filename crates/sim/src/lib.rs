@@ -36,7 +36,7 @@ pub mod topology;
 pub mod trace;
 pub mod transfer;
 
-pub use event::{EventQueue, LegacyEventQueue};
+pub use event::EventQueue;
 pub use ids::{CoreId, NicKey, NodeId, RailId, TransferId};
 pub use sim::{SendSpec, SimEvent, Simulator};
 pub use topology::{ClusterSpec, NodeSpec, SwitchSpec};

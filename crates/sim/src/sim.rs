@@ -323,22 +323,6 @@ impl Simulator {
         self.nic_tx[node.index()][rail.index()].busy_until()
     }
 
-    /// When the *receive* side of the NIC `(node, rail)` drains.
-    pub fn nic_rx_busy_until(&self, node: NodeId, rail: RailId) -> SimTime {
-        self.nic_rx[node.index()][rail.index()].busy_until()
-    }
-
-    /// When a core drains its current reservations.
-    pub fn core_busy_until(&self, node: NodeId, core: CoreId) -> SimTime {
-        self.cores[node.index()][core.index()].busy_until()
-    }
-
-    /// When the switch backplane of `rail` drains. [`SimTime::ZERO`] when
-    /// the cluster has no switch.
-    pub fn switch_busy_until(&self, rail: RailId) -> SimTime {
-        self.switch.get(rail.index()).map_or(SimTime::ZERO, SerialResource::busy_until)
-    }
-
     /// Cumulative time the switch backplane of `rail` has been reserved —
     /// each transfer contributes exactly one transit window, which the
     /// topology property tests pin (no double charging).

@@ -50,49 +50,3 @@ pub struct Transfer {
     /// When the payload was fully available at the destination.
     pub delivered_at: Option<SimTime>,
 }
-
-impl Transfer {
-    /// End-to-end duration (submit → delivery), if delivered.
-    pub fn total_duration(&self) -> Option<nm_model::SimDuration> {
-        self.delivered_at.map(|d| d - self.submitted_at)
-    }
-
-    /// Queueing delay before resources were acquired, if started.
-    pub fn queue_delay(&self) -> Option<nm_model::SimDuration> {
-        self.started_at.map(|s| s - self.submitted_at)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::*;
-    use nm_model::SimDuration;
-
-    #[test]
-    fn durations_derive_from_timeline() {
-        let mut x = Transfer {
-            id: TransferId(1),
-            src: NodeId(0),
-            dst: NodeId(1),
-            rail: RailId(0),
-            size: 1024,
-            mode: TransferMode::Eager,
-            send_core: CoreId(0),
-            recv_core: CoreId(0),
-            tag: 0,
-            state: TransferState::Pending,
-            submitted_at: SimTime::from_micros(10),
-            started_at: None,
-            send_done_at: None,
-            delivered_at: None,
-        };
-        assert_eq!(x.total_duration(), None);
-        assert_eq!(x.queue_delay(), None);
-        x.started_at = Some(SimTime::from_micros(12));
-        x.delivered_at = Some(SimTime::from_micros(30));
-        x.state = TransferState::Delivered;
-        assert_eq!(x.queue_delay(), Some(SimDuration::from_micros(2)));
-        assert_eq!(x.total_duration(), Some(SimDuration::from_micros(20)));
-    }
-}

@@ -1,16 +1,106 @@
-//! The calendar queue must reproduce the legacy heap's event order on the
-//! fig8 workload — the figure harnesses are required to be bit-identical
-//! across the queue swap.
+//! The calendar queue against the model of its contract: events pop in
+//! ascending `(time, push order)`, and a cancelled event never pops.
 //!
-//! This test replays fig8's bandwidth-ladder schedule (the paper testbed's
-//! two rails, message sizes 1 KiB → 4 MiB, chunk completions + idle
-//! notifications with occasional retractions) against [`EventQueue`] and
-//! [`LegacyEventQueue`] in lockstep and asserts the popped `(time, event)`
-//! sequences are identical. The committed golden figure outputs (see
-//! `crates/bench/tests/figure_golden.rs`) then pin the end-to-end result.
+//! [`ModelQueue`] is that sentence as code — a `Vec` kept sorted by
+//! insertion, cancel = remove. [`EventQueue`] must agree with it pop for pop
+//! under arbitrary interleavings of push, cancel and pop (proptest), and on
+//! a replay of fig8's bandwidth-ladder schedule (the paper testbed's two
+//! rails, message sizes 1 KiB → 4 MiB, chunk completions + idle
+//! notifications with occasional retractions): the figure harnesses are
+//! required to be bit-identical whatever indexes the calendar. The committed
+//! golden figure outputs (see `crates/bench/tests/figure_golden.rs`) then
+//! pin the end-to-end result.
 
 use nm_model::{SimDuration, SimTime};
-use nm_sim::{EventQueue, LegacyEventQueue};
+use nm_sim::EventQueue;
+use proptest::prelude::*;
+
+/// The reference: every live event, sorted by `(time, push order)`.
+struct ModelQueue<T> {
+    events: Vec<(SimTime, u64, T)>,
+    pushed: u64,
+}
+
+impl<T> ModelQueue<T> {
+    fn new() -> Self {
+        ModelQueue { events: Vec::new(), pushed: 0 }
+    }
+
+    /// Behind every event due at or before `time`: ties pop in push order.
+    fn push(&mut self, time: SimTime, payload: T) -> u64 {
+        let id = self.pushed;
+        self.pushed += 1;
+        let at = self.events.partition_point(|e| e.0 <= time);
+        self.events.insert(at, (time, id, payload));
+        id
+    }
+
+    fn cancel(&mut self, id: u64) {
+        self.events.retain(|e| e.1 != id);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, T)> {
+        (!self.events.is_empty()).then(|| self.events.remove(0)).map(|(at, _, p)| (at, p))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.events.first().map(|e| e.0)
+    }
+
+    fn len(&self) -> usize {
+        self.events.len()
+    }
+}
+
+proptest! {
+    /// The calendar pops the exact same `(time, payload)` sequence as the
+    /// model under arbitrary interleavings of push, cancel and pop — the
+    /// bit-identical-figures guarantee.
+    #[test]
+    fn calendar_matches_model_pop_order(
+        ops in proptest::collection::vec((0u8..10, 0u64..50_000u64), 1..300),
+    ) {
+        let t = SimTime::from_micros;
+        let mut cal = EventQueue::new();
+        let mut model = ModelQueue::new();
+        // Live handles only: the sim never cancels an already-fired event.
+        let mut live = Vec::new();
+        let mut tag = 0u64;
+        for &(op, arg) in &ops {
+            match op {
+                // 60%: push at an arbitrary time.
+                0..=5 => {
+                    tag += 1;
+                    live.push((tag, cal.push(t(arg), tag), model.push(t(arg), tag)));
+                }
+                // 20%: cancel a still-pending event.
+                6..=7 if !live.is_empty() => {
+                    let i = (arg as usize) % live.len();
+                    let (_, cid, mid) = live.swap_remove(i);
+                    cal.cancel(cid);
+                    model.cancel(mid);
+                }
+                // 20%: pop and compare.
+                _ => {
+                    let got = cal.pop();
+                    prop_assert_eq!(got, model.pop());
+                    if let Some((_, popped_tag)) = got {
+                        live.retain(|&(g, _, _)| g != popped_tag);
+                    }
+                }
+            }
+            prop_assert_eq!(cal.len(), model.len());
+            prop_assert_eq!(cal.peek_time(), model.peek_time());
+        }
+        loop {
+            let (a, b) = (cal.pop(), model.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}
 
 /// Events of the mimic simulation, tagged for exact comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +119,7 @@ fn chunk_ns(rail: usize, bytes: u64) -> u64 {
 #[test]
 fn calendar_replays_fig8_trace_identically() {
     let mut cal = EventQueue::new();
-    let mut leg = LegacyEventQueue::new();
+    let mut model = ModelQueue::new();
 
     // fig8's ladder: sizes 1 KiB .. 4 MiB, split 60/40 over the two rails.
     let sizes: Vec<u64> = (10..=22).map(|p| 1u64 << p).collect();
@@ -44,26 +134,25 @@ fn calendar_replays_fig8_trace_identically() {
             let bytes = if rail == 0 { size * 6 / 10 } else { size - size * 6 / 10 };
             let done_at = now + SimDuration::from_nanos(chunk_ns(rail, bytes));
             cal.push(done_at, Ev::ChunkDone { rail, msg: msg as u64 });
-            leg.push(done_at, Ev::ChunkDone { rail, msg: msg as u64 });
+            model.push(done_at, Ev::ChunkDone { rail, msg: msg as u64 });
             let idle_at = done_at + SimDuration::from_nanos(1);
             idle_ids.push((
                 cal.push(idle_at, Ev::RailIdle { rail }),
-                leg.push(idle_at, Ev::RailIdle { rail }),
+                model.push(idle_at, Ev::RailIdle { rail }),
             ));
         }
         // The engine retracts rail 1's idle notification every other
-        // message (re-busied by the next submission) — the cancellation
-        // pattern the tombstone set used to absorb.
+        // message (re-busied by the next submission).
         if msg % 2 == 0 {
-            let (cid, lid) = idle_ids[1];
+            let (cid, mid) = idle_ids[1];
             cal.cancel(cid);
-            leg.cancel(lid);
+            model.cancel(mid);
         }
 
         // Drain this message's events in lockstep before the next rung.
         loop {
-            assert_eq!(cal.peek_time(), leg.peek_time());
-            let (a, b) = (cal.pop(), leg.pop());
+            assert_eq!(cal.peek_time(), model.peek_time());
+            let (a, b) = (cal.pop(), model.pop());
             assert_eq!(a, b, "divergence after {popped} pops");
             match a {
                 Some((at, _)) => {
@@ -74,7 +163,7 @@ fn calendar_replays_fig8_trace_identically() {
                 None => break,
             }
         }
-        assert!(cal.is_empty() && leg.is_empty());
+        assert!(cal.is_empty() && model.len() == 0);
     }
 
     // 13 rungs × (2 chunk completions + 1 or 2 live idles).

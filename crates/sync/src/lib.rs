@@ -17,6 +17,9 @@
 //! * [`Mutex`]/[`MutexGuard`] (parking_lot-style: `lock()` returns the
 //!   guard, no poisoning)
 //! * [`thread`]: `spawn`, `yield_now`, `sleep`, `Builder`, `JoinHandle`
+//! * [`mpsc`]: `channel`, `Sender`, `Receiver` — `std`'s in both modes (the
+//!   vendored loom models no channel, so code that parks in `recv` is not
+//!   model-checked: see `nm-runtime`'s crate docs)
 //! * [`time::Instant`] (logical, deadlock-rule-driven time under loom)
 
 #![forbid(unsafe_code)]
@@ -27,6 +30,7 @@ mod imp {
     pub use loom::sync::Arc;
     pub use loom::sync::{Mutex, MutexGuard};
     pub use loom::thread;
+    pub use std::sync::mpsc;
 
     /// Time source (logical ticks inside `loom::model`).
     pub mod time {
@@ -38,6 +42,7 @@ mod imp {
 mod imp {
     pub use parking_lot::{Mutex, MutexGuard};
     pub use std::sync::atomic;
+    pub use std::sync::mpsc;
     pub use std::sync::Arc;
     pub use std::thread;
 

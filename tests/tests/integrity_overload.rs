@@ -229,6 +229,35 @@ fn deadline_shedding_removes_exactly_the_expired_queued_messages() {
     assert_eq!(done.len(), 2);
 }
 
+/// A caller that only polls never `wait`s for a shed id; `drain` claims
+/// everything, so it must forget those verdicts too.
+#[test]
+fn drain_forgets_shed_verdicts_nobody_asked_for() {
+    let mut engine = blackout_engine(5_000, AdmissionConfig::default());
+    let _pioneer = engine.post_send(MSG_BYTES).expect("post");
+    advance_to(&mut engine, 500);
+    let doomed: Vec<MsgId> = (0..3)
+        .map(|_| {
+            engine
+                .post_send_with_deadline(MSG_BYTES, SimDuration::from_micros(1_500))
+                .expect("post")
+        })
+        .collect();
+    advance_to(&mut engine, 3_000);
+    assert_eq!(engine.stats().msgs_shed, 3, "exactly the deadline posts shed");
+    assert_eq!(engine.msg_census().shed, 3);
+    let done = engine.drain().expect("drain skips shed messages");
+    assert_eq!(done.len(), 1, "only the pioneer completes");
+    assert_eq!(engine.admission_pending(), Some((0, 0)));
+    assert_eq!(engine.msg_census(), Default::default(), "drain leaves no record behind");
+    for id in doomed {
+        assert!(
+            matches!(engine.wait(id), Err(EngineError::UnknownMessage(_))),
+            "{id:?} is still remembered after drain"
+        );
+    }
+}
+
 #[test]
 fn deadlines_require_admission_control() {
     let spec = ClusterSpec::paper_testbed();
