@@ -1,7 +1,7 @@
 //! Shared machinery for the concurrency rule family: discovering lock /
 //! atomic fields, resolving method-call receivers back to those fields,
-//! and extracting per-function event streams (lock acquisitions with their
-//! lexical guard scope, blocking calls, call edges).
+//! and extracting per-function event streams (blocking operations, call
+//! edges).
 //!
 //! Resolution is name-based, not type-based — the analyzer has no type
 //! inference. The naming discipline that makes this sound in practice:
@@ -89,7 +89,7 @@ impl FieldSet {
 /// track, discovered in one scan.
 #[derive(Debug, Default)]
 pub struct Fields {
-    /// `Mutex`-typed fields/statics (lock-order, blocking reachability).
+    /// `Mutex`-typed fields/statics (blocking reachability).
     pub locks: FieldSet,
     /// `Atomic*`-typed fields/statics (ordering protocols).
     pub atomics: FieldSet,
@@ -460,8 +460,8 @@ pub fn fn_aliases(file: &FileAst, f: &FnItem, fields: &FieldSet) -> HashMap<Stri
 /// growing the field — so the dataflow passes (determinism taint, bounded
 /// growth) must not attribute it to the field. Where the derivation itself
 /// iterates the map, the deriving call site is still flagged directly.
-/// The lock passes keep [`fn_aliases`]: a guard *is* its lock however the
-/// binding was derived.
+/// The blocking pass keeps [`fn_aliases`]: a guard *is* its lock however
+/// the binding was derived.
 pub fn pure_aliases(file: &FileAst, f: &FnItem, fields: &FieldSet) -> HashMap<String, String> {
     let mut aliases: HashMap<String, String> = HashMap::new();
     let Some((bs, be)) = f.body else { return aliases };
@@ -572,17 +572,7 @@ pub fn pure_aliases(file: &FileAst, f: &FnItem, fields: &FieldSet) -> HashMap<St
 /// One concurrency-relevant occurrence in a fn body, in token order.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// A resolved lock acquisition: the guard is live over tokens
-    /// `(tok, held_to]`.
-    Acquire {
-        /// Display key of the lock (`crate::Type::field`).
-        key: String,
-        /// Token index of the `lock` ident.
-        tok: usize,
-        /// Last token index the guard is lexically live for.
-        held_to: usize,
-    },
-    /// A blocking operation (unresolved lock, `recv`, `sleep`, ...).
+    /// A blocking operation (lock acquisition, `recv`, `sleep`, ...).
     Block {
         /// Human-readable description of the operation.
         what: String,
@@ -593,13 +583,12 @@ pub enum Event {
     Call {
         /// Resolved targets as (file idx, fn idx).
         targets: Vec<(usize, usize)>,
-        /// Token index of the callee ident.
-        tok: usize,
     },
 }
 
-/// Extracts the event stream for one fn: resolved `.lock()` acquisitions
-/// with their lexical guard scope, blocking method calls, and call edges.
+/// Extracts the event stream for one fn: `.lock()` acquisitions (named by
+/// their field when the receiver resolves), blocking method calls, and call
+/// edges.
 pub fn fn_events(
     files: &[FileAst],
     index: &CallIndex,
@@ -628,13 +617,11 @@ pub fn fn_events(
             let resolved = receiver(file, i).and_then(|(j, self_q)| {
                 locks.resolve(&file.crate_name, owner, &toks[j].text, self_q, aliases)
             });
-            match resolved {
-                Some(key) => {
-                    let held_to = guard_extent(file, i, be);
-                    out.push(Event::Acquire { key, tok: i, held_to });
-                }
-                None => out.push(Event::Block { what: ".lock()".into(), tok: i }),
-            }
+            let what = match resolved {
+                Some(key) => format!("lock acquisition on `{key}`"),
+                None => ".lock()".into(),
+            };
+            out.push(Event::Block { what, tok: i });
             continue;
         }
         if blocking.iter().any(|b| b == &t.text) && (dotted || pathed) {
@@ -647,74 +634,13 @@ pub fn fn_events(
             continue;
         }
         if !is_non_expr_keyword(&t.text) {
-            // A method call whose receiver chain is rooted at a call result
-            // (`self.inner.lock().queue.len()`) or at a lock-guard alias
-            // (`let q = self.inner.lock(); q.high.len()`) operates on the
-            // *protected data* — std collections, guard types — not on a
-            // workspace type that happens to share the method name.
-            // Resolving those by name manufactures phantom call edges and
-            // with them phantom lock-order cycles, so skip them.
-            if dotted {
-                match chain_head(file, i) {
-                    None => continue,
-                    Some(h) => {
-                        let through_call =
-                            h >= 2 && toks[h - 1].text == "." && toks[h - 2].text == ")";
-                        if through_call || aliases.contains_key(&toks[h].text) {
-                            continue;
-                        }
-                    }
-                }
-            }
             let targets = resolve_call(files, index, at, i);
             if !targets.is_empty() {
-                out.push(Event::Call { targets, tok: i });
+                out.push(Event::Call { targets });
             }
         }
     }
     out
-}
-
-/// The last token index a guard acquired at `i` is lexically live for:
-/// the enclosing block's close when the guard is `let`-bound, the end of
-/// the statement otherwise.
-fn guard_extent(file: &FileAst, i: usize, be: usize) -> usize {
-    let toks = &file.toks;
-    let let_bound = chain_head(file, i)
-        .and_then(|h| {
-            (h >= 2 && toks[h - 1].text == "=").then(|| {
-                (h.saturating_sub(6)..h - 1)
-                    .any(|k| toks[k].kind == TokKind::Ident && toks[k].text == "let")
-            })
-        })
-        .unwrap_or(false);
-    let mut d = 0i32;
-    let mut k = i;
-    while k < be {
-        match toks[k].text.as_str() {
-            "{" => d += 1,
-            "}" => {
-                d -= 1;
-                if d < 0 {
-                    return k;
-                }
-            }
-            "(" | "[" => d += 1,
-            ")" | "]" => {
-                d -= 1;
-                if d < 0 && !let_bound {
-                    return k;
-                }
-                if d < 0 {
-                    d = 0; // let-bound: skip out of the call's parens
-                }
-            }
-            ";" if d <= 0 && !let_bound => return k,
-            _ => {}
-        }
-        k += 1;
-    }
-    be.saturating_sub(1)
 }
 
 /// First identifier of the postfix chain ending at the op ident `i`

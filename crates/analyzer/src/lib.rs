@@ -3,12 +3,13 @@
 //! A dependency-free lexer + item parser enforcing the invariants the
 //! generic toolchain cannot express:
 //!
-//! * panic-freedom in hot-path functions (`// nm-analyzer: hot_path`),
+//! * no `.clone()` in hot-path functions (`// nm-analyzer: hot_path`; the
+//!   panic-freedom of the same functions is clippy's, see `clippy.toml`),
 //! * unit hygiene at public API boundaries (`*_us`/`*_bytes`/`*_bw`),
 //! * transitive allocation-freedom under `// nm-analyzer: no_alloc`,
-//! * the concurrency family: sync-facade bypasses, lock-order cycles over
-//!   the global acquisition graph, blocking-call reachability from
-//!   hot-path fns, and whole-program atomic ordering protocols,
+//! * the concurrency family: sync-facade bypasses, blocking-call
+//!   reachability from hot-path fns, and whole-program atomic ordering
+//!   protocols,
 //! * `SAFETY:` comments on every `unsafe` block/fn/impl (including the
 //!   vendored `compat/` shims via `[unsafe_audit] extra_dirs`),
 //! * determinism taint: nondeterministic sources (hash-order iteration,
@@ -21,12 +22,12 @@
 //! — a stale or unknown-rule allow is itself a finding.
 
 pub mod atomics;
+pub mod blocking;
 pub mod config;
 pub mod detflow;
 pub mod growth;
 pub mod guards;
 pub mod lexer;
-pub mod lockorder;
 pub mod parse;
 pub mod report;
 pub mod rules;

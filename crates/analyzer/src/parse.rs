@@ -12,7 +12,7 @@ use std::collections::HashMap;
 /// A directive parsed from a `// nm-analyzer: ...` comment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Directive {
-    /// `nm-analyzer: hot_path` — panic-freedom rules apply.
+    /// `nm-analyzer: hot_path` — the hot-path rules (`clone`, `hot-path-blocking`, growth) apply.
     HotPath,
     /// `nm-analyzer: no_alloc` — transitive allocation-freedom applies.
     NoAlloc,
@@ -683,12 +683,12 @@ mod tests {
 
     #[test]
     fn allow_directives_parse_with_reasons() {
-        let d = parse_directives("// nm-analyzer: allow(index) -- bounds proven above", 7);
+        let d = parse_directives("// nm-analyzer: allow(no-alloc) -- cold path, bounded", 7);
         assert_eq!(
             d,
             vec![Directive::Allow {
-                rule: "index".into(),
-                reason: "bounds proven above".into(),
+                rule: "no-alloc".into(),
+                reason: "cold path, bounded".into(),
                 line: 7
             }]
         );

@@ -222,8 +222,8 @@ mod tests {
     fn json_escapes_and_renders() {
         let a = Analysis {
             findings: vec![Finding {
-                rule: "unwrap".into(),
-                family: "panic-freedom",
+                rule: "clone".into(),
+                family: "hot-path",
                 file: "a\"b.rs".into(),
                 line: 3,
                 col: 7,
@@ -236,7 +236,7 @@ mod tests {
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("x\\ny"));
         assert!(j.contains("\"status\": \"fail\""));
-        assert!(render_text(&a, false).contains("a\"b.rs:3:7: error[unwrap]"));
+        assert!(render_text(&a, false).contains("a\"b.rs:3:7: error[clone]"));
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Rule families.
 //!
-//! 1. **panic-freedom** (`unwrap`, `expect`, `panic`, `todo`,
-//!    `unreachable`, `index`, `clone`) — in hot-path functions.
+//! 1. **hot-path** (`clone`) — no `.clone()` in hot-path functions. (Their
+//!    panic-freedom — `unwrap`, `expect`, `panic!`, `todo!`,
+//!    `unreachable!`, indexing — is clippy's: `#![deny(clippy::…)]` at the
+//!    top of each hot file, `clippy.toml`.)
 //! 2. **unit-hygiene** (`unit-bare`) — public fns trafficking in bare
 //!    `f64`/`u64` under unit-suffixed names.
 //! 3. **no-alloc** — transitive allocation-freedom under `no_alloc`
 //!    markers, via a within-crate call graph.
-//! 4. **concurrency** (`facade-bypass`, `lock-order-cycle`,
-//!    `hot-path-blocking`, `atomic-unpaired-release`,
-//!    `atomic-mixed-relaxed`) — the sync-facade gate plus the whole-program
-//!    lock-order / blocking-reachability / ordering-protocol analyses in
-//!    [`crate::lockorder`] and [`crate::atomics`].
+//! 4. **concurrency** (`facade-bypass`, `hot-path-blocking`,
+//!    `atomic-unpaired-release`, `atomic-mixed-relaxed`) — the sync-facade
+//!    gate plus the whole-program blocking-reachability / ordering-protocol
+//!    analyses in [`crate::blocking`] and [`crate::atomics`].
 //! 5. **must-use** — public value-returning fns in configured decision-path
 //!    files must carry `#[must_use]`.
 //! 6. **unsafe-audit** (`unsafe-no-safety`) — every `unsafe` block / fn /
-//!    impl carries a `SAFETY:` comment (folded in from the old
-//!    `scripts/concurrency_lint.sh`; also runs over `[unsafe_audit]`
+//!    impl carries a `SAFETY:` comment (also runs over `[unsafe_audit]`
 //!    extra directories such as the vendored `compat/` shims).
 //! 7. **determinism** (`determinism-taint`) — nondeterministic sources
 //!    (hash-order iteration, wall clock, unseeded RNG, thread identity)
@@ -40,18 +40,11 @@ use std::time::Instant;
 
 /// Every rule name an allow escape may legitimately reference.
 pub const KNOWN_RULES: &[&str] = &[
-    "unwrap",
-    "expect",
     "clone",
-    "panic",
-    "todo",
-    "unreachable",
-    "index",
     "unit-bare",
     "no-alloc",
     "facade-bypass",
     "must-use",
-    "lock-order-cycle",
     "hot-path-blocking",
     "atomic-unpaired-release",
     "atomic-mixed-relaxed",
@@ -63,9 +56,9 @@ pub const KNOWN_RULES: &[&str] = &[
 /// One diagnostic.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule name (e.g. `unwrap`, `unit-bare`).
+    /// Rule name (e.g. `clone`, `unit-bare`).
     pub rule: String,
-    /// Rule family (e.g. `panic-freedom`).
+    /// Rule family (e.g. `unit-hygiene`).
     pub family: &'static str,
     /// Repo-relative file.
     pub file: String,
@@ -103,7 +96,7 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// Total functions parsed.
     pub fns_total: usize,
-    /// Functions under panic-freedom rules.
+    /// Hot-path functions.
     pub fns_hot: usize,
     /// Functions under no-alloc rules.
     pub fns_no_alloc: usize,
@@ -173,9 +166,9 @@ pub fn analyze(files: &[FileAst], cfg: &Config) -> Analysis {
     };
 
     timed(&mut out, "escape-hatch", &mut |out| collect_allows(files, out));
-    timed(&mut out, "panic-freedom", &mut |out| {
+    timed(&mut out, "hot-path-clone", &mut |out| {
         for file in files.iter().filter(|f| !f.audit_only) {
-            panic_freedom(file, out);
+            hot_path_clone(file, out);
         }
     });
     timed(&mut out, "unit-hygiene", &mut |out| {
@@ -196,8 +189,8 @@ pub fn analyze(files: &[FileAst], cfg: &Config) -> Analysis {
     let index = build_call_index(files);
     timed(&mut out, "no-alloc", &mut |out| no_alloc(files, &index, out));
     let fields = crate::guards::scan_fields(files);
-    timed(&mut out, "lock-order", &mut |out| {
-        crate::lockorder::lock_discipline(files, &index, &fields.locks, cfg, out)
+    timed(&mut out, "blocking", &mut |out| {
+        crate::blocking::blocking_reachability(files, &index, &fields.locks, cfg, out)
     });
     timed(&mut out, "atomics", &mut |out| {
         crate::atomics::atomic_protocols(files, &fields.atomics, out)
@@ -375,83 +368,28 @@ fn push_sig(
     });
 }
 
-// ---------------------------------------------------------------- panic ----
+// ---------------------------------------------------------------- clone ----
 
-fn panic_freedom(file: &FileAst, out: &mut Analysis) {
-    for fi in 0..file.fns.len() {
-        let f = &file.fns[fi];
+fn hot_path_clone(file: &FileAst, out: &mut Analysis) {
+    for f in &file.fns {
         if !f.hot || f.in_test {
             continue;
         }
         let Some((bs, be)) = f.body else { continue };
-        let fname = f.name.clone();
         let toks = &file.toks;
-        let mut i = bs;
-        while i < be {
+        for i in bs + 1..be.saturating_sub(1) {
             if file.is_excluded(i) || file.in_test_range(i) {
-                i += 1;
                 continue;
             }
-            let t = &toks[i];
-            match (t.kind, t.text.as_str()) {
-                (TokKind::Ident, m @ ("unwrap" | "expect" | "clone")) => {
-                    let is_method = i > bs
-                        && toks[i - 1].kind == TokKind::Punct
-                        && toks[i - 1].text == "."
-                        && i + 1 < be
-                        && toks[i + 1].text == "(";
-                    if is_method {
-                        push(
-                            file,
-                            out,
-                            m,
-                            "panic-freedom",
-                            i,
-                            format!(".{m}() in hot-path fn `{fname}`"),
-                        );
-                    }
-                }
-                (TokKind::Ident, m @ ("panic" | "todo" | "unreachable"))
-                    if i + 1 < be
-                        && toks[i + 1].kind == TokKind::Punct
-                        && toks[i + 1].text == "!" =>
-                {
-                    push(
-                        file,
-                        out,
-                        m,
-                        "panic-freedom",
-                        i,
-                        format!("{m}! in hot-path fn `{fname}`"),
-                    );
-                }
-                (TokKind::Punct, "[") => {
-                    let expr_pos = i > bs
-                        && match (&toks[i - 1].kind, toks[i - 1].text.as_str()) {
-                            (TokKind::Ident, w) => !is_non_expr_keyword(w),
-                            (TokKind::Num | TokKind::Str, _) => true,
-                            (TokKind::Punct, ")" | "]" | "?") => true,
-                            _ => false,
-                        };
-                    // `x[..]` (full-range) cannot panic on slices: exempt.
-                    let full_range = i + 3 < be
-                        && toks[i + 1].text == "."
-                        && toks[i + 2].text == "."
-                        && toks[i + 3].text == "]";
-                    if expr_pos && !full_range {
-                        push(
-                            file,
-                            out,
-                            "index",
-                            "panic-freedom",
-                            i,
-                            format!("slice/array indexing in hot-path fn `{fname}` (use .get())"),
-                        );
-                    }
-                }
-                _ => {}
+            let is_method_call = toks[i].kind == TokKind::Ident
+                && toks[i].text == "clone"
+                && toks[i - 1].kind == TokKind::Punct
+                && toks[i - 1].text == "."
+                && toks[i + 1].text == "(";
+            if is_method_call {
+                let msg = format!(".clone() in hot-path fn `{}`", f.name);
+                push(file, out, "clone", "hot-path", i, msg);
             }
-            i += 1;
         }
     }
 }
@@ -635,11 +573,10 @@ fn facade_bypass(file: &FileAst, cfg: &Config, out: &mut Analysis) {
 // --------------------------------------------------------- unsafe audit ----
 
 /// Every `unsafe {` / `unsafe fn` / `unsafe impl` must carry a `SAFETY:`
-/// comment on its line or the contiguous comment run directly above — the
-/// toolchain-independent gate `scripts/concurrency_lint.sh` used to grep
-/// for, now comment/string-safe. Unlike the other rules this scans test
-/// code and audit-only (vendored) files too, matching the shell gate's
-/// coverage.
+/// comment on its line or the contiguous comment run directly above. Unlike
+/// the other rules this scans test code and audit-only (vendored) files too
+/// (clippy's `undocumented_unsafe_blocks` never sees `compat/`, nor
+/// `unsafe fn` / `unsafe impl`).
 fn unsafe_safety(file: &FileAst, out: &mut Analysis) {
     let toks = &file.toks;
     for i in 0..toks.len() {

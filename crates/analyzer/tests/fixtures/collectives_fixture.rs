@@ -1,15 +1,12 @@
 //! Collectives-dispatch fixture: the selection hot loop idioms the
-//! collectives crate must keep panic-free, with pinned violations. Unlike
+//! collectives crate must keep copy-free, with a pinned violation. Unlike
 //! `panic_fixture.rs` (file-level marker) this file marks individual fns,
 //! mirroring how `crates/collectives/src/select.rs` annotates only its
 //! dispatch path while leaving constructors cold.
 
-/// Cold constructor: unchecked idioms here are *not* findings.
-pub fn build_table(n: usize) -> Vec<f64> {
-    let mut t = Vec::with_capacity(n);
-    t.resize(n, 1.0);
-    t[0] = 0.0; // not counted: cold fn
-    t
+/// Cold constructor: a copy here is *not* a finding.
+pub fn build_table(seed: &Vec<f64>) -> Vec<f64> {
+    seed.clone() // not counted: cold fn
 }
 
 /// Per-operation dispatch: picks a variant index from corrections.
@@ -26,27 +23,10 @@ pub fn dispatch(corrections: &[f64], predicted: &[f64]) -> usize {
     best.0
 }
 
-/// Hot feedback step with a pinned violation: unwraps dressed as expect.
-// nm-analyzer: hot_path
-pub fn record_ratio(measured: Option<f64>, predicted: f64) -> f64 {
-    measured.expect("measured") / predicted // 1x expect
-}
-
 /// Hot broadcast of the correction table: a pinned allocation-by-clone.
 // nm-analyzer: hot_path
 pub fn snapshot(corrections: &Vec<f64>) -> Vec<f64> {
     corrections.clone() // 1x clone
-}
-
-/// Hot indexed lookup whose bound is pre-checked — the one legitimate
-/// escape, with its reason on record.
-// nm-analyzer: hot_path
-pub fn corrected(corrections: &[f64], ordinal: usize, predicted: f64) -> f64 {
-    if ordinal >= corrections.len() {
-        return predicted;
-    }
-    // nm-analyzer: allow(index) -- ordinal bound-checked on the line above
-    predicted * corrections[ordinal]
 }
 
 #[cfg(test)]
@@ -54,6 +34,6 @@ mod tests {
     #[test]
     fn dispatch_prefers_lower_corrected_cost() {
         let pick = super::dispatch(&[1.0, 1.0], &[2.0, 1.0]);
-        assert_eq!(pick, 1); // indexing in tests is exempt anyway
+        assert_eq!(pick, 1);
     }
 }

@@ -1,65 +1,34 @@
-//! Panic-freedom fixture: every finding below is intentional and pinned by
-//! the integration test. The whole file is hot via the file-level marker.
+//! Hot-path `clone` fixture: every finding below is intentional and pinned
+//! by the integration test. The whole file is hot via the file-level marker.
 //
 // nm-analyzer: hot_path
-
-pub fn unwrap_site(x: Option<u32>) -> u32 {
-    x.unwrap() // 1x unwrap
-}
-
-pub fn expect_site(x: Option<u32>) -> u32 {
-    x.expect("boom") // 1x expect
-}
-
-pub fn panic_site(flag: bool) {
-    if flag {
-        panic!("no"); // 1x panic
-    }
-}
-
-pub fn todo_site() {
-    todo!() // 1x todo
-}
-
-pub fn unreachable_site(v: u8) -> u8 {
-    match v {
-        0 => 1,
-        _ => unreachable!(), // 1x unreachable
-    }
-}
-
-pub fn index_sites(xs: &[u32], out: &mut Vec<u32>) -> u32 {
-    let a = xs[0]; // 1x index
-    out[1] = a; // 1x index
-    let _whole = &xs[..]; // exempt: full-range borrow
-    a
-}
 
 pub fn clone_site(s: &String) -> String {
     s.clone() // 1x clone
 }
 
-pub fn allowed_unwrap(x: Option<u32>) -> u32 {
-    // nm-analyzer: allow(unwrap) -- fixture: justified escape
-    x.unwrap()
+pub fn allowed_clone(s: &String) -> String {
+    // nm-analyzer: allow(clone) -- fixture: justified escape
+    s.clone()
 }
 
-pub fn reasonless_allow(x: Option<u32>) -> u32 {
-    // nm-analyzer: allow(unwrap)
-    x.unwrap()
+pub fn reasonless_allow(s: &String) -> String {
+    // nm-analyzer: allow(clone)
+    s.clone()
 }
 
-/// Mentions that prose about unwrap() or panic!() in comments is ignored,
-/// as are "x.unwrap()" and "panic!" inside string literals.
-pub fn strings_and_comments() -> &'static str {
-    "call .unwrap() or panic!() here"
+/// Mentions that prose about clone() in comments is ignored, as is
+/// "x.clone()" inside string literals, and a `clone` that is not a method
+/// call.
+pub fn strings_and_comments(clone: u32) -> (&'static str, u32) {
+    ("call .clone() here", clone)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn test_code_is_exempt() {
-        let v: Option<u32> = Some(3);
-        assert_eq!(v.unwrap(), 3); // not counted: test code
+        let v = String::from("x");
+        assert_eq!(v.clone(), "x"); // not counted: test code
     }
 }

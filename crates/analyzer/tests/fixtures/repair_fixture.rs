@@ -1,21 +1,14 @@
-//! Repair/watchdog fixture: the self-healing idioms the collectives
-//! repair path must keep panic-free. Unlike `collectives_fixture.rs`
-//! (per-fn markers) this file is listed in the fixture config's
-//! `hot_paths` — mirroring how `crates/collectives/src/repair.rs` is
-//! covered file-level in `analyzer.toml` — so *every* non-test fn here
-//! is under the panic-freedom rules.
+//! Repair/watchdog fixture: the self-healing idioms of the collectives
+//! repair path. Unlike `collectives_fixture.rs` (per-fn markers) this file
+//! is listed in the fixture config's `hot_paths` — mirroring how
+//! `crates/collectives/src/repair.rs` is covered file-level in
+//! `analyzer.toml` — so *every* non-test fn here is a hot-path fn.
 
-/// Deadline arithmetic that unwraps a checked sum: pinned violations —
-/// 1x unwrap, plus 1x unit-bare (a public `_us` fn trafficking in bare
-/// u64 instead of `Micros`, exactly the watchdog idiom the rule guards).
-pub fn deadline_us(base: Option<u64>, backoff: u64) -> u64 {
-    base.unwrap() + backoff // 1x unwrap
-}
-
-/// Cascade step that indexes the state table: pinned violation.
-pub fn cancel_step(state: &mut [u8], i: usize) -> bool {
-    state[i] = 0; // 1x index
-    true
+/// Deadline arithmetic in bare integers: pinned violation — 1x unit-bare
+/// (a public `_us` fn trafficking in bare u64 instead of `Micros`, exactly
+/// the watchdog idiom the rule guards).
+pub fn deadline_us(base: u64, backoff: u64) -> u64 {
+    base + backoff
 }
 
 /// Plan graft that clones the dependency list per release: pinned
@@ -25,17 +18,7 @@ pub fn graft_deps(arrivals: &Vec<usize>) -> Vec<usize> {
     arrivals.clone() // 1x clone
 }
 
-/// Survivor lookup whose bound is pre-checked — the legitimate escape,
-/// reason on record.
-pub fn survivor_root(survivors: &[usize]) -> usize {
-    if survivors.is_empty() {
-        return 0;
-    }
-    // nm-analyzer: allow(index) -- emptiness checked on the line above
-    survivors[0]
-}
-
-/// Panic-free by construction: the shape the real planners use.
+/// Copy-free by construction: the shape the real planners use.
 pub fn first_unreleased(survivors: &[usize], released: &[usize]) -> Option<usize> {
     survivors.iter().copied().find(|s| !released.contains(s))
 }
@@ -43,8 +26,8 @@ pub fn first_unreleased(survivors: &[usize], released: &[usize]) -> Option<usize
 #[cfg(test)]
 mod tests {
     #[test]
-    fn survivor_root_handles_empty() {
-        assert_eq!(super::survivor_root(&[]), 0); // test indexing is exempt
-        assert_eq!(super::survivor_root(&[3, 5]), 3);
+    fn first_unreleased_skips_released() {
+        let survivors = vec![3, 5];
+        assert_eq!(super::first_unreleased(&survivors.clone(), &[3]), Some(5)); // test clone is exempt
     }
 }

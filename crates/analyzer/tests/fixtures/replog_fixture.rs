@@ -1,24 +1,12 @@
 //! Replica read-path fixture: the seqlock-style catch-up loop held to the
-//! hot-path, no-alloc, and concurrency gates. Scanned as `fixture_facade`
-//! so the nm-sync facade rule applies — mirroring crates/replog, where the
-//! op-log ring and replica reads must stay panic-free, allocation-free,
-//! and loom-modelable.
+//! no-alloc and concurrency gates. Scanned as `fixture_facade` so the
+//! nm-sync facade rule applies — mirroring crates/replog, where the op-log
+//! ring and replica reads must stay allocation-free and loom-modelable.
 
 use std::sync::atomic::{AtomicU64, Ordering}; // 1x facade-bypass
 
 pub struct Slot {
     pub marker: AtomicU64,
-}
-
-/// Decode with a lurking `unreachable!`: 1x unreachable. Op decoding must
-/// be total — unknown encodings map to a nop, never a panic — because the
-/// ring hands replicas whatever a newer writer published.
-// nm-analyzer: hot_path
-pub fn decode_word(word: u64) -> u64 {
-    match word & 3 {
-        0 | 1 | 2 => word >> 2,
-        _ => unreachable!("unknown opcode"),
-    }
 }
 
 /// Publish with a bare Relaxed marker store: 1x atomic-mixed-relaxed
@@ -39,13 +27,11 @@ fn lap_snapshot() -> Vec<u64> {
     Vec::new()
 }
 
-/// Catch-up loop reaching an allocating lap fallback and indexing the
-/// ring: 1x no-alloc (transitive, `apply_pending` -> `lap_snapshot`) and
-/// 1x index.
-// nm-analyzer: hot_path
+/// Catch-up loop reaching an allocating lap fallback: 1x no-alloc
+/// (transitive, `apply_pending` -> `lap_snapshot`).
 // nm-analyzer: no_alloc
 pub fn apply_pending(slots: &[Slot], idx: usize) -> u64 {
-    let m = slots[idx].marker.load(Ordering::Acquire); // 1x index
+    let m = slots[idx].marker.load(Ordering::Acquire);
     if m == 0 {
         return lap_snapshot().len() as u64;
     }

@@ -71,7 +71,6 @@ fn admission_config() -> AdmissionConfig {
         default_deadline: Some(SimDuration::from_micros(DEADLINE_US)),
         degrade_enter_backlog: 32,
         degrade_exit_backlog: 8,
-        ..AdmissionConfig::default()
     }
 }
 

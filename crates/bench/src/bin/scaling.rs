@@ -243,9 +243,9 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // --- Single-thread per-op costs (churn-free, warm plan cache) -------
-    // Built exactly like decision_overhead's warm loop (same Ctx closure,
-    // same boxed-strategy call) so these numbers are directly comparable
-    // with BENCH_decision.json's `warm_ns_per_decision`.
+    // A warm boxed-strategy `decide` on one fixed 4 MiB context — the
+    // shape the `perf` ledger times as `strategy.decide_ns_p50` on
+    // `split_warm`.
     let queued = [MSG_BYTES];
     let make_ctx = |waits: &'static [f64], epoch: u64| Ctx {
         now: SimTime::ZERO,
@@ -280,7 +280,7 @@ fn main() {
     let mut lock_samples = Vec::new();
     let mut cs_samples = Vec::new();
     for _ in 0..7 {
-        // decide alone: the reference fast path (BENCH_decision.json warm).
+        // decide alone: the reference fast path.
         decide_samples.push(time_ns(20_000, || {
             black_box(warm.decide(&make_ctx(&[0.0, 120.0], 0)));
         }));

@@ -15,7 +15,9 @@
 //! | `ablation_offload` | T_O sensitivity: split break-even vs offload cost |
 //! | `ablation_split` | Fig 1: no-split vs iso vs hetero on one message |
 //!
-//! Criterion micro-benchmarks live in `benches/` (`cargo bench -p nm-bench`).
+//! Wall-clock cost per layer and end to end is the `perf` bin's ledger
+//! (`src/bin/perf/README.md`); `scaling` and `table_offload` time the two
+//! things it has no row for (replicated-state reads across threads, T_O).
 
 // No unsafe anywhere in this crate; keep it that way.
 #![forbid(unsafe_code)]

@@ -19,6 +19,10 @@
 //! This module is on the analyzer's hot-path list (repair runs inside the
 //! watchdog recovery path): no unwrap/expect/indexing.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::schedule::BARRIER_BYTES;
 use std::collections::BTreeSet;
 

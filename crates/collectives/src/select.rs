@@ -14,6 +14,10 @@
 //! This file is on the analyzer's hot-path list: selection runs on every
 //! collective post, so it must be panic-free (no unwrap/expect/indexing).
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::schedule::{Algorithm, Collective, HopDag, ALGORITHMS};
 
 /// EWMA weight of the newest observation.

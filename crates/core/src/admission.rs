@@ -64,14 +64,15 @@ pub struct AdmissionConfig {
     /// Backlog at or below which a degraded engine may recover (must be
     /// strictly below `degrade_enter_backlog` — the hysteresis band).
     pub degrade_exit_backlog: usize,
-    /// Feedback correction-factor deviation (max of EWMA ratio and its
-    /// reciprocal over all rails) at or above which the engine degrades:
-    /// the predictor is so far off that precise dichotomy splits are noise.
-    pub degrade_correction: f64,
-    /// Correction-factor deviation at or below which a degraded engine may
-    /// recover (must be ≤ `degrade_correction`).
-    pub recover_correction: f64,
 }
+
+/// Feedback correction-factor deviation (max of EWMA ratio and its
+/// reciprocal over all rails) at or above which the engine degrades: the
+/// predictor is so far off that precise dichotomy splits are noise.
+pub(crate) const DEGRADE_CORRECTION: f64 = 4.0;
+/// Correction-factor deviation at or below which a degraded engine may
+/// recover.
+pub(crate) const RECOVER_CORRECTION: f64 = 2.0;
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
@@ -81,8 +82,6 @@ impl Default for AdmissionConfig {
             default_deadline: None,
             degrade_enter_backlog: 64,
             degrade_exit_backlog: 16,
-            degrade_correction: 4.0,
-            recover_correction: 2.0,
         }
     }
 }
@@ -100,18 +99,6 @@ impl AdmissionConfig {
             return Err(format!(
                 "degrade_exit_backlog {} must be below degrade_enter_backlog {} (hysteresis band)",
                 self.degrade_exit_backlog, self.degrade_enter_backlog
-            ));
-        }
-        if self.degrade_correction.is_nan() || self.degrade_correction < 1.0 {
-            return Err(format!(
-                "degrade_correction {} must be >= 1 (it is a deviation factor)",
-                self.degrade_correction
-            ));
-        }
-        if !(self.recover_correction >= 1.0 && self.recover_correction <= self.degrade_correction) {
-            return Err(format!(
-                "recover_correction {} must lie in [1, degrade_correction]",
-                self.recover_correction
             ));
         }
         Ok(())
@@ -132,10 +119,7 @@ mod tests {
         let mut cfg = AdmissionConfig { degrade_exit_backlog: 64, ..Default::default() };
         assert!(cfg.validate().is_err());
         cfg.degrade_exit_backlog = 8;
-        cfg.recover_correction = 10.0; // above degrade_correction
-        assert!(cfg.validate().is_err());
-        cfg.recover_correction = 0.5; // below 1
-        assert!(cfg.validate().is_err());
+        assert!(cfg.validate().is_ok());
         let zero_msgs = AdmissionConfig { max_pending_msgs: 0, ..Default::default() };
         assert!(zero_msgs.validate().is_err());
         let zero_bytes = AdmissionConfig { max_pending_bytes: 0, ..Default::default() };

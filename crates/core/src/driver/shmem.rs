@@ -20,7 +20,7 @@ use nm_sim::{CoreId, RailId};
 use nm_sync::atomic::{AtomicU64, Ordering};
 use nm_sync::mpsc::{channel, Receiver, Sender};
 use nm_sync::time::Instant;
-use nm_sync::{thread, Arc, Mutex};
+use nm_sync::{thread, Arc};
 use std::time::Duration;
 
 /// Per-rail configuration.
@@ -92,6 +92,16 @@ pub struct ShmemStats {
     pub corrupt: u64,
 }
 
+/// [`ShmemStats`] as the rail threads keep it: three counters that publish
+/// no other memory. A reader that has seen a chunk's `ChunkDelivered` event
+/// sees its counts (the event channel orders them).
+#[derive(Default)]
+struct ShmemCounters {
+    delivered: AtomicU64,
+    bytes_verified: AtomicU64,
+    corrupt: AtomicU64,
+}
+
 /// Real-thread multirail transport.
 pub struct ShmemDriver {
     rails: Vec<ShmemRail>,
@@ -104,7 +114,7 @@ pub struct ShmemDriver {
     pool: WorkerPool,
     epoch: Instant,
     next_chunk: u64,
-    stats: Arc<Mutex<ShmemStats>>,
+    stats: Arc<ShmemCounters>,
     receivers: Vec<thread::JoinHandle<()>>,
     /// Kept alive so the delivery channel never disconnects while the
     /// driver exists (rail threads hold clones).
@@ -120,7 +130,7 @@ impl ShmemDriver {
         let epoch = Instant::now();
         let (events_tx, events_rx) = channel();
         let (delivery_tx, delivery_rx) = channel();
-        let stats = Arc::new(Mutex::new(ShmemStats::default()));
+        let stats = Arc::new(ShmemCounters::default());
         let mut rail_tx = Vec::new();
         let mut rail_reserved = Vec::new();
         let mut outstanding = Vec::new();
@@ -181,7 +191,11 @@ impl ShmemDriver {
 
     /// Integrity statistics.
     pub fn stats(&self) -> ShmemStats {
-        self.stats.lock().clone()
+        ShmemStats {
+            delivered: self.stats.delivered.load(Ordering::Relaxed),
+            bytes_verified: self.stats.bytes_verified.load(Ordering::Relaxed),
+            corrupt: self.stats.corrupt.load(Ordering::Relaxed),
+        }
     }
 
     fn wall_ns(&self) -> u64 {
@@ -193,7 +207,7 @@ impl ShmemDriver {
 fn rail_loop(
     rx: Receiver<WireMsg>,
     events: Sender<TransportEvent>,
-    stats: Arc<Mutex<ShmemStats>>,
+    stats: Arc<ShmemCounters>,
     cfg: ShmemRail,
     epoch: Instant,
     rail: RailId,
@@ -207,17 +221,12 @@ fn rail_loop(
         }
         thread::sleep(cfg.latency);
         let ok = checksum(&msg.payload) == msg.checksum;
-        {
-            let mut s = stats.lock();
-            s.delivered += 1;
-            if ok {
-                s.bytes_verified += msg.payload.len() as u64;
-            } else {
-                s.corrupt += 1;
-            }
-        }
+        stats.delivered.fetch_add(1, Ordering::Relaxed);
         if ok {
+            stats.bytes_verified.fetch_add(msg.payload.len() as u64, Ordering::Relaxed);
             let _ = sink.send(Delivery { rail, payload: msg.payload });
+        } else {
+            stats.corrupt.fetch_add(1, Ordering::Relaxed);
         }
         let at = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
         let _ = events.send(TransportEvent::ChunkDelivered { chunk: msg.chunk, at });

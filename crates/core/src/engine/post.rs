@@ -6,7 +6,7 @@ use super::schedule::ChunkOwner;
 use super::{
     Engine, Flow, MsgCompletion, MsgId, MsgRecord, MsgState, QueuedMsg, FLOW_REORDER_WINDOW,
 };
-use crate::admission::Backpressure;
+use crate::admission::{Backpressure, DEGRADE_CORRECTION, RECOVER_CORRECTION};
 use crate::error::EngineError;
 use crate::transport::{ChunkId, Transport};
 use bytes::Bytes;
@@ -150,9 +150,9 @@ impl<T: Transport> Engine<T> {
             }
         }
         let flipped = if !adm.degraded {
-            backlog >= adm.cfg.degrade_enter_backlog || deviation >= adm.cfg.degrade_correction
+            backlog >= adm.cfg.degrade_enter_backlog || deviation >= DEGRADE_CORRECTION
         } else {
-            backlog <= adm.cfg.degrade_exit_backlog && deviation <= adm.cfg.recover_correction
+            backlog <= adm.cfg.degrade_exit_backlog && deviation <= RECOVER_CORRECTION
         };
         if flipped {
             adm.degraded = !adm.degraded;

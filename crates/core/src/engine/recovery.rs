@@ -7,7 +7,7 @@
 use super::schedule::{ChunkMeta, ChunkOwner, Lineage};
 use super::{publish, Engine, MsgId, MsgRecord, MsgState};
 use crate::error::EngineError;
-use crate::health::{HealthConfig, RailState};
+use crate::health::RailState;
 use crate::predictor::Predictor;
 use crate::replicated::{CounterKind, EngineOp};
 use crate::selection::select_rails;
@@ -61,15 +61,24 @@ pub(super) struct RetryEntry {
     not_before: SimTime,
 }
 
-/// When the watchdog writes a chunk off: `timeout_factor ×` its predicted
-/// duration after submission, floored at `min_timeout`.
-pub(super) fn watchdog_deadline(
-    cfg: &HealthConfig,
-    submitted: SimTime,
-    predicted: SimTime,
-) -> SimTime {
-    submitted
-        + predicted.saturating_since(submitted).mul_f64(cfg.timeout_factor).max(cfg.min_timeout)
+/// Base delay before resubmitting a failed chunk; doubles per attempt.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(100);
+/// A chunk is declared lost when it has been in flight longer than this
+/// many times its predicted duration (for transports that drop silently
+/// instead of raising `ChunkFailed`).
+const TIMEOUT_FACTOR: f64 = 8.0;
+/// Floor on the timeout deadline, so short chunks are not declared lost
+/// over scheduling noise.
+const MIN_TIMEOUT: SimDuration = SimDuration::from_micros(1_000);
+/// Signed relative prediction error that marks a rail Degraded.
+const DEGRADE_DRIFT_THRESHOLD: f64 = 0.5;
+/// Minimum observations before drift is trusted.
+const DEGRADE_MIN_COUNT: u64 = 8;
+
+/// When the watchdog writes a chunk off: [`TIMEOUT_FACTOR`] × its predicted
+/// duration after submission, floored at [`MIN_TIMEOUT`].
+pub(super) fn watchdog_deadline(submitted: SimTime, predicted: SimTime) -> SimTime {
+    submitted + predicted.saturating_since(submitted).mul_f64(TIMEOUT_FACTOR).max(MIN_TIMEOUT)
 }
 
 impl<T: Transport> Engine<T> {
@@ -97,12 +106,13 @@ impl<T: Transport> Engine<T> {
     /// of raising [`crate::TransportEvent::ChunkFailed`]. The records are
     /// walked in id order, so the failure order is deterministic.
     pub(super) fn expire_overdue_chunks(&mut self, now: SimTime) -> Result<(), EngineError> {
-        let Some(ft) = &self.health else { return Ok(()) };
-        let cfg = ft.tracker.config();
+        if self.health.is_none() {
+            return Ok(());
+        }
         let expired: Vec<ChunkId> = self
             .chunks
             .iter()
-            .filter(|(_, r)| now >= watchdog_deadline(cfg, r.submitted, r.predicted))
+            .filter(|(_, r)| now >= watchdog_deadline(r.submitted, r.predicted))
             .map(|(&c, _)| c)
             .collect();
         for chunk in expired {
@@ -169,7 +179,7 @@ impl<T: Transport> Engine<T> {
             )));
         }
         // Exponential backoff: base × 2^(attempt-1).
-        let not_before = at + cfg.retry_backoff * (1u64 << (u64::from(attempt) - 1).min(16));
+        let not_before = at + RETRY_BACKOFF * (1u64 << (u64::from(attempt) - 1).min(16));
         self.transport.schedule_wakeup(not_before);
         ft.retries.push_back(RetryEntry { owner: record.owner, meta, not_before });
         Ok(())
@@ -198,10 +208,9 @@ impl<T: Transport> Engine<T> {
         ft.tracker.on_chunk_success(rail);
         // Feedback drift marks the rail Degraded (still selectable, so no
         // epoch bump): the cue to adopt_feedback_correction or re-sample.
-        let cfg = ft.tracker.config();
         let fb = self.feedback.rail(rail);
-        let drifted = fb.count >= cfg.degrade_min_count
-            && fb.mean_signed_rel_err.abs() > cfg.degrade_drift_threshold
+        let drifted = fb.count >= DEGRADE_MIN_COUNT
+            && fb.mean_signed_rel_err.abs() > DEGRADE_DRIFT_THRESHOLD
             && ft.tracker.note_drift(rail);
         if drifted {
             let ops = [EngineOp::Health { rail: rail.index() as u8, state: RailState::Degraded }];

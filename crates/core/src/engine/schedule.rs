@@ -340,8 +340,8 @@ impl<T: Transport> Engine<T> {
         let meta = resubmittable.then(|| Box::new(ChunkMeta { submit: submit.clone(), lineage }));
         let chunk = self.transport.submit(submit);
         self.chunks.insert(chunk, ChunkRecord { owner, rail, submitted: now, predicted, meta });
-        if let Some(ft) = &self.health {
-            self.transport.schedule_wakeup(watchdog_deadline(ft.tracker.config(), now, predicted));
+        if self.health.is_some() {
+            self.transport.schedule_wakeup(watchdog_deadline(now, predicted));
         }
     }
 }

@@ -7,6 +7,10 @@
 //! reproduces that computation (generalized to k rails through the same
 //! water-filling split the engine uses).
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::predictor::{CostModel, Predictor};
 use crate::split::equal_completion_split;
 use nm_model::Micros;

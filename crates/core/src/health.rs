@@ -43,53 +43,35 @@ pub enum RailState {
     Probing,
 }
 
-/// Tunables for health tracking, probing, retries and timeouts.
+/// Delay between quarantine and the first re-admission probe.
+const PROBE_BACKOFF: SimDuration = SimDuration::from_micros(500);
+/// Backoff multiplier after each failed probe.
+const PROBE_BACKOFF_FACTOR: f64 = 2.0;
+
+/// Tunables for health tracking, probing and retries.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// Consecutive chunk failures that quarantine a rail (≥ 1). The default
     /// of 1 treats any loss as grounds for quarantine — rails are probed
     /// back in cheaply, so erring toward exclusion is safe.
     pub quarantine_after: u32,
-    /// Delay between quarantine and the first re-admission probe.
-    pub probe_backoff: SimDuration,
-    /// Backoff multiplier after each failed probe (≥ 1).
-    pub probe_backoff_factor: f64,
-    /// Cap on the probe backoff.
+    /// Cap on the probe backoff, which starts at 500 µs and doubles after
+    /// each failed probe.
     pub max_probe_backoff: SimDuration,
     /// Probe sizes and pass tolerance (see [`nm_sampler::probe`]).
     pub probe: ProbeConfig,
     /// Resubmission bound per failed chunk before the engine gives up and
     /// surfaces an error.
     pub max_retries: u32,
-    /// Base delay before resubmitting a failed chunk; doubles per attempt.
-    pub retry_backoff: SimDuration,
-    /// A chunk is declared lost when it has been in flight longer than
-    /// `timeout_factor ×` its predicted duration (for transports that drop
-    /// silently instead of raising `ChunkFailed`).
-    pub timeout_factor: f64,
-    /// Floor on the timeout deadline, so short chunks are not declared
-    /// lost over scheduling noise.
-    pub min_timeout: SimDuration,
-    /// Signed relative prediction error that marks a rail Degraded.
-    pub degrade_drift_threshold: f64,
-    /// Minimum observations before drift is trusted.
-    pub degrade_min_count: u64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             quarantine_after: 1,
-            probe_backoff: SimDuration::from_micros(500),
-            probe_backoff_factor: 2.0,
             max_probe_backoff: SimDuration::from_micros(8_000),
             probe: ProbeConfig::default(),
             max_retries: 4,
-            retry_backoff: SimDuration::from_micros(100),
-            timeout_factor: 8.0,
-            min_timeout: SimDuration::from_micros(1_000),
-            degrade_drift_threshold: 0.5,
-            degrade_min_count: 8,
         }
     }
 }
@@ -100,23 +82,10 @@ impl HealthConfig {
         if self.quarantine_after == 0 {
             return Err("quarantine_after must be >= 1".into());
         }
-        if self.probe_backoff == SimDuration::ZERO {
-            return Err("probe_backoff must be positive".into());
+        if self.max_probe_backoff < PROBE_BACKOFF {
+            return Err("max_probe_backoff below the first probe backoff".into());
         }
-        if !(self.probe_backoff_factor.is_finite() && self.probe_backoff_factor >= 1.0) {
-            return Err("probe_backoff_factor must be >= 1".into());
-        }
-        if self.max_probe_backoff < self.probe_backoff {
-            return Err("max_probe_backoff below probe_backoff".into());
-        }
-        self.probe.validate()?;
-        if !(self.timeout_factor.is_finite() && self.timeout_factor > 1.0) {
-            return Err("timeout_factor must be > 1".into());
-        }
-        if !(self.degrade_drift_threshold.is_finite() && self.degrade_drift_threshold > 0.0) {
-            return Err("degrade_drift_threshold must be positive".into());
-        }
-        Ok(())
+        self.probe.validate()
     }
 }
 
@@ -146,7 +115,7 @@ impl HealthTracker {
         let fresh = RailHealth {
             state: RailState::Healthy,
             consecutive_failures: 0,
-            backoff: cfg.probe_backoff,
+            backoff: PROBE_BACKOFF,
             next_probe_at: SimTime::ZERO,
             probe_idx: 0,
         };
@@ -198,7 +167,7 @@ impl HealthTracker {
                 if r.consecutive_failures >= self.cfg.quarantine_after =>
             {
                 r.state = RailState::Quarantined;
-                r.backoff = self.cfg.probe_backoff;
+                r.backoff = PROBE_BACKOFF;
                 r.next_probe_at = now + r.backoff;
                 true
             }
@@ -272,7 +241,7 @@ impl HealthTracker {
         } else {
             r.state = RailState::Healthy;
             r.consecutive_failures = 0;
-            r.backoff = self.cfg.probe_backoff;
+            r.backoff = PROBE_BACKOFF;
             None
         }
     }
@@ -281,11 +250,10 @@ impl HealthTracker {
     /// was lost): back to Quarantined with the backoff doubled (capped).
     pub fn probe_failed(&mut self, rail: RailId, now: SimTime) {
         let max = self.cfg.max_probe_backoff;
-        let factor = self.cfg.probe_backoff_factor;
         let r = &mut self.rails[rail.index()];
         debug_assert_eq!(r.state, RailState::Probing);
         r.state = RailState::Quarantined;
-        r.backoff = r.backoff.mul_f64(factor).min(max);
+        r.backoff = r.backoff.mul_f64(PROBE_BACKOFF_FACTOR).min(max);
         r.next_probe_at = now + r.backoff;
     }
 }
@@ -387,10 +355,6 @@ mod tests {
         let ok = HealthConfig::default();
         assert!(ok.validate().is_ok());
         assert!(HealthConfig { quarantine_after: 0, ..ok.clone() }.validate().is_err());
-        assert!(HealthConfig { probe_backoff_factor: 0.5, ..ok.clone() }.validate().is_err());
-        assert!(HealthConfig { max_probe_backoff: SimDuration::ZERO, ..ok.clone() }
-            .validate()
-            .is_err());
-        assert!(HealthConfig { timeout_factor: 1.0, ..ok }.validate().is_err());
+        assert!(HealthConfig { max_probe_backoff: SimDuration::ZERO, ..ok }.validate().is_err());
     }
 }

@@ -36,6 +36,10 @@
 //! [`crate::Engine::adopt_feedback_correction`] (and any re-sampling path
 //! that replaces the predictor). An epoch change clears the cache.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::split::Split;
 use nm_model::{InlineVec, MAX_RAILS};
 use std::collections::HashMap;
@@ -144,7 +148,7 @@ impl PlanCache {
         }
         let key = self.index_key(salt, size, waits);
         self.slots
-            .insert(key, CachedPlan { salt, size, waits: InlineVec::from_slice(waits), plan });
+            .insert(key, CachedPlan { salt, size, waits: waits.iter().copied().collect(), plan });
     }
 
     /// Counters accumulated so far.

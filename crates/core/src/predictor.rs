@@ -6,6 +6,10 @@
 //! `r` if submitted now?" — the quantity the paper uses both to discard
 //! NICs (Fig 2) and to equalize chunk completions (Fig 1c).
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use nm_model::{ModelError, PerfProfile, SimTime, TransferMode, MAX_RAILS};
 use nm_sampler::{sample_rail, SampleTransport, SamplingConfig};
 use nm_sim::RailId;
@@ -101,8 +105,8 @@ impl Predictor {
 
     /// One rail's view.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "rail ids are validated contiguous in new()")]
     pub fn rail(&self, rail: RailId) -> &RailView {
-        // nm-analyzer: allow(index) -- rail ids are validated contiguous in new()
         &self.rails[rail.index()]
     }
 

@@ -32,6 +32,10 @@
 //! make this safe for plan reuse: a plan memoized under epoch `e` is only
 //! used while the replica still reads epoch `e`.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::health::RailState;
 use nm_model::MAX_RAILS;
 use nm_replog::{OpLog, ReplicaHandle, Replicated, WireOp, OP_WORDS};

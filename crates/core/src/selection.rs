@@ -12,6 +12,10 @@
 //! exceeds `max_chunks`, the smallest contributors are discarded and the
 //! split is recomputed over the survivors.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::predictor::CostModel;
 use crate::split::{equal_completion_split, Split};
 use nm_model::{InlineVec, MAX_RAILS};

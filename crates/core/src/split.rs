@@ -34,6 +34,10 @@
 //! not established (see [`equal_completion_split`]); sampled link models
 //! never take it (`tests/tests/split_differential.rs` pins the call count).
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::predictor::CostModel;
 use nm_model::{InlineVec, MAX_RAILS};
 use nm_sim::RailId;

@@ -86,7 +86,7 @@ impl Ctx<'_> {
 }
 
 /// One chunk of a split plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChunkPlan {
     /// Rail carrying the chunk.
     pub rail: RailId,

@@ -138,7 +138,6 @@ fn engine(
         default_deadline: Some(us(2_500)),
         degrade_enter_backlog: 24,
         degrade_exit_backlog: 6,
-        ..AdmissionConfig::default()
     };
     let engine =
         Engine::new(FaultSimDriver::paper_testbed(schedule(seed)), predictor.clone(), kind.build())

@@ -4,33 +4,67 @@
 //! the engine caps rails at [`MAX_RAILS`]. Heap-allocating a `Vec` for every
 //! split/selection result puts malloc on the per-message critical path; an
 //! [`InlineVec`] keeps the elements inline on the stack (or inside the
-//! owning struct) with no allocation at all.
+//! owning struct) with no allocation at all. Every element type it is used
+//! with is plain data (`Copy + Default`), so the storage is an ordinary
+//! `[T; N]` plus a length.
 //!
 //! The capacity is a hard bound: pushing past `N` panics. This is
 //! intentional — a silent heap spill would hide exactly the allocation this
 //! type exists to eliminate.
 
 use std::fmt;
-use std::mem::MaybeUninit;
 
 /// Upper bound on rails the engine supports (paper testbed uses 2; the
 /// built-in model set tops out at 5). Collections sized by rail count use
 /// this as their inline capacity.
 pub const MAX_RAILS: usize = 8;
 
-/// A `Vec`-like container storing at most `N` elements inline.
+/// A `Vec`-like container storing at most `N` plain-data elements inline.
+///
+/// Slots past `len` hold `T::default()` (or a stale copy) and are never
+/// observable: every view goes through [`InlineVec::as_slice`].
+#[derive(Clone)]
 pub struct InlineVec<T, const N: usize> {
-    buf: [MaybeUninit<T>; N],
+    buf: [T; N],
     len: usize,
 }
 
-impl<T, const N: usize> InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// An empty vector.
     pub fn new() -> Self {
-        // SAFETY: an array of `MaybeUninit` needs no initialization.
-        InlineVec { buf: unsafe { MaybeUninit::uninit().assume_init() }, len: 0 }
+        InlineVec { buf: [T::default(); N], len: 0 }
     }
 
+    /// Appends an element.
+    ///
+    /// # Panics
+    /// When the vector already holds `N` elements.
+    pub fn push(&mut self, value: T) {
+        assert!(self.len < N, "InlineVec overflow: capacity {N}");
+        self.buf[self.len] = value;
+        self.len += 1;
+    }
+
+    /// Removes and returns the last element.
+    pub fn pop(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        Some(self.buf[self.len])
+    }
+
+    /// Removes the element at `index` by shifting the tail left.
+    pub fn remove(&mut self, index: usize) -> T {
+        assert!(index < self.len, "index {index} out of bounds (len {})", self.len);
+        let value = self.buf[index];
+        self.buf.copy_within(index + 1..self.len, index);
+        self.len -= 1;
+        value
+    }
+}
+
+impl<T, const N: usize> InlineVec<T, N> {
     /// The fixed capacity `N`.
     pub const fn capacity(&self) -> usize {
         N
@@ -46,85 +80,25 @@ impl<T, const N: usize> InlineVec<T, N> {
         self.len == 0
     }
 
-    /// Appends an element.
-    ///
-    /// # Panics
-    /// When the vector already holds `N` elements.
-    pub fn push(&mut self, value: T) {
-        assert!(self.len < N, "InlineVec overflow: capacity {N}");
-        self.buf[self.len].write(value);
-        self.len += 1;
-    }
-
-    /// Removes and returns the last element.
-    pub fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        // SAFETY: slot `len` was initialized and is now out of bounds.
-        Some(unsafe { self.buf[self.len].assume_init_read() })
-    }
-
     /// Drops all elements.
     pub fn clear(&mut self) {
-        while self.pop().is_some() {}
-    }
-
-    /// Removes the element at `index` by shifting the tail left.
-    pub fn remove(&mut self, index: usize) -> T {
-        assert!(index < self.len, "index {index} out of bounds (len {})", self.len);
-        // SAFETY: `index` is initialized; the shifted range stays within the
-        // initialized prefix, and `len` is decremented so the vacated tail
-        // slot is treated as uninitialized again.
-        unsafe {
-            let value = self.buf[index].assume_init_read();
-            let base = self.buf.as_mut_ptr();
-            std::ptr::copy(base.add(index + 1), base.add(index), self.len - index - 1);
-            self.len -= 1;
-            value
-        }
+        self.len = 0;
     }
 
     /// Borrows the elements as a slice.
     pub fn as_slice(&self) -> &[T] {
-        // SAFETY: the first `len` slots are initialized.
-        unsafe { std::slice::from_raw_parts(self.buf.as_ptr().cast::<T>(), self.len) }
+        &self.buf[..self.len]
     }
 
     /// Borrows the elements as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: the first `len` slots are initialized.
-        unsafe { std::slice::from_raw_parts_mut(self.buf.as_mut_ptr().cast::<T>(), self.len) }
+        &mut self.buf[..self.len]
     }
 }
 
-impl<T: Clone, const N: usize> InlineVec<T, N> {
-    /// Builds from a slice (must fit the capacity).
-    pub fn from_slice(items: &[T]) -> Self {
-        let mut v = Self::new();
-        for item in items {
-            v.push(item.clone());
-        }
-        v
-    }
-}
-
-impl<T, const N: usize> Default for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<T, const N: usize> Drop for InlineVec<T, N> {
-    fn drop(&mut self) {
-        self.clear();
-    }
-}
-
-impl<T: Clone, const N: usize> Clone for InlineVec<T, N> {
-    fn clone(&self) -> Self {
-        Self::from_slice(self.as_slice())
     }
 }
 
@@ -179,17 +153,15 @@ impl<T: PartialEq, const N: usize> PartialEq<Vec<T>> for InlineVec<T, N> {
     }
 }
 
-impl<T, const N: usize> FromIterator<T> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = Self::new();
-        for item in iter {
-            v.push(item);
-        }
+        v.extend(iter);
         v
     }
 }
 
-impl<T, const N: usize> Extend<T> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for item in iter {
             self.push(item);
@@ -197,56 +169,17 @@ impl<T, const N: usize> Extend<T> for InlineVec<T, N> {
     }
 }
 
-impl<T, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
     fn from(items: [T; M]) -> Self {
         items.into_iter().collect()
     }
 }
 
-/// Owning iterator.
-pub struct IntoIter<T, const N: usize> {
-    vec: InlineVec<T, N>,
-    next: usize,
-}
-
-impl<T, const N: usize> Iterator for IntoIter<T, N> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        if self.next >= self.vec.len {
-            return None;
-        }
-        // SAFETY: each slot is read exactly once; `Drop` of the iterator
-        // only drops the not-yet-yielded suffix (see below).
-        let value = unsafe { self.vec.buf[self.next].assume_init_read() };
-        self.next += 1;
-        Some(value)
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.vec.len - self.next;
-        (rem, Some(rem))
-    }
-}
-
-impl<T, const N: usize> ExactSizeIterator for IntoIter<T, N> {}
-
-impl<T, const N: usize> Drop for IntoIter<T, N> {
-    fn drop(&mut self) {
-        // Drop the unread suffix, then defuse the inner vec's Drop (the
-        // prefix was moved out by `next`).
-        while self.next < self.vec.len {
-            // SAFETY: slots in `next..len` are initialized and unread.
-            unsafe { self.vec.buf[self.next].assume_init_read() };
-            self.next += 1;
-        }
-        self.vec.len = 0;
-    }
-}
-
 impl<T, const N: usize> IntoIterator for InlineVec<T, N> {
     type Item = T;
-    type IntoIter = IntoIter<T, N>;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
     fn into_iter(self) -> Self::IntoIter {
-        IntoIter { vec: self, next: 0 }
+        self.buf.into_iter().take(self.len)
     }
 }
 
@@ -261,7 +194,6 @@ impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
 
     #[test]
     fn push_pop_len() {
@@ -311,21 +243,6 @@ mod tests {
         assert_eq!(doubled, vec![0, 2, 4, 6, 8]);
         let owned: Vec<u32> = v.into_iter().collect();
         assert_eq!(owned, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn drops_run_exactly_once() {
-        let item = Rc::new(());
-        {
-            let mut v: InlineVec<Rc<()>, 4> = InlineVec::new();
-            for _ in 0..3 {
-                v.push(item.clone());
-            }
-            assert_eq!(Rc::strong_count(&item), 4);
-            let mut it = v.into_iter();
-            let _first = it.next(); // one moved out, two dropped by the iterator
-        }
-        assert_eq!(Rc::strong_count(&item), 1);
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //! strategy decisions are taken from sampled profiles, so prediction error is
 //! a first-class citizen rather than an artifact.
 
-// The few unsafe blocks in this crate (see the per-block SAFETY
-// comments) must spell out every unsafe operation explicitly.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod builtin;
 pub mod error;

@@ -6,6 +6,10 @@
 //! arrive out of order — rails race each other, so arrival order is
 //! unspecified.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::error::ProtoError;
 use bytes::Bytes;
 

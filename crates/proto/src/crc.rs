@@ -25,6 +25,10 @@
 //! therefore unobservable in any output, and results stay deterministic
 //! across platforms.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 /// Reflected CRC32C (Castagnoli) polynomial.
 const POLY: u32 = 0x82F6_3B78;
 
@@ -33,8 +37,7 @@ const POLY: u32 = 0x82F6_3B78;
 /// followed by `k` zero bytes.
 static TABLES: [[u32; 256]; 8] = build_tables();
 
-// nm-analyzer: allow(index) -- const-eval loops, every index is bounded by
-// its loop condition or masked to 0..256
+#[expect(clippy::indexing_slicing, reason = "const-eval loops: every index is bounded or masked")]
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
@@ -80,28 +83,33 @@ pub fn crc32c_append(state: u32, data: &[u8]) -> u32 {
     crc32c_portable(state, data)
 }
 
+/// `table[b]`, the one lookup every kernel's table access goes through.
+#[expect(clippy::indexing_slicing, reason = "a u8 cannot index past a 256-entry table")]
+#[inline(always)]
+fn entry(table: &[u32; 256], b: u8) -> u32 {
+    table[b as usize]
+}
+
 /// One table step: folds byte `b` into `crc`.
-// nm-analyzer: allow(index) -- masked with & 0xFF against a 256-entry table
 fn step(crc: u32, b: u8) -> u32 {
-    (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
+    (crc >> 8) ^ entry(&TABLES[0], crc as u8 ^ b)
 }
 
 /// Slicing-by-8: the kernel of every target without the SSE4.2 instruction.
-// nm-analyzer: allow(index) -- every index is a u8 into a 256-entry table
 fn crc32c_portable(state: u32, data: &[u8]) -> u32 {
     let mut crc = state;
     let mut rest = data;
     while let Some((word, tail)) = rest.split_first_chunk::<8>() {
         let [b0, b1, b2, b3, b4, b5, b6, b7] =
             (u64::from_le_bytes(*word) ^ u64::from(crc)).to_le_bytes();
-        crc = TABLES[7][b0 as usize]
-            ^ TABLES[6][b1 as usize]
-            ^ TABLES[5][b2 as usize]
-            ^ TABLES[4][b3 as usize]
-            ^ TABLES[3][b4 as usize]
-            ^ TABLES[2][b5 as usize]
-            ^ TABLES[1][b6 as usize]
-            ^ TABLES[0][b7 as usize];
+        crc = entry(&TABLES[7], b0)
+            ^ entry(&TABLES[6], b1)
+            ^ entry(&TABLES[5], b2)
+            ^ entry(&TABLES[4], b3)
+            ^ entry(&TABLES[3], b4)
+            ^ entry(&TABLES[2], b5)
+            ^ entry(&TABLES[1], b6)
+            ^ entry(&TABLES[0], b7);
         rest = tail;
     }
     rest.iter().fold(crc, |crc, &b| step(crc, b))
@@ -109,7 +117,7 @@ fn crc32c_portable(state: u32, data: &[u8]) -> u32 {
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod sse42 {
-    use super::POLY;
+    use super::{entry, POLY};
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
     /// Bytes per lane of the three-lane kernel. Measured on the 2-core
@@ -138,7 +146,7 @@ mod sse42 {
         product
     }
 
-    // nm-analyzer: allow(index) -- const-eval loops bounded by the table dimensions
+    #[expect(clippy::indexing_slicing, reason = "const-eval loops bounded by the table dimensions")]
     const fn build_shift() -> [[u32; 256]; 4] {
         // x^(8·LANE) mod P by square-and-multiply, starting from x¹.
         let mut advance = 1u32 << 31;
@@ -165,13 +173,9 @@ mod sse42 {
     }
 
     /// Advances `crc` over [`LANE`] zero bytes.
-    // nm-analyzer: allow(index) -- every index is a u8 into a 256-entry table
     fn shift(crc: u32) -> u32 {
         let [b0, b1, b2, b3] = crc.to_le_bytes();
-        SHIFT[0][b0 as usize]
-            ^ SHIFT[1][b1 as usize]
-            ^ SHIFT[2][b2 as usize]
-            ^ SHIFT[3][b3 as usize]
+        entry(&SHIFT[0], b0) ^ entry(&SHIFT[1], b1) ^ entry(&SHIFT[2], b2) ^ entry(&SHIFT[3], b3)
     }
 
     /// The hardware kernel. Safe to call exactly when the CPU has SSE4.2.

@@ -24,6 +24,10 @@
 //! *is* the version negotiation: a sender that never sets it produces the
 //! legacy format, and a receiver verifies exactly when the wire says so.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 use crate::crc::crc32c;
 use crate::error::ProtoError;
 use bytes::{Buf, BufMut};
@@ -95,8 +99,6 @@ impl PacketHeader {
     /// Serialises to a fixed array with the given `flags` and `header_check`
     /// bytes. The single source of truth for the wire layout — both encode
     /// paths and the self-check computation go through it.
-    // nm-analyzer: allow(index) -- literal offsets into a fixed
-    // [u8; HEADER_LEN]; out-of-bounds would fail the round-trip tests
     fn to_bytes(self, flags: u8, check: u16) -> [u8; HEADER_LEN] {
         let mut out = [0u8; HEADER_LEN];
         out[0] = self.kind.to_u8();

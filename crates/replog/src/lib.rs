@@ -46,6 +46,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
 
 use nm_sync::atomic::{fence, AtomicU64, Ordering};
 use nm_sync::{Arc, Mutex};

@@ -7,6 +7,10 @@
 //! §III-A). Here a tasklet is a boxed closure plus a label; the worker it is
 //! submitted to runs its tasklets in submission order.
 
+// Hot path: no panicking construct anywhere in this file (tests excepted, clippy.toml).
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+
 /// A run-once deferred work item.
 pub struct Tasklet {
     /// Label for diagnostics.

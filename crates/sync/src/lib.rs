@@ -2,15 +2,15 @@
 //!
 //! Every crate that shares mutable state across threads imports its
 //! primitives from here instead of `std::sync` / `parking_lot` directly
-//! (the CI lint pass enforces this for `nm-runtime` and `nm-core`).
-//! Compiled normally, the facade re-exports the production primitives;
-//! compiled with `RUSTFLAGS="--cfg loom"` it re-exports the vendored loom
-//! model-checker's shims, so the same runtime code can be driven through
-//! `loom::model` and have its interleavings explored exhaustively (up to
-//! the preemption bound).
+//! (nm-analyzer's `facade-bypass` rule enforces this for the crates
+//! `analyzer.toml` lists under `[facade]`: `nm-runtime`, `nm-core` and
+//! `nm-replog`). Compiled normally, the facade re-exports the production
+//! primitives; compiled with `RUSTFLAGS="--cfg loom"` it re-exports the
+//! vendored loom model-checker's shims, so the same code can be driven
+//! through `loom::model` and have its interleavings explored exhaustively
+//! (up to the preemption bound).
 //!
-//! Surface kept deliberately small — exactly what the runtime and core
-//! crates use:
+//! Surface kept deliberately small — exactly what those three crates use:
 //! * [`Arc`]
 //! * [`atomic`][]: `AtomicBool`/`AtomicU32`/`AtomicU64`/`AtomicUsize`/
 //!   `AtomicI64` + [`atomic::Ordering`]
