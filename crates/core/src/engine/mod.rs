@@ -455,13 +455,13 @@ impl<T: Transport> Engine<T> {
     pub fn poll(&mut self) -> Result<Vec<MsgId>, EngineError> {
         let events = self.transport.poll();
         let mut done = Vec::new();
-        let mut rekick = false;
+        let (mut rekick, mut readmitted) = (false, false);
         for ev in events {
             match ev {
                 TransportEvent::ChunkDelivered { chunk, at } => match self.chunks.remove(&chunk) {
                     Some(record) => {
                         self.recent_delivered.insert(chunk);
-                        rekick |= self.on_delivered(record, at, &mut done)?;
+                        readmitted |= self.on_delivered(record, at, &mut done)?;
                     }
                     None => self.on_stray_delivery(chunk)?,
                 },
@@ -494,8 +494,12 @@ impl<T: Transport> Engine<T> {
             let now = self.transport.now();
             self.shed_expired(now)?;
         }
-        if rekick {
+        if rekick || readmitted {
             self.kick()?;
+        }
+        if readmitted {
+            let now = self.transport.now();
+            self.release_parked(now)?;
         }
         Ok(done)
     }

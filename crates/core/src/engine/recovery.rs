@@ -53,11 +53,14 @@ impl RecentChunks {
     }
 }
 
-/// A failed chunk waiting out its retry backoff.
+/// A failed chunk waiting out its retry backoff, or parked while no rail is
+/// selectable.
 pub(super) struct RetryEntry {
     owner: ChunkOwner,
     /// What to resubmit; `meta.submit.rail` is the rail that lost it.
     meta: Box<ChunkMeta>,
+    /// [`SimTime::FAR_FUTURE`] while parked: no instant makes a parked entry
+    /// due, only a re-admission does ([`Engine::release_parked`]).
     not_before: SimTime,
 }
 
@@ -259,6 +262,17 @@ impl<T: Transport> Engine<T> {
         true
     }
 
+    /// A rail came back: every parked retry is due at once. Called after the
+    /// `kick` of the poll that saw the re-admission, so the queue reaches the
+    /// rail first and the retries compete with what it left.
+    pub(super) fn release_parked(&mut self, now: SimTime) -> Result<(), EngineError> {
+        let Some(ft) = self.health.as_mut() else { return Ok(()) };
+        for entry in ft.retries.iter_mut().filter(|e| e.not_before == SimTime::FAR_FUTURE) {
+            entry.not_before = now;
+        }
+        self.flush_retries(now)
+    }
+
     /// Launches due probes and resubmits retry entries whose backoff
     /// elapsed.
     pub(super) fn flush_due(&mut self, now: SimTime) -> Result<(), EngineError> {
@@ -273,8 +287,12 @@ impl<T: Transport> Engine<T> {
                 self.submit_probe(rail, size);
             }
         }
-        // Backoffs grow per attempt, so the deque is not sorted by
-        // deadline: scan for any due entry.
+        self.flush_retries(now)
+    }
+
+    /// Resubmits every retry entry due at `now`. Backoffs grow per attempt,
+    /// so the deque is not sorted by deadline: scan for any due entry.
+    fn flush_retries(&mut self, now: SimTime) -> Result<(), EngineError> {
         while let Some(entry) = self.health.as_mut().and_then(|ft| {
             let due = ft.retries.iter().position(|e| e.not_before <= now)?;
             ft.retries.remove(due)
@@ -295,12 +313,9 @@ impl<T: Transport> Engine<T> {
     fn resubmit(&mut self, mut entry: RetryEntry, now: SimTime) -> Result<(), EngineError> {
         let Some(ft) = self.health.as_mut() else { return Ok(()) };
         if ft.tracker.selectable_count() == 0 {
-            // Every rail is down: park the retry until a probe can
-            // re-admit one (probes due now were already launched, so the
-            // earliest pending probe is strictly in the future).
-            entry.not_before =
-                ft.tracker.earliest_probe_at().unwrap_or(now) + SimDuration::from_micros(1);
-            self.transport.schedule_wakeup(entry.not_before);
+            // Every rail is down: park the retry, with no timer, until a
+            // probe re-admits one.
+            entry.not_before = SimTime::FAR_FUTURE;
             ft.retries.push_back(entry);
             return Ok(());
         }
