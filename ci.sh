@@ -47,6 +47,13 @@ check_bench_unchanged() {
 ! grep -rnE 'chunk_owner|chunk_prediction|chunk_meta' crates/*/src \
     || { echo "a parallel chunk-keyed ledger is back" >&2; exit 1; }
 
+# Recovery at event speed: the engine asks its transport for a wake-up in
+# one place (`arm`), and no retry re-parks itself a microsecond ahead.
+[ "$(grep -rF 'transport.schedule_wakeup(' crates/core/src/engine/ | wc -l)" -eq 1 ] \
+    || { echo "Transport::schedule_wakeup must have exactly one caller under crates/core/src/engine/" >&2; exit 1; }
+! grep -nF 'SimDuration::from_micros(1)' crates/core/src/engine/recovery.rs \
+    || { echo "a one-microsecond spin is back in engine/recovery.rs" >&2; exit 1; }
+
 # One record per message: the id-ordered `msgs` table is the only
 # `MsgId`-keyed collection under the engine, and the four parallel ledgers
 # it replaced (two maps, two sets) stay gone. (`MsgCensus` has count fields
@@ -180,6 +187,8 @@ cargo test -q --release -p nm-tests --test split_differential -- --ignored match
 # The engine's observable stream (48 seeded fault/overload scripts) in
 # release mode too: optimisation must not move a digest.
 cargo test -q --release -p nm-core --test engine_stream_pin
+# And the poll-count pin: one outage ridden out in a few hundred polls.
+cargo test -q --release -p nm-core --test outage_polls
 
 # Perf smoke lane: every workload of the benchmark at tiny op counts. The
 # bin checks its own outputs (receiver byte-compares, conservation, golden

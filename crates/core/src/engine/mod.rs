@@ -28,8 +28,9 @@
 //!   `submit_chunk`, the one way onto the wire, opens the one `ChunkRecord`
 //!   kept per chunk;
 //! * this file — the seam to the **transfer layer**: the [`Engine`], its
-//!   builders and accessors, and [`Engine::poll`]'s fold of transport
-//!   events into completions, with `wait`/`drain` on top;
+//!   builders and accessors, [`Engine::poll`]'s fold of transport events
+//!   into completions with `wait`/`drain` on top, and `arm`, the one timer
+//!   every deadline of the other three files is served by;
 //! * `recovery.rs` — beyond the paper: timeout watchdog, chunk failure,
 //!   retry and failover, health probes, `abandon`, and `RecentChunks`, the
 //!   bounded memory of chunk ids.
@@ -216,6 +217,9 @@ struct Admission {
     /// The cheap strategy used while degraded (static bandwidth ratios —
     /// constant-time decisions, no dichotomy).
     fallback: BandwidthRatioSplit,
+    /// No queued message's shed deadline is earlier than this: lowered by
+    /// every post with a deadline, made exact whenever `shed_expired` scans.
+    shed_floor: SimTime,
 }
 
 /// All fault-tolerance state, boxed behind an `Option` so the fault-free
@@ -227,6 +231,12 @@ struct FaultTolerance {
     /// Chunks written off while the transport could not retract them: their
     /// late deliveries must be swallowed, not treated as unknown chunks.
     abandoned: RecentChunks,
+    /// No chunk on the wire has a watchdog deadline earlier than this:
+    /// lowered by every submission, made exact whenever the watchdog scans.
+    watchdog_floor: SimTime,
+    /// The same bound over the retries' `not_before` and the quarantined
+    /// rails' `next_probe_at`, made exact whenever `flush_due` scans.
+    due_floor: SimTime,
 }
 
 /// The multirail engine over some transport.
@@ -270,6 +280,9 @@ pub struct Engine<T: Transport> {
     /// What the transport was last told through
     /// [`Transport::set_idle_interest`] (drivers start out delivering).
     idle_interest: bool,
+    /// The earliest instant the transport was asked to wake the engine at
+    /// and has not reached yet ([`SimTime::FAR_FUTURE`]: none) — see `arm`.
+    armed: SimTime,
     /// Fault tolerance (health tracking, retries, probes); `None` keeps
     /// every fault path fully disabled.
     health: Option<Box<FaultTolerance>>,
@@ -332,6 +345,7 @@ impl<T: Transport> Engine<T> {
             scratch_sizes: Vec::new(),
             scratch_waits: Vec::with_capacity(rails),
             idle_interest: true,
+            armed: SimTime::FAR_FUTURE,
             health: None,
             admission: None,
             shared: None,
@@ -348,6 +362,8 @@ impl<T: Transport> Engine<T> {
             tracker,
             retries: VecDeque::new(),
             abandoned: RecentChunks::default(),
+            watchdog_floor: SimTime::FAR_FUTURE,
+            due_floor: SimTime::FAR_FUTURE,
         }));
         Ok(self)
     }
@@ -410,6 +426,7 @@ impl<T: Transport> Engine<T> {
             pending_bytes: 0,
             degraded: false,
             fallback: BandwidthRatioSplit::new(),
+            shed_floor: SimTime::FAR_FUTURE,
         }));
         Ok(self)
     }
@@ -485,23 +502,69 @@ impl<T: Transport> Engine<T> {
                 }
             }
         }
-        if self.health.is_some() {
+        if self.health.is_some() || self.admission.is_some() {
             let now = self.transport.now();
             self.expire_overdue_chunks(now)?;
             self.flush_due(now)?;
-        }
-        if self.admission.is_some() {
-            let now = self.transport.now();
             self.shed_expired(now)?;
         }
         if rekick || readmitted {
             self.kick()?;
         }
         if readmitted {
-            let now = self.transport.now();
-            self.release_parked(now)?;
+            self.release_parked()?;
+        }
+        self.arm(self.next_deadline());
+        Ok(done)
+    }
+
+    /// Polls until the transport's clock reaches `at` and returns what
+    /// completed on the way — how an open-loop caller waits for its next
+    /// send instant. The engine's own timers need not reach that far (an
+    /// idle engine has none), so `at` is armed like any other deadline. On a
+    /// transport that ignores [`Transport::schedule_wakeup`] this spins on
+    /// the transport's own clock.
+    pub fn advance_to(&mut self, at: SimTime) -> Result<Vec<MsgId>, EngineError> {
+        let mut done = Vec::new();
+        while self.transport.now() < at {
+            self.arm(at);
+            done.append(&mut self.poll()?);
         }
         Ok(done)
+    }
+
+    /// The earliest instant at which time alone gives the engine something
+    /// to do: a watchdog expiry, a retry's backoff, a quarantined rail's
+    /// next probe or a queued message's shed deadline. A lower bound (the
+    /// cached floors), so the wake-up it buys may find nothing due yet; the
+    /// scan it triggers makes the bound exact. Parked retries have no
+    /// instant: a re-admission releases them, and that is a delivery.
+    fn next_deadline(&self) -> SimTime {
+        let fault = self
+            .health
+            .as_ref()
+            .map_or(SimTime::FAR_FUTURE, |ft| ft.watchdog_floor.min(ft.due_floor));
+        let shed = self.admission.as_ref().map_or(SimTime::FAR_FUTURE, |adm| adm.shed_floor);
+        fault.min(shed)
+    }
+
+    /// The engine's one timer. Asks the transport for a wake-up at
+    /// `deadline` unless one at or before it is already outstanding; called
+    /// wherever a deadline may have appeared (every post, the end of every
+    /// poll), so when the armed one fires the next is requested in the same
+    /// poll. Nothing depends on the wake-up arriving: every time-driven scan
+    /// compares its floor with the clock.
+    fn arm(&mut self, deadline: SimTime) {
+        if deadline == SimTime::FAR_FUTURE {
+            return;
+        }
+        if self.armed <= self.transport.now() {
+            self.armed = SimTime::FAR_FUTURE;
+        }
+        if deadline < self.armed {
+            self.armed = deadline;
+            self.transport.schedule_wakeup(deadline);
+        }
     }
 
     /// Folds one delivered chunk into what it carried: a probe is judged,
@@ -739,6 +802,19 @@ mod tests {
         assert_eq!(e.wait(first).unwrap().id, first);
         assert!(matches!(e.wait(first), Err(EngineError::UnknownMessage(_))));
         assert_eq!(e.try_completion(first), None);
+    }
+
+    #[test]
+    fn advance_to_stops_at_the_instant_even_when_the_engine_has_no_timer_of_its_own() {
+        let mut e = engine(StrategyKind::HeteroSplit);
+        let gap = SimDuration::from_micros(600);
+        assert!(e.advance_to(SimTime::ZERO + gap).unwrap().is_empty());
+        assert_eq!(e.now(), SimTime::ZERO + gap, "nothing in flight, nothing armed but `at`");
+        let id = e.post_send(64 * KIB).unwrap();
+        assert_eq!(e.advance_to(SimTime::ZERO + gap * 2).unwrap(), [id]);
+        assert_eq!(e.now(), SimTime::ZERO + gap * 2, "the delivery came first, then the instant");
+        assert!(e.advance_to(SimTime::ZERO + gap).unwrap().is_empty(), "already past: no poll");
+        assert_eq!(e.now(), SimTime::ZERO + gap * 2);
     }
 
     #[test]

@@ -48,6 +48,7 @@ impl<T: Transport> Engine<T> {
         let ids =
             sizes.iter().map(|&s| self.enqueue(s, None, 0, None)).collect::<Result<Vec<_>, _>>()?;
         self.kick()?;
+        self.arm(self.next_deadline());
         Ok(ids)
     }
 
@@ -84,6 +85,7 @@ impl<T: Transport> Engine<T> {
     ) -> Result<MsgId, EngineError> {
         let id = self.enqueue(size, payload, tag, deadline)?;
         self.kick()?;
+        self.arm(self.next_deadline());
         Ok(id)
     }
 
@@ -119,7 +121,9 @@ impl<T: Transport> Engine<T> {
             }
             adm.pending_msgs += 1;
             adm.pending_bytes += size;
-            deadline.or(adm.cfg.default_deadline).map(|d| posted_at + d)
+            let deadline = deadline.or(adm.cfg.default_deadline).map(|d| posted_at + d);
+            adm.shed_floor = adm.shed_floor.min(deadline.unwrap_or(SimTime::FAR_FUTURE));
+            deadline
         } else {
             None
         };
@@ -164,13 +168,23 @@ impl<T: Transport> Engine<T> {
     /// messages release their flow slot (successors must not stall) and are
     /// reported by [`Engine::wait`] as [`EngineError::Shed`].
     pub(super) fn shed_expired(&mut self, now: SimTime) -> Result<(), EngineError> {
-        let overdue = |m: &QueuedMsg| m.deadline.is_some_and(|d| d <= now);
-        let mut victims: Vec<MsgId> =
-            self.queue.iter().filter(|m| overdue(m)).map(|m| m.id).collect();
+        let Some(adm) = self.admission.as_mut() else { return Ok(()) };
+        if now < adm.shed_floor {
+            return Ok(());
+        }
+        adm.shed_floor = SimTime::FAR_FUTURE;
+        let mut victims: Vec<MsgId> = Vec::new();
+        for m in &self.queue {
+            match m.deadline {
+                Some(d) if d <= now => victims.push(m.id),
+                Some(d) => adm.shed_floor = adm.shed_floor.min(d),
+                None => {}
+            }
+        }
         if victims.is_empty() {
             return Ok(());
         }
-        self.queue.retain(|m| !overdue(m));
+        self.queue.retain(|m| m.deadline.is_none_or(|d| d > now));
         // Ids are assigned in posted order, so id order is oldest first
         // (a promotion may have moved a younger message ahead in the queue).
         victims.sort_unstable();

@@ -109,15 +109,20 @@ impl<T: Transport> Engine<T> {
     /// of raising [`crate::TransportEvent::ChunkFailed`]. The records are
     /// walked in id order, so the failure order is deterministic.
     pub(super) fn expire_overdue_chunks(&mut self, now: SimTime) -> Result<(), EngineError> {
-        if self.health.is_none() {
+        let Some(ft) = self.health.as_mut() else { return Ok(()) };
+        if now < ft.watchdog_floor {
             return Ok(());
         }
-        let expired: Vec<ChunkId> = self
-            .chunks
-            .iter()
-            .filter(|(_, r)| now >= watchdog_deadline(r.submitted, r.predicted))
-            .map(|(&c, _)| c)
-            .collect();
+        ft.watchdog_floor = SimTime::FAR_FUTURE;
+        let mut expired: Vec<ChunkId> = Vec::new();
+        for (&chunk, r) in &self.chunks {
+            let deadline = watchdog_deadline(r.submitted, r.predicted);
+            if deadline <= now {
+                expired.push(chunk);
+            } else {
+                ft.watchdog_floor = ft.watchdog_floor.min(deadline);
+            }
+        }
         for chunk in expired {
             self.handle_chunk_failure(chunk, now, true)?;
         }
@@ -172,7 +177,7 @@ impl<T: Transport> Engine<T> {
                 EngineOp::Counter { kind: CounterKind::Quarantines, delta: 1 },
             ];
             publish(&self.shared, &ops);
-            self.transport.schedule_wakeup(ft.tracker.next_probe_at(rail));
+            ft.due_floor = ft.due_floor.min(ft.tracker.next_probe_at(rail));
         }
         let cfg = ft.tracker.config();
         let attempt = meta.lineage.attempt;
@@ -183,13 +188,13 @@ impl<T: Transport> Engine<T> {
         }
         // Exponential backoff: base × 2^(attempt-1).
         let not_before = at + RETRY_BACKOFF * (1u64 << (u64::from(attempt) - 1).min(16));
-        self.transport.schedule_wakeup(not_before);
+        ft.due_floor = ft.due_floor.min(not_before);
         ft.retries.push_back(RetryEntry { owner: record.owner, meta, not_before });
         Ok(())
     }
 
     /// A probe was lost or came back out of tolerance: Probing →
-    /// Quarantined with the backoff grown, and a wakeup for the next try.
+    /// Quarantined with the backoff grown, and a deadline for the next try.
     fn probe_failed(&mut self, rail: RailId, at: SimTime) {
         let Some(ft) = self.health.as_mut() else { return };
         ft.tracker.probe_failed(rail, at);
@@ -200,7 +205,7 @@ impl<T: Transport> Engine<T> {
             EngineOp::Counter { kind: CounterKind::ProbeFailures, delta: 1 },
         ];
         publish(&self.shared, &ops);
-        self.transport.schedule_wakeup(ft.tracker.next_probe_at(rail));
+        ft.due_floor = ft.due_floor.min(ft.tracker.next_probe_at(rail));
     }
 
     /// A chunk delivered while fault tolerance is on: credit the rail,
@@ -265,7 +270,8 @@ impl<T: Transport> Engine<T> {
     /// A rail came back: every parked retry is due at once. Called after the
     /// `kick` of the poll that saw the re-admission, so the queue reaches the
     /// rail first and the retries compete with what it left.
-    pub(super) fn release_parked(&mut self, now: SimTime) -> Result<(), EngineError> {
+    pub(super) fn release_parked(&mut self) -> Result<(), EngineError> {
+        let now = self.transport.now();
         let Some(ft) = self.health.as_mut() else { return Ok(()) };
         for entry in ft.retries.iter_mut().filter(|e| e.not_before == SimTime::FAR_FUTURE) {
             entry.not_before = now;
@@ -276,6 +282,9 @@ impl<T: Transport> Engine<T> {
     /// Launches due probes and resubmits retry entries whose backoff
     /// elapsed.
     pub(super) fn flush_due(&mut self, now: SimTime) -> Result<(), EngineError> {
+        if self.health.as_ref().is_none_or(|ft| now < ft.due_floor) {
+            return Ok(());
+        }
         for rail in (0..self.transport.rail_count()).map(RailId) {
             let Some(ft) = self.health.as_mut() else { return Ok(()) };
             if ft.tracker.probe_due(rail, now) {
@@ -287,7 +296,13 @@ impl<T: Transport> Engine<T> {
                 self.submit_probe(rail, size);
             }
         }
-        self.flush_retries(now)
+        self.flush_retries(now)?;
+        if let Some(ft) = self.health.as_mut() {
+            let waiting = ft.retries.iter().map(|e| e.not_before);
+            ft.due_floor =
+                waiting.chain(ft.tracker.earliest_probe_at()).min().unwrap_or(SimTime::FAR_FUTURE);
+        }
+        Ok(())
     }
 
     /// Resubmits every retry entry due at `now`. Backoffs grow per attempt,
@@ -375,12 +390,16 @@ impl<T: Transport> Engine<T> {
         }
         // Everything else moves whole, to the candidate with the best
         // predicted completion.
-        let rail = candidates
-            .iter()
-            .map(|&(r, w)| (r, self.predictor.completion_us(r, bytes, w)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("at least one selectable rail")
-            .0;
+        let mut best: Option<(RailId, f64)> = None;
+        for &(r, w) in &candidates {
+            let done = self.predictor.completion_us(r, bytes, w);
+            if best.is_none_or(|(_, earliest)| done < earliest) {
+                best = Some((r, done));
+            }
+        }
+        let Some((rail, _)) = best else {
+            return Err(EngineError::BadPlan("retry found no selectable rail".into()));
+        };
         if rail != from_rail {
             self.stats.failovers += 1;
         }

@@ -83,8 +83,10 @@ impl<T: Transport> Engine<T> {
         self.scratch_sizes = sizes;
         self.scratch_waits = waits;
         // An idle NIC or core matters only while something waits for one.
-        // The fault and admission layers do time-driven work on every poll
-        // (timeouts, retries, probes, shedding), so they take every event.
+        // The fault and admission layers have time-driven work (timeouts,
+        // retries, probes, shedding) that a transport without timers lets
+        // them notice only when an event brings a poll, so they take every
+        // event.
         let wanted = !self.queue.is_empty() || self.health.is_some() || self.admission.is_some();
         if wanted != self.idle_interest {
             self.idle_interest = wanted;
@@ -317,7 +319,8 @@ impl<T: Transport> Engine<T> {
 
     /// The one way onto the wire: predicts the chunk's completion, keeps a
     /// resubmittable copy iff the engine is fault-tolerant and the chunk is
-    /// not a probe, submits, opens the chunk's record and arms the watchdog.
+    /// not a probe, submits, opens the chunk's record and shows the watchdog
+    /// its deadline.
     // nm-analyzer: allow(unbounded-growth) -- one record per chunk on the wire, removed on
     // delivery, failure, cancellation or abandonment
     pub(super) fn submit_chunk(
@@ -340,8 +343,8 @@ impl<T: Transport> Engine<T> {
         let meta = resubmittable.then(|| Box::new(ChunkMeta { submit: submit.clone(), lineage }));
         let chunk = self.transport.submit(submit);
         self.chunks.insert(chunk, ChunkRecord { owner, rail, submitted: now, predicted, meta });
-        if self.health.is_some() {
-            self.transport.schedule_wakeup(watchdog_deadline(now, predicted));
+        if let Some(ft) = self.health.as_mut() {
+            ft.watchdog_floor = ft.watchdog_floor.min(watchdog_deadline(now, predicted));
         }
     }
 }

@@ -157,8 +157,8 @@ impl HealthTracker {
 
     /// A failed (or timed-out) chunk on `rail`. Returns `true` when this
     /// failure *transitions* the rail into Quarantined — the caller must
-    /// then bump the predictor epoch and arrange a wakeup for
-    /// [`Self::next_probe_at`].
+    /// then bump the predictor epoch and count [`Self::next_probe_at`] among
+    /// its deadlines.
     pub fn on_chunk_failure(&mut self, rail: RailId, now: SimTime) -> bool {
         let r = &mut self.rails[rail.index()];
         r.consecutive_failures += 1;

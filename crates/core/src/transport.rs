@@ -106,8 +106,10 @@ pub enum TransportEvent {
         /// When the corruption was detected.
         at: SimTime,
     },
-    /// A timer requested with [`Transport::schedule_wakeup`] fired — the
-    /// engine's cue to flush retry backoffs and due health probes.
+    /// A timer requested with [`Transport::schedule_wakeup`] fired. To the
+    /// engine it is an event like any other — a reason to poll; what is due
+    /// it decides from the clock, so a spurious or missing `Wakeup` costs a
+    /// poll or a delay, never a wrong answer.
     Wakeup {
         /// Firing instant.
         at: SimTime,
@@ -144,10 +146,15 @@ pub trait Transport {
     /// means nothing is in flight (the transport is quiescent).
     fn poll(&mut self) -> Vec<TransportEvent>;
 
-    /// Requests a [`TransportEvent::Wakeup`] at `at` (a virtual-time timer
-    /// for retry backoffs and probe deadlines). Drivers without a timer
-    /// facility may ignore the request — the engine also flushes due work
-    /// on every other event.
+    /// Requests a [`TransportEvent::Wakeup`] no later than `at` (clamped to
+    /// now). The engine keeps at most one request it cares about: the
+    /// earliest of its watchdog, retry, probe and shed deadlines (and an
+    /// [`crate::Engine::advance_to`] target). It asks again only for an
+    /// earlier instant, which supersedes the one before — a driver may keep
+    /// just the earliest — and asks for the next when that one has passed.
+    /// Drivers without a timer facility may ignore the request: every
+    /// time-driven check in the engine compares its deadline with
+    /// [`Transport::now`], so due work is done on whatever poll comes next.
     fn schedule_wakeup(&mut self, _at: SimTime) {}
 
     /// Tells the driver whether this engine currently has any use for
