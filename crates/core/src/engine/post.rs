@@ -172,19 +172,12 @@ impl<T: Transport> Engine<T> {
         if now < adm.shed_floor {
             return Ok(());
         }
-        adm.shed_floor = SimTime::FAR_FUTURE;
-        let mut victims: Vec<MsgId> = Vec::new();
-        for m in &self.queue {
-            match m.deadline {
-                Some(d) if d <= now => victims.push(m.id),
-                Some(d) => adm.shed_floor = adm.shed_floor.min(d),
-                None => {}
-            }
-        }
-        if victims.is_empty() {
-            return Ok(());
-        }
-        self.queue.retain(|m| m.deadline.is_none_or(|d| d > now));
+        let overdue = |m: &QueuedMsg| m.deadline.is_some_and(|d| d <= now);
+        let mut victims: Vec<MsgId> =
+            self.queue.iter().filter(|m| overdue(m)).map(|m| m.id).collect();
+        self.queue.retain(|m| !overdue(m));
+        let left = self.queue.iter().filter_map(|m| m.deadline).min();
+        adm.shed_floor = left.unwrap_or(SimTime::FAR_FUTURE);
         // Ids are assigned in posted order, so id order is oldest first
         // (a promotion may have moved a younger message ahead in the queue).
         victims.sort_unstable();

@@ -4,7 +4,7 @@
 //! `abandon`. All of it is off, and free, without
 //! [`Engine::with_fault_tolerance`].
 
-use super::schedule::{ChunkMeta, ChunkOwner, Lineage};
+use super::schedule::{ChunkMeta, ChunkOwner, ChunkRecord, Lineage};
 use super::{publish, Engine, MsgId, MsgRecord, MsgState};
 use crate::error::EngineError;
 use crate::health::RailState;
@@ -113,16 +113,11 @@ impl<T: Transport> Engine<T> {
         if now < ft.watchdog_floor {
             return Ok(());
         }
-        ft.watchdog_floor = SimTime::FAR_FUTURE;
-        let mut expired: Vec<ChunkId> = Vec::new();
-        for (&chunk, r) in &self.chunks {
-            let deadline = watchdog_deadline(r.submitted, r.predicted);
-            if deadline <= now {
-                expired.push(chunk);
-            } else {
-                ft.watchdog_floor = ft.watchdog_floor.min(deadline);
-            }
-        }
+        let deadline = |r: &ChunkRecord| watchdog_deadline(r.submitted, r.predicted);
+        let expired: Vec<ChunkId> =
+            self.chunks.iter().filter(|(_, r)| deadline(r) <= now).map(|(&c, _)| c).collect();
+        let left = self.chunks.values().map(deadline).filter(|&d| d > now).min();
+        ft.watchdog_floor = left.unwrap_or(SimTime::FAR_FUTURE);
         for chunk in expired {
             self.handle_chunk_failure(chunk, now, true)?;
         }
