@@ -69,49 +69,51 @@ fn an_outage_costs_polls_per_event_not_per_microsecond() {
 
 /// A transport without a timer facility: `schedule_wakeup` is dropped, no
 /// `Wakeup` is ever raised, and the clock advances by itself — a poll that
-/// finds nothing returns empty-handed one tick later. The second field is
-/// the next tick.
-struct NoTimers(FaultSimDriver, SimTime);
+/// finds nothing returns empty-handed one tick later.
+struct NoTimers {
+    inner: FaultSimDriver,
+    next_tick: SimTime,
+}
 
 const TICK: SimDuration = SimDuration::from_micros(1);
 
 impl Transport for NoTimers {
     fn now(&self) -> SimTime {
-        self.0.now()
+        self.inner.now()
     }
     fn rail_count(&self) -> usize {
-        self.0.rail_count()
+        self.inner.rail_count()
     }
     fn rail_name(&self, rail: RailId) -> String {
-        self.0.rail_name(rail)
+        self.inner.rail_name(rail)
     }
     fn rdv_threshold(&self, rail: RailId) -> u64 {
-        self.0.rdv_threshold(rail)
+        self.inner.rdv_threshold(rail)
     }
     fn rail_busy_until(&self, rail: RailId) -> SimTime {
-        self.0.rail_busy_until(rail)
+        self.inner.rail_busy_until(rail)
     }
     fn core_count(&self) -> usize {
-        self.0.core_count()
+        self.inner.core_count()
     }
     fn idle_cores(&self) -> Vec<CoreId> {
-        self.0.idle_cores()
+        self.inner.idle_cores()
     }
     fn submit(&mut self, chunk: ChunkSubmit) -> ChunkId {
-        self.0.submit(chunk)
+        self.inner.submit(chunk)
     }
     fn poll(&mut self) -> Vec<TransportEvent> {
         // The driver's own timer stands in for the free-running clock.
-        if self.0.now() >= self.1 {
-            self.1 = self.0.now() + TICK;
-            self.0.schedule_wakeup(self.1);
+        if self.inner.now() >= self.next_tick {
+            self.next_tick = self.inner.now() + TICK;
+            self.inner.schedule_wakeup(self.next_tick);
         }
-        let mut events = self.0.poll();
+        let mut events = self.inner.poll();
         events.retain(|ev| !matches!(ev, TransportEvent::Wakeup { .. }));
         events
     }
     fn cancel_chunks(&mut self, chunks: &[ChunkId]) -> bool {
-        self.0.cancel_chunks(chunks)
+        self.inner.cancel_chunks(chunks)
     }
 }
 
@@ -119,7 +121,7 @@ impl Transport for NoTimers {
 fn a_transport_that_ignores_wakeups_recovers_the_same_way() {
     let (polls, stats, finished) = ride_out(outage());
     let (polls_untimed, stats_untimed, finished_untimed) =
-        ride_out(NoTimers(outage(), SimTime::ZERO));
+        ride_out(NoTimers { inner: outage(), next_tick: SimTime::ZERO });
     assert_eq!(recovery(&stats_untimed), recovery(&stats), "{stats_untimed:?}");
     assert_eq!(stats_untimed.msgs_completed, MSGS as u64);
     assert_eq!(stats_untimed.rail_bytes, stats.rail_bytes, "the same bytes on the same rails");
