@@ -74,6 +74,16 @@ done
 ! grep -rnE 'StealPool|RequestList|ProgressionEngine|PeriodicPump|TaskletQueue|crossbeam::deque' crates compat examples tests \
     || { echo "an uncalled thread mechanism (or its deque shim) is back" >&2; exit 1; }
 
+# The real-thread path is mechanism only: no ledger or checksum of its own
+# under any crate, one framed wire mode (raw or integrity-framed, nothing in
+# between), and a worker pool that depends on no workspace crate.
+! grep -rnE 'struct (ShmemStats|ShmemCounters|OffloadStats|OffloadSnapshot)|fn checksum' crates/*/src --include='*.rs' \
+    || { echo "a private stats struct or checksum is back on the real-thread path" >&2; exit 1; }
+! grep -rn 'with_framing' crates compat examples tests --include='*.rs' \
+    || { echo "the unauthenticated framing mode is back" >&2; exit 1; }
+! grep -nE 'nm-replog|nm-sync' crates/runtime/Cargo.toml \
+    || { echo "nm-runtime must depend on no workspace crate" >&2; exit 1; }
+
 # One owner per check. Panic-freedom of the hot files is clippy's: every file
 # in analyzer.toml's `[hot_paths] files` opens with the deny attribute (the
 # list and the attributes cannot drift), and the analyzer's retired rule
@@ -140,9 +150,11 @@ fi
 # ops, replica convergence, no torn reads across a lap — under the vendored
 # loom shim. `--cfg loom` swaps the nm-sync facade to the model types; a
 # separate target dir keeps the flag from invalidating the main build
-# cache. (`WorkerPool` parks in a channel `recv` loom does not model: its
-# protocol is pinned by the stress tests in `crates/runtime/src/worker.rs`
-# and by the TSan lane below.)
+# cache. `nm-replog` is the one crate this lane compiles and the one crate
+# under analyzer.toml's `[facade]`. (`WorkerPool` parks in a channel `recv`
+# loom does not model: it uses `std` directly, and its protocol is pinned
+# by the stress tests in `crates/runtime/src/worker.rs` and by the TSan
+# lane below.)
 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
     cargo test -q -p nm-replog --features loom --test loom
 
@@ -194,6 +206,11 @@ cargo test -q --release -p nm-core --test outage_polls
 # bin checks its own outputs (receiver byte-compares, conservation, golden
 # splits) and exits non-zero when any check fails; no timing is gated here.
 cargo run --release -p nm-bench --bin perf -- --quick
+
+# Offload-cost smoke lane: the T_O harness on real threads. It asserts its
+# own route counts (every idle probe unsignaled, every probe behind the gate
+# signaled); the latencies it prints are host-measured and not gated.
+cargo run --release -p nm-bench --bin table_offload
 
 # Resilience harness: deterministic seeded chaos run.
 cargo run --release -p nm-bench --bin resilience -- --seed 42

@@ -3,8 +3,8 @@
 //! scheduling choices.
 //!
 //! Execution model: at most one model thread runs at a time. Every shim
-//! synchronization operation (atomic access, mutex acquire, condvar
-//! notify, spawn) is a *yield point* where the scheduler may preempt the
+//! synchronization operation (atomic access, mutex acquire, spawn) is a
+//! *yield point* where the scheduler may preempt the
 //! running thread and hand the token to another runnable thread. Which
 //! thread continues is a recorded *choice*; re-running the model with a
 //! mutated choice prefix replays a different interleaving. Exploration is
@@ -14,7 +14,7 @@
 //! Memory model: sequential consistency. Because execution is serialized,
 //! the underlying `std` primitives observe a total order; weak-memory
 //! reorderings are *not* modeled. The checker therefore finds logic races
-//! (lost wakeups, lost work, double execution, shutdown races) but cannot
+//! (lost work, double execution, deadlocks) but cannot
 //! find bugs that only a relaxed-memory machine exhibits — that is what
 //! the ThreadSanitizer lane is for.
 
@@ -42,32 +42,15 @@ enum Blocked {
     No,
     /// Waiting for the mutex keyed by this address.
     Mutex(usize),
-    /// Waiting on the condvar keyed by this address. `timed` waits are
-    /// eligible for a timeout wakeup when the model would otherwise
-    /// deadlock.
-    Condvar { cv: usize, timed: bool },
     /// Waiting for thread `tid` to finish.
     Join(usize),
     /// Finished executing.
     Finished,
 }
 
-struct Th {
-    blocked: Blocked,
-    /// Set when a timed condvar wait was woken by the deadlock-breaking
-    /// timeout rule rather than a notify.
-    timed_out: bool,
-}
-
 #[derive(Default)]
 struct MutexSt {
     owner: Option<usize>,
-}
-
-#[derive(Default)]
-struct CvSt {
-    /// FIFO of waiting thread ids.
-    waiters: Vec<usize>,
 }
 
 /// Exploration limits (env-overridable, see [`crate::model`]).
@@ -79,7 +62,8 @@ pub(crate) struct Limits {
 }
 
 struct Sched {
-    threads: Vec<Th>,
+    /// Each model thread's state, by thread id.
+    threads: Vec<Blocked>,
     current: usize,
     /// Choice sequence: replayed prefix then recorded extensions.
     choices: Vec<Choice>,
@@ -88,8 +72,6 @@ struct Sched {
     steps: usize,
     limits: Limits,
     mutexes: HashMap<usize, MutexSt>,
-    condvars: HashMap<usize, CvSt>,
-    clock: u64,
     cancelled: bool,
     failure: Option<String>,
 }
@@ -130,7 +112,7 @@ impl Rt {
     fn new(limits: Limits, prefix: Vec<Choice>) -> Self {
         Rt {
             sched: StdMutex::new(Sched {
-                threads: vec![Th { blocked: Blocked::No, timed_out: false }],
+                threads: vec![Blocked::No],
                 current: 0,
                 choices: prefix,
                 cursor: 0,
@@ -138,8 +120,6 @@ impl Rt {
                 steps: 0,
                 limits,
                 mutexes: HashMap::new(),
-                condvars: HashMap::new(),
-                clock: 0,
                 cancelled: false,
                 failure: None,
             }),
@@ -169,7 +149,7 @@ impl Rt {
 
     /// Runnable thread ids other than `me`, in ascending order.
     fn runnable_others(s: &Sched, me: usize) -> Vec<usize> {
-        (0..s.threads.len()).filter(|&t| t != me && s.threads[t].blocked == Blocked::No).collect()
+        (0..s.threads.len()).filter(|&t| t != me && s.threads[t] == Blocked::No).collect()
     }
 
     /// Takes (replaying) or records the next scheduling choice.
@@ -217,28 +197,7 @@ impl Rt {
         }
     }
 
-    /// A forced, non-branching switch: hand the token to the next runnable
-    /// thread in round-robin order (used by `yield_now`/`sleep`, where
-    /// staying put would let spin loops starve the model).
-    pub(crate) fn forced_yield(self: &Arc<Self>, me: usize) {
-        let mut s = lock(&self.sched);
-        Self::check_cancelled(&s);
-        Self::bump_step(&mut s);
-        Self::check_cancelled(&s);
-        if s.cancelled {
-            return;
-        }
-        let n = s.threads.len();
-        let next = (1..n).map(|d| (me + d) % n).find(|&t| s.threads[t].blocked == Blocked::No);
-        if let Some(next) = next {
-            s.current = next;
-            self.cv.notify_all();
-            self.wait_scheduled(s, me);
-        }
-    }
-
-    /// Blocks the calling thread until it is scheduled again, resolving
-    /// deadlocks via timed-wait wakeups while parked.
+    /// Blocks the calling thread until it is scheduled again.
     fn wait_scheduled(&self, mut s: std::sync::MutexGuard<'_, Sched>, me: usize) {
         loop {
             if s.cancelled {
@@ -248,7 +207,7 @@ impl Rt {
                 }
                 return;
             }
-            if s.current == me && s.threads[me].blocked == Blocked::No {
+            if s.current == me && s.threads[me] == Blocked::No {
                 return;
             }
             s = match self.cv.wait(s) {
@@ -266,51 +225,28 @@ impl Rt {
         me: usize,
         why: Blocked,
     ) {
-        s.threads[me].blocked = why;
+        s.threads[me] = why;
         self.pick_next_locked(&mut s, me);
         self.wait_scheduled(s, me);
     }
 
     /// Chooses the next thread to run after `me` stopped being runnable.
-    /// Round-robin over runnable threads; if none, wakes the
-    /// lowest-numbered timed condvar waiter with a timeout; if none of
-    /// those either, the model is deadlocked.
+    /// Round-robin over runnable threads; if none, the model is deadlocked.
     fn pick_next_locked(&self, s: &mut Sched, me: usize) {
         let n = s.threads.len();
-        if let Some(next) =
-            (1..=n).map(|d| (me + d) % n).find(|&t| s.threads[t].blocked == Blocked::No)
-        {
+        if let Some(next) = (1..=n).map(|d| (me + d) % n).find(|&t| s.threads[t] == Blocked::No) {
             s.current = next;
             self.cv.notify_all();
             return;
         }
-        // No runnable thread: fire the earliest-registered eligible timeout.
-        let timed =
-            (0..n).find(|&t| matches!(s.threads[t].blocked, Blocked::Condvar { timed: true, .. }));
-        if let Some(t) = timed {
-            if let Blocked::Condvar { cv, .. } = s.threads[t].blocked {
-                if let Some(cvst) = s.condvars.get_mut(&cv) {
-                    cvst.waiters.retain(|&w| w != t);
-                }
-            }
-            s.threads[t].blocked = Blocked::No;
-            s.threads[t].timed_out = true;
-            s.current = t;
-            self.cv.notify_all();
-            return;
-        }
-        if s.threads.iter().all(|t| t.blocked == Blocked::Finished) {
+        if s.threads.iter().all(|&t| t == Blocked::Finished) {
             // Execution over; nothing to schedule (the driver notices).
             return;
         }
         s.cancelled = true;
         if s.failure.is_none() {
-            let states: Vec<String> = s
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(i, t)| format!("t{i}:{:?}", t.blocked))
-                .collect();
+            let states: Vec<String> =
+                s.threads.iter().enumerate().map(|(i, t)| format!("t{i}:{t:?}")).collect();
             s.failure =
                 Some(format!("model deadlock: every thread is blocked [{}]", states.join(", ")));
         }
@@ -336,24 +272,10 @@ impl Rt {
         }
     }
 
-    /// Non-blocking model-level mutex acquire.
-    pub(crate) fn mutex_try_lock(self: &Arc<Self>, me: usize, addr: usize) -> bool {
-        self.yield_point(me);
-        let mut s = lock(&self.sched);
-        Self::check_cancelled(&s);
-        let st = s.mutexes.entry(addr).or_default();
-        if st.owner.is_none() {
-            st.owner = Some(me);
-            true
-        } else {
-            false
-        }
-    }
-
     /// In-place variant of [`Self::block_and_switch`] for callers that
     /// need to keep looping on the scheduler lock.
     fn block_and_switch_inner(&self, s: &mut Sched, me: usize, why: Blocked) {
-        s.threads[me].blocked = why;
+        s.threads[me] = why;
         self.pick_next_locked(s, me);
     }
 
@@ -372,7 +294,7 @@ impl Rt {
                 return lock(&self.sched);
             }
             let me = ctx().expect("model thread").1;
-            if s.current == me && s.threads[me].blocked == Blocked::No {
+            if s.current == me && s.threads[me] == Blocked::No {
                 return s;
             }
             s = match self.cv.wait(s) {
@@ -388,81 +310,11 @@ impl Rt {
         debug_assert_eq!(st.owner, Some(me), "unlock by non-owner");
         st.owner = None;
         for t in 0..s.threads.len() {
-            if s.threads[t].blocked == Blocked::Mutex(addr) {
-                s.threads[t].blocked = Blocked::No;
+            if s.threads[t] == Blocked::Mutex(addr) {
+                s.threads[t] = Blocked::No;
             }
         }
         self.cv.notify_all();
-    }
-
-    /// Condvar wait: releases `mutex_addr`, parks on `cv_addr`, returns
-    /// `true` when woken by the deadlock-breaking timeout rule. The caller
-    /// re-acquires the mutex afterwards.
-    pub(crate) fn condvar_wait(
-        self: &Arc<Self>,
-        me: usize,
-        cv_addr: usize,
-        mutex_addr: usize,
-        timed: bool,
-    ) -> bool {
-        let mut s = lock(&self.sched);
-        Self::check_cancelled(&s);
-        Self::bump_step(&mut s);
-        Self::check_cancelled(&s);
-        if s.cancelled {
-            // Unwinding during teardown: release ownership and report a
-            // timeout so the caller's wait loop exits.
-            let st = s.mutexes.entry(mutex_addr).or_default();
-            st.owner = None;
-            self.cv.notify_all();
-            return true;
-        }
-        // Release the mutex (atomically with parking, as condvars demand).
-        let st = s.mutexes.entry(mutex_addr).or_default();
-        debug_assert_eq!(st.owner, Some(me), "condvar wait without holding the mutex");
-        st.owner = None;
-        for t in 0..s.threads.len() {
-            if s.threads[t].blocked == Blocked::Mutex(mutex_addr) {
-                s.threads[t].blocked = Blocked::No;
-            }
-        }
-        s.condvars.entry(cv_addr).or_default().waiters.push(me);
-        s.threads[me].timed_out = false;
-        self.block_and_switch(s, me, Blocked::Condvar { cv: cv_addr, timed });
-        let mut s = lock(&self.sched);
-        Self::check_cancelled(&s);
-        let timed_out = s.threads[me].timed_out;
-        s.threads[me].timed_out = false;
-        timed_out
-    }
-
-    pub(crate) fn notify_one(self: &Arc<Self>, me: usize, cv_addr: usize) {
-        self.yield_point(me);
-        let mut s = lock(&self.sched);
-        Self::check_cancelled(&s);
-        if let Some(cvst) = s.condvars.get_mut(&cv_addr) {
-            if !cvst.waiters.is_empty() {
-                let t = cvst.waiters.remove(0);
-                s.threads[t].blocked = Blocked::No;
-                self.cv.notify_all();
-            }
-        }
-    }
-
-    pub(crate) fn notify_all(self: &Arc<Self>, me: usize, cv_addr: usize) {
-        self.yield_point(me);
-        let mut s = lock(&self.sched);
-        Self::check_cancelled(&s);
-        let woken: Vec<usize> = match s.condvars.get_mut(&cv_addr) {
-            Some(cvst) => cvst.waiters.drain(..).collect(),
-            None => Vec::new(),
-        };
-        if !woken.is_empty() {
-            for t in woken {
-                s.threads[t].blocked = Blocked::No;
-            }
-            self.cv.notify_all();
-        }
     }
 
     /// Registers and starts a new model thread running `f`.
@@ -470,7 +322,7 @@ impl Rt {
         let tid = {
             let mut s = lock(&self.sched);
             Self::check_cancelled(&s);
-            s.threads.push(Th { blocked: Blocked::No, timed_out: false });
+            s.threads.push(Blocked::No);
             s.threads.len() - 1
         };
         let rt = Arc::clone(self);
@@ -506,10 +358,10 @@ impl Rt {
                 s.cancelled = true;
             }
         }
-        s.threads[me].blocked = Blocked::Finished;
+        s.threads[me] = Blocked::Finished;
         for t in 0..s.threads.len() {
-            if s.threads[t].blocked == Blocked::Join(me) {
-                s.threads[t].blocked = Blocked::No;
+            if s.threads[t] == Blocked::Join(me) {
+                s.threads[t] = Blocked::No;
             }
         }
         if s.cancelled {
@@ -528,22 +380,11 @@ impl Rt {
         loop {
             let s = lock(&self.sched);
             Self::check_cancelled(&s);
-            if s.threads[tid].blocked == Blocked::Finished {
+            if s.threads[tid] == Blocked::Finished {
                 return;
             }
             self.block_and_switch(s, me, Blocked::Join(tid));
         }
-    }
-
-    /// Monotonic fake clock (one tick per observation).
-    pub(crate) fn now(self: &Arc<Self>) -> u64 {
-        let mut s = lock(&self.sched);
-        s.clock += 1;
-        s.clock
-    }
-
-    pub(crate) fn clock(self: &Arc<Self>) -> u64 {
-        lock(&self.sched).clock
     }
 }
 
@@ -616,9 +457,7 @@ pub(crate) fn model_impl<F: Fn()>(f: F) {
                     s.failure = Some(payload_msg(&p));
                 }
                 s.cancelled = true;
-            } else if !s.cancelled
-                && s.threads.iter().skip(1).any(|t| t.blocked != Blocked::Finished)
-            {
+            } else if !s.cancelled && s.threads.iter().skip(1).any(|&t| t != Blocked::Finished) {
                 // Thread 0 is the driver itself and is never marked
                 // Finished; only spawned model threads can leak.
                 // Main returned while a model thread is still alive.

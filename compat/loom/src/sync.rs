@@ -1,14 +1,11 @@
 //! Synchronization shims: model-checked inside [`crate::model`],
 //! plain `std`-backed outside it.
 //!
-//! The `Mutex`/`Condvar` API mirrors the workspace's `parking_lot` shim
-//! (guard-returning `lock`, `wait_for` on `&mut` guard) so the `nm-sync`
-//! facade can re-export either unchanged.
+//! The `Mutex` API mirrors the workspace's `parking_lot` shim
+//! (guard-returning `lock`, no poisoning) so the `nm-sync` facade can
+//! re-export either unchanged.
 
 use crate::rt;
-use std::mem::ManuallyDrop;
-use std::sync::Arc as StdArc;
-use std::time::Duration;
 
 pub use std::sync::Arc;
 
@@ -26,28 +23,32 @@ pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
 
-/// RAII guard for [`Mutex::lock`].
+/// RAII guard for [`Mutex::lock`]. Fields drop in declaration order: the
+/// real lock is released before the model hands ownership on.
 pub struct MutexGuard<'a, T: ?Sized> {
-    /// The real guard; wrapped so the condvar-wait dance can drop and
-    /// re-take it in place.
-    inner: ManuallyDrop<std::sync::MutexGuard<'a, T>>,
-    /// Back-reference for model bookkeeping (`None` outside the model).
-    model: Option<(StdArc<rt::Rt>, usize, usize)>, // (rt, tid, mutex addr)
-    lock: &'a std::sync::Mutex<T>,
+    inner: std::sync::MutexGuard<'a, T>,
+    /// Model bookkeeping (`None` outside the model).
+    _model: Option<ModelOwnership>,
+}
+
+/// Model-level ownership of the mutex at `addr` by thread `tid`, given up
+/// on drop.
+struct ModelOwnership {
+    rt: Arc<rt::Rt>,
+    tid: usize,
+    addr: usize,
+}
+
+impl Drop for ModelOwnership {
+    fn drop(&mut self) {
+        self.rt.mutex_unlock(self.tid, self.addr);
+    }
 }
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
     pub const fn new(value: T) -> Self {
         Mutex { inner: std::sync::Mutex::new(value) }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
     }
 }
 
@@ -62,78 +63,19 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         match rt::ctx() {
-            None => MutexGuard {
-                inner: ManuallyDrop::new(self.real_lock()),
-                model: None,
-                lock: &self.inner,
-            },
-            Some((rt, me)) => {
+            None => MutexGuard { inner: self.real_lock(), _model: None },
+            Some((rt, tid)) => {
                 let addr = addr_of(self);
-                rt.mutex_lock(me, addr);
+                rt.mutex_lock(tid, addr);
                 // Model ownership is exclusive, so the real lock is
                 // uncontended; a blocking lock() would still be correct
                 // but try_lock asserts the serialization invariant.
-                let g = self
+                let inner = self
                     .inner
                     .try_lock()
                     .unwrap_or_else(|_| panic!("loom shim: model mutex contended for real"));
-                MutexGuard {
-                    inner: ManuallyDrop::new(g),
-                    model: Some((rt, me, addr)),
-                    lock: &self.inner,
-                }
+                MutexGuard { inner, _model: Some(ModelOwnership { rt, tid, addr }) }
             }
-        }
-    }
-
-    /// Tries to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match rt::ctx() {
-            None => match self.inner.try_lock() {
-                Ok(g) => {
-                    Some(MutexGuard { inner: ManuallyDrop::new(g), model: None, lock: &self.inner })
-                }
-                Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                    inner: ManuallyDrop::new(p.into_inner()),
-                    model: None,
-                    lock: &self.inner,
-                }),
-                Err(std::sync::TryLockError::WouldBlock) => None,
-            },
-            Some((rt, me)) => {
-                let addr = addr_of(self);
-                if !rt.mutex_try_lock(me, addr) {
-                    return None;
-                }
-                let g = self
-                    .inner
-                    .try_lock()
-                    .unwrap_or_else(|_| panic!("loom shim: model mutex contended for real"));
-                Some(MutexGuard {
-                    inner: ManuallyDrop::new(g),
-                    model: Some((rt, me, addr)),
-                    lock: &self.inner,
-                })
-            }
-        }
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // SAFETY: the guard is dropped exactly once here; `inner` is live
-        // (every code path that takes it out writes a replacement back).
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        if let Some((rt, me, addr)) = self.model.take() {
-            rt.mutex_unlock(me, addr);
         }
     }
 }
@@ -148,136 +90,5 @@ impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-/// Result of a timed condvar wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait returned because the timeout elapsed. In the
-    /// model, "the timeout elapsed" means the scheduler fired the timeout
-    /// to break an otherwise-deadlocked state — the only moment logical
-    /// time can be said to pass.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// Condition variable paired with [`Mutex`].
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar { inner: std::sync::Condvar::new() }
-    }
-
-    fn wait_impl<T: ?Sized>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timed: bool,
-    ) -> WaitTimeoutResult {
-        match &guard.model {
-            None => unreachable!("wait_impl requires a model guard"),
-            Some((rt, me, addr)) => {
-                let (rt, me, addr) = (StdArc::clone(rt), *me, *addr);
-                // SAFETY: `inner` is live; we take the real guard out,
-                // drop it (the model releases ownership separately), and
-                // before returning we write a freshly acquired guard back,
-                // so the ManuallyDrop slot is never observed empty.
-                unsafe {
-                    ManuallyDrop::drop(&mut guard.inner);
-                }
-                let timed_out = rt.condvar_wait(me, addr_of(self), addr, timed);
-                rt.mutex_lock(me, addr);
-                let g = guard
-                    .lock
-                    .try_lock()
-                    .unwrap_or_else(|_| panic!("loom shim: model mutex contended for real"));
-                guard.inner = ManuallyDrop::new(g);
-                WaitTimeoutResult(timed_out)
-            }
-        }
-    }
-
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        match &guard.model {
-            None => {
-                replace_real_guard(guard, |g| match self.inner.wait(g) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                });
-            }
-            Some(_) => {
-                self.wait_impl(guard, false);
-            }
-        }
-    }
-
-    /// Blocks until notified or `timeout` elapsed.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        match &guard.model {
-            None => {
-                let mut timed_out = false;
-                replace_real_guard(guard, |g| {
-                    let (g, res) = match self.inner.wait_timeout(g, timeout) {
-                        Ok(pair) => pair,
-                        Err(p) => p.into_inner(),
-                    };
-                    timed_out = res.timed_out();
-                    g
-                });
-                WaitTimeoutResult(timed_out)
-            }
-            Some(_) => self.wait_impl(guard, true),
-        }
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        match rt::ctx() {
-            None => {
-                self.inner.notify_one();
-            }
-            Some((rt, me)) => rt.notify_one(me, addr_of(self)),
-        }
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        match rt::ctx() {
-            None => {
-                self.inner.notify_all();
-            }
-            Some((rt, me)) => rt.notify_all(me, addr_of(self)),
-        }
-    }
-}
-
-/// Round-trips the real guard through a guard-consuming operation (the
-/// same `ManuallyDrop` dance as the workspace `parking_lot` shim).
-fn replace_real_guard<'a, T: ?Sized>(
-    slot: &mut MutexGuard<'a, T>,
-    f: impl FnOnce(std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T>,
-) {
-    // SAFETY: the slot holds a live guard; we move it out, transform it,
-    // and write the replacement back before anyone can observe the hole.
-    // `f` (std's condvar wait) only panics before re-locking, when the
-    // guard it was passed has already been consumed by unlocking, so no
-    // double drop is possible on the unwind path either.
-    unsafe {
-        let guard = ManuallyDrop::take(&mut slot.inner);
-        let new_guard = f(guard);
-        slot.inner = ManuallyDrop::new(new_guard);
     }
 }

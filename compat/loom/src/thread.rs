@@ -4,7 +4,6 @@
 
 use crate::rt;
 use std::sync::{Arc, Mutex as StdMutex};
-use std::time::Duration;
 
 enum Inner<T> {
     Real(std::thread::JoinHandle<T>),
@@ -41,7 +40,8 @@ impl<T> JoinHandle<T> {
     }
 }
 
-fn spawn_impl<F, T>(f: F) -> JoinHandle<T>
+/// Spawns a thread (a model thread when called inside `loom::model`).
+pub fn spawn<F, T>(f: F) -> JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
@@ -67,70 +67,6 @@ where
                 }),
             );
             JoinHandle { inner: Inner::Model { rt, tid, slot } }
-        }
-    }
-}
-
-/// Spawns a thread (a model thread when called inside `loom::model`).
-pub fn spawn<F, T>(f: F) -> JoinHandle<T>
-where
-    F: FnOnce() -> T + Send + 'static,
-    T: Send + 'static,
-{
-    spawn_impl(f)
-}
-
-/// Cooperatively yields: a forced (non-branching) scheduler switch in the
-/// model, `std::thread::yield_now` outside it.
-pub fn yield_now() {
-    match rt::ctx() {
-        None => std::thread::yield_now(),
-        Some((rt, me)) => rt.forced_yield(me),
-    }
-}
-
-/// Sleeping in the model is just a yield — model time is logical.
-pub fn sleep(dur: Duration) {
-    match rt::ctx() {
-        None => std::thread::sleep(dur),
-        Some((rt, me)) => rt.forced_yield(me),
-    }
-}
-
-/// Mirror of `std::thread::Builder` (the name is kept for diagnostics
-/// only in the model).
-#[derive(Debug, Default)]
-pub struct Builder {
-    name: Option<String>,
-}
-
-impl Builder {
-    /// A new builder.
-    pub fn new() -> Self {
-        Builder { name: None }
-    }
-
-    /// Names the thread.
-    pub fn name(mut self, name: String) -> Self {
-        self.name = Some(name);
-        self
-    }
-
-    /// Spawns the thread.
-    pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        match rt::ctx() {
-            None => {
-                let mut b = std::thread::Builder::new();
-                if let Some(n) = self.name {
-                    b = b.name(n);
-                }
-                b.spawn(f).map(|h| JoinHandle { inner: Inner::Real(h) })
-            }
-            Some(_) => Ok(spawn_impl(f)),
         }
     }
 }

@@ -11,8 +11,9 @@
 //!   for exercising health tracking and failover deterministically) each
 //!   own a core whose single slot sends node 0 → node 1.
 //! * [`shmem`] — the correctness substrate: real OS threads move real bytes
-//!   through throttled in-process rails, with checksum verification at the
-//!   receive side. It proves the engine/strategy/protocol stack is not
+//!   through throttled in-process rails and hand them to the receive side
+//!   as carried ([`crate::duplex`] verifies them with the wire format's own
+//!   CRC32C). It proves the engine/strategy/protocol stack is not
 //!   simulator-shaped.
 
 pub mod cluster;

@@ -4,10 +4,16 @@
 //! MPICH2-Nemesis software stack so as to use the multirail capabilities
 //! ... within the widespread MPI implementation". This module is that
 //! integration in miniature: a [`pair`] of connected [`Endpoint`]s, each
-//! owning a framed [`Engine`] over its own multirail [`ShmemDriver`], with
-//! the full receive path — wire-packet decoding, per-message
-//! [`Reassembler`]s for chunks racing over different rails, and per-flow
-//! [`Sequencer`]s so `recv` observes every tag in send order.
+//! owning an integrity-framed [`Engine`] over its own multirail
+//! [`ShmemDriver`], with the full receive path — wire-packet decoding,
+//! per-message [`Reassembler`]s for chunks racing over different rails, and
+//! per-flow [`Sequencer`]s so `recv` observes every tag in send order.
+//!
+//! There is one wire mode and one integrity check on this path, the one the
+//! wire format owns: every packet carries a header self-check and a CRC32C
+//! payload trailer, and `Packet::decode` in the receive path drops — and
+//! counts in [`Endpoint::corrupt_received`] — what fails either. The driver
+//! underneath verifies nothing of its own.
 //!
 //! ```text
 //! let (mut a, mut b) = duplex::pair(DuplexConfig::default());
@@ -24,8 +30,8 @@ use bytes::Bytes;
 use nm_proto::{unpack_aggregate, Packet, PacketKind, Reassembler, Sequencer};
 use nm_sampler::{sample_rail, SampleTransport, SamplingConfig};
 use nm_sim::RailId;
-use nm_sync::mpsc::Receiver;
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 /// Configuration of a duplex pair (both directions use the same rails).
@@ -39,11 +45,6 @@ pub struct DuplexConfig {
     pub strategy: StrategyKind,
     /// Sampling campaign run per endpoint at construction.
     pub sampling: SamplingConfig,
-    /// Negotiate the wire integrity bit: packets carry a header self-check
-    /// and CRC32C payload trailer, and the receive path drops (and counts)
-    /// corrupt or duplicated chunks instead of consuming them. With this
-    /// off the wire format is bit-identical to the pre-integrity protocol.
-    pub integrity: bool,
 }
 
 impl Default for DuplexConfig {
@@ -64,7 +65,6 @@ impl Default for DuplexConfig {
                 warmup: 0,
                 ..Default::default()
             },
-            integrity: true,
         }
     }
 }
@@ -99,8 +99,8 @@ pub fn pair(config: DuplexConfig) -> (Endpoint, Endpoint) {
     while deliveries_at_a.try_recv().is_ok() {}
     while deliveries_at_b.try_recv().is_ok() {}
 
-    let a = Endpoint::new(driver_ab, predictor_ab, deliveries_at_a, &config);
-    let b = Endpoint::new(driver_ba, predictor_ba, deliveries_at_b, &config);
+    let a = Endpoint::new(driver_ab, predictor_ab, deliveries_at_a, &config.strategy);
+    let b = Endpoint::new(driver_ba, predictor_ba, deliveries_at_b, &config.strategy);
     (a, b)
 }
 
@@ -128,11 +128,11 @@ impl Endpoint {
         driver: ShmemDriver,
         predictor: Predictor,
         incoming: Receiver<Delivery>,
-        config: &DuplexConfig,
+        strategy: &StrategyKind,
     ) -> Self {
-        let engine =
-            Engine::new(driver, predictor, config.strategy.build()).expect("engine config");
-        let engine = if config.integrity { engine.with_integrity() } else { engine.with_framing() };
+        let engine = Engine::new(driver, predictor, strategy.build())
+            .expect("engine config")
+            .with_integrity();
         Endpoint {
             engine,
             incoming,
@@ -186,7 +186,7 @@ impl Endpoint {
         self.received
     }
 
-    /// Wire buffers this endpoint dropped as corrupt (integrity mode).
+    /// Wire buffers this endpoint dropped as corrupt.
     pub fn corrupt_received(&self) -> u64 {
         self.corrupt_received
     }
@@ -219,9 +219,10 @@ impl Endpoint {
             PacketKind::Eager => {
                 let h = packet.header;
                 let key = (h.flow, h.msg_id);
-                // `total_len` is authenticated only in integrity mode; the
-                // reassembler holds views of what arrived and allocates
-                // nothing from the claim.
+                // `total_len` is authenticated only in an integrity frame,
+                // and `decode` still accepts a legacy one; the reassembler
+                // holds views of what arrived and allocates nothing from
+                // the claim.
                 let asm =
                     self.assemblers.entry(key).or_insert_with(|| Reassembler::new(h.total_len));
                 let complete = match asm.feed(h.offset, &packet.payload) {
@@ -377,17 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_round_trips_without_integrity_framing() {
-        let cfg = DuplexConfig { integrity: false, ..DuplexConfig::default() };
-        let (mut a, mut b) = pair(cfg);
-        a.send(2, payload(12_000, 9));
-        let (tag, data) = b.recv(T).expect("arrives");
-        assert_eq!(tag, 2);
-        assert_eq!(data, payload(12_000, 9));
-        assert_eq!(b.corrupt_received(), 0);
-    }
-
-    #[test]
     fn corrupt_wire_bytes_are_counted_dropped_and_do_not_wedge_the_endpoint() {
         use nm_proto::{PacketHeader, HEADER_LEN};
         let (mut a, mut b) = pair(DuplexConfig::default());
@@ -446,13 +436,12 @@ mod tests {
         assert_eq!(&data[..], b"abcdefgh");
     }
 
-    /// Legacy mode does not authenticate the header, so `total_len` is
+    /// A legacy frame does not authenticate its header, so `total_len` is
     /// whatever the wire says: it must size nothing until the bytes arrive.
     #[test]
     fn unauthenticated_total_len_sizes_no_allocation() {
         use nm_proto::PacketHeader;
-        let cfg = DuplexConfig { integrity: false, ..DuplexConfig::default() };
-        let (mut a, mut b) = pair(cfg);
+        let (mut a, mut b) = pair(DuplexConfig::default());
         let pkt = Packet::new(
             PacketHeader {
                 kind: PacketKind::Eager,

@@ -256,12 +256,11 @@ pub struct Engine<T: Transport> {
     /// its flow's sequencer until its flow predecessors complete.
     flows: HashMap<u32, Flow>,
     feedback: Feedback,
-    /// When set, chunk payloads are framed as wire packets (header with
-    /// flow/seq/offset/total) so a remote peer can reassemble and
-    /// re-sequence them — see [`crate::duplex`].
-    framing: bool,
-    /// When set (implies `framing`), framed packets carry the negotiated
-    /// integrity bit: header self-check plus a CRC32C payload trailer.
+    /// The engine's one wire mode besides raw payloads. When set, chunk
+    /// payloads are framed as wire packets — a header with
+    /// flow/seq/offset/total so a remote peer can reassemble and
+    /// re-sequence them (see [`crate::duplex`]), carrying the integrity
+    /// bit: header self-check plus a CRC32C payload trailer.
     integrity: bool,
     /// Recently delivered chunk ids: a transport re-delivering one
     /// (duplication fault) is counted and dropped instead of erroring.
@@ -330,7 +329,6 @@ impl<T: Transport> Engine<T> {
             chunks: BTreeMap::new(),
             flows: HashMap::new(),
             feedback: Feedback::new(rails),
-            framing: false,
             integrity: false,
             recent_delivered: RecentChunks::default(),
             next_msg: 0,
@@ -392,23 +390,15 @@ impl<T: Transport> Engine<T> {
         self.shared.as_ref()
     }
 
-    /// Enables wire framing: every chunk payload is prefixed with a
-    /// [`nm_proto::PacketHeader`] carrying (flow, flow-sequence, offset,
-    /// total length), which is what a remote receiver needs to reassemble
-    /// split messages and release flows in order. Only meaningful with a
-    /// byte-moving transport.
-    pub fn with_framing(mut self) -> Self {
-        self.framing = true;
-        self
-    }
-
-    /// Enables end-to-end integrity (implies framing): every wire packet
-    /// carries the negotiated [`nm_proto::FLAG_INTEGRITY`] bit, a header
-    /// self-check and a CRC32C payload trailer, so a receiver detects
-    /// in-flight corruption instead of consuming damaged bytes. With this
-    /// off, the wire format is bit-identical to the pre-integrity engine.
+    /// Enables wire framing with end-to-end integrity: every chunk payload
+    /// is prefixed with a [`nm_proto::PacketHeader`] carrying (flow,
+    /// flow-sequence, offset, total length) — what a remote receiver needs
+    /// to reassemble split messages and release flows in order — with the
+    /// [`nm_proto::FLAG_INTEGRITY`] bit, a header self-check and a CRC32C
+    /// payload trailer, so the receiver detects in-flight corruption
+    /// instead of consuming damaged bytes. Only meaningful with a
+    /// byte-moving transport. With this off, payloads travel raw.
     pub fn with_integrity(mut self) -> Self {
-        self.framing = true;
         self.integrity = true;
         self
     }

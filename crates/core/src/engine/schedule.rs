@@ -222,7 +222,7 @@ impl<T: Transport> Engine<T> {
 
         let mut offset = 0u64;
         for (chunk_index, c) in chunks.into_iter().enumerate() {
-            let payload = match (&msg.payload, self.framing) {
+            let payload = match (&msg.payload, self.integrity) {
                 (Some(p), false) => Some(p.slice(offset as usize..(offset + c.bytes) as usize)),
                 (Some(p), true) => {
                     let slice = p.slice(offset as usize..(offset + c.bytes) as usize);
@@ -238,7 +238,7 @@ impl<T: Transport> Engine<T> {
                         },
                         slice,
                     )
-                    .with_integrity(self.integrity);
+                    .with_integrity(true);
                     Some(packet.encode())
                 }
                 (None, _) => None,
@@ -285,13 +285,12 @@ impl<T: Transport> Engine<T> {
                 debug_assert!(ok, "budget sized to fit all entries");
             }
         }
-        // With framing on, the receiver needs the pack header to dispatch to
+        // Framed, the receiver needs the pack header to dispatch to
         // unpack_aggregate, and the segments are gathered straight into the
-        // wire buffer; otherwise the bare pack payload suffices for
-        // integrity checking.
+        // wire buffer; raw, the bare pack payload is what travels.
         let payload = agg.and_then(|mut agg| agg.flush_segments(self.next_pack)).map(|pack| {
-            if self.framing {
-                pack.encode(self.integrity)
+            if self.integrity {
+                pack.encode(true)
             } else {
                 pack.into_packet().payload
             }

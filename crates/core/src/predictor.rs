@@ -13,7 +13,7 @@
 use nm_model::{ModelError, PerfProfile, SimTime, TransferMode, MAX_RAILS};
 use nm_sampler::{sample_rail, SampleTransport, SamplingConfig};
 use nm_sim::RailId;
-use nm_sync::Arc;
+use std::sync::Arc;
 
 /// The engine's knowledge of one rail.
 #[derive(Debug, Clone)]

@@ -8,9 +8,9 @@
 //!    cores}" (paper §III-B);
 //! 2. computes the equal-completion split over the **forced-eager**
 //!    profiles;
-//! 3. assigns each chunk to a distinct idle core, charging the offload cost
-//!    T_O = 3 µs — or the 6 µs preemption cost when a busy core must be
-//!    signaled;
+//! 3. assigns each chunk to a distinct *idle* core, charging the offload
+//!    cost T_O = 3 µs (a busy core is never signaled, so the paper's 6 µs
+//!    preemption cost is never charged here);
 //! 4. refuses to split when the predicted gain does not cover T_O (the
 //!    "tiny messages" regime of Fig 9) and sends single-rail instead.
 //!
@@ -30,27 +30,16 @@ use nm_sim::RailId;
 pub struct MulticoreEager {
     /// Offload cost to an idle core (paper: 3 µs).
     pub offload_us: f64,
-    /// Offload cost when a thread must be preempted by a signal (paper: 6 µs).
-    pub preempt_us: f64,
     rdv_fallback: HeteroSplit,
     /// Memoized eager-profile splits (salted with the idle-core chunk cap).
     cache: PlanCache,
 }
 
 impl MulticoreEager {
-    /// Paper-calibrated costs.
+    /// The paper-calibrated offload cost.
     pub fn new() -> Self {
-        MulticoreEager::with_costs(3.0, 6.0)
-    }
-
-    /// Custom offload/preemption costs (for the sensitivity ablation).
-    // nm-analyzer: allow(unit-bare) -- µs-f64 numeric core of the cost
-    // model; estimate_eager_split consumes these raw
-    pub fn with_costs(offload_us: f64, preempt_us: f64) -> Self {
-        assert!(offload_us >= 0.0 && preempt_us >= offload_us);
         MulticoreEager {
-            offload_us,
-            preempt_us,
+            offload_us: 3.0,
             rdv_fallback: HeteroSplit::new(),
             cache: PlanCache::new(2),
         }
@@ -254,7 +243,8 @@ mod tests {
     #[test]
     fn higher_offload_cost_shrinks_the_split_regime() {
         // With a 1ms offload cost even 64 KiB refuses to split.
-        let mut s = MulticoreEager::with_costs(1000.0, 2000.0);
+        let mut s = MulticoreEager::new();
+        s.offload_us = 1000.0;
         match decide_with(&mut s, vec![0.0, 0.0], vec![1, 2], &[64 << 10]) {
             Action::Split(chunks) => assert_eq!(chunks.len(), 1),
             other => panic!("{other:?}"),

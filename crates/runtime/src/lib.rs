@@ -4,29 +4,32 @@
 //! strategy "registers chunk requests in a to-be-sent list and signals idle
 //! cores, which execute the PIO copies in parallel" (Fig 7), at a
 //! measured cost T_O of 3 µs — 6 µs when the target core must be preempted
-//! by a signal (§III-D). This crate is that mechanism and that measurement
-//! on plain OS threads, and nothing else:
+//! by a signal (§III-D). This crate is that mechanism on plain OS threads,
+//! two types and nothing else:
 //!
 //! * [`Tasklet`] — one deferred, run-once piece of communication work.
 //! * [`WorkerPool`] — one worker thread per logical core. A worker's channel
 //!   *is* its to-be-sent list; [`WorkerPool::idle_workers`] is the idle-core
 //!   set that bounds the split ("min{number of idle NICs, number of idle
-//!   cores} chunks at most"); a submission that finds its worker busy is
-//!   flagged *signaled* — the 6 µs path.
-//! * [`stats::OffloadStats`] — the measured T_O: submit → execution-start
-//!   latency, per-worker sharded, with the signaled path reported on its own
-//!   ([`stats::OffloadSnapshot`]).
+//!   cores} chunks at most"); [`WorkerPool::submit_to`] returns whether it
+//!   found its worker busy — the *signaled*, 6 µs path.
 //!
-//! Three surfaces drive the pool: `nm_core`'s `ShmemDriver` (the real-thread
-//! transport), the `table_offload` harness and `examples/multicore_eager`.
-//! On a CI machine with one or two cores real threads cannot show wall-clock
-//! speedup; the pool is validated for *semantics* (ordering, idle
-//! accounting, completion on drop) here and for *timing* in the
-//! discrete-event simulator, which models cores explicitly.
+//! The crate keeps no statistics. T_O on a given host is measured by the
+//! harness that reports it: the `table_offload` bin times submit →
+//! execution-start with a probe tasklet, for the idle and the signaled path.
+//! The engine charges the paper's 3 µs as a constant and reads no measured
+//! value.
+//!
+//! Two surfaces drive the pool: `nm_core`'s `ShmemDriver` (the real-thread
+//! transport) and `table_offload`. On a CI machine with one or two cores
+//! real threads cannot show wall-clock speedup; the pool is validated for
+//! *semantics* (ordering, idle accounting, completion on drop) here and for
+//! *timing* in the discrete-event simulator, which models cores explicitly.
 //!
 //! ## Concurrency verification
 //!
-//! All shared state goes through the [`nm_sync`] facade. The pool parks in
+//! The pool is `std` atomics and `std::sync::mpsc` channels, with no
+//! dependency on another workspace crate. It parks in
 //! `mpsc::Receiver::recv`, which the vendored loom does not model, so it
 //! is covered by the unit and stress tests in `worker.rs` (the
 //! idle-set/queue invariant, drain-on-drop) and by the opt-in
@@ -34,7 +37,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod stats;
 pub mod tasklet;
 pub mod worker;
 

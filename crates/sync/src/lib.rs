@@ -1,26 +1,22 @@
-//! Synchronization facade for the engine.
+//! Synchronization facade for the one crate loom model-checks.
 //!
-//! Every crate that shares mutable state across threads imports its
-//! primitives from here instead of `std::sync` / `parking_lot` directly
-//! (nm-analyzer's `facade-bypass` rule enforces this for the crates
-//! `analyzer.toml` lists under `[facade]`: `nm-runtime`, `nm-core` and
-//! `nm-replog`). Compiled normally, the facade re-exports the production
-//! primitives; compiled with `RUSTFLAGS="--cfg loom"` it re-exports the
-//! vendored loom model-checker's shims, so the same code can be driven
-//! through `loom::model` and have its interleavings explored exhaustively
-//! (up to the preemption bound).
+//! `nm-replog` imports its primitives from here instead of `std::sync` /
+//! `parking_lot` directly (nm-analyzer's `facade-bypass` rule enforces this
+//! for the crates `analyzer.toml` lists under `[facade]`). Compiled
+//! normally, the facade re-exports the production primitives; compiled with
+//! `RUSTFLAGS="--cfg loom"` it re-exports the vendored loom model-checker's
+//! shims, so the same code can be driven through `loom::model` and have its
+//! interleavings explored exhaustively (up to the preemption bound). Code
+//! no loom lane compiles (`nm-runtime`'s pool and `nm-core`'s real-thread
+//! driver park in a channel `recv` the vendored loom does not model) uses
+//! `std` directly.
 //!
-//! Surface kept deliberately small — exactly what those three crates use:
+//! Surface kept deliberately small — exactly what that crate uses:
 //! * [`Arc`]
-//! * [`atomic`][]: `AtomicBool`/`AtomicU32`/`AtomicU64`/`AtomicUsize`/
-//!   `AtomicI64` + [`atomic::Ordering`]
+//! * [`atomic`][]: `AtomicU64`, `fence` + [`atomic::Ordering`]
 //! * [`Mutex`]/[`MutexGuard`] (parking_lot-style: `lock()` returns the
 //!   guard, no poisoning)
-//! * [`thread`]: `spawn`, `yield_now`, `sleep`, `Builder`, `JoinHandle`
-//! * [`mpsc`]: `channel`, `Sender`, `Receiver` — `std`'s in both modes (the
-//!   vendored loom models no channel, so code that parks in `recv` is not
-//!   model-checked: see `nm-runtime`'s crate docs)
-//! * [`time::Instant`] (logical, deadlock-rule-driven time under loom)
+//! * [`thread`]: `spawn`, `JoinHandle`
 
 #![forbid(unsafe_code)]
 
@@ -30,26 +26,14 @@ mod imp {
     pub use loom::sync::Arc;
     pub use loom::sync::{Mutex, MutexGuard};
     pub use loom::thread;
-    pub use std::sync::mpsc;
-
-    /// Time source (logical ticks inside `loom::model`).
-    pub mod time {
-        pub use loom::time::Instant;
-    }
 }
 
 #[cfg(not(loom))]
 mod imp {
     pub use parking_lot::{Mutex, MutexGuard};
     pub use std::sync::atomic;
-    pub use std::sync::mpsc;
     pub use std::sync::Arc;
     pub use std::thread;
-
-    /// Time source (real wall clock outside loom).
-    pub mod time {
-        pub use std::time::Instant;
-    }
 }
 
 pub use imp::*;
@@ -73,12 +57,9 @@ mod tests {
             f2.store(true, atomic::Ordering::Release);
         });
 
-        let t0 = time::Instant::now();
         h.join().unwrap();
         assert!(flag.load(atomic::Ordering::Acquire), "spawned thread never ran");
         assert_eq!(count.load(atomic::Ordering::Acquire), 1);
         assert_eq!(*m.lock(), 1);
-        let _ = t0.elapsed();
-        thread::yield_now();
     }
 }

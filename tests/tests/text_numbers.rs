@@ -69,11 +69,13 @@ fn hetero_beats_iso_on_the_4mb_message() {
     assert!(1.0 - hetero / iso > 0.10, "improvement only {:.1}%", (1.0 - hetero / iso) * 100.0);
 }
 
-/// §III-D: the offload cost constants used by the simulator and strategy
-/// are the paper's 3 µs / 6 µs.
+/// §III-D: the one offload cost the strategy charges is the paper's 3 µs to
+/// an idle core. Nothing in production charges the 6 µs preemption cost (the
+/// strategy offloads to idle cores only and `nm-sim` takes `offload_delay`
+/// from its caller): it stays the paper's number that `table_offload`'s busy
+/// row measures against.
 #[test]
 fn offload_constants_match_the_paper() {
     let m = nm_core::strategy::multicore::MulticoreEager::new();
     assert_eq!(m.offload_us, 3.0);
-    assert_eq!(m.preempt_us, 6.0);
 }
