@@ -32,8 +32,12 @@ check_bench_unchanged() {
 
 # One simulated transport, one fault model: exactly one file in nm-core may
 # step a `Simulator`, and the second shaping slot / fault state stay gone.
-[ "$(grep -rlE '\.step\(\)' crates/core/src | wc -l)" -eq 1 ] \
+[ "$(grep -rlE '\.step\(' crates/core/src | wc -l)" -eq 1 ] \
     || { echo "Simulator::step is called from more than one file under crates/core/src" >&2; exit 1; }
+# The calendar is a heap of what will pop: the bucket ring and the
+# cancellation nothing called stay gone.
+! grep -nE 'NUM_BUCKETS|migrate_far|fn cancel|struct EventId' crates/sim/src/event.rs \
+    || { echo "the calendar ring or event cancellation is back in sim/src/event.rs" >&2; exit 1; }
 ! grep -rnE 'set_rail_fault|struct FaultState' crates/*/src \
     || { echo "a second fault-shaping slot or fault state is back" >&2; exit 1; }
 

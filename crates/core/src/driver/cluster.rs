@@ -208,6 +208,9 @@ pub(super) struct SimCore {
     ready: Vec<usize>,
     /// Fault replay; `None` keeps every injection hook fully disabled.
     faults: Option<Box<ClusterFaults>>,
+    /// The events of the step being routed, kept between pumps so a step
+    /// allocates nothing.
+    stepped: Vec<SimEvent>,
 }
 
 impl SimCore {
@@ -252,7 +255,14 @@ impl SimCore {
 
     fn over(sim: Simulator, faults: Option<Box<ClusterFaults>>) -> Self {
         let by_source = vec![Vec::new(); sim.spec().nodes.len()];
-        SimCore { sim, slots: Vec::new(), by_source, ready: Vec::new(), faults }
+        SimCore {
+            sim,
+            slots: Vec::new(),
+            by_source,
+            ready: Vec::new(),
+            faults,
+            stepped: Vec::new(),
+        }
     }
 
     /// Registers a slot for the directed pair `src -> dst`. Panics when the
@@ -416,13 +426,12 @@ impl SimCore {
         }
     }
 
-    /// Steps the simulator once and routes the produced events.
+    /// Steps the simulator once and routes the produced events; `false`
+    /// when the calendar is exhausted.
     fn pump(&mut self) -> bool {
-        let events = self.sim.step();
-        if events.is_empty() {
-            return false;
-        }
-        for ev in events {
+        let mut events = std::mem::take(&mut self.stepped);
+        let advanced = self.sim.step(&mut events);
+        for ev in events.drain(..) {
             self.apply_transitions_until(event_time(&ev));
             match ev {
                 SimEvent::Delivered { transfer, at } => self.route_delivery(transfer, at),
@@ -457,7 +466,8 @@ impl SimCore {
                 SimEvent::RtsArrived { .. } => {}
             }
         }
-        true
+        self.stepped = events;
+        advanced
     }
 
     pub(super) fn now(&self) -> SimTime {

@@ -21,11 +21,13 @@
 //! ## Event delivery
 //!
 //! The engine calls [`Simulator::step`] in a loop. Each step advances
-//! virtual time to the next internal event and returns the public
-//! [`SimEvent`]s it caused: deliveries, send completions, RTS arrivals and
-//! *edge-triggered* NIC-idle / core-idle notifications (stale notifications
-//! are suppressed with generation counters). This mirrors NewMadeleine's
-//! scheduler being "activated when a NIC becomes idle in order to feed it".
+//! virtual time to the next internal event and appends the public
+//! [`SimEvent`]s it caused to the caller's buffer: deliveries, send
+//! completions, RTS arrivals and *edge-triggered* transmit-idle / core-idle
+//! notifications (stale notifications are suppressed with generation
+//! counters). This mirrors NewMadeleine's scheduler being "activated when a
+//! NIC becomes idle in order to feed it". Nothing that cannot surface is
+//! scheduled: receive-side NIC idleness is never checked.
 
 use crate::event::EventQueue;
 use crate::ids::{CoreId, NicDir, NicKey, NodeId, RailId, TransferId};
@@ -36,7 +38,6 @@ use crate::transfer::{Transfer, TransferState};
 use nm_model::{LinkModel, SimDuration, SimTime, TransferMode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::VecDeque;
 
 /// A send order from the engine.
 #[derive(Debug, Clone)]
@@ -132,7 +133,7 @@ pub enum SimEvent {
         /// Delivery instant.
         at: SimTime,
     },
-    /// A NIC transitioned busy → idle.
+    /// A NIC's transmit side transitioned busy → idle.
     NicIdle {
         /// Owning node.
         node: NodeId,
@@ -187,7 +188,8 @@ enum Ev {
     RecvEnd(TransferId),
     RtsArrive(TransferId),
     DmaEnd(TransferId),
-    NicIdleCheck(NicKey, NicDir, u64),
+    /// Transmit side of the NIC: the only idle edge the engine is fed.
+    NicIdleCheck(NicKey, u64),
     CoreIdleCheck(NodeId, CoreId, u64),
     Wakeup(u64),
 }
@@ -208,7 +210,6 @@ pub struct Simulator {
     spec: ClusterSpec,
     now: SimTime,
     calendar: EventQueue<Ev>,
-    outbox: VecDeque<SimEvent>,
     transfers: Vec<Transfer>,
     /// Transmit side of `nics[node][rail]` (NICs are full duplex).
     nic_tx: Vec<Vec<SerialResource>>,
@@ -220,7 +221,8 @@ pub struct Simulator {
     /// no switch (ideal point-to-point cabling, the paper's world).
     switch: Vec<SerialResource>,
     /// Reserved windows per transfer, parallel to `transfers` — what
-    /// [`Self::try_cancel_all`] retracts.
+    /// [`Self::try_cancel_all`] retracts. Emptied when the transfer is
+    /// delivered or retracted, after which nothing reads them.
     windows: Vec<Vec<Window>>,
     /// Per-NIC-port fault shaping `nic_fault[node][rail]`, a
     /// `(time_scale, extra_latency)` applied to subsequently submitted
@@ -262,7 +264,6 @@ impl Simulator {
             spec,
             now: SimTime::ZERO,
             calendar: EventQueue::new(),
-            outbox: VecDeque::new(),
             transfers: Vec::new(),
             nic_tx,
             nic_rx,
@@ -566,11 +567,6 @@ impl Simulator {
             transfer: id,
         });
         self.calendar.push(recv_end, Ev::RecvEnd(id));
-        let rx_nic_gen = self.nic_rx[spec.dst.index()][spec.rail.index()].generation();
-        self.calendar.push(
-            recv_end,
-            Ev::NicIdleCheck(NicKey { node: spec.dst, rail: spec.rail }, NicDir::Rx, rx_nic_gen),
-        );
         let rx_core_gen = self.cores[spec.dst.index()][spec.recv_core.index()].generation();
         self.calendar.push(recv_end, Ev::CoreIdleCheck(spec.dst, spec.recv_core, rx_core_gen));
 
@@ -652,15 +648,8 @@ impl Simulator {
         }
         self.calendar.push(finish, Ev::DmaEnd(id));
         let tx_gen = self.nic_tx[spec.src.index()][spec.rail.index()].generation();
-        self.calendar.push(
-            dma_end,
-            Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, NicDir::Tx, tx_gen),
-        );
-        let rx_gen = self.nic_rx[spec.dst.index()][spec.rail.index()].generation();
-        self.calendar.push(
-            dma_end,
-            Ev::NicIdleCheck(NicKey { node: spec.dst, rail: spec.rail }, NicDir::Rx, rx_gen),
-        );
+        self.calendar
+            .push(dma_end, Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, tx_gen));
         let core_gen = self.cores[spec.src.index()][spec.send_core.index()].generation();
         self.calendar.push(post_end, Ev::CoreIdleCheck(spec.src, spec.send_core, core_gen));
     }
@@ -691,8 +680,8 @@ impl Simulator {
 
     /// Reserves `res` on behalf of transfer `id`, remembering the window so
     /// it can later be retracted by [`Self::try_cancel_all`].
-    // nm-analyzer: allow(unbounded-growth) -- one remembered window per live reservation,
-    // retracted on cancel and dropped when the transfer completes
+    // nm-analyzer: allow(unbounded-growth) -- a window is held from submit until its transfer
+    // is delivered or retracted, both of which drop the transfer's windows
     fn reserve_tracked(
         &mut self,
         id: TransferId,
@@ -776,55 +765,49 @@ impl Simulator {
         let core_gen = self.cores[spec.src.index()][spec.send_core.index()].generation();
         self.calendar.push(end, Ev::CoreIdleCheck(spec.src, spec.send_core, core_gen));
         let nic_gen = self.nic_tx[spec.src.index()][spec.rail.index()].generation();
-        self.calendar.push(
-            end,
-            Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, NicDir::Tx, nic_gen),
-        );
+        self.calendar
+            .push(end, Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, nic_gen));
     }
 
-    /// Advances to the next internal event and returns the public events it
-    /// produced. Returns an empty vec only when the calendar is exhausted.
-    pub fn step(&mut self) -> Vec<SimEvent> {
-        while self.outbox.is_empty() {
+    /// Advances through internal events until one produces public events,
+    /// and appends those to `out`. Returns `false`, appending nothing, only
+    /// when the calendar is exhausted.
+    pub fn step(&mut self, out: &mut Vec<SimEvent>) -> bool {
+        let before = out.len();
+        while out.len() == before {
             let Some((at, ev)) = self.calendar.pop() else {
-                return Vec::new();
+                return false;
             };
             debug_assert!(at >= self.now, "calendar went backwards");
             self.now = at;
-            self.handle(ev);
+            self.handle(ev, out);
         }
-        self.outbox.drain(..).collect()
+        true
     }
 
     /// Runs the calendar dry, collecting every public event.
     pub fn run_until_idle(&mut self) -> Vec<SimEvent> {
         let mut all = Vec::new();
-        loop {
-            let batch = self.step();
-            if batch.is_empty() {
-                return all;
-            }
-            all.extend(batch);
-        }
+        while self.step(&mut all) {}
+        all
     }
 
     /// Runs until the given transfer is delivered; returns the delivery
     /// time. Panics if the calendar drains first.
     pub fn run_until_delivered(&mut self, id: TransferId) -> SimTime {
+        let mut batch = Vec::new();
         loop {
             if let Some(at) = self.transfer(id).delivered_at {
                 return at;
             }
-            let batch = self.step();
-            if batch.is_empty() && self.transfer(id).delivered_at.is_none() {
+            batch.clear();
+            if !self.step(&mut batch) {
                 panic!("calendar drained but {id} was never delivered");
             }
         }
     }
 
-    // nm-analyzer: allow(unbounded-growth) -- outbox accumulates the events of one step and is
-    // drained by the caller before the next
-    fn handle(&mut self, ev: Ev) {
+    fn handle(&mut self, ev: Ev, out: &mut Vec<SimEvent>) {
         // Events of a cancelled transfer are inert (the calendar entries
         // themselves are cheaper to ignore than to unschedule).
         if let Ev::InjectEnd(id) | Ev::RecvEnd(id) | Ev::RtsArrive(id) | Ev::DmaEnd(id) = ev {
@@ -836,55 +819,47 @@ impl Simulator {
             Ev::InjectEnd(id) => {
                 let t = &mut self.transfers[id.0 as usize];
                 t.send_done_at = Some(self.now);
-                self.outbox.push_back(SimEvent::SendDone { transfer: id, at: self.now });
+                out.push(SimEvent::SendDone { transfer: id, at: self.now });
             }
             Ev::RecvEnd(id) => {
                 let t = &mut self.transfers[id.0 as usize];
                 t.delivered_at = Some(self.now);
                 t.state = TransferState::Delivered;
+                self.windows[id.0 as usize] = Vec::new();
                 self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
-                self.outbox.push_back(SimEvent::Delivered { transfer: id, at: self.now });
+                out.push(SimEvent::Delivered { transfer: id, at: self.now });
             }
             Ev::RtsArrive(id) => {
                 // The DMA window was placed at submit time (receiver grants
                 // CTS immediately); this event only informs the engine.
                 let t = &mut self.transfers[id.0 as usize];
                 t.state = TransferState::InFlight;
-                self.outbox.push_back(SimEvent::RtsArrived { transfer: id, at: self.now });
+                out.push(SimEvent::RtsArrived { transfer: id, at: self.now });
             }
             Ev::DmaEnd(id) => {
                 let t = &mut self.transfers[id.0 as usize];
                 t.send_done_at = Some(self.now);
                 t.delivered_at = Some(self.now);
                 t.state = TransferState::Delivered;
+                self.windows[id.0 as usize] = Vec::new();
                 self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
-                self.outbox.push_back(SimEvent::SendDone { transfer: id, at: self.now });
-                self.outbox.push_back(SimEvent::Delivered { transfer: id, at: self.now });
+                out.push(SimEvent::SendDone { transfer: id, at: self.now });
+                out.push(SimEvent::Delivered { transfer: id, at: self.now });
             }
-            Ev::NicIdleCheck(key, dir, gen) => {
-                // Only transmit-idle transitions are surfaced: that is the
-                // trigger feeding the engine's scheduler. (Receive-side
-                // checks still run so generations stay bookkept.)
-                let nic = match dir {
-                    NicDir::Tx => &self.nic_tx[key.node.index()][key.rail.index()],
-                    NicDir::Rx => &self.nic_rx[key.node.index()][key.rail.index()],
-                };
-                if dir == NicDir::Tx && nic.idle_event_is_current(gen) && nic.is_idle(self.now) {
-                    self.outbox.push_back(SimEvent::NicIdle {
-                        node: key.node,
-                        rail: key.rail,
-                        at: self.now,
-                    });
+            Ev::NicIdleCheck(key, gen) => {
+                let nic = &self.nic_tx[key.node.index()][key.rail.index()];
+                if nic.idle_event_is_current(gen) && nic.is_idle(self.now) {
+                    out.push(SimEvent::NicIdle { node: key.node, rail: key.rail, at: self.now });
                 }
             }
             Ev::CoreIdleCheck(node, core, gen) => {
                 let c = &self.cores[node.index()][core.index()];
                 if c.idle_event_is_current(gen) && c.is_idle(self.now) {
-                    self.outbox.push_back(SimEvent::CoreIdle { node, core, at: self.now });
+                    out.push(SimEvent::CoreIdle { node, core, at: self.now });
                 }
             }
             Ev::Wakeup(token) => {
-                self.outbox.push_back(SimEvent::Wakeup { token, at: self.now });
+                out.push(SimEvent::Wakeup { token, at: self.now });
             }
         }
     }
@@ -1221,6 +1196,31 @@ mod tests {
         assert_eq!(s.transfer(b).delivered_at, None);
         // Double cancel is refused.
         assert!(!s.try_cancel_all(&[b]));
+    }
+
+    #[test]
+    fn a_submit_schedules_only_events_that_can_surface() {
+        // Eager: inject end, receive end, and the send core's, receive
+        // core's and transmit NIC's idle checks.
+        let mut s = sim();
+        s.submit(SendSpec::simple(N0, N1, MYRI, 4 * KIB));
+        assert_eq!(s.calendar.len(), 5);
+        // Rendezvous: RTS arrival, DMA end, transmit NIC and send core idle.
+        let mut s = sim();
+        s.submit(SendSpec::simple(N0, N1, MYRI, MIB));
+        assert_eq!(s.calendar.len(), 4);
+    }
+
+    #[test]
+    fn delivered_transfers_hold_no_windows() {
+        let mut s = sim();
+        for (rail, size) in [(MYRI, 4 * KIB), (QUAD, 64 * KIB), (MYRI, MIB), (QUAD, 2 * MIB)] {
+            s.submit(SendSpec::simple(N0, N1, rail, size));
+        }
+        assert!(s.windows.iter().all(|w| !w.is_empty()));
+        s.run_until_idle();
+        assert!(s.transfers.iter().all(|t| t.state == TransferState::Delivered));
+        assert!(s.windows.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -114,7 +114,7 @@ proptest! {
             sim.submit(s);
             expected[rail] += switch.transit(size);
         }
-        while !sim.step().is_empty() {}
+        sim.run_until_idle();
         for (rail, want) in expected.iter().enumerate() {
             prop_assert_eq!(
                 sim.switch_busy_total(RailId(rail)),

@@ -42,12 +42,9 @@ fn multiplexed_flow_survives_rail_races() {
     let mut released: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut release_order = Vec::new();
 
-    loop {
-        let events = sim.step();
-        if events.is_empty() {
-            break;
-        }
-        for ev in events {
+    let mut events = Vec::new();
+    while sim.step(&mut events) {
+        for ev in events.drain(..) {
             if let SimEvent::Delivered { transfer, .. } = ev {
                 let &(m, offset, len) = chunk_of.get(&transfer).expect("known chunk");
                 let data =

@@ -60,12 +60,9 @@ proptest! {
         // Time is monotone across events; every transfer delivers once.
         let mut last = nm_model::SimTime::ZERO;
         let mut deliveries: HashMap<_, u32> = HashMap::new();
-        loop {
-            let events = sim.step();
-            if events.is_empty() {
-                break;
-            }
-            for ev in events {
+        let mut events = Vec::new();
+        while sim.step(&mut events) {
+            for ev in events.drain(..) {
                 let at = match ev {
                     SimEvent::RtsArrived { at, .. }
                     | SimEvent::SendDone { at, .. }
