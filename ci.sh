@@ -38,6 +38,12 @@ check_bench_unchanged() {
 # cancellation nothing called stay gone.
 ! grep -nE 'NUM_BUCKETS|migrate_far|fn cancel|struct EventId' crates/sim/src/event.rs \
     || { echo "the calendar ring or event cancellation is back in sim/src/event.rs" >&2; exit 1; }
+# The simulator holds a transfer only while it is in flight: no per-transfer
+# record, state enum or read-back accessor, and nm-core reads nothing back.
+! grep -rnE 'struct Transfer\b|TransferState|pub fn transfer\(' crates/sim/src \
+    || { echo "a per-transfer history is back in crates/sim/src" >&2; exit 1; }
+! grep -rnF 'sim.transfer(' crates/core/src \
+    || { echo "crates/core/src reads a transfer back from the simulator" >&2; exit 1; }
 ! grep -rnE 'set_rail_fault|struct FaultState' crates/*/src \
     || { echo "a second fault-shaping slot or fault state is back" >&2; exit 1; }
 

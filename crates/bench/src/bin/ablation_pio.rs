@@ -10,17 +10,14 @@
 //! The paper's claim: (b) beats (a); (c) beats both once messages are big
 //! enough to amortize T_O. The sweep shows where (c) takes over.
 
-use nm_bench::Table;
+use nm_bench::{delivery_instants, Table};
 use nm_model::units::{format_size, pow2_sizes, KIB};
 use nm_model::{SimDuration, TransferMode};
 use nm_proto::aggregate::ENTRY_OVERHEAD;
 use nm_sim::{ClusterSpec, CoreId, NodeId, RailId, SendSpec, Simulator};
 
 fn completion(sim: &mut Simulator, ids: &[nm_sim::TransferId]) -> f64 {
-    sim.run_until_idle();
-    ids.iter()
-        .map(|&id| sim.transfer(id).delivered_at.expect("done").as_micros_f64())
-        .fold(0.0, f64::max)
+    delivery_instants(sim, ids).into_iter().map(|at| at.as_micros_f64()).fold(0.0, f64::max)
 }
 
 fn scenario_a_greedy_one_core(seg: u64) -> f64 {

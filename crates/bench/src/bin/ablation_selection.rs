@@ -6,7 +6,7 @@
 //! pays the wait. The table shows per-strategy completion vs `w` and the
 //! busy rail's share under hetero.
 
-use nm_bench::{sample_predictor, Table};
+use nm_bench::{delivery_instants, sample_predictor, Table};
 use nm_core::predictor::Predictor;
 use nm_core::selection::select_rails;
 use nm_model::units::MIB;
@@ -27,11 +27,8 @@ fn run_with_busy_myri(layout: &[(RailId, u64)], wait_us: f64) -> f64 {
         .iter()
         .map(|&(r, b)| sim.submit(SendSpec::simple(NodeId(0), NodeId(1), r, b)))
         .collect();
-    sim.run_until_idle();
     let start: f64 = 0.0;
-    ids.iter()
-        .map(|&id| sim.transfer(id).delivered_at.expect("done").as_micros_f64())
-        .fold(start, f64::max)
+    delivery_instants(&mut sim, &ids).into_iter().map(|at| at.as_micros_f64()).fold(start, f64::max)
 }
 
 fn hetero_layout(predictor: &Predictor, size: u64, wait_us: f64) -> Vec<(RailId, u64)> {

@@ -6,7 +6,7 @@
 //! This harness submits the same chunk layouts to a traced simulator and
 //! reports per-chunk durations plus the measured idle gap.
 
-use nm_bench::{sample_predictor, Table};
+use nm_bench::{delivery_instants, sample_predictor, Table};
 use nm_core::predictor::Predictor;
 use nm_core::strategy::{Action, Ctx, StrategyKind};
 use nm_model::units::{KIB, MIB};
@@ -37,13 +37,10 @@ fn run_layout(layout: &[(RailId, u64)]) -> Vec<(RailId, u64, f64)> {
         .iter()
         .map(|&(rail, bytes)| sim.submit(SendSpec::simple(NodeId(0), NodeId(1), rail, bytes)))
         .collect();
-    sim.run_until_idle();
     layout
         .iter()
-        .zip(&ids)
-        .map(|(&(rail, bytes), &id)| {
-            (rail, bytes, sim.transfer(id).delivered_at.expect("done").as_micros_f64())
-        })
+        .zip(delivery_instants(&mut sim, &ids))
+        .map(|(&(rail, bytes), at)| (rail, bytes, at.as_micros_f64()))
         .collect()
 }
 

@@ -31,9 +31,9 @@ use nm_core::transport::Transport;
 use nm_core::HealthConfig;
 use nm_faults::FaultSchedule;
 use nm_model::units::{format_size, pow2_sizes, KIB, MIB};
-use nm_model::Micros;
+use nm_model::{Micros, SimTime};
 use nm_sampler::{SamplingConfig, SimTransport};
-use nm_sim::{ClusterSpec, RailId};
+use nm_sim::{ClusterSpec, RailId, SimEvent, Simulator, TransferId};
 
 /// Samples a cluster spec into a [`Predictor`] (natural + forced-eager
 /// profiles per rail) — what a session does at init, exposed for harnesses
@@ -144,6 +144,20 @@ pub fn batch_completion_us(strategy: Box<dyn Strategy>, sizes: &[u64]) -> Micros
     engine.post_send_batch(sizes).expect("post batch");
     let done = engine.drain().expect("drain");
     Micros::new(done.iter().map(|c| c.delivered_at.as_micros_f64()).fold(0.0, f64::max))
+}
+
+/// Runs `sim` dry and returns when each of `ids` was delivered, in order —
+/// read off its `Delivered` event, since the simulator keeps nothing about
+/// a transfer once it has delivered.
+pub fn delivery_instants(sim: &mut Simulator, ids: &[TransferId]) -> Vec<SimTime> {
+    let events = sim.run_until_idle();
+    let delivered = |id| {
+        events.iter().find_map(|e| match *e {
+            SimEvent::Delivered { transfer, at, .. } if transfer == id => Some(at),
+            _ => None,
+        })
+    };
+    ids.iter().map(|&id| delivered(id).unwrap_or_else(|| panic!("{id} never delivered"))).collect()
 }
 
 /// A strategy that aggregates the whole queue onto one fixed rail —

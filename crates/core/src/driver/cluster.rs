@@ -132,13 +132,14 @@ struct ClusterFaults {
     timeline: Vec<ClusterTransition>,
     next: usize,
     /// One entry per transfer between its submission and its delivery (or
-    /// retraction). Id-ordered so fault onsets fail victims in id order
-    /// without a sort; where a transfer runs is the simulator's to know.
-    ledger: BTreeMap<TransferId, Fate>,
+    /// retraction): its fate, submitting slot and physical rail, all a fault
+    /// onset needs, since the simulator forgets a delivered transfer.
+    /// Id-ordered so onsets fail victims in id order without a sort.
+    ledger: BTreeMap<TransferId, (Fate, usize, RailId)>,
     /// Deliveries a reorder storm is holding, in arrival order: the
-    /// storming port `(node, rail)`, the transfer, and whether it arrived
-    /// detectably corrupt.
-    held: Vec<(usize, RailId, TransferId, bool)>,
+    /// storming port `(node, rail)`, the owning slot, the transfer, and
+    /// whether it arrived detectably corrupt.
+    held: Vec<(usize, RailId, usize, TransferId, bool)>,
     next_rejected: u64,
 }
 
@@ -316,12 +317,6 @@ impl SimCore {
         }
     }
 
-    /// Routes an event about `transfer` to the slot that submitted it (the
-    /// tag it left on the simulator's record).
-    fn deliver_to_owner(&mut self, transfer: TransferId, ev: TransportEvent) {
-        self.deliver(self.sim.transfer(transfer).tag as usize, ev);
-    }
-
     /// Routes a NIC/core idle event of `node` to every slot sending from
     /// it (they share the NIC) that asked for idle events.
     fn deliver_idle(&mut self, node: NodeId, ev: &TransportEvent) {
@@ -351,20 +346,19 @@ impl SimCore {
                     // Kill in-flight transfers crossing the downed port.
                     // The ledger is id-ordered (BTreeMap), so failure
                     // events replay identically by construction.
-                    let sim = &self.sim;
                     let mut victims = Vec::new();
-                    for (&id, fate) in f.ledger.iter_mut() {
-                        let x = sim.transfer(id);
-                        let crosses = x.rail == t.rail
-                            && (x.src.index() == t.node || x.dst.index() == t.node);
+                    for (&id, (fate, slot, rail)) in f.ledger.iter_mut() {
+                        let Slot { src, dst, .. } = self.slots[*slot];
+                        let crosses =
+                            *rail == t.rail && (src.index() == t.node || dst.index() == t.node);
                         if crosses && *fate != Fate::Killed {
                             *fate = Fate::Killed;
-                            victims.push(id);
+                            victims.push((id, *slot));
                         }
                     }
-                    for id in victims {
+                    for (id, slot) in victims {
                         let failed = TransportEvent::ChunkFailed { chunk: ChunkId(id.0), at: t.at };
-                        self.deliver_to_owner(id, failed);
+                        self.deliver(slot, failed);
                     }
                 }
                 Change::ShapeBegin { time_scale, extra_latency } => {
@@ -381,8 +375,8 @@ impl SimCore {
                         .into_iter()
                         .partition(|&(node, rail, ..)| node == t.node && rail == t.rail);
                     f.held = kept;
-                    for (_, _, transfer, corrupt) in released.into_iter().rev() {
-                        self.deliver_to_owner(transfer, arrival(transfer, corrupt, t.at));
+                    for (_, _, slot, transfer, corrupt) in released.into_iter().rev() {
+                        self.deliver(slot, arrival(transfer, corrupt, t.at));
                     }
                 }
                 // Lottery windows act at submission time and a storm's
@@ -393,34 +387,37 @@ impl SimCore {
         }
     }
 
-    /// Routes a transfer's delivery as its [`Fate`] dictates (with no fault
-    /// layer watching, it passes through).
-    fn route_delivery(&mut self, transfer: TransferId, at: SimTime) {
+    /// Routes a transfer's delivery to its slot as its [`Fate`] dictates
+    /// (with no fault layer watching, it passes through).
+    fn route_delivery(&mut self, transfer: TransferId, slot: usize, at: SimTime) {
         let Some(f) = self.faults.as_deref_mut() else {
-            return self.deliver_to_owner(transfer, arrival(transfer, false, at));
+            return self.deliver(slot, arrival(transfer, false, at));
         };
-        let (corrupt, copies) = match f.ledger.remove(&transfer) {
-            Some(Fate::Killed) => return, // failure already reported at onset
-            Some(Fate::Doomed) => {
+        let (fate, _, rail) = f
+            .ledger
+            .remove(&transfer)
+            .expect("only a retracted transfer leaves the ledger early, and it never delivers");
+        let (corrupt, copies) = match fate {
+            Fate::Killed => return, // failure already reported at onset
+            Fate::Doomed => {
                 let failed = TransportEvent::ChunkFailed { chunk: ChunkId(transfer.0), at };
-                return self.deliver_to_owner(transfer, failed);
+                return self.deliver(slot, failed);
             }
-            Some(Fate::Corrupt { detected: true }) => (true, 1),
-            Some(Fate::Duplicate) => (false, 2),
-            Some(Fate::Clean | Fate::Corrupt { detected: false }) | None => (false, 1),
+            Fate::Corrupt { detected: true } => (true, 1),
+            Fate::Duplicate => (false, 2),
+            Fate::Clean | Fate::Corrupt { detected: false } => (false, 1),
         };
-        let x = self.sim.transfer(transfer);
-        let rail = x.rail;
+        let Slot { src, dst, .. } = self.slots[slot];
         let storming =
-            [x.src.index(), x.dst.index()].into_iter().find(|&n| f.state.reorder_active(n, rail));
+            [src.index(), dst.index()].into_iter().find(|&n| f.state.reorder_active(n, rail));
         match storming {
             // Held until the storm closes (released reversed).
             Some(node) => {
-                f.held.extend(std::iter::repeat_n((node, rail, transfer, corrupt), copies));
+                f.held.extend(std::iter::repeat_n((node, rail, slot, transfer, corrupt), copies));
             }
             None => {
                 for _ in 0..copies {
-                    self.deliver_to_owner(transfer, arrival(transfer, corrupt, at));
+                    self.deliver(slot, arrival(transfer, corrupt, at));
                 }
             }
         }
@@ -434,18 +431,17 @@ impl SimCore {
         for ev in events.drain(..) {
             self.apply_transitions_until(event_time(&ev));
             match ev {
-                SimEvent::Delivered { transfer, at } => self.route_delivery(transfer, at),
-                SimEvent::SendDone { transfer, at } => {
-                    let killed = self
-                        .faults
-                        .as_deref()
-                        .is_some_and(|f| f.ledger.get(&transfer) == Some(&Fate::Killed));
+                // The tag is the submitting slot.
+                SimEvent::Delivered { transfer, tag, at } => {
+                    self.route_delivery(transfer, tag as usize, at);
+                }
+                SimEvent::SendDone { transfer, tag, at } => {
+                    let killed = self.faults.as_deref().is_some_and(|f| {
+                        f.ledger.get(&transfer).is_some_and(|e| e.0 == Fate::Killed)
+                    });
                     if !killed {
                         let chunk = ChunkId(transfer.0);
-                        self.deliver_to_owner(
-                            transfer,
-                            TransportEvent::ChunkSendDone { chunk, at },
-                        );
+                        self.deliver(tag as usize, TransportEvent::ChunkSendDone { chunk, at });
                     }
                 }
                 SimEvent::NicIdle { node, rail, at } => {
@@ -547,7 +543,7 @@ impl SimCore {
             tag: slot as u32,
         });
         if let Some(f) = self.faults.as_deref_mut() {
-            f.ledger.insert(id, fate);
+            f.ledger.insert(id, (fate, slot, rail));
         }
         ChunkId(id.0)
     }
@@ -1199,6 +1195,72 @@ mod tests {
             );
         }
         assert_eq!(cluster.shared.borrow().fault_entries(), 0, "state kept for a finished chunk");
+    }
+
+    #[test]
+    fn fault_outcomes_reach_the_slot_that_submitted_the_transfer() {
+        use nm_faults::{ClusterFaultSchedule, ClusterFaultSpec, FaultKind};
+        let long = nm_model::SimDuration::from_micros(50_000);
+        // Faults on node 1's rail-0 port, which nodes 0 and 2 both send into.
+        let on_port = |at: SimTime, kind| {
+            ClusterFaultSchedule::new(5).with(ClusterFaultSpec::port(1, RailId(0), at, kind))
+        };
+        let storm_ends = SimTime::ZERO + long;
+        let down_at = SimTime::from_micros(100);
+        // (schedule, chunk size, whether chunks fail, when each outcome surfaces)
+        let cases = [
+            // The storm holds every delivery past the simulator's own: by
+            // release the simulator has forgotten the transfer.
+            (
+                on_port(SimTime::ZERO, FaultKind::ChunkReorderStorm { duration: long }),
+                64 * 1024,
+                false,
+                storm_ends,
+            ),
+            // The port dies while every 1 MiB rendezvous still crosses it.
+            (on_port(down_at, FaultKind::RailDown { duration: long }), MIB, true, down_at),
+        ];
+        for (schedule, bytes, fail, when) in cases {
+            let cluster = SimCluster::with_faults(three_node_spec(), &schedule).expect("schedule");
+            let mut senders = [
+                cluster.pair_driver(NodeId(0), NodeId(1)),
+                cluster.pair_driver(NodeId(2), NodeId(1)),
+            ];
+            let mut own: [Vec<ChunkId>; 2] = Default::default();
+            for _ in 0..2 {
+                for (d, ids) in senders.iter_mut().zip(&mut own) {
+                    ids.push(d.submit(ChunkSubmit::new(RailId(0), bytes)));
+                }
+            }
+            while cluster.pump_one() {}
+            for (d, ids) in senders.iter_mut().zip(&own) {
+                let mut outcomes: Vec<ChunkId> = std::iter::from_fn(|| Some(d.poll()))
+                    .take_while(|evs| !evs.is_empty())
+                    .flatten()
+                    .filter_map(|ev| match ev {
+                        TransportEvent::ChunkDelivered { chunk, at } if !fail && at == when => {
+                            Some(chunk)
+                        }
+                        TransportEvent::ChunkFailed { chunk, at } if fail && at == when => {
+                            Some(chunk)
+                        }
+                        TransportEvent::ChunkDelivered { .. }
+                        | TransportEvent::ChunkFailed { .. }
+                        | TransportEvent::ChunkCorrupt { .. } => {
+                            panic!("fail {fail}: unexpected outcome {ev:?}")
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                outcomes.sort_unstable();
+                assert_eq!(outcomes, *ids, "fail {fail}: each sender sees its own chunks, once");
+            }
+            assert_eq!(
+                cluster.shared.borrow().fault_entries(),
+                0,
+                "state kept for a finished chunk"
+            );
+        }
     }
 
     #[test]

@@ -34,11 +34,9 @@ pub mod resource;
 pub mod sim;
 pub mod topology;
 pub mod trace;
-pub mod transfer;
 
 pub use event::EventQueue;
 pub use ids::{CoreId, NicKey, NodeId, RailId, TransferId};
 pub use sim::{SendSpec, SimEvent, Simulator};
 pub use topology::{ClusterSpec, NodeSpec, SwitchSpec};
 pub use trace::{Trace, TraceRecord};
-pub use transfer::{Transfer, TransferState};

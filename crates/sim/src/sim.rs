@@ -28,16 +28,24 @@
 //! counters). This mirrors NewMadeleine's scheduler being "activated when a
 //! NIC becomes idle in order to feed it". Nothing that cannot surface is
 //! scheduled: receive-side NIC idleness is never checked.
+//!
+//! ## What the simulator keeps
+//!
+//! A transfer is held from [`Simulator::submit`] until its delivery or
+//! retraction — its tag and reserved windows — and nothing of it after: its
+//! instants are on the events `step` returns (`SendDone` and `Delivered`
+//! carry the tag back) and, when enabled, in the trace. Memory follows what
+//! is in flight, not how long the simulator has run.
 
 use crate::event::EventQueue;
 use crate::ids::{CoreId, NicDir, NicKey, NodeId, RailId, TransferId};
 use crate::resource::SerialResource;
 use crate::topology::ClusterSpec;
 use crate::trace::{Trace, TraceRecord};
-use crate::transfer::{Transfer, TransferState};
 use nm_model::{LinkModel, SimDuration, SimTime, TransferMode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::VecDeque;
 
 /// A send order from the engine.
 #[derive(Debug, Clone)]
@@ -60,9 +68,10 @@ pub struct SendSpec {
     /// T_O paid when the chunk was handed to another core (3 µs, or 6 µs
     /// with a preemption signal; paper §III-D).
     pub offload_delay: SimDuration,
-    /// The submitter's own label, opaque to the simulator and kept on the
-    /// [`Transfer`] record — a driver multiplexing several engines over one
-    /// simulator notes here whose transfer this is.
+    /// The submitter's own label, opaque to the simulator and returned on
+    /// the transfer's [`SimEvent::SendDone`] and [`SimEvent::Delivered`] —
+    /// a driver multiplexing several engines over one simulator notes here
+    /// whose transfer this is. No record keeps it past delivery.
     pub tag: u32,
 }
 
@@ -123,6 +132,8 @@ pub enum SimEvent {
     SendDone {
         /// The transfer.
         transfer: TransferId,
+        /// Its [`SendSpec::tag`].
+        tag: u32,
         /// Completion instant.
         at: SimTime,
     },
@@ -130,6 +141,8 @@ pub enum SimEvent {
     Delivered {
         /// The transfer.
         transfer: TransferId,
+        /// Its [`SendSpec::tag`].
+        tag: u32,
         /// Delivery instant.
         at: SimTime,
     },
@@ -181,6 +194,14 @@ struct Window {
     prev: SimTime,
 }
 
+/// What the simulator holds for a transfer until its delivery or retraction.
+struct Live {
+    /// [`SendSpec::tag`], returned on the transfer's events.
+    tag: u32,
+    /// The windows it reserved: what [`Simulator::try_cancel_all`] retracts.
+    windows: Vec<Window>,
+}
+
 /// Internal calendar payloads.
 #[derive(Debug, Clone)]
 enum Ev {
@@ -210,7 +231,12 @@ pub struct Simulator {
     spec: ClusterSpec,
     now: SimTime,
     calendar: EventQueue<Ev>,
-    transfers: Vec<Transfer>,
+    /// Transfers in flight, indexed by `id − base`. Ids are issued in
+    /// submission order as `base + live.len()`; delivery and retraction
+    /// take an entry, and the taken prefix is popped.
+    live: VecDeque<Option<Live>>,
+    /// The id of `live[0]`: every transfer below it has retired.
+    base: u64,
     /// Transmit side of `nics[node][rail]` (NICs are full duplex).
     nic_tx: Vec<Vec<SerialResource>>,
     /// Receive side of `nics[node][rail]`.
@@ -220,10 +246,6 @@ pub struct Simulator {
     /// Per-rail switch backplane, `switch[rail]`; empty when the spec has
     /// no switch (ideal point-to-point cabling, the paper's world).
     switch: Vec<SerialResource>,
-    /// Reserved windows per transfer, parallel to `transfers` — what
-    /// [`Self::try_cancel_all`] retracts. Emptied when the transfer is
-    /// delivered or retracted, after which nothing reads them.
-    windows: Vec<Vec<Window>>,
     /// Per-NIC-port fault shaping `nic_fault[node][rail]`, a
     /// `(time_scale, extra_latency)` applied to subsequently submitted
     /// transfers that touch the port; the two endpoints' entries compose
@@ -264,12 +286,12 @@ impl Simulator {
             spec,
             now: SimTime::ZERO,
             calendar: EventQueue::new(),
-            transfers: Vec::new(),
+            live: VecDeque::new(),
+            base: 0,
             nic_tx,
             nic_rx,
             cores,
             switch,
-            windows: Vec::new(),
             nic_fault,
             trace: Trace::disabled(),
             jitter_frac: 0.0,
@@ -311,11 +333,6 @@ impl Simulator {
     /// The performance model of a rail.
     pub fn link(&self, rail: RailId) -> &LinkModel {
         &self.spec.rails[rail.index()]
-    }
-
-    /// Read access to a transfer's record.
-    pub fn transfer(&self, id: TransferId) -> &Transfer {
-        &self.transfers[id.0 as usize]
     }
 
     /// When the *transmit* side of the NIC `(node, rail)` drains its
@@ -410,34 +427,18 @@ impl Simulator {
 
     /// Submits a transfer; send-side work starts as soon as the required
     /// resources are free (and not before `now + offload_delay`).
-    // nm-analyzer: allow(unbounded-growth) -- per-run ledgers dropped with the simulator:
-    // population equals submitted transfers and their reserved windows
+    // nm-analyzer: allow(unbounded-growth) -- one entry per transfer between submit and its
+    // delivery or retraction, plus retired holes behind the oldest live one (popped as it goes)
     pub fn submit(&mut self, spec: SendSpec) -> TransferId {
         self.validate_spec(&spec);
         let link = &self.spec.rails[spec.rail.index()];
         let mode = spec.mode.unwrap_or_else(|| link.mode_for(spec.size));
-        let id = TransferId(self.transfers.len() as u64);
-        self.transfers.push(Transfer {
-            id,
-            src: spec.src,
-            dst: spec.dst,
-            rail: spec.rail,
-            size: spec.size,
-            mode,
-            send_core: spec.send_core,
-            recv_core: spec.recv_core,
-            tag: spec.tag,
-            state: TransferState::Pending,
-            submitted_at: self.now,
-            started_at: None,
-            send_done_at: None,
-            delivered_at: None,
-        });
-        self.windows.push(Vec::new());
-        match mode {
+        let id = TransferId(self.base + self.live.len() as u64);
+        let windows = match mode {
             TransferMode::Eager => self.submit_eager(id, &spec),
             TransferMode::Rendezvous => self.submit_rdv(id, &spec),
-        }
+        };
+        self.live.push_back(Some(Live { tag: spec.tag, windows }));
         id
     }
 
@@ -471,7 +472,8 @@ impl Simulator {
         assert!(spec.size > 0, "zero-byte transfers are not modeled");
     }
 
-    fn submit_eager(&mut self, id: TransferId, spec: &SendSpec) {
+    fn submit_eager(&mut self, id: TransferId, spec: &SendSpec) -> Vec<Window> {
+        let mut windows = Vec::new();
         let link = &self.spec.rails[spec.rail.index()];
         let copy_raw = link.pio.copy_time(spec.size);
         let one_way_raw = link.eager.time(spec.size);
@@ -494,10 +496,10 @@ impl Simulator {
         let start = earliest.max(core.free_at(earliest)).max(nic.free_at(earliest));
 
         let (s, inject_end) =
-            self.reserve_tracked(id, ResKey::Core(spec.src, spec.send_core), start, copy);
+            self.reserve(&mut windows, ResKey::Core(spec.src, spec.send_core), start, copy);
         debug_assert_eq!(s, start);
         let (_, nic_end) =
-            self.reserve_tracked(id, ResKey::NicTx(spec.src, spec.rail), start, copy);
+            self.reserve(&mut windows, ResKey::NicTx(spec.src, spec.rail), start, copy);
         debug_assert_eq!(nic_end, inject_end);
 
         self.trace.push(TraceRecord::CoreBusy {
@@ -515,10 +517,6 @@ impl Simulator {
             to: inject_end,
             transfer: id,
         });
-
-        let t = &mut self.transfers[id.0 as usize];
-        t.started_at = Some(start);
-        t.state = TransferState::InFlight;
 
         self.calendar.push(inject_end, Ev::InjectEnd(id));
 
@@ -539,7 +537,7 @@ impl Simulator {
                 let sw = &self.switch[spec.rail.index()];
                 let sw_start = start.max(sw.free_at(start));
                 let (_, sw_end) =
-                    self.reserve_tracked(id, ResKey::Switch(spec.rail), sw_start, transit);
+                    self.reserve(&mut windows, ResKey::Switch(spec.rail), sw_start, transit);
                 sw_end
             }
             None => wire_arrive,
@@ -549,8 +547,8 @@ impl Simulator {
         let rx_core = &self.cores[spec.dst.index()][spec.recv_core.index()];
         let recv_start = arrive.max(rx_nic.free_at(arrive)).max(rx_core.free_at(arrive));
         let (_, recv_end) =
-            self.reserve_tracked(id, ResKey::NicRx(spec.dst, spec.rail), recv_start, copy);
-        self.reserve_tracked(id, ResKey::Core(spec.dst, spec.recv_core), recv_start, copy);
+            self.reserve(&mut windows, ResKey::NicRx(spec.dst, spec.rail), recv_start, copy);
+        self.reserve(&mut windows, ResKey::Core(spec.dst, spec.recv_core), recv_start, copy);
         self.trace.push(TraceRecord::NicBusy {
             node: spec.dst,
             rail: spec.rail,
@@ -571,9 +569,11 @@ impl Simulator {
         self.calendar.push(recv_end, Ev::CoreIdleCheck(spec.dst, spec.recv_core, rx_core_gen));
 
         self.schedule_idle_checks_for_send(spec, inject_end);
+        windows
     }
 
-    fn submit_rdv(&mut self, id: TransferId, spec: &SendSpec) {
+    fn submit_rdv(&mut self, id: TransferId, spec: &SendSpec) -> Vec<Window> {
+        let mut windows = Vec::new();
         let link = &self.spec.rails[spec.rail.index()];
         let (setup_us, ctrl_us) = (link.rdv_setup_us, link.ctrl_latency_us);
         let rdv_raw = link.rdv.time(spec.size);
@@ -594,7 +594,7 @@ impl Simulator {
         let core = &self.cores[spec.src.index()][spec.send_core.index()];
         let start = earliest.max(core.free_at(earliest));
         let (_, post_end) =
-            self.reserve_tracked(id, ResKey::Core(spec.src, spec.send_core), start, setup);
+            self.reserve(&mut windows, ResKey::Core(spec.src, spec.send_core), start, setup);
 
         self.trace.push(TraceRecord::CoreBusy {
             node: spec.src,
@@ -603,9 +603,6 @@ impl Simulator {
             to: post_end,
             transfer: id,
         });
-
-        let t = &mut self.transfers[id.0 as usize];
-        t.started_at = Some(start);
 
         let rts_arrive = post_end + rts_flight;
         self.calendar.push(rts_arrive, Ev::RtsArrive(id));
@@ -624,14 +621,15 @@ impl Simulator {
             dma_start = dma_start.max(self.switch[spec.rail.index()].free_at(dma_start));
         }
         let (_, dma_end) =
-            self.reserve_tracked(id, ResKey::NicTx(spec.src, spec.rail), dma_start, dma);
-        self.reserve_tracked(id, ResKey::NicRx(spec.dst, spec.rail), dma_start, dma);
+            self.reserve(&mut windows, ResKey::NicTx(spec.src, spec.rail), dma_start, dma);
+        self.reserve(&mut windows, ResKey::NicRx(spec.dst, spec.rail), dma_start, dma);
         // The DMA stream crosses the backplane cut-through: its transit
         // window overlaps the DMA window and only outlives it on a slow
         // (oversubscribed) switch, in which case delivery waits for it.
         let finish = match transit {
             Some(t) => {
-                let (_, sw_end) = self.reserve_tracked(id, ResKey::Switch(spec.rail), dma_start, t);
+                let (_, sw_end) =
+                    self.reserve(&mut windows, ResKey::Switch(spec.rail), dma_start, t);
                 dma_end.max(sw_end)
             }
             None => dma_end,
@@ -652,6 +650,7 @@ impl Simulator {
             .push(dma_end, Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, tx_gen));
         let core_gen = self.cores[spec.src.index()][spec.send_core.index()].generation();
         self.calendar.push(post_end, Ev::CoreIdleCheck(spec.src, spec.send_core, core_gen));
+        windows
     }
 
     /// The backplane transit duration of a `size`-byte transfer, or `None`
@@ -678,13 +677,11 @@ impl Simulator {
         }
     }
 
-    /// Reserves `res` on behalf of transfer `id`, remembering the window so
-    /// it can later be retracted by [`Self::try_cancel_all`].
-    // nm-analyzer: allow(unbounded-growth) -- a window is held from submit until its transfer
-    // is delivered or retracted, both of which drop the transfer's windows
-    fn reserve_tracked(
+    /// Reserves `res` and appends the window to the transfer's `windows`,
+    /// which [`Self::try_cancel_all`] retracts while the transfer is live.
+    fn reserve(
         &mut self,
-        id: TransferId,
+        windows: &mut Vec<Window>,
         res: ResKey,
         start: SimTime,
         duration: SimDuration,
@@ -692,15 +689,33 @@ impl Simulator {
         let r = self.resource_mut(res);
         let prev = r.busy_until();
         let (begin, end) = r.reserve(start, duration);
-        self.windows[id.0 as usize].push(Window { res, begin, end, prev });
+        windows.push(Window { res, begin, end, prev });
         (begin, end)
+    }
+
+    /// `id`'s entry; `None` if it was never issued, delivered or retracted.
+    fn live(&self, id: TransferId) -> Option<&Live> {
+        self.live.get(usize::try_from(id.0.checked_sub(self.base)?).ok()?)?.as_ref()
+    }
+
+    /// Takes `id`'s entry at its delivery or retraction and pops the
+    /// retired prefix, so the table spans only what is in flight.
+    fn retire(&mut self, id: TransferId) -> Option<Live> {
+        let i = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
+        let live = self.live.get_mut(i)?.take()?;
+        while let Some(None) = self.live.front() {
+            self.live.pop_front();
+            self.base += 1;
+        }
+        Some(live)
     }
 
     /// Atomically retracts a set of not-yet-started transfers, releasing
     /// every resource window they reserved. Succeeds (returns `true`) only
-    /// when, for every transfer in the set: nothing has been served yet
-    /// (every window begins strictly after `now`, no send-done/delivery)
-    /// and the set's windows form the exact tail of each touched resource's
+    /// when, for every transfer in the set: it is live (issued, neither
+    /// delivered nor retracted), nothing of it has been served yet (every
+    /// window begins strictly after `now`, so nothing was sent) and the
+    /// set's windows form the exact tail of each touched resource's
     /// reservation chain — i.e. no outside transfer queued behind them.
     /// On failure nothing is mutated.
     ///
@@ -714,24 +729,18 @@ impl Simulator {
             return false;
         }
         for &id in ids {
-            // An id this simulator never issued has nothing to retract.
-            let Some(t) = self.transfers.get(id.0 as usize) else {
+            // Never issued, delivered or already retracted: nothing to retract.
+            let Some(live) = self.live(id) else {
                 return false;
             };
-            if t.state == TransferState::Cancelled
-                || t.send_done_at.is_some()
-                || t.delivered_at.is_some()
-            {
-                return false;
-            }
-            if self.windows[id.0 as usize].iter().any(|w| w.begin <= self.now) {
+            if live.windows.iter().any(|w| w.begin <= self.now) {
                 return false;
             }
         }
         // Resource-ordered so retraction replays identically across runs.
         let mut groups: BTreeMap<ResKey, Vec<Window>> = BTreeMap::new();
-        for &id in ids {
-            for w in &self.windows[id.0 as usize] {
+        for live in ids.iter().filter_map(|&id| self.live(id)) {
+            for w in &live.windows {
                 groups.entry(w.res).or_default().push(*w);
             }
         }
@@ -755,8 +764,7 @@ impl Simulator {
             }
         }
         for &id in ids {
-            self.transfers[id.0 as usize].state = TransferState::Cancelled;
-            self.windows[id.0 as usize].clear();
+            self.retire(id);
         }
         true
     }
@@ -792,59 +800,57 @@ impl Simulator {
         all
     }
 
-    /// Runs until the given transfer is delivered; returns the delivery
-    /// time. Panics if the calendar drains first.
+    /// Steps until transfer `id` raises [`SimEvent::Delivered`] and returns
+    /// its instant, dropping the events stepped past. `id` must be live —
+    /// submitted, neither delivered nor retracted — since nothing is kept
+    /// about a transfer afterwards: panics naming `id` if it is not, and if
+    /// the calendar drains first.
     pub fn run_until_delivered(&mut self, id: TransferId) -> SimTime {
+        assert!(self.live(id).is_some(), "{id} is not live: never issued, delivered or retracted");
         let mut batch = Vec::new();
         loop {
-            if let Some(at) = self.transfer(id).delivered_at {
-                return at;
-            }
             batch.clear();
             if !self.step(&mut batch) {
                 panic!("calendar drained but {id} was never delivered");
+            }
+            let delivered = batch.iter().find_map(|e| match *e {
+                SimEvent::Delivered { transfer, at, .. } if transfer == id => Some(at),
+                _ => None,
+            });
+            if let Some(at) = delivered {
+                return at;
             }
         }
     }
 
     fn handle(&mut self, ev: Ev, out: &mut Vec<SimEvent>) {
-        // Events of a cancelled transfer are inert (the calendar entries
-        // themselves are cheaper to ignore than to unschedule).
-        if let Ev::InjectEnd(id) | Ev::RecvEnd(id) | Ev::RtsArrive(id) | Ev::DmaEnd(id) = ev {
-            if self.transfers[id.0 as usize].state == TransferState::Cancelled {
-                return;
-            }
-        }
+        // An event of a transfer that is no longer live (it was retracted)
+        // is inert: calendar entries are cheaper to ignore than unschedule.
         match ev {
             Ev::InjectEnd(id) => {
-                let t = &mut self.transfers[id.0 as usize];
-                t.send_done_at = Some(self.now);
-                out.push(SimEvent::SendDone { transfer: id, at: self.now });
+                if let Some(live) = self.live(id) {
+                    out.push(SimEvent::SendDone { transfer: id, tag: live.tag, at: self.now });
+                }
             }
             Ev::RecvEnd(id) => {
-                let t = &mut self.transfers[id.0 as usize];
-                t.delivered_at = Some(self.now);
-                t.state = TransferState::Delivered;
-                self.windows[id.0 as usize] = Vec::new();
-                self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
-                out.push(SimEvent::Delivered { transfer: id, at: self.now });
+                if let Some(live) = self.retire(id) {
+                    self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
+                    out.push(SimEvent::Delivered { transfer: id, tag: live.tag, at: self.now });
+                }
             }
             Ev::RtsArrive(id) => {
                 // The DMA window was placed at submit time (receiver grants
                 // CTS immediately); this event only informs the engine.
-                let t = &mut self.transfers[id.0 as usize];
-                t.state = TransferState::InFlight;
-                out.push(SimEvent::RtsArrived { transfer: id, at: self.now });
+                if self.live(id).is_some() {
+                    out.push(SimEvent::RtsArrived { transfer: id, at: self.now });
+                }
             }
             Ev::DmaEnd(id) => {
-                let t = &mut self.transfers[id.0 as usize];
-                t.send_done_at = Some(self.now);
-                t.delivered_at = Some(self.now);
-                t.state = TransferState::Delivered;
-                self.windows[id.0 as usize] = Vec::new();
-                self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
-                out.push(SimEvent::SendDone { transfer: id, at: self.now });
-                out.push(SimEvent::Delivered { transfer: id, at: self.now });
+                if let Some(live) = self.retire(id) {
+                    self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
+                    out.push(SimEvent::SendDone { transfer: id, tag: live.tag, at: self.now });
+                    out.push(SimEvent::Delivered { transfer: id, tag: live.tag, at: self.now });
+                }
             }
             Ev::NicIdleCheck(key, gen) => {
                 let nic = &self.nic_tx[key.node.index()][key.rail.index()];
@@ -880,6 +886,51 @@ mod tests {
     const MYRI: RailId = RailId(0);
     const QUAD: RailId = RailId(1);
 
+    /// The instant `id` raised `Delivered` among a run's events.
+    fn delivered(events: &[SimEvent], id: TransferId) -> SimTime {
+        events
+            .iter()
+            .find_map(|e| match *e {
+                SimEvent::Delivered { transfer, at, .. } if transfer == id => Some(at),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{id} was never delivered"))
+    }
+
+    /// The instant `id` raised `SendDone` among a run's events.
+    fn send_done(events: &[SimEvent], id: TransferId) -> SimTime {
+        events
+            .iter()
+            .find_map(|e| match *e {
+                SimEvent::SendDone { transfer, at, .. } if transfer == id => Some(at),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{id} never completed its send side"))
+    }
+
+    /// Whether `id` ran the rendezvous handshake.
+    fn rts_arrived(events: &[SimEvent], id: TransferId) -> bool {
+        events.iter().any(|e| matches!(*e, SimEvent::RtsArrived { transfer, .. } if transfer == id))
+    }
+
+    /// When `id` started: the earliest window it holds in a traced run.
+    fn started(s: &Simulator, id: TransferId) -> SimTime {
+        s.trace()
+            .records()
+            .iter()
+            .filter_map(|r| match *r {
+                TraceRecord::NicBusy { from, transfer, .. }
+                | TraceRecord::CoreBusy { from, transfer, .. }
+                    if transfer == id =>
+                {
+                    Some(from)
+                }
+                _ => None,
+            })
+            .min()
+            .unwrap_or_else(|| panic!("{id} holds no traced window"))
+    }
+
     #[test]
     fn uncontended_eager_matches_analytic_model() {
         for (rail, link) in [(MYRI, builtin::myri_10g()), (QUAD, builtin::qsnet2())] {
@@ -904,8 +955,9 @@ mod tests {
             for size in [256 * KIB, MIB, 4 * MIB] {
                 let mut s = sim();
                 let id = s.submit(SendSpec::simple(N0, N1, rail, size));
-                assert_eq!(s.transfer(id).mode, TransferMode::Rendezvous);
-                let at = s.run_until_delivered(id);
+                let events = s.run_until_idle();
+                assert!(rts_arrived(&events, id), "{size} B must run as a rendezvous");
+                let at = delivered(&events, id);
                 let want = link.one_way_us(size).get();
                 let got = at.as_micros_f64();
                 assert!(
@@ -922,13 +974,13 @@ mod tests {
         // Two 8 KiB eager sends on *different rails* but the same core: the
         // second injection cannot start before the first copy ends (Fig 4a).
         let size = 8 * KIB;
-        let mut s = sim();
+        let mut s = sim().with_trace();
         let a = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let b = s.submit(SendSpec::simple(N0, N1, QUAD, size));
-        s.run_until_idle();
-        let a_start = s.transfer(a).started_at.unwrap();
-        let b_start = s.transfer(b).started_at.unwrap();
-        let a_inject_end = s.transfer(a).send_done_at.unwrap();
+        let events = s.run_until_idle();
+        let a_start = started(&s, a);
+        let b_start = started(&s, b);
+        let a_inject_end = send_done(&events, a);
         assert_eq!(a_start, SimTime::ZERO);
         assert_eq!(b_start, a_inject_end, "second PIO copy must wait for the core");
     }
@@ -938,25 +990,25 @@ mod tests {
         // Same two sends, issued from different cores: both start at t=0
         // (Fig 4c without the offload delay).
         let size = 8 * KIB;
-        let mut s = sim();
+        let mut s = sim().with_trace();
         let a = s.submit(SendSpec::simple(N0, N1, MYRI, size).recv_on_core(CoreId(0)));
         let b = s.submit(
             SendSpec::simple(N0, N1, QUAD, size).on_core(CoreId(1)).recv_on_core(CoreId(1)),
         );
         s.run_until_idle();
-        assert_eq!(s.transfer(a).started_at.unwrap(), SimTime::ZERO);
-        assert_eq!(s.transfer(b).started_at.unwrap(), SimTime::ZERO);
+        assert_eq!(started(&s, a), SimTime::ZERO);
+        assert_eq!(started(&s, b), SimTime::ZERO);
     }
 
     #[test]
     fn offload_delay_postpones_start() {
-        let mut s = sim();
+        let mut s = sim().with_trace();
         let d = SimDuration::from_micros(3);
         let id = s.submit(
             SendSpec::simple(N0, N1, MYRI, 4 * KIB).on_core(CoreId(2)).with_offload_delay(d),
         );
         s.run_until_idle();
-        assert_eq!(s.transfer(id).started_at.unwrap(), SimTime::ZERO + d);
+        assert_eq!(started(&s, id), SimTime::ZERO + d);
     }
 
     #[test]
@@ -967,9 +1019,9 @@ mod tests {
         let mut s = sim();
         let a = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let b = s.submit(SendSpec::simple(N0, N1, QUAD, size));
-        s.run_until_idle();
-        let a_done = s.transfer(a).delivered_at.unwrap().as_micros_f64();
-        let b_done = s.transfer(b).delivered_at.unwrap().as_micros_f64();
+        let events = s.run_until_idle();
+        let a_done = delivered(&events, a).as_micros_f64();
+        let b_done = delivered(&events, b).as_micros_f64();
         let serial =
             (builtin::myri_10g().one_way_us(size) + builtin::qsnet2().one_way_us(size)).get();
         let parallel_end = a_done.max(b_done);
@@ -985,9 +1037,9 @@ mod tests {
         let mut s = sim();
         let a = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let b = s.submit(SendSpec::simple(N0, N1, MYRI, size));
-        s.run_until_idle();
-        let a_done = s.transfer(a).delivered_at.unwrap();
-        let b_done = s.transfer(b).delivered_at.unwrap();
+        let events = s.run_until_idle();
+        let a_done = delivered(&events, a);
+        let b_done = delivered(&events, b);
         assert!(b_done > a_done, "same-rail DMA must serialize");
         let gap = (b_done - a_done).as_micros_f64();
         let dma = builtin::myri_10g().rdv.time_us(size);
@@ -1026,8 +1078,9 @@ mod tests {
     fn forced_mode_overrides_threshold() {
         let mut s = sim();
         let id = s.submit(SendSpec::simple(N0, N1, MYRI, MIB).with_mode(TransferMode::Eager));
-        assert_eq!(s.transfer(id).mode, TransferMode::Eager);
-        let at = s.run_until_delivered(id);
+        let events = s.run_until_idle();
+        assert!(!rts_arrived(&events, id), "a forced eager send runs no handshake");
+        let at = delivered(&events, id);
         let want = builtin::myri_10g().one_way_us_in_mode(MIB, TransferMode::Eager).get();
         assert!((at.as_micros_f64() - want).abs() < 0.01);
     }
@@ -1072,9 +1125,9 @@ mod tests {
         let mut s = Simulator::paper_testbed().with_trace();
         let a = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let b = s.submit(SendSpec::simple(N0, N1, QUAD, size));
-        s.run_until_idle();
-        let myri_done = s.transfer(a).delivered_at.unwrap();
-        let quad_done = s.transfer(b).delivered_at.unwrap();
+        let events = s.run_until_idle();
+        let myri_done = delivered(&events, a);
+        let quad_done = delivered(&events, b);
         assert!(myri_done < quad_done);
         let idle = s.trace().nic_idle_within(N0, MYRI, NicDir::Tx, myri_done, quad_done);
         let gap = quad_done - myri_done;
@@ -1097,7 +1150,7 @@ mod tests {
             let id = s.submit(SendSpec::simple(N0, N1, MYRI, size));
             s.run_until_delivered(id).as_micros_f64()
         };
-        let mut s = sim();
+        let mut s = sim().with_trace();
         s.set_nic_fault(N0, MYRI, 4.0, SimDuration::ZERO);
         let slow = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let slow_at = s.run_until_delivered(slow).as_micros_f64();
@@ -1107,7 +1160,7 @@ mod tests {
         );
         s.clear_nic_fault(N0, MYRI);
         let healed = s.submit(SendSpec::simple(N0, N1, MYRI, size));
-        let healed_dur = s.run_until_delivered(healed) - s.transfer(healed).started_at.unwrap();
+        let healed_dur = s.run_until_delivered(healed) - started(&s, healed);
         assert!((healed_dur.as_micros_f64() - clean).abs() < 0.01, "shaping must clear");
     }
 
@@ -1132,7 +1185,7 @@ mod tests {
             s.run_until_delivered(id).as_micros_f64()
         };
         // 2x on the receiver's port, 2x on the sender's port: 4x total.
-        let mut s = sim();
+        let mut s = sim().with_trace();
         s.set_nic_fault(N1, MYRI, 2.0, SimDuration::ZERO);
         s.set_nic_fault(N0, MYRI, 2.0, SimDuration::ZERO);
         let id = s.submit(SendSpec::simple(N0, N1, MYRI, size));
@@ -1142,7 +1195,7 @@ mod tests {
         s.clear_nic_fault(N1, MYRI);
         s.clear_nic_fault(N0, MYRI);
         let healed = s.submit(SendSpec::simple(N0, N1, MYRI, size));
-        let dur = s.run_until_delivered(healed) - s.transfer(healed).started_at.unwrap();
+        let dur = s.run_until_delivered(healed) - started(&s, healed);
         assert!((dur.as_micros_f64() - clean).abs() < 0.01, "port shaping must clear");
     }
 
@@ -1151,14 +1204,14 @@ mod tests {
         let size = 4 * KIB;
         let extra = SimDuration::from_micros(300);
         let clean = builtin::myri_10g().one_way_us(size).get();
-        let mut s = sim();
+        let mut s = sim().with_trace();
         s.set_nic_fault(N1, MYRI, 1.0, extra);
         let id = s.submit(SendSpec::simple(N0, N1, MYRI, size));
         let at = s.run_until_delivered(id).as_micros_f64();
         assert!((at - (clean + 300.0)).abs() < 0.01, "rx-port spike: {at:.1} vs {clean:.1}");
         // Traffic avoiding the sick port is untouched.
         let other = s.submit(SendSpec::simple(N1, N0, QUAD, size));
-        let o = s.run_until_delivered(other) - s.transfer(other).started_at.unwrap();
+        let o = s.run_until_delivered(other) - started(&s, other);
         let quad_clean = builtin::qsnet2().one_way_us(size).get();
         assert!((o.as_micros_f64() - quad_clean).abs() < 0.01);
     }
@@ -1173,8 +1226,8 @@ mod tests {
             }
             let a = s.submit(SendSpec::simple(N0, N1, MYRI, 64 * KIB));
             let b = s.submit(SendSpec::simple(N0, N1, QUAD, 2 * MIB));
-            s.run_until_idle();
-            (s.transfer(a).delivered_at, s.transfer(b).delivered_at)
+            let events = s.run_until_idle();
+            (delivered(&events, a), delivered(&events, b))
         };
         assert_eq!(run(false), run(true), "nominal port shaping must be bit-identical");
     }
@@ -1189,11 +1242,16 @@ mod tests {
         assert!(s.nic_busy_until(N0, MYRI) > busy_after_a);
         assert!(s.try_cancel_all(&[b]), "queued-behind transfer must be cancellable");
         assert_eq!(s.nic_busy_until(N0, MYRI), busy_after_a, "rail time released");
-        assert_eq!(s.transfer(b).state, TransferState::Cancelled);
+        assert!(s.live(b).is_none(), "a retracted transfer is no longer held");
         // The survivor still delivers on schedule; the cancelled one never does.
-        let a_at = s.run_until_delivered(a);
-        assert_eq!(a_at, busy_after_a);
-        assert_eq!(s.transfer(b).delivered_at, None);
+        let events = s.run_until_idle();
+        assert_eq!(delivered(&events, a), busy_after_a);
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(*e, SimEvent::Delivered { transfer, .. } if transfer == b)),
+            "a cancelled transfer must never deliver"
+        );
         // Double cancel is refused.
         assert!(!s.try_cancel_all(&[b]));
     }
@@ -1211,16 +1269,20 @@ mod tests {
         assert_eq!(s.calendar.len(), 4);
     }
 
+    /// A drained simulator holds nothing: every transfer delivered, the
+    /// live table empty and its base past every id issued.
     #[test]
     fn delivered_transfers_hold_no_windows() {
         let mut s = sim();
         for (rail, size) in [(MYRI, 4 * KIB), (QUAD, 64 * KIB), (MYRI, MIB), (QUAD, 2 * MIB)] {
             s.submit(SendSpec::simple(N0, N1, rail, size));
         }
-        assert!(s.windows.iter().all(|w| !w.is_empty()));
-        s.run_until_idle();
-        assert!(s.transfers.iter().all(|t| t.state == TransferState::Delivered));
-        assert!(s.windows.iter().all(Vec::is_empty));
+        assert!(s.live.iter().all(|l| l.as_ref().is_some_and(|l| !l.windows.is_empty())));
+        let events = s.run_until_idle();
+        let deliveries = events.iter().filter(|e| matches!(e, SimEvent::Delivered { .. })).count();
+        assert_eq!(deliveries, 4);
+        assert!(s.live.is_empty());
+        assert_eq!(s.base, 4);
     }
 
     #[test]
@@ -1232,8 +1294,75 @@ mod tests {
         let busy = s.nic_busy_until(N0, MYRI);
         assert!(!s.try_cancel_all(&[b, TransferId(1 << 63)]), "all-or-nothing");
         assert_eq!(s.nic_busy_until(N0, MYRI), busy, "a refused set retracts nothing");
-        assert_ne!(s.transfer(a).state, TransferState::Cancelled);
-        assert_ne!(s.transfer(b).state, TransferState::Cancelled);
+        assert!(s.live(a).is_some());
+        assert!(s.live(b).is_some());
+    }
+
+    /// Waves of one long rendezvous on QsNetII behind which Myri-10G
+    /// delivers many eager sends: transfers retire out of order, and the
+    /// live table must still span only what is in flight. Returns the
+    /// table's largest length and its capacity after the run.
+    fn soak(waves: usize) -> (usize, usize) {
+        const EAGER_PER_WAVE: usize = 99;
+        let mut s = sim();
+        let mut next = 0u64;
+        let mut in_flight = std::collections::BTreeSet::new();
+        let mut events = Vec::new();
+        let mut longest = 0;
+        let mut rdv_before: Option<TransferId> = None;
+        for _ in 0..waves {
+            let rdv = TransferId(next);
+            for k in 0..=EAGER_PER_WAVE {
+                let (rail, size) = if k == 0 { (QUAD, MIB) } else { (MYRI, 64) };
+                let id = s.submit(SendSpec::simple(N0, N1, rail, size));
+                assert_eq!(id, TransferId(next), "ids are dense and in submission order");
+                next += 1;
+                in_flight.insert(id);
+            }
+            // Overlap the waves: run until the previous wave's rendezvous
+            // lands, while this wave's is still on the wire.
+            let Some(wait_for) = rdv_before.replace(rdv) else { continue };
+            while in_flight.contains(&wait_for) {
+                events.clear();
+                assert!(s.step(&mut events));
+                for e in &events {
+                    if let SimEvent::Delivered { transfer, .. } = *e {
+                        assert!(in_flight.remove(&transfer), "{transfer} delivered twice");
+                    }
+                }
+                // The table spans from the oldest transfer in flight to the
+                // newest issued, and no further.
+                let span = in_flight.first().map_or(0, |oldest| next - oldest.0);
+                assert!(
+                    s.live.len() as u64 <= span,
+                    "{} entries for a span of {span}",
+                    s.live.len()
+                );
+                longest = longest.max(s.live.len());
+            }
+        }
+        s.run_until_idle();
+        assert!(s.live.is_empty());
+        assert_eq!(s.base, next);
+        (longest, s.live.capacity())
+    }
+
+    #[test]
+    fn the_live_table_is_bounded_by_what_is_in_flight() {
+        let (longest_small, cap_small) = soak(200);
+        let (longest, cap) = soak(2_000);
+        assert!(longest > 100, "transfers must have retired out of order: {longest}");
+        assert_eq!(longest, longest_small, "the span does not grow with the run");
+        assert_eq!(cap, cap_small, "capacity after 200 000 transfers as after 20 000");
+    }
+
+    #[test]
+    #[should_panic(expected = "x0 is not live")]
+    fn run_until_delivered_refuses_a_transfer_it_no_longer_holds() {
+        let mut s = sim();
+        let id = s.submit(SendSpec::simple(N0, N1, MYRI, 4 * KIB));
+        s.run_until_delivered(id);
+        s.run_until_delivered(id);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use nm_core::driver::sim::SimDriver;
 use nm_core::engine::Engine;
 use nm_core::predictor::Predictor;
 use nm_core::strategy::{Strategy, StrategyKind};
+use nm_model::SimTime;
 use nm_sampler::{SamplingConfig, SimTransport};
-use nm_sim::ClusterSpec;
+use nm_sim::{ClusterSpec, SimEvent, TransferId};
 
 /// Samples `spec` into a predictor (natural + forced-eager per rail).
 pub fn sample_predictor(spec: &ClusterSpec) -> Predictor {
@@ -38,6 +39,18 @@ pub fn one_way_us(kind: StrategyKind, size: u64) -> f64 {
     let mut engine = paper_engine_kind(kind);
     let id = engine.post_send(size).expect("post");
     engine.wait(id).expect("wait").duration.as_micros_f64()
+}
+
+/// When `id` was delivered, from a run's events (the simulator keeps
+/// nothing about a transfer once it has delivered).
+pub fn delivered_at(events: &[SimEvent], id: TransferId) -> SimTime {
+    events
+        .iter()
+        .find_map(|e| match *e {
+            SimEvent::Delivered { transfer, at, .. } if transfer == id => Some(at),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{id} was never delivered"))
 }
 
 /// Bandwidth in MiB/s (paper Fig 8 unit).

@@ -85,8 +85,8 @@ fn rails_do_reorder_chunks() {
         SendSpec::simple(NodeId(0), NodeId(1), RailId(0), 64 << 10)
             .with_mode(TransferMode::Rendezvous),
     );
-    sim.run_until_idle();
-    let slow_at = sim.transfer(slow).delivered_at.unwrap();
-    let fast_at = sim.transfer(fast).delivered_at.unwrap();
+    let events = sim.run_until_idle();
+    let slow_at = nm_tests::delivered_at(&events, slow);
+    let fast_at = nm_tests::delivered_at(&events, fast);
     assert!(fast_at < slow_at, "expected physical reordering");
 }

@@ -38,6 +38,7 @@ proptest! {
     #[test]
     fn random_workloads_respect_physics(sends in proptest::collection::vec(random_send(), 1..24)) {
         let mut sim = Simulator::new(ClusterSpec::paper_testbed()).with_trace();
+        let submitted_at = sim.now();
         let ids: Vec<_> = sends
             .iter()
             .map(|s| {
@@ -60,6 +61,7 @@ proptest! {
         // Time is monotone across events; every transfer delivers once.
         let mut last = nm_model::SimTime::ZERO;
         let mut deliveries: HashMap<_, u32> = HashMap::new();
+        let mut delivered_at = HashMap::new();
         let mut events = Vec::new();
         while sim.step(&mut events) {
             for ev in events.drain(..) {
@@ -75,6 +77,7 @@ proptest! {
                 last = at;
                 if let SimEvent::Delivered { transfer, .. } = ev {
                     *deliveries.entry(transfer).or_insert(0) += 1;
+                    delivered_at.insert(transfer, at);
                 }
             }
         }
@@ -82,14 +85,24 @@ proptest! {
             prop_assert_eq!(deliveries.get(id), Some(&1), "transfer {} deliveries", id);
         }
 
+        // A transfer started when its earliest traced window began.
+        let mut started_at = HashMap::new();
+        for rec in sim.trace().records() {
+            if let TraceRecord::NicBusy { from, transfer, .. }
+            | TraceRecord::CoreBusy { from, transfer, .. } = *rec
+            {
+                let first = started_at.entry(transfer).or_insert(from);
+                *first = (*first).min(from);
+            }
+        }
+
         // Per-transfer sanity: start >= submit (+offload), delivery after
         // start, and duration at least the uncontended one-way time.
         for (send, id) in sends.iter().zip(&ids) {
-            let t = sim.transfer(*id);
-            let started = t.started_at.expect("started");
-            let delivered = t.delivered_at.expect("delivered");
+            let started = *started_at.get(id).expect("started");
+            let delivered = *delivered_at.get(id).expect("delivered");
             prop_assert!(
-                started >= t.submitted_at + SimDuration::from_micros(send.offload_us)
+                started >= submitted_at + SimDuration::from_micros(send.offload_us)
             );
             prop_assert!(delivered > started);
             let link = &sim.spec().rails[send.rail];
@@ -155,8 +168,8 @@ proptest! {
                     )
                 })
                 .collect();
-            sim.run_until_idle();
-            ids.iter().map(|&i| sim.transfer(i).delivered_at.unwrap()).collect::<Vec<_>>()
+            let events = sim.run_until_idle();
+            ids.iter().map(|&i| nm_tests::delivered_at(&events, i)).collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());
     }

@@ -3,7 +3,7 @@
 use nm_core::strategy::StrategyKind;
 use nm_model::units::{KIB, MIB};
 use nm_sim::{ClusterSpec, NodeId, RailId, SendSpec, Simulator};
-use nm_tests::paper_engine_kind;
+use nm_tests::{delivered_at, paper_engine_kind};
 
 /// §IV-A iso-split: "a 2 MB chunk of message is sent over Myri-10G in
 /// approximately 1730 µs while another 2 MB chunk is sent through Quadrics
@@ -13,9 +13,9 @@ fn iso_split_chunk_times_and_idle_gap() {
     let mut sim = Simulator::new(ClusterSpec::paper_testbed()).with_trace();
     let a = sim.submit(SendSpec::simple(NodeId(0), NodeId(1), RailId(0), 2 * MIB));
     let b = sim.submit(SendSpec::simple(NodeId(0), NodeId(1), RailId(1), 2 * MIB));
-    sim.run_until_idle();
-    let myri_us = sim.transfer(a).delivered_at.unwrap().as_micros_f64();
-    let quad_us = sim.transfer(b).delivered_at.unwrap().as_micros_f64();
+    let events = sim.run_until_idle();
+    let myri_us = delivered_at(&events, a).as_micros_f64();
+    let quad_us = delivered_at(&events, b).as_micros_f64();
     assert!((myri_us - 1730.0).abs() / 1730.0 < 0.10, "myri 2MB: {myri_us:.0}us");
     assert!((quad_us - 2400.0).abs() / 2400.0 < 0.10, "quadrics 2MB: {quad_us:.0}us");
     let gap = quad_us - myri_us;
@@ -49,9 +49,8 @@ fn hetero_split_chunk_sizes_and_balance() {
         .iter()
         .map(|&(r, b)| sim.submit(SendSpec::simple(NodeId(0), NodeId(1), r, b)))
         .collect();
-    sim.run_until_idle();
-    let ends: Vec<f64> =
-        ids.iter().map(|&i| sim.transfer(i).delivered_at.unwrap().as_micros_f64()).collect();
+    let events = sim.run_until_idle();
+    let ends: Vec<f64> = ids.iter().map(|&i| delivered_at(&events, i).as_micros_f64()).collect();
     let spread = (ends[0] - ends[1]).abs();
     let max_end = ends[0].max(ends[1]);
     assert!(spread / max_end < 0.02, "chunk completions {ends:?} differ by more than 2%");
