@@ -57,6 +57,14 @@ check_bench_unchanged() {
 ! grep -rnE 'chunk_owner|chunk_prediction|chunk_meta' crates/*/src \
     || { echo "a parallel chunk-keyed ledger is back" >&2; exit 1; }
 
+# One allocation per message in steady state: the engine reads events and
+# idle cores into buffers it keeps (`poll_into`, `idle_cores_into`), never
+# through the allocating forms, and a strategy borrows the idle cores.
+! grep -rnE 'transport\.(poll|idle_cores)\(\)' crates/core/src/engine/ \
+    || { echo "the engine calls an allocating Transport::poll/idle_cores" >&2; exit 1; }
+! grep -n 'pub idle_cores: Vec' crates/core/src/strategy/mod.rs \
+    || { echo "Ctx::idle_cores must stay a borrowed slice" >&2; exit 1; }
+
 # Recovery at event speed: the engine asks its transport for a wake-up in
 # one place (`arm`), and no retry re-parks itself a microsecond ahead.
 [ "$(grep -rF 'transport.schedule_wakeup(' crates/core/src/engine/ | wc -l)" -eq 1 ] \

@@ -90,7 +90,7 @@ fn decide(
         now: SimTime::ZERO,
         predictor,
         rail_waits_us: waits,
-        idle_cores: vec![CoreId(1), CoreId(2), CoreId(3)],
+        idle_cores: &[CoreId(1), CoreId(2), CoreId(3)],
         core_count: 4,
         queued_sizes: &queued,
         predictor_epoch: epoch,
@@ -251,7 +251,7 @@ fn main() {
         now: SimTime::ZERO,
         predictor: &predictor,
         rail_waits_us: waits,
-        idle_cores: vec![CoreId(1), CoreId(2), CoreId(3)],
+        idle_cores: &[CoreId(1), CoreId(2), CoreId(3)],
         core_count: 4,
         queued_sizes: &queued,
         predictor_epoch: epoch,

@@ -20,7 +20,7 @@ fn chunks_for(kind: StrategyKind, predictor: &Predictor, size: u64) -> Vec<(Rail
         now: SimTime::ZERO,
         predictor,
         rail_waits_us: &waits,
-        idle_cores: (0..4).map(nm_sim::CoreId).collect(),
+        idle_cores: &[0, 1, 2, 3].map(nm_sim::CoreId),
         core_count: 4,
         queued_sizes: &sizes,
         predictor_epoch: 0,

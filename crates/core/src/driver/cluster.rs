@@ -496,8 +496,8 @@ impl SimCore {
         self.sim.spec().nodes[self.slots[slot].src.index()].cores
     }
 
-    pub(super) fn idle_cores(&self, slot: usize) -> Vec<CoreId> {
-        self.sim.idle_cores(self.slots[slot].src)
+    pub(super) fn idle_cores_into(&self, slot: usize, out: &mut Vec<CoreId>) {
+        self.sim.idle_cores_into(self.slots[slot].src, out)
     }
 
     pub(super) fn submit(&mut self, slot: usize, chunk: ChunkSubmit) -> ChunkId {
@@ -575,28 +575,28 @@ impl SimCore {
         true
     }
 
-    pub(super) fn poll(&mut self, slot: usize) -> Vec<TransportEvent> {
-        loop {
+    /// Appends the slot's next events to `out`, stepping the shared
+    /// calendar until its inbox yields one; appends nothing only when the
+    /// calendar is dry.
+    pub(super) fn poll_into(&mut self, slot: usize, out: &mut Vec<TransportEvent>) {
+        let before = out.len();
+        while out.len() == before {
             if self.slots[slot].inbox.is_empty() && !self.pump() {
-                return Vec::new();
+                return;
             }
             // Physical rail events fold into the local rail space; idle
             // notifications for rails this pair cannot use are dropped
             // (possibly leaving nothing — then keep pumping).
             let Slot { inbox, rail_map, .. } = &mut self.slots[slot];
-            let events: Vec<TransportEvent> = inbox
-                .drain(..)
-                .filter_map(|ev| match ev {
+            out.extend(inbox.drain(..).filter_map(|ev| {
+                match ev {
                     TransportEvent::RailIdle { rail, at } => rail_map
                         .iter()
                         .position(|&r| r == rail)
                         .map(|local| TransportEvent::RailIdle { rail: RailId(local), at }),
                     other => Some(other),
-                })
-                .collect();
-            if !events.is_empty() {
-                return events;
-            }
+                }
+            }));
         }
     }
 }
@@ -648,13 +648,23 @@ macro_rules! slot_transport {
                 $core.core_count($slot)
             }
             fn idle_cores(&$self) -> Vec<CoreId> {
-                $core.idle_cores($slot)
+                let mut out = Vec::new();
+                $core.idle_cores_into($slot, &mut out);
+                out
+            }
+            fn idle_cores_into(&$self, out: &mut Vec<CoreId>) {
+                $core.idle_cores_into($slot, out)
             }
             fn submit(&mut $self, chunk: ChunkSubmit) -> ChunkId {
                 $core_mut.submit($slot, chunk)
             }
             fn poll(&mut $self) -> Vec<TransportEvent> {
-                $core_mut.poll($slot)
+                let mut out = Vec::new();
+                $core_mut.poll_into($slot, &mut out);
+                out
+            }
+            fn poll_into(&mut $self, out: &mut Vec<TransportEvent>) {
+                $core_mut.poll_into($slot, out)
             }
             fn schedule_wakeup(&mut $self, at: SimTime) {
                 $core_mut.schedule_wakeup($slot, at)

@@ -75,6 +75,8 @@ pub struct Endpoint {
     incoming: Receiver<Delivery>,
     assemblers: HashMap<(u32, u64), Reassembler>,
     sequencers: HashMap<u32, Sequencer<Bytes>>,
+    /// What the last arrival released from its flow, emptied into `ready`.
+    released: Vec<Bytes>,
     ready: std::collections::VecDeque<(u32, Bytes)>,
     /// Messages received and re-sequenced so far.
     received: u64,
@@ -138,6 +140,7 @@ impl Endpoint {
             incoming,
             assemblers: HashMap::new(),
             sequencers: HashMap::new(),
+            released: Vec::new(),
             ready: std::collections::VecDeque::new(),
             received: 0,
             corrupt_received: 0,
@@ -251,7 +254,8 @@ impl Endpoint {
 
     fn release(&mut self, flow: u32, flow_seq: u64, msg: Bytes) {
         let seq = self.sequencers.entry(flow).or_insert_with(|| Sequencer::new(4096));
-        for out in seq.accept(flow_seq, msg).expect("peer respects flow sequencing") {
+        seq.accept_into(flow_seq, msg, &mut self.released).expect("peer respects flow sequencing");
+        for out in self.released.drain(..) {
             self.received += 1;
             self.ready.push_back((flow, out));
         }

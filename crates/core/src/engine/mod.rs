@@ -50,7 +50,7 @@ use crate::strategy::Strategy;
 use crate::transport::{ChunkId, Transport, TransportEvent};
 use bytes::Bytes;
 use nm_model::{SimDuration, SimTime};
-use nm_sim::RailId;
+use nm_sim::{CoreId, RailId};
 use recovery::{RecentChunks, RetryEntry};
 use schedule::{ChunkOwner, ChunkRecord};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -272,10 +272,17 @@ pub struct Engine<T: Transport> {
     /// [`crate::strategy::Ctx`] so plan caches drop memoized splits whenever
     /// the sampled knowledge changes (feedback correction, re-sampling).
     predictor_epoch: u64,
-    /// Reusable buffers for the per-interrogation queue/wait snapshots —
-    /// the hot path allocates nothing per message in steady state.
+    /// Buffers the engine keeps so that its steady state allocates only
+    /// the completion it hands out: the per-interrogation queue, wait and
+    /// idle-core snapshots, what a transport poll raised, what `wait`'s
+    /// last poll completed, and what a flow release let out. Each starts
+    /// empty and grows to the largest batch it has held.
     scratch_sizes: Vec<u64>,
     scratch_waits: Vec<f64>,
+    scratch_cores: Vec<CoreId>,
+    events: Vec<TransportEvent>,
+    progress: Vec<MsgId>,
+    released: Vec<MsgCompletion>,
     /// What the transport was last told through
     /// [`Transport::set_idle_interest`] (drivers start out delivering).
     idle_interest: bool,
@@ -342,6 +349,10 @@ impl<T: Transport> Engine<T> {
             predictor_epoch: 0,
             scratch_sizes: Vec::new(),
             scratch_waits: Vec::with_capacity(rails),
+            scratch_cores: Vec::new(),
+            events: Vec::new(),
+            progress: Vec::new(),
+            released: Vec::new(),
             idle_interest: true,
             armed: SimTime::FAR_FUTURE,
             health: None,
@@ -460,15 +471,26 @@ impl<T: Transport> Engine<T> {
     /// Returns ids of messages that completed during this poll.
     #[must_use = "dropping the completed ids silently loses completions; at minimum check for errors"]
     pub fn poll(&mut self) -> Result<Vec<MsgId>, EngineError> {
-        let events = self.transport.poll();
         let mut done = Vec::new();
+        self.poll_done(&mut done)?;
+        Ok(done)
+    }
+
+    /// [`Self::poll`], appending the completed ids to `done`. The events are
+    /// read into the kept `events` buffer, taken out while the fold mutates
+    /// the engine and cleared before every read: an error part-way through
+    /// one poll's events drops them, never replays them on the next poll.
+    fn poll_done(&mut self, done: &mut Vec<MsgId>) -> Result<(), EngineError> {
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        self.transport.poll_into(&mut events);
         let (mut rekick, mut readmitted) = (false, false);
-        for ev in events {
-            match ev {
+        for ev in &events {
+            match *ev {
                 TransportEvent::ChunkDelivered { chunk, at } => match self.chunks.remove(&chunk) {
                     Some(record) => {
                         self.recent_delivered.insert(chunk);
-                        readmitted |= self.on_delivered(record, at, &mut done)?;
+                        readmitted |= self.on_delivered(record, at, done)?;
                     }
                     None => self.on_stray_delivery(chunk)?,
                 },
@@ -492,6 +514,7 @@ impl<T: Transport> Engine<T> {
                 }
             }
         }
+        self.events = events;
         if self.health.is_some() || self.admission.is_some() {
             let now = self.transport.now();
             self.expire_overdue_chunks(now)?;
@@ -505,7 +528,7 @@ impl<T: Transport> Engine<T> {
             self.release_parked()?;
         }
         self.arm(self.next_deadline());
-        Ok(done)
+        Ok(())
     }
 
     /// Polls until the transport's clock reaches `at` and returns what
@@ -518,7 +541,7 @@ impl<T: Transport> Engine<T> {
         let mut done = Vec::new();
         while self.transport.now() < at {
             self.arm(at);
-            done.append(&mut self.poll()?);
+            self.poll_done(&mut done)?;
         }
         Ok(done)
     }
@@ -641,7 +664,11 @@ impl<T: Transport> Engine<T> {
                 }
                 Some(_) => {}
             }
-            let made_progress = !self.poll()?.is_empty();
+            let mut progress = std::mem::take(&mut self.progress);
+            progress.clear();
+            self.poll_done(&mut progress)?;
+            let made_progress = !progress.is_empty();
+            self.progress = progress;
             if !made_progress && self.transport_quiescent() {
                 // Nothing in flight: the strategy must act now or never.
                 self.kick()?;
@@ -820,6 +847,77 @@ mod tests {
         assert!(!e.cancel(ids[1]).unwrap(), "released");
         assert_eq!(e.stats().cancelled, 0);
         assert_eq!(e.msg_census(), MsgCensus { released: 2, ..Default::default() });
+    }
+
+    /// A scripted transport: its first poll raises the failure of the first
+    /// chunk submitted and then the delivery of the second; its second poll
+    /// raises that delivery once more, as the only event.
+    #[derive(Default)]
+    struct FailThenDeliver {
+        submitted: Vec<ChunkId>,
+        polls: usize,
+    }
+
+    impl Transport for FailThenDeliver {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn rail_count(&self) -> usize {
+            2
+        }
+        fn rail_name(&self, rail: RailId) -> String {
+            format!("rail{}", rail.index())
+        }
+        fn rdv_threshold(&self, _: RailId) -> u64 {
+            u64::MAX
+        }
+        fn rail_busy_until(&self, _: RailId) -> SimTime {
+            SimTime::ZERO
+        }
+        fn core_count(&self) -> usize {
+            1
+        }
+        fn idle_cores(&self) -> Vec<CoreId> {
+            Vec::new()
+        }
+        fn submit(&mut self, _: crate::transport::ChunkSubmit) -> ChunkId {
+            self.submitted.push(ChunkId(self.submitted.len() as u64));
+            ChunkId(self.submitted.len() as u64 - 1)
+        }
+        fn poll(&mut self) -> Vec<TransportEvent> {
+            self.polls += 1;
+            let at = SimTime::ZERO;
+            let delivered = TransportEvent::ChunkDelivered { chunk: self.submitted[1], at };
+            match self.polls {
+                1 => vec![TransportEvent::ChunkFailed { chunk: self.submitted[0], at }, delivered],
+                2 => vec![delivered],
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_poll_that_errors_leaves_no_event_behind_for_the_next() {
+        let predictor = Session::builder().build_sim().predictor().clone();
+        let strategy = StrategyKind::SingleRail(Some(RailId(0))).build();
+        let mut e = Engine::new(FailThenDeliver::default(), predictor, strategy).unwrap();
+        let (first, second) = (e.post_send(4 * KIB).unwrap(), e.post_send(4 * KIB).unwrap());
+        assert_eq!(e.transport().submitted.len(), 2, "one chunk per message");
+        // Without fault tolerance the failure is a hard error, raised before
+        // the delivery behind it is folded.
+        assert!(matches!(e.poll(), Err(EngineError::Transport(_))));
+        assert_eq!(e.msg_census(), MsgCensus { inflight: 2, ..Default::default() });
+        // The next poll folds what the transport raises now, and nothing the
+        // failed poll left: the delivery counts once, the second message is
+        // held behind the first, and no chunk is taken for a duplicate.
+        assert_eq!(e.poll().unwrap(), [second]);
+        assert_eq!(e.msg_census(), MsgCensus { inflight: 1, held: 1, ..Default::default() });
+        assert_eq!(e.stats().duplicate_chunks_dropped, 0);
+        assert!(e.poll().unwrap().is_empty());
+        assert_eq!(e.msg_census(), MsgCensus { inflight: 1, held: 1, ..Default::default() });
+        assert_eq!(e.stats().msgs_completed, 1);
+        assert!(e.try_completion(second).is_none(), "held for flow order, not released");
+        assert!(e.try_completion(first).is_none());
     }
 
     #[test]

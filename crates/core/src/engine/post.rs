@@ -12,6 +12,9 @@ use crate::transport::{ChunkId, Transport};
 use bytes::Bytes;
 use nm_model::{SimDuration, SimTime};
 
+/// Capacity up to which `release_flow` keeps its buffer for the next release.
+const RELEASED_KEPT: usize = 4;
+
 impl<T: Transport> Engine<T> {
     /// Posts a size-only message on flow tag 0 (simulation drivers).
     pub fn post_send(&mut self, size: u64) -> Result<MsgId, EngineError> {
@@ -267,15 +270,21 @@ impl<T: Transport> Engine<T> {
         let Some(flow) = self.flows.get_mut(&tag) else {
             return Err(EngineError::Transport(format!("flow release: no flow {tag}")));
         };
-        let released = match completion {
-            Some(c) => flow.release.accept(flow_seq, c),
-            None => flow.release.skip(flow_seq),
+        let mut released = std::mem::take(&mut self.released);
+        match completion {
+            Some(c) => flow.release.accept_into(flow_seq, c, &mut released),
+            None => flow.release.skip(flow_seq).map(|mut out| released.append(&mut out)),
         }
         .map_err(|e| EngineError::Transport(format!("flow release: {e}")))?;
-        for c in released {
+        for c in released.drain(..) {
             if let Some(m) = self.msgs.get_mut(&c.id) {
                 m.state = MsgState::Released(c);
             }
+        }
+        // The buffer stays the size of the steady state, one completion at
+        // a time; one that grew for a burst (a long-held hole filled) goes.
+        if released.capacity() <= RELEASED_KEPT {
+            self.released = released;
         }
         Ok(())
     }

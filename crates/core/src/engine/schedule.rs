@@ -70,18 +70,21 @@ pub(super) struct ChunkRecord {
 impl<T: Transport> Engine<T> {
     /// Interrogates the strategy while it keeps consuming the queue.
     ///
-    /// The per-iteration queue/wait snapshots live in the engine's scratch
-    /// buffers; they are taken out for the duration of the loop (the `Ctx`
-    /// borrows them while `self` stays mutable) and put back afterwards,
-    /// even on early return.
+    /// The per-iteration queue/wait/idle-core snapshots live in the
+    /// engine's scratch buffers; they are taken out for the duration of the
+    /// loop (the `Ctx` borrows them while `self` stays mutable) and put back
+    /// afterwards, even on early return.
     pub(super) fn kick(&mut self) -> Result<(), EngineError> {
         let mut sizes = std::mem::take(&mut self.scratch_sizes);
         let mut waits = std::mem::take(&mut self.scratch_waits);
-        let result = self.kick_inner(&mut sizes, &mut waits);
+        let mut cores = std::mem::take(&mut self.scratch_cores);
+        let result = self.kick_inner(&mut sizes, &mut waits, &mut cores);
         sizes.clear();
         waits.clear();
+        cores.clear();
         self.scratch_sizes = sizes;
         self.scratch_waits = waits;
+        self.scratch_cores = cores;
         // An idle NIC or core matters only while something waits for one.
         // The fault and admission layers have time-driven work (timeouts,
         // retries, probes, shedding) that a transport without timers lets
@@ -99,6 +102,7 @@ impl<T: Transport> Engine<T> {
         &mut self,
         sizes: &mut Vec<u64>,
         waits: &mut Vec<f64>,
+        cores: &mut Vec<CoreId>,
     ) -> Result<(), EngineError> {
         let mut consecutive_promotes = 0usize;
         while !self.queue.is_empty() {
@@ -132,12 +136,14 @@ impl<T: Transport> Engine<T> {
                     }
                 }
             }
+            cores.clear();
+            self.transport.idle_cores_into(cores);
             let action = {
                 let ctx = Ctx {
                     now,
                     predictor: &self.predictor,
                     rail_waits_us: waits,
-                    idle_cores: self.transport.idle_cores(),
+                    idle_cores: cores,
                     core_count: self.transport.core_count(),
                     queued_sizes: sizes,
                     predictor_epoch: self.predictor_epoch,

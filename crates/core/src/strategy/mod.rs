@@ -46,8 +46,9 @@ pub struct Ctx<'a> {
     /// Per-rail wait (µs until the local NIC goes idle), indexed by rail.
     /// Borrowed from the engine's reusable scratch buffer.
     pub rail_waits_us: &'a [f64],
-    /// Locally idle cores right now.
-    pub idle_cores: Vec<CoreId>,
+    /// Locally idle cores right now, ascending. Borrowed from the engine's
+    /// reusable scratch buffer.
+    pub idle_cores: &'a [CoreId],
     /// Total local cores.
     pub core_count: usize,
     /// Sizes of queued messages, head first (never empty when interrogated).
@@ -232,11 +233,12 @@ pub(crate) mod test_support {
         queued_sizes: &[u64],
     ) -> Action {
         let p = two_rail_predictor();
+        let idle_cores: Vec<CoreId> = idle_cores.into_iter().map(CoreId).collect();
         let ctx = Ctx {
             now: SimTime::ZERO,
             predictor: &p,
             rail_waits_us: &waits,
-            idle_cores: idle_cores.into_iter().map(CoreId).collect(),
+            idle_cores: &idle_cores,
             core_count: 4,
             queued_sizes,
             predictor_epoch: 0,
@@ -283,7 +285,7 @@ mod tests {
             now: SimTime::ZERO,
             predictor: &p,
             rail_waits_us: &[0.0, 50.0],
-            idle_cores: vec![CoreId(1), CoreId(3)],
+            idle_cores: &[CoreId(1), CoreId(3)],
             core_count: 4,
             queued_sizes: &sizes,
             predictor_epoch: 0,

@@ -12,6 +12,14 @@
 //! [`crate::driver::cluster::SimCluster`]. The other is
 //! [`crate::driver::shmem::ShmemDriver`]: real threads moving real bytes
 //! through throttled in-process rails.
+//!
+//! Two methods have allocation-free twins the engine calls on its hot path:
+//! [`Transport::poll_into`] and [`Transport::idle_cores_into`] append to a
+//! buffer the caller keeps instead of returning a fresh `Vec`. Both are
+//! provided methods whose defaults go through [`Transport::poll`] and
+//! [`Transport::idle_cores`], so a driver or wrapper that implements only
+//! the allocating pair keeps working unchanged (and keeps seeing every
+//! call); the simulated transport overrides both.
 
 use bytes::Bytes;
 use nm_model::{SimDuration, SimTime, TransferMode};
@@ -139,12 +147,26 @@ pub trait Transport {
     /// Locally idle cores, ascending.
     fn idle_cores(&self) -> Vec<CoreId>;
 
+    /// Appends [`Self::idle_cores`] to `out`. The default calls
+    /// `idle_cores`; a driver that can list them without allocating
+    /// overrides it.
+    fn idle_cores_into(&self, out: &mut Vec<CoreId>) {
+        out.append(&mut self.idle_cores());
+    }
+
     /// Submits a chunk; send-side work starts when resources free up.
     fn submit(&mut self, chunk: ChunkSubmit) -> ChunkId;
 
     /// Advances the transport and returns newly raised events. An empty vec
     /// means nothing is in flight (the transport is quiescent).
     fn poll(&mut self) -> Vec<TransportEvent>;
+
+    /// Appends what [`Self::poll`] would return to `out` (appending
+    /// nothing means quiescent). The default calls `poll`; a driver that
+    /// can fill the caller's buffer directly overrides it.
+    fn poll_into(&mut self, out: &mut Vec<TransportEvent>) {
+        out.append(&mut self.poll());
+    }
 
     /// Requests a [`TransportEvent::Wakeup`] no later than `at` (clamped to
     /// now). The engine keeps at most one request it cares about: the
@@ -206,11 +228,17 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
     fn idle_cores(&self) -> Vec<CoreId> {
         (**self).idle_cores()
     }
+    fn idle_cores_into(&self, out: &mut Vec<CoreId>) {
+        (**self).idle_cores_into(out)
+    }
     fn submit(&mut self, chunk: ChunkSubmit) -> ChunkId {
         (**self).submit(chunk)
     }
     fn poll(&mut self) -> Vec<TransportEvent> {
         (**self).poll()
+    }
+    fn poll_into(&mut self, out: &mut Vec<TransportEvent>) {
+        (**self).poll_into(out)
     }
     fn schedule_wakeup(&mut self, at: SimTime) {
         (**self).schedule_wakeup(at)

@@ -92,15 +92,33 @@ impl<T> Sequencer<T> {
     /// order. Duplicates (already released or already held) and arrivals
     /// beyond the reorder window are rejected.
     pub fn accept(&mut self, seq: u64, msg: T) -> Result<Vec<T>, ProtoError> {
+        let mut out = Vec::new();
+        self.accept_into(seq, msg, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::accept`] appending what became releasable to `out`, which is
+    /// untouched on error. The in-order arrival with nothing held — a
+    /// flow's steady state — goes straight to `out` without touching the
+    /// reorder buffer.
+    pub fn accept_into(&mut self, seq: u64, msg: T, out: &mut Vec<T>) -> Result<(), ProtoError> {
+        if seq == self.next && self.held.is_empty() {
+            self.next += 1;
+            out.push(msg);
+            return Ok(());
+        }
         self.admit(seq, Some(msg))?;
-        Ok(self.release())
+        self.release_into(out);
+        Ok(())
     }
 
     /// Marks `seq` as cancelled: the flow no longer waits for it. Returns
     /// whatever became releasable past the hole.
     pub fn skip(&mut self, seq: u64) -> Result<Vec<T>, ProtoError> {
         self.admit(seq, None)?;
-        Ok(self.release())
+        let mut out = Vec::new();
+        self.release_into(&mut out);
+        Ok(out)
     }
 
     fn admit(&mut self, seq: u64, slot: Option<T>) -> Result<(), ProtoError> {
@@ -124,15 +142,13 @@ impl<T> Sequencer<T> {
         Ok(())
     }
 
-    fn release(&mut self) -> Vec<T> {
-        let mut out = Vec::new();
+    fn release_into(&mut self, out: &mut Vec<T>) {
         while let Some(slot) = self.held.remove(&self.next) {
             if let Some(msg) = slot {
                 out.push(msg);
             }
             self.next += 1;
         }
-        out
     }
 }
 
@@ -217,7 +233,73 @@ mod tests {
         assert!(matches!(s.accept_epoch(3, 2, "c"), Err(ProtoError::BadSequence(_))));
     }
 
+    #[test]
+    fn an_in_order_arrival_with_nothing_held_bypasses_the_reorder_buffer() {
+        let mut s = Sequencer::new(8);
+        let mut out = Vec::with_capacity(4);
+        // That it allocates nothing either is proven process-wide, with a
+        // counting allocator, in `crates/bench/tests/no_alloc.rs`.
+        for i in 0..4u64 {
+            s.accept_into(i, i, &mut out).unwrap();
+            assert_eq!(s.held(), 0);
+        }
+        assert_eq!(out, [0, 1, 2, 3]);
+        assert_eq!(s.expected(), 4);
+        // An error leaves the caller's buffer as it was.
+        assert!(s.accept_into(2, 2, &mut out).is_err());
+        assert_eq!(out, [0, 1, 2, 3]);
+    }
+
+    /// What `accept` did before the in-order fast path: every arrival goes
+    /// through the reorder buffer.
+    fn accept_through_the_map<T>(
+        s: &mut Sequencer<T>,
+        seq: u64,
+        msg: T,
+    ) -> Result<Vec<T>, ProtoError> {
+        s.admit(seq, Some(msg))?;
+        let mut out = Vec::new();
+        s.release_into(&mut out);
+        Ok(out)
+    }
+
     proptest! {
+        /// `accept_into` (and so `accept`) releases what the reorder buffer
+        /// alone would: over any permutation inside the window, interleaved
+        /// with skips, with every third arrival repeated and one arrival
+        /// past the window, the same messages in the same order, and the
+        /// same arrivals refused with the same errors.
+        #[test]
+        fn accept_into_releases_and_refuses_exactly_what_accept_does(
+            n in 1usize..32,
+            seed in any::<u64>(),
+            skips in any::<u32>(),
+        ) {
+            let mut order: Vec<u64> = (0..n as u64).collect();
+            for i in 0..n {
+                let j = (seed as usize).wrapping_mul(i * 13 + 7) % n;
+                order.swap(i, j);
+            }
+            order.insert(n / 2, 2 * n as u64);
+            let (mut a, mut b) = (Sequencer::new(n), Sequencer::new(n));
+            let mut kept = Vec::new();
+            for (i, &seq) in order.iter().enumerate() {
+                for _ in 0..1 + usize::from(i % 3 == 2) {
+                    if skips >> (seq % 32) & 1 == 1 {
+                        prop_assert_eq!(a.skip(seq), b.skip(seq));
+                        continue;
+                    }
+                    let before = kept.len();
+                    let got = b.accept_into(seq, seq, &mut kept);
+                    let appended = kept.get(before..).unwrap_or_default().to_vec();
+                    prop_assert!(got.is_ok() || appended.is_empty(), "an error appended");
+                    prop_assert_eq!(got.map(|()| appended), accept_through_the_map(&mut a, seq, seq));
+                }
+                prop_assert_eq!((a.expected(), a.held()), (b.expected(), b.held()));
+            }
+            prop_assert_eq!(b.held(), 0);
+        }
+
         /// Any permutation within the window releases 0..n in order.
         #[test]
         fn any_window_permutation_releases_in_order(

@@ -35,7 +35,9 @@
 //! retraction — its tag and reserved windows — and nothing of it after: its
 //! instants are on the events `step` returns (`SendDone` and `Delivered`
 //! carry the tag back) and, when enabled, in the trace. Memory follows what
-//! is in flight, not how long the simulator has run.
+//! is in flight, not how long the simulator has run. A retired transfer's
+//! emptied window list is kept (up to a small fixed number) for the next
+//! submission to fill, so a steady stream of transfers allocates none.
 
 use crate::event::EventQueue;
 use crate::ids::{CoreId, NicDir, NicKey, NodeId, RailId, TransferId};
@@ -194,6 +196,12 @@ struct Window {
     prev: SimTime,
 }
 
+/// Emptied window lists a simulator keeps for reuse: enough for the few
+/// transfers per engine a steady stream keeps in flight. A burst deeper
+/// than this allocates its overflow afresh and frees it at retirement, so
+/// memory after a burst does not stay at the burst's depth.
+const SPARE_WINDOW_LISTS: usize = 16;
+
 /// What the simulator holds for a transfer until its delivery or retraction.
 struct Live {
     /// [`SendSpec::tag`], returned on the transfer's events.
@@ -237,6 +245,9 @@ pub struct Simulator {
     live: VecDeque<Option<Live>>,
     /// The id of `live[0]`: every transfer below it has retired.
     base: u64,
+    /// Emptied window lists of retired transfers, for the next submissions
+    /// to fill instead of allocating; at most [`SPARE_WINDOW_LISTS`].
+    spare_windows: Vec<Vec<Window>>,
     /// Transmit side of `nics[node][rail]` (NICs are full duplex).
     nic_tx: Vec<Vec<SerialResource>>,
     /// Receive side of `nics[node][rail]`.
@@ -288,6 +299,7 @@ impl Simulator {
             calendar: EventQueue::new(),
             live: VecDeque::new(),
             base: 0,
+            spare_windows: Vec::new(),
             nic_tx,
             nic_rx,
             cores,
@@ -349,14 +361,16 @@ impl Simulator {
         self.switch.get(rail.index()).map_or(SimDuration::ZERO, SerialResource::busy_total)
     }
 
-    /// Cores of `node` idle at the current instant.
-    pub fn idle_cores(&self, node: NodeId) -> Vec<CoreId> {
-        self.cores[node.index()]
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_idle(self.now))
-            .map(|(i, _)| CoreId(i))
-            .collect()
+    /// Appends the cores of `node` idle at the current instant to `out`,
+    /// ascending, allocating nothing when `out` has room.
+    pub fn idle_cores_into(&self, node: NodeId, out: &mut Vec<CoreId>) {
+        out.extend(
+            self.cores[node.index()]
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.is_idle(self.now))
+                .map(|(i, _)| CoreId(i)),
+        );
     }
 
     /// Rails whose NIC on `node` is transmit-idle at the current instant.
@@ -473,7 +487,7 @@ impl Simulator {
     }
 
     fn submit_eager(&mut self, id: TransferId, spec: &SendSpec) -> Vec<Window> {
-        let mut windows = Vec::new();
+        let mut windows = self.spare_windows.pop().unwrap_or_default();
         let link = &self.spec.rails[spec.rail.index()];
         let copy_raw = link.pio.copy_time(spec.size);
         let one_way_raw = link.eager.time(spec.size);
@@ -573,7 +587,7 @@ impl Simulator {
     }
 
     fn submit_rdv(&mut self, id: TransferId, spec: &SendSpec) -> Vec<Window> {
-        let mut windows = Vec::new();
+        let mut windows = self.spare_windows.pop().unwrap_or_default();
         let link = &self.spec.rails[spec.rail.index()];
         let (setup_us, ctrl_us) = (link.rdv_setup_us, link.ctrl_latency_us);
         let rdv_raw = link.rdv.time(spec.size);
@@ -698,16 +712,21 @@ impl Simulator {
         self.live.get(usize::try_from(id.0.checked_sub(self.base)?).ok()?)?.as_ref()
     }
 
-    /// Takes `id`'s entry at its delivery or retraction and pops the
-    /// retired prefix, so the table spans only what is in flight.
-    fn retire(&mut self, id: TransferId) -> Option<Live> {
+    /// Takes `id`'s entry at its delivery or retraction, pops the retired
+    /// prefix, so the table spans only what is in flight, and keeps the
+    /// emptied window list for a later submission. Returns the tag.
+    fn retire(&mut self, id: TransferId) -> Option<u32> {
         let i = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
-        let live = self.live.get_mut(i)?.take()?;
+        let Live { tag, mut windows } = self.live.get_mut(i)?.take()?;
         while let Some(None) = self.live.front() {
             self.live.pop_front();
             self.base += 1;
         }
-        Some(live)
+        if self.spare_windows.len() < SPARE_WINDOW_LISTS {
+            windows.clear();
+            self.spare_windows.push(windows);
+        }
+        Some(tag)
     }
 
     /// Atomically retracts a set of not-yet-started transfers, releasing
@@ -833,9 +852,9 @@ impl Simulator {
                 }
             }
             Ev::RecvEnd(id) => {
-                if let Some(live) = self.retire(id) {
+                if let Some(tag) = self.retire(id) {
                     self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
-                    out.push(SimEvent::Delivered { transfer: id, tag: live.tag, at: self.now });
+                    out.push(SimEvent::Delivered { transfer: id, tag, at: self.now });
                 }
             }
             Ev::RtsArrive(id) => {
@@ -846,10 +865,10 @@ impl Simulator {
                 }
             }
             Ev::DmaEnd(id) => {
-                if let Some(live) = self.retire(id) {
+                if let Some(tag) = self.retire(id) {
                     self.trace.push(TraceRecord::Delivered { transfer: id, at: self.now });
-                    out.push(SimEvent::SendDone { transfer: id, tag: live.tag, at: self.now });
-                    out.push(SimEvent::Delivered { transfer: id, tag: live.tag, at: self.now });
+                    out.push(SimEvent::SendDone { transfer: id, tag, at: self.now });
+                    out.push(SimEvent::Delivered { transfer: id, tag, at: self.now });
                 }
             }
             Ev::NicIdleCheck(key, gen) => {
@@ -1283,6 +1302,20 @@ mod tests {
         assert_eq!(deliveries, 4);
         assert!(s.live.is_empty());
         assert_eq!(s.base, 4);
+    }
+
+    #[test]
+    fn retired_window_lists_are_kept_empty_up_to_the_cap_and_reused() {
+        let mut s = sim();
+        for i in 0..SPARE_WINDOW_LISTS + 4 {
+            s.submit(SendSpec::simple(N0, N1, if i % 2 == 0 { MYRI } else { QUAD }, 4 * KIB));
+        }
+        s.run_until_idle();
+        assert_eq!(s.spare_windows.len(), SPARE_WINDOW_LISTS, "the overflow was freed");
+        assert!(s.spare_windows.iter().all(|w| w.is_empty() && w.capacity() > 0));
+        let id = s.submit(SendSpec::simple(N0, N1, MYRI, 4 * KIB));
+        assert_eq!(s.spare_windows.len(), SPARE_WINDOW_LISTS - 1, "a kept list was filled");
+        assert!(s.live(id).is_some_and(|l| !l.windows.is_empty()));
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn racing_workers_never_use_an_unselectable_rail_or_a_stale_epoch() {
                         now: SimTime::ZERO,
                         predictor: &predictor,
                         rail_waits_us: &waits,
-                        idle_cores: vec![CoreId(1), CoreId(2), CoreId(3)],
+                        idle_cores: &[CoreId(1), CoreId(2), CoreId(3)],
                         core_count: 4,
                         queued_sizes: &queued,
                         predictor_epoch: epoch,
