@@ -119,6 +119,14 @@ done
 [ "$(grep -rnE '^\s*(pub(\([a-z]+\))? )?[a-z_0-9]+: .*\b(Mutex|RwLock)<' crates/*/src --include='*.rs' | wc -l)" -eq 1 ] \
     || { echo "a second lock: bring the order analysis back" >&2; exit 1; }
 
+# A collective hop costs about what its engine message costs: outside its
+# tests the runner keeps engines in a dense pair table (no pair-keyed map),
+# who waits on whom in one compressed table (no `Vec` per hop), and reads the
+# ready list and each poll's completions into buffers it keeps.
+! sed '/^#\[cfg(test)\]/,$d' crates/collectives/src/runner.rs \
+    | grep -nE 'BTreeMap<\(usize, usize\), Engine|Vec<Vec<usize>>|take_ready\(\)|\.poll\(\)' \
+    || { echo "the collectives runner is back on a map, per-hop Vecs or an allocating poll" >&2; exit 1; }
+
 cargo build --release
 cargo test -q
 # `undocumented_unsafe_blocks` is promoted to deny: every unsafe block

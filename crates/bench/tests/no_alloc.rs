@@ -1,6 +1,6 @@
 //! Runtime cross-check of nm-analyzer's static `no_alloc` proof: a counting
-//! global allocator wraps the system allocator, and three hot paths are held
-//! to what they may allocate across 10 000 calls each:
+//! global allocator wraps the system allocator, and four hot paths are held
+//! to what they may allocate:
 //!
 //! 1. the warm decision fast path (`MulticoreEager::decide` with a primed
 //!    plan cache) — **exactly zero**;
@@ -13,7 +13,13 @@
 //!    submit, simulate, poll, flow release, completion) — **at most one per
 //!    message**, the `MsgCompletion::chunks` handed to the caller. The flow
 //!    sequencer's in-order fast path is also measured on its own, from a
-//!    fresh sequencer: **exactly zero**.
+//!    fresh sequencer: **exactly zero**;
+//! 4. a warm collective round (`Collectives::run` of a barrier, a broadcast
+//!    and an all-to-all on 16 nodes: plan memo, selection, 240 engines and
+//!    the runner's drain loop) — **at most two per hop** over 16 rounds
+//!    (about 1.5 measured: the chunk list, plus what each run sets up once).
+//!
+//! The first three run 10 000 calls each.
 //!
 //! The static rule can only prove the absence of *named* allocation
 //! patterns; this test catches anything it cannot see (untyped `.collect()`
@@ -26,10 +32,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nm_bench::sample_predictor;
+use nm_collectives::{Collective, Collectives, ALGORITHMS, BARRIER_BYTES};
 use nm_core::strategy::multicore::MulticoreEager;
 use nm_core::strategy::{Ctx, Strategy, StrategyKind};
 use nm_model::units::{KIB, MIB};
-use nm_model::SimTime;
+use nm_model::{builtin, SimTime};
 use nm_sim::{ClusterSpec, CoreId};
 
 /// Counts every allocation; frees are irrelevant to the proof.
@@ -186,4 +193,48 @@ fn main() {
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(allocs, 0, "in-order accept_into allocated {allocs} time(s) over 10k arrivals");
     println!("no_alloc proof: 0 allocations across 10000 in-order accept_into calls");
+
+    // A collective round's steady state: a barrier, a 64 KiB broadcast and
+    // a 16 KiB all-to-all on 16 nodes through `Collectives::run` — the
+    // variant chosen from memoized plans, each hop posted on its pair's
+    // engine and drained through the runner's kept buffers. Warm rounds
+    // compile every plan, create all 240 engines, settle the selector on
+    // the variants it keeps picking and grow every buffer and engine table.
+    // Past that, a hop may allocate its completion's chunk list and a share
+    // of what a run sets up per operation.
+    const NODES: usize = 16;
+    const ROUND: [(Collective, u64); 3] = [
+        (Collective::Barrier, BARRIER_BYTES),
+        (Collective::Broadcast, 64 * KIB),
+        (Collective::AllToAll, 16 * KIB),
+    ];
+    const WARM_ROUNDS: usize = 16;
+    const ROUNDS: usize = 16;
+    let mut hops_of = [0u64; ALGORITHMS.len()];
+    for (collective, bytes) in ROUND {
+        for a in collective.algorithms() {
+            hops_of[a.ordinal()] = a.dag(NODES, bytes).hops.len() as u64;
+        }
+    }
+    let mut stack = Collectives::new(ClusterSpec::homogeneous(NODES, 4, builtin::paper_testbed()));
+    let round = |stack: &mut Collectives| {
+        let mut hops = 0;
+        for (collective, bytes) in ROUND {
+            let op = stack.run(collective, bytes).expect("collective");
+            hops += hops_of[op.algorithm.ordinal()];
+        }
+        hops
+    };
+    for _ in 0..WARM_ROUNDS {
+        round(&mut stack);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let hops: u64 = (0..ROUNDS).map(|_| round(&mut stack)).sum();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(
+        allocs <= 2 * hops,
+        "{allocs} allocations over {hops} hops of {ROUNDS} warm collective rounds; a \
+         collective hop may allocate at most twice"
+    );
+    println!("no_alloc proof: {allocs} allocations across {hops} hops of {ROUNDS} warm collective rounds");
 }

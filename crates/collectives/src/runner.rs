@@ -18,14 +18,12 @@
 //! keeps 240 engines, and one calendar step concerns one or two of them:
 //!
 //! * the runner polls the engines on the cluster's *ready list*
-//!   ([`SimCluster::take_ready`]) — those an event was just routed to —
-//!   rather than asking every engine after every step. Same-instant
+//!   ([`SimCluster::take_ready_into`]) — those an event was just routed to
+//!   — rather than asking every engine after every step. Same-instant
 //!   deliveries leave several inboxes filled at once, and the order they
-//!   are polled in decides same-instant submit order downstream; the list
-//!   arrives sorted by `(src, dst)`, which is also the iteration order of
-//!   the pair-keyed engine map, so polling from the list and scanning the
-//!   map produce the same schedule (`tests/schedule_pin.rs` holds digests
-//!   of every delivery time, taken from the scanning runner);
+//!   are polled in decides same-instant submit order downstream: that order
+//!   is the list's `(src, dst)` sort and nothing else
+//!   (`tests/schedule_pin.rs` holds digests of every delivery time);
 //! * an engine with nothing queued tells its driver so and is sent no
 //!   NIC/core idle events ([`nm_core::transport::Transport::set_idle_interest`]):
 //!   the n−2 sibling engines of a busy node are left alone instead of each
@@ -33,9 +31,17 @@
 //!   tolerance on) keep receiving them — their polls also run timeouts;
 //! * the watchdog looks at hop deadlines only once the clock has reached
 //!   the earliest one.
+//!
+//! Per hop the runner itself then does little beyond the engine's own work:
+//! engines sit in a dense table indexed by `src * n + dst`, the ready list
+//! and each poll's completed ids are read into buffers the cluster keeps,
+//! and a run executes the DAG it is handed in place — the compiled hops are
+//! borrowed, repair grafts go to a run-local list after them, and who waits
+//! on whom is one compressed table (`Dependents`) rebuilt per run and per
+//! repair round.
 
 use crate::profiles::ProfileBank;
-use crate::repair::{self, HopRole};
+use crate::repair::{self, HopRole, RepairHop};
 use crate::schedule::{Algorithm, Collective, Hop, HopDag};
 use nm_core::driver::cluster::{PairDriver, SimCluster};
 use nm_core::engine::{Engine, MsgId};
@@ -116,17 +122,26 @@ pub struct RunResult {
     pub stats: RunStats,
 }
 
-impl RunResult {
-    /// The run finished when its last delivered hop was delivered.
-    fn new(
-        started_at: SimTime,
-        deliveries: Vec<Option<SimTime>>,
-        hops: Vec<Hop>,
-        stats: RunStats,
-    ) -> Self {
-        let finished_at = deliveries.iter().flatten().copied().max().unwrap_or(started_at);
-        let duration_us = finished_at.saturating_since(started_at).as_micros_f64();
-        RunResult { started_at, finished_at, duration_us, deliveries, hops, stats }
+/// What the executor hands its two wrappers: [`CollectiveCluster::run`],
+/// which pairs it with the compiled hops into a [`RunResult`], and the
+/// stack's own run, which keeps only the makespan and the stats.
+pub(crate) struct Execution {
+    /// Virtual time the first hop was posted.
+    pub(crate) started_at: SimTime,
+    /// Virtual time the last hop was delivered.
+    pub(crate) finished_at: SimTime,
+    /// Per-hop delivery times, indexed like [`RunResult::deliveries`].
+    pub(crate) deliveries: Vec<Option<SimTime>>,
+    /// The repair hops grafted after the compiled schedule, in graft order.
+    pub(crate) grafts: Vec<Hop>,
+    /// Failure/repair counters.
+    pub(crate) stats: RunStats,
+}
+
+impl Execution {
+    /// `finished_at - started_at`.
+    pub(crate) fn makespan(&self) -> SimDuration {
+        self.finished_at.saturating_since(self.started_at)
     }
 }
 
@@ -161,6 +176,95 @@ struct Watch {
     next_deadline: SimTime,
 }
 
+/// Who waits on each hop, compressed: the hops that list hop `i` among
+/// their deps are `list[starts[i]..starts[i + 1]]`, ascending. Two flat
+/// arrays, each allocated once at its final size, instead of one `Vec` per
+/// hop.
+struct Dependents {
+    starts: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl Dependents {
+    /// The table over `compiled` followed by `grafts`.
+    fn new(compiled: &[Hop], grafts: &[Hop]) -> Self {
+        let count = compiled.len() + grafts.len();
+        // Count each hop's dependents at its own index (deps point
+        // backwards, so the last entry stays zero), then turn the counts
+        // into each row's end.
+        let mut starts = vec![0usize; count + 1];
+        for h in compiled.iter().chain(grafts) {
+            for &d in &h.deps {
+                starts[d] += 1;
+            }
+        }
+        let mut end = 0;
+        for s in &mut starts {
+            end += *s;
+            *s = end;
+        }
+        // Fill every row back to front, latest dependent first: the row
+        // comes out ascending and its entry walks down to the row's start.
+        let mut list = vec![0usize; end];
+        for i in (0..count).rev() {
+            for &d in &hop_at(compiled, grafts, i).deps {
+                starts[d] -= 1;
+                list[starts[d]] = i;
+            }
+        }
+        Dependents { starts, list }
+    }
+
+    /// The hops that wait on hop `i`, ascending.
+    fn of(&self, i: usize) -> &[usize] {
+        &self.list[self.starts[i]..self.starts[i + 1]]
+    }
+}
+
+/// Hop `i` of `compiled` followed by `grafts`.
+fn hop_at<'h>(compiled: &'h [Hop], grafts: &'h [Hop], i: usize) -> &'h Hop {
+    compiled.get(i).unwrap_or_else(|| &grafts[i - compiled.len()])
+}
+
+/// The hops one run executes, as one index space: the compiled schedule,
+/// borrowed, then the repair grafts; and who waits on each.
+struct RunHops<'a> {
+    compiled: &'a [Hop],
+    grafts: Vec<Hop>,
+    dependents: Dependents,
+}
+
+impl<'a> RunHops<'a> {
+    fn new(compiled: &'a [Hop]) -> Self {
+        RunHops { compiled, grafts: Vec::new(), dependents: Dependents::new(compiled, &[]) }
+    }
+
+    fn len(&self) -> usize {
+        self.compiled.len() + self.grafts.len()
+    }
+
+    fn get(&self, i: usize) -> &Hop {
+        hop_at(self.compiled, &self.grafts, i)
+    }
+
+    /// Grafts a repair plan as fresh indices after every hop so far, its
+    /// plan-relative deps rebased onto them, and rebuilds the dependents.
+    /// Returns the first grafted index.
+    // nm-analyzer: bounded(MAX_REPAIRS) -- a run grafts at most MAX_REPAIRS plans, and a plan
+    // holds at most one hop per ordered pair of survivors
+    fn graft(&mut self, plan: &[RepairHop]) -> usize {
+        let base = self.len();
+        self.grafts.extend(plan.iter().map(|rh| Hop {
+            src: rh.src,
+            dst: rh.dst,
+            bytes: rh.bytes,
+            deps: rh.deps.iter().map(|&d| d + base).collect(),
+        }));
+        self.dependents = Dependents::new(self.compiled, &self.grafts);
+        base
+    }
+}
+
 /// A simulated cluster plus the per-pair engines collectives run on.
 ///
 /// Engines are created lazily per directed pair and *kept* across runs:
@@ -170,7 +274,11 @@ struct Watch {
 pub struct CollectiveCluster {
     cluster: SimCluster,
     spec: ClusterSpec,
-    engines: BTreeMap<(usize, usize), Engine<PairDriver>>,
+    /// The `src -> dst` engine at `src * n + dst`: `None` until the pair's
+    /// first hop, and again once its engine was poisoned. Boxed, so an
+    /// empty slot costs a pointer — a cluster built per operation fills
+    /// few of its n² slots.
+    engines: Vec<Option<Box<Engine<PairDriver>>>>,
     /// Healing machinery armed: the cluster replays a non-empty fault
     /// schedule, engines run with fault tolerance, runs arm the watchdog
     /// and repair. An *empty* schedule arms none of it — inertness is a
@@ -181,6 +289,10 @@ pub struct CollectiveCluster {
     sickness: Vec<f64>,
     /// Engine polls made so far, over every run.
     engine_polls: u64,
+    /// The cluster's ready list, refilled by every drain round.
+    ready_pairs: Vec<(usize, usize)>,
+    /// The ids one engine poll completed.
+    polled: Vec<MsgId>,
 }
 
 impl CollectiveCluster {
@@ -196,10 +308,12 @@ impl CollectiveCluster {
         CollectiveCluster {
             cluster,
             spec,
-            engines: BTreeMap::new(),
+            engines: std::iter::repeat_with(|| None).take(nodes * nodes).collect(),
             healing,
             sickness: vec![0.0; nodes],
             engine_polls: 0,
+            ready_pairs: Vec::new(),
+            polled: Vec::new(),
         }
     }
 
@@ -245,44 +359,57 @@ impl CollectiveCluster {
         self.engine_polls
     }
 
-    // nm-analyzer: allow(unbounded-growth) -- one engine per directed node pair, guarded by
-    // contains_key; capped at n*(n-1) for an n-node cluster
+    /// Table index of the `src -> dst` engine.
+    fn slot(&self, src: usize, dst: usize) -> usize {
+        src * self.spec.nodes.len() + dst
+    }
+
+    fn engine_mut(&mut self, src: usize, dst: usize) -> Option<&mut Engine<PairDriver>> {
+        let slot = self.slot(src, dst);
+        self.engines.get_mut(slot)?.as_deref_mut()
+    }
+
     fn ensure_engine(&mut self, bank: &mut ProfileBank, src: usize, dst: usize) {
-        if !self.engines.contains_key(&(src, dst)) {
-            let driver = self.cluster.pair_driver(NodeId(src), NodeId(dst));
-            let predictor = bank.predictor_for_pair(src, dst);
-            let mut engine = Engine::new(driver, predictor, StrategyKind::HeteroSplit.build())
-                .expect("engine construction");
-            if self.healing {
-                engine = engine
-                    .with_fault_tolerance(HealthConfig::default())
-                    .expect("default health config");
-            }
-            self.engines.insert((src, dst), engine);
+        let slot = self.slot(src, dst);
+        if self.engines[slot].is_some() {
+            return;
         }
+        let driver = self.cluster.pair_driver(NodeId(src), NodeId(dst));
+        let predictor = bank.predictor_for_pair(src, dst);
+        let mut engine = Engine::new(driver, predictor, StrategyKind::HeteroSplit.build())
+            .expect("engine construction");
+        if self.healing {
+            engine = engine
+                .with_fault_tolerance(HealthConfig::default())
+                .expect("default health config");
+        }
+        self.engines[slot] = Some(Box::new(engine));
     }
 
     /// One round of the drain phase: polls each engine the cluster lists as
     /// ready, in pair order, and queues the ids they report done. `None`
     /// once nothing was ready (newly posted hops can fill inboxes, so
     /// callers repeat until then); otherwise the engines whose poll failed,
-    /// already dropped from the map.
+    /// already dropped from the table.
     fn drain_ready(
         &mut self,
         done_queue: &mut Vec<HopKey>,
         queue_peak: &mut usize,
     ) -> Result<Option<Vec<Poisoned>>, String> {
-        let ready = self.cluster.take_ready();
+        self.cluster.take_ready_into(&mut self.ready_pairs);
+        let n = self.spec.nodes.len();
         let mut poisoned = Vec::new();
-        for &pair in &ready {
+        for &(src, dst) in &self.ready_pairs {
             // Not ours: a driver someone else registered on `cluster()`.
-            let Some(engine) = self.engines.get_mut(&pair) else { continue };
+            let Some(slot) = self.engines.get_mut(src * n + dst) else { continue };
+            let Some(engine) = slot.as_deref_mut() else { continue };
             self.engine_polls += 1;
-            match engine.poll() {
-                Ok(done) => done_queue.extend(done.into_iter().map(|id| (pair.0, pair.1, id))),
+            self.polled.clear();
+            match engine.poll_into(&mut self.polled) {
+                Ok(()) => done_queue.extend(self.polled.iter().map(|&id| (src, dst, id))),
                 Err(e) => {
-                    self.engines.remove(&pair);
-                    poisoned.push((pair, e));
+                    *slot = None;
+                    poisoned.push(((src, dst), e));
                 }
             }
         }
@@ -293,7 +420,7 @@ impl CollectiveCluster {
                 done_queue.len()
             ));
         }
-        Ok((!ready.is_empty()).then_some(poisoned))
+        Ok((!self.ready_pairs.is_empty()).then_some(poisoned))
     }
 
     /// Executes `dag` to completion, event-ordered. Fails when the
@@ -310,25 +437,41 @@ impl CollectiveCluster {
     /// reused). Without healing the same loop runs with no deadline armed:
     /// no hop is ever torn out, and an engine failure is fatal.
     pub fn run(&mut self, bank: &mut ProfileBank, dag: &HopDag) -> Result<RunResult, String> {
+        let run = self.execute(bank, dag)?;
+        let duration_us = run.makespan().as_micros_f64();
+        let Execution { started_at, finished_at, deliveries, grafts, stats } = run;
+        let mut hops = Vec::with_capacity(dag.hops.len() + grafts.len());
+        hops.extend_from_slice(&dag.hops);
+        hops.extend(grafts);
+        Ok(RunResult { started_at, finished_at, duration_us, deliveries, hops, stats })
+    }
+
+    /// [`CollectiveCluster::run`] without the copy of the compiled hops.
+    pub(crate) fn execute(
+        &mut self,
+        bank: &mut ProfileBank,
+        dag: &HopDag,
+    ) -> Result<Execution, String> {
         dag.check()?;
-        let started_at = self.cluster.now();
         let n = dag.nodes;
+        if n > self.spec.nodes.len() {
+            return Err(format!("a {n}-node schedule on a {}-node cluster", self.spec.nodes.len()));
+        }
+        let started_at = self.cluster.now();
         let original_count = dag.hops.len();
-        let mut hops: Vec<Hop> = dag.hops.clone();
-        let mut roles: Vec<HopRole> =
-            hops.iter().enumerate().map(|(i, h)| original_role(dag.algorithm, n, i, h)).collect();
+        let mut hops = RunHops::new(&dag.hops);
+        let mut roles: Vec<HopRole> = dag
+            .hops
+            .iter()
+            .enumerate()
+            .map(|(i, h)| original_role(dag.algorithm, n, i, h))
+            .collect();
         let mut watch = Watch {
-            state: vec![HopState::Pending; hops.len()],
+            state: vec![HopState::Pending; original_count],
             posted: BTreeMap::new(),
             next_deadline: SimTime::FAR_FUTURE,
         };
-        let mut remaining: Vec<usize> = hops.iter().map(|h| h.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); hops.len()];
-        for (i, h) in hops.iter().enumerate() {
-            for &d in &h.deps {
-                dependents[d].push(i);
-            }
-        }
+        let mut remaining: Vec<usize> = dag.hops.iter().map(|h| h.deps.len()).collect();
 
         // Semantic completion tracking, fed by every delivery (original or
         // repair) and consumed by the repair planners. The compiled root
@@ -341,14 +484,20 @@ impl CollectiveCluster {
         let mut first_failure: Option<SimTime> = None;
         let mut last_repair_delivery: Option<SimTime> = None;
         let mut outstanding = 0usize;
+        // Completions the engines reported whose release is still pending,
+        // and the buffer a release pass reads them from: swapped each pass,
+        // so both keep their capacity for the whole run.
         let mut done_queue: Vec<HopKey> = Vec::new();
+        let mut releasing: Vec<HopKey> = Vec::new();
+        // Hops whose last dependency was delivered in this drain round.
+        let mut ready: Vec<usize> = Vec::new();
 
-        for hop in &hops {
+        for hop in &dag.hops {
             self.ensure_engine(bank, hop.src, hop.dst);
         }
         for (i, &rem) in remaining.iter().enumerate() {
             if rem == 0 {
-                self.post_watched(bank, &hops, &mut watch, i, 0)?;
+                self.post_watched(bank, hops.get(i), &mut watch, i, 0)?;
                 outstanding += 1;
             }
         }
@@ -377,14 +526,15 @@ impl CollectiveCluster {
                         });
                         victims.sort_unstable();
                         for i in victims {
-                            self.note_failure(hops[i].src, hops[i].dst);
+                            let h = hops.get(i);
+                            self.note_failure(h.src, h.dst);
                             first_failure.get_or_insert(self.cluster.now());
-                            outstanding -= cancel_cascade(&mut watch.state, &dependents, i);
+                            outstanding -= cancel_cascade(&mut watch.state, &hops.dependents, i);
                         }
                     }
-                    let mut ready: Vec<usize> = Vec::new();
-                    for key in std::mem::take(&mut done_queue) {
-                        let Some(engine) = self.engines.get_mut(&(key.0, key.1)) else {
+                    std::mem::swap(&mut done_queue, &mut releasing);
+                    for key in releasing.drain(..) {
+                        let Some(engine) = self.engine_mut(key.0, key.1) else {
                             continue; // completion of a dropped engine
                         };
                         let Some(completion) = engine.try_completion(key.2) else {
@@ -400,14 +550,15 @@ impl CollectiveCluster {
                         let at = completion.delivered_at;
                         watch.state[hop_idx] = HopState::Done(at);
                         outstanding -= 1;
-                        self.note_success(hops[hop_idx].src, hops[hop_idx].dst);
+                        let hop = hops.get(hop_idx);
+                        self.note_success(hop.src, hop.dst);
                         match roles[hop_idx] {
                             HopRole::Arrive => {}
                             HopRole::Release => {
-                                released.insert(hops[hop_idx].dst);
+                                released.insert(hop.dst);
                             }
                             HopRole::Payload => {
-                                holders.insert(hops[hop_idx].dst);
+                                holders.insert(hop.dst);
                             }
                             HopRole::Block(s, d) => {
                                 block_done.insert((s, d));
@@ -417,7 +568,7 @@ impl CollectiveCluster {
                             last_repair_delivery =
                                 Some(last_repair_delivery.map_or(at, |t| t.max(at)));
                         }
-                        for &dep in &dependents[hop_idx] {
+                        for &dep in hops.dependents.of(hop_idx) {
                             remaining[dep] = remaining[dep].saturating_sub(1);
                             if remaining[dep] == 0 && matches!(watch.state[dep], HopState::Pending)
                             {
@@ -426,9 +577,10 @@ impl CollectiveCluster {
                         }
                     }
                     ready.sort_unstable();
-                    for hop_idx in ready {
-                        self.ensure_engine(bank, hops[hop_idx].src, hops[hop_idx].dst);
-                        self.post_watched(bank, &hops, &mut watch, hop_idx, 0)?;
+                    for hop_idx in ready.drain(..) {
+                        let hop = hops.get(hop_idx);
+                        self.ensure_engine(bank, hop.src, hop.dst);
+                        self.post_watched(bank, hop, &mut watch, hop_idx, 0)?;
                         outstanding += 1;
                     }
                 }
@@ -464,15 +616,16 @@ impl CollectiveCluster {
                         HopState::Posted { id, attempts, .. } => (*id, *attempts),
                         _ => continue,
                     };
-                    let pair = (hops[i].src, hops[i].dst);
-                    let Some(engine) = self.engines.get_mut(&pair) else {
+                    let h = hops.get(i);
+                    let pair = (h.src, h.dst);
+                    let Some(engine) = self.engine_mut(h.src, h.dst) else {
                         continue; // engine already dropped; hop was written off
                     };
                     match engine.abandon(id) {
                         Ok(false) => {
                             // Completing (held or already delivered): give
                             // it a fresh deadline and keep waiting.
-                            let deadline = now + self.hop_timeout(bank, &hops[i], 0);
+                            let deadline = now + self.hop_timeout(bank, h, 0);
                             self.cluster.schedule_wakeup(deadline);
                             watch.state[i] = HopState::Posted { id, deadline, attempts };
                             watch.next_deadline = watch.next_deadline.min(deadline);
@@ -485,9 +638,10 @@ impl CollectiveCluster {
                                 || self.cluster.node_is_down(pair.1);
                             if !endpoint_dead && attempts < MAX_HOP_RETRIES {
                                 stats.hops_retried += 1;
-                                self.post_watched(bank, &hops, &mut watch, i, attempts + 1)?;
+                                self.post_watched(bank, h, &mut watch, i, attempts + 1)?;
                             } else {
-                                outstanding -= cancel_cascade(&mut watch.state, &dependents, i);
+                                outstanding -=
+                                    cancel_cascade(&mut watch.state, &hops.dependents, i);
                             }
                         }
                         Err(e) => return Err(format!("abandon hop {i} {pair:?}: {e}")),
@@ -530,25 +684,18 @@ impl CollectiveCluster {
                 }
             }
             // Graft the plan as fresh indices and post its roots.
-            let base = hops.len();
+            let base = hops.graft(&plan);
             for rh in &plan {
-                let abs_deps: Vec<usize> = rh.deps.iter().map(|&d| d + base).collect();
-                hops.push(Hop { src: rh.src, dst: rh.dst, bytes: rh.bytes, deps: abs_deps });
                 roles.push(rh.role);
                 watch.state.push(HopState::Pending);
                 remaining.push(rh.deps.len());
-                dependents.push(Vec::new());
                 stats.hops_rerouted += 1;
             }
-            for (i, hop) in hops.iter().enumerate().skip(base) {
-                for &d in &hop.deps {
-                    dependents[d].push(i);
-                }
-            }
-            for i in base..hops.len() {
-                self.ensure_engine(bank, hops[i].src, hops[i].dst);
-                if remaining[i] == 0 {
-                    self.post_watched(bank, &hops, &mut watch, i, 0)?;
+            for (i, &rem) in remaining.iter().enumerate().skip(base) {
+                let hop = hops.get(i);
+                self.ensure_engine(bank, hop.src, hop.dst);
+                if rem == 0 {
+                    self.post_watched(bank, hop, &mut watch, i, 0)?;
                     outstanding += 1;
                 }
             }
@@ -562,28 +709,27 @@ impl CollectiveCluster {
                 _ => None,
             })
             .collect();
+        let finished_at = deliveries.iter().flatten().copied().max().unwrap_or(started_at);
         if let (Some(begin), Some(end)) = (first_failure, last_repair_delivery) {
             stats.repair_latency_us = end.saturating_since(begin).as_micros_f64();
         }
-        Ok(RunResult::new(started_at, deliveries, hops, stats))
+        Ok(Execution { started_at, finished_at, deliveries, grafts: hops.grafts, stats })
     }
 
-    /// Posts hop `i` on its pair's engine — on a healing cluster with a
-    /// watchdog deadline pinned on the calendar (`TIMEOUT_FACTOR ×` the
+    /// Posts hop `i` (`h`) on its pair's engine — on a healing cluster with
+    /// a watchdog deadline pinned on the calendar (`TIMEOUT_FACTOR ×` the
     /// bank's uncontended prediction, doubled per prior attempt).
     fn post_watched(
         &mut self,
         bank: &mut ProfileBank,
-        hops: &[Hop],
+        h: &Hop,
         watch: &mut Watch,
         i: usize,
         attempts: u32,
     ) -> Result<(), String> {
-        let h = &hops[i];
         let timeout = self.healing.then(|| self.hop_timeout(bank, h, attempts));
         let engine = self
-            .engines
-            .get_mut(&(h.src, h.dst))
+            .engine_mut(h.src, h.dst)
             .ok_or_else(|| format!("hop {i}: no engine for pair ({}, {})", h.src, h.dst))?;
         let id = engine
             .post_send(h.bytes)
@@ -658,7 +804,7 @@ fn original_role(algorithm: Algorithm, n: usize, idx: usize, hop: &Hop) -> HopRo
 /// its deps deliver. Returns how many hops left the outstanding count:
 /// only *posted* hops are counted there, so pending descendants cancel
 /// without touching it.
-fn cancel_cascade(state: &mut [HopState], dependents: &[Vec<usize>], i: usize) -> usize {
+fn cancel_cascade(state: &mut [HopState], dependents: &Dependents, i: usize) -> usize {
     let mut stack = vec![i];
     let mut removed = 0;
     while let Some(j) = stack.pop() {
@@ -676,9 +822,7 @@ fn cancel_cascade(state: &mut [HopState], dependents: &[Vec<usize>], i: usize) -
             removed += 1;
         }
         state[j] = HopState::Cancelled;
-        if let Some(deps) = dependents.get(j) {
-            stack.extend(deps.iter().copied());
-        }
+        stack.extend(dependents.of(j));
     }
     removed
 }
@@ -784,6 +928,45 @@ mod tests {
         let first = cc.engine_polls();
         cc.run(&mut bank, &dag).expect("run");
         assert!(cc.engine_polls() > first, "the count is cumulative over runs");
+    }
+
+    /// The construction `Dependents` replaced: one `Vec` per hop, filled in
+    /// hop order.
+    fn dependents_by_push(hops: &[Hop]) -> Vec<Vec<usize>> {
+        let mut rows = vec![Vec::new(); hops.len()];
+        for (i, h) in hops.iter().enumerate() {
+            for &d in &h.deps {
+                rows[d].push(i);
+            }
+        }
+        rows
+    }
+
+    fn assert_rows_match(hops: &RunHops, what: &str) {
+        let all: Vec<Hop> = (0..hops.len()).map(|i| hops.get(i).clone()).collect();
+        for (i, row) in dependents_by_push(&all).iter().enumerate() {
+            assert_eq!(hops.dependents.of(i), row.as_slice(), "{what}: hop {i}");
+        }
+    }
+
+    #[test]
+    fn compressed_dependents_equal_one_vec_per_hop_before_and_after_grafts() {
+        for n in [2usize, 3, 8, 16] {
+            let survivors: BTreeSet<usize> = (0..n).collect();
+            for algorithm in crate::ALGORITHMS {
+                let dag = algorithm.dag(n, 4096);
+                let mut hops = RunHops::new(&dag.hops);
+                assert_rows_match(&hops, &format!("{algorithm:?} n={n}"));
+                // Two repair rounds: a re-barrier (releases wait on every
+                // arrival), then a re-broadcast (each wave on the last).
+                let barrier = repair::plan_barrier(&survivors, &[0].into());
+                assert_eq!(hops.graft(&barrier), dag.hops.len());
+                assert_rows_match(&hops, &format!("{algorithm:?} n={n}, one graft"));
+                let bcast = repair::plan_bcast(64, &survivors, &[0].into()).expect("plan");
+                assert_eq!(hops.graft(&bcast), dag.hops.len() + barrier.len());
+                assert_rows_match(&hops, &format!("{algorithm:?} n={n}, two grafts"));
+            }
+        }
     }
 
     #[test]

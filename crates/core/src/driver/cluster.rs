@@ -28,11 +28,10 @@
 //! * **Ready list.** The first event routed to an inbox puts its driver on
 //!   a ready list. A workload driver stepping the clock itself
 //!   ([`SimCluster::pump_one`]) takes the list with
-//!   [`SimCluster::take_ready`] instead of asking every driver whether
-//!   anything arrived. The list comes back sorted by `(src, dst)`: that is
-//!   the order a scan over a pair-keyed `BTreeMap` of engines visits them,
-//!   and the order engines are polled at one instant decides the order they
-//!   submit at that instant — so it is part of the modeled result, not a
+//!   [`SimCluster::take_ready_into`] instead of asking every driver whether
+//!   anything arrived. The list comes back sorted by `(src, dst)`, and the
+//!   order engines are polled at one instant decides the order they submit
+//!   at that instant — so the sort is part of the modeled result, not a
 //!   convenience.
 //! * **Idle interest.** `NicIdle`/`CoreIdle` go to every driver sourced at
 //!   the node *that asked for them* ([`Transport::set_idle_interest`]; the
@@ -204,7 +203,7 @@ pub(super) struct SimCore {
     slots: Vec<Slot>,
     /// Slot indices by source node: who shares each node's NICs and cores.
     by_source: Vec<Vec<usize>>,
-    /// Slots that received an event since [`SimCluster::take_ready`] last
+    /// Slots that received an event since [`SimCluster::take_ready_into`] last
     /// emptied this list.
     ready: Vec<usize>,
     /// Fault replay; `None` keeps every injection hook fully disabled.
@@ -755,21 +754,23 @@ impl SimCluster {
     /// Workload drivers that coordinate *several* engines (collectives) use
     /// this instead of letting any one engine's `poll` free-run the clock:
     /// after each single step they drain every engine whose inbox filled
-    /// ([`SimCluster::take_ready`]), so dependent sends are posted at
+    /// ([`SimCluster::take_ready_into`]), so dependent sends are posted at
     /// their true virtual time instead of wherever another engine happened
     /// to drag the clock.
     pub fn pump_one(&self) -> bool {
         self.shared.borrow_mut().pump()
     }
 
-    /// The `(src, dst)` of every driver whose inbox holds events routed
-    /// since the previous call, ascending — the order a scan of a
-    /// pair-keyed `BTreeMap` would find them in. A driver that was polled in
-    /// the meantime (its inbox is empty again) is left out.
-    pub fn take_ready(&self) -> Vec<(usize, usize)> {
+    /// Replaces the contents of `pairs` with the `(src, dst)` of every
+    /// driver whose inbox holds events routed since the previous call,
+    /// ascending. The order is part of the modeled result: engines polled at
+    /// one instant submit in that order. A driver that was polled in the
+    /// meantime (its inbox is empty again) is left out. The caller keeps
+    /// the buffer, so a steady-state pump allocates nothing here.
+    pub fn take_ready_into(&self, pairs: &mut Vec<(usize, usize)>) {
+        pairs.clear();
         let mut s = self.shared.borrow_mut();
         let s = &mut *s;
-        let mut pairs = Vec::new();
         for i in s.ready.drain(..) {
             let slot = &mut s.slots[i];
             slot.listed = false;
@@ -778,7 +779,6 @@ impl SimCluster {
             }
         }
         pairs.sort_unstable();
-        pairs
     }
 
     /// Cumulative reserved time on the switch backplane of a physical rail
@@ -1322,7 +1322,8 @@ mod tests {
             cluster.shared.borrow().slots[retired].inbox.is_empty(),
             "events were routed to a driver nobody can poll"
         );
-        let ready = cluster.take_ready();
+        let mut ready = Vec::new();
+        cluster.take_ready_into(&mut ready);
         assert!(!ready.contains(&(0, 2)), "a retired driver must not be listed ready: {ready:?}");
         // The pair can be served again by a fresh driver.
         let mut e02 = engine_on(&cluster, 0, 2, StrategyKind::HeteroSplit);
@@ -1333,25 +1334,30 @@ mod tests {
     #[test]
     fn take_ready_lists_each_filled_inbox_once_in_pair_order() {
         let cluster = SimCluster::new(three_node_spec());
+        let mut ready = vec![(9, 9)];
         // Registered out of pair order on purpose.
         let mut e21 = engine_on(&cluster, 2, 1, StrategyKind::HeteroSplit);
         let mut e01 = engine_on(&cluster, 0, 1, StrategyKind::HeteroSplit);
-        assert!(cluster.take_ready().is_empty(), "nothing routed yet");
+        cluster.take_ready_into(&mut ready);
+        assert!(ready.is_empty(), "nothing routed yet, and the old contents are cleared");
         let _ = e21.post_send(64 * 1024).expect("post");
         let _ = e01.post_send(64 * 1024).expect("post");
         // Both transfers run the same course on their own NICs: their
         // events fire at the same instants, several per inbox.
         while cluster.pump_one() {}
         assert!(e01.transport().pending_events() > 1 && e21.transport().pending_events() > 1);
-        assert_eq!(cluster.take_ready(), [(0, 1), (2, 1)]);
-        assert!(cluster.take_ready().is_empty(), "listed once; nothing new arrived");
+        cluster.take_ready_into(&mut ready);
+        assert_eq!(ready, [(0, 1), (2, 1)]);
+        cluster.take_ready_into(&mut ready);
+        assert!(ready.is_empty(), "listed once; nothing new arrived");
         // A driver polled behind the list's back is not reported.
         e01.drain().expect("drain");
         e21.drain().expect("drain");
         let _ = e21.post_send(64 * 1024).expect("post");
         while cluster.pump_one() {}
         let _ = e21.poll().expect("poll");
-        assert!(cluster.take_ready().is_empty());
+        cluster.take_ready_into(&mut ready);
+        assert!(ready.is_empty());
     }
 
     /// Idle events left in the inbox of a node-0 engine that has completed

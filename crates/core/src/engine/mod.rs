@@ -472,15 +472,16 @@ impl<T: Transport> Engine<T> {
     #[must_use = "dropping the completed ids silently loses completions; at minimum check for errors"]
     pub fn poll(&mut self) -> Result<Vec<MsgId>, EngineError> {
         let mut done = Vec::new();
-        self.poll_done(&mut done)?;
+        self.poll_into(&mut done)?;
         Ok(done)
     }
 
-    /// [`Self::poll`], appending the completed ids to `done`. The events are
+    /// [`Self::poll`], appending the completed ids to `done` — a caller that
+    /// keeps `done` between polls allocates nothing for them. The events are
     /// read into the kept `events` buffer, taken out while the fold mutates
     /// the engine and cleared before every read: an error part-way through
     /// one poll's events drops them, never replays them on the next poll.
-    fn poll_done(&mut self, done: &mut Vec<MsgId>) -> Result<(), EngineError> {
+    pub fn poll_into(&mut self, done: &mut Vec<MsgId>) -> Result<(), EngineError> {
         let mut events = std::mem::take(&mut self.events);
         events.clear();
         self.transport.poll_into(&mut events);
@@ -541,7 +542,7 @@ impl<T: Transport> Engine<T> {
         let mut done = Vec::new();
         while self.transport.now() < at {
             self.arm(at);
-            self.poll_done(&mut done)?;
+            self.poll_into(&mut done)?;
         }
         Ok(done)
     }
@@ -666,7 +667,7 @@ impl<T: Transport> Engine<T> {
             }
             let mut progress = std::mem::take(&mut self.progress);
             progress.clear();
-            self.poll_done(&mut progress)?;
+            self.poll_into(&mut progress)?;
             let made_progress = !progress.is_empty();
             self.progress = progress;
             if !made_progress && self.transport_quiescent() {
