@@ -126,6 +126,11 @@ done
 ! sed '/^#\[cfg(test)\]/,$d' crates/collectives/src/runner.rs \
     | grep -nE 'BTreeMap<\(usize, usize\), Engine|Vec<Vec<usize>>|take_ready\(\)|\.poll\(\)' \
     || { echo "the collectives runner is back on a map, per-hop Vecs or an allocating poll" >&2; exit 1; }
+# One tear-out path: a hop leaves its engine early through one helper,
+# whether its deadline passed or its engine reported a failure toward a dead
+# endpoint, so the two triggers cannot fork.
+[ "$(sed '/^#\[cfg(test)\]/,$d' crates/collectives/src/runner.rs | grep -cF '.abandon(')" -eq 1 ] \
+    || { echo "Engine::abandon must have exactly one caller in the collectives runner" >&2; exit 1; }
 
 cargo build --release
 cargo test -q

@@ -6,23 +6,31 @@
 //! twice over the N-node cluster: once fault-free and once with a seeded
 //! mid-operation fault — one node loses every NIC port ("node death") and
 //! a neighbour loses its rail-0 port. The faulted run must still complete
-//! on the survivors via watchdog teardown + DAG repair; the harness
-//! reports what that recovery cost:
+//! on the survivors via hop teardown + DAG repair; the harness reports
+//! what that recovery cost:
 //!
 //! * **completion inflation** — faulted vs fault-free makespan,
-//! * **repair latency** — first watchdog teardown to last repair-hop
-//!   delivery,
+//! * **repair latency** — first teardown to last repair-hop delivery,
 //! * **hops retried / re-routed** — same-pair reposts vs repair grafts,
+//! * **teardowns on evidence / on deadline** — hops torn out because
+//!   their engine reported a chunk failure toward the dead node, vs
+//!   because their watchdog deadline passed,
 //! * **retry-queue peak** — high-water mark of the flow-held completion
 //!   queue (bounded; the satellite stat).
 //!
+//! Every series must recover with no same-pair retry (a retried hop was
+//! torn out between two live endpoints: a false positive), and the barrier
+//! within 10× its fault-free makespan. The harness asserts both, so
+//! regenerating the committed JSON fails when recovery falls back to the
+//! deadline.
+//!
 //! Deterministic: virtual time only, seeded faults, no wall clock.
-//! Results go to stdout and `BENCH_cluster_resilience.json` (schema-gated
-//! in ci.sh).
+//! Results go to stdout and `BENCH_cluster_resilience.json` (byte-compared
+//! with the committed copy in ci.sh).
 //!
 //! Usage: `cluster_resilience [--seed N]` (default seed 42).
 
-use nm_collectives::{Algorithm, CollectiveCluster, ProfileBank, RunResult};
+use nm_collectives::{Algorithm, Collective, CollectiveCluster, ProfileBank, RunResult};
 use nm_faults::{ClusterFaultSchedule, ClusterFaultSpec, FaultKind};
 use nm_model::builtin;
 use nm_model::units::KIB;
@@ -109,11 +117,21 @@ fn main() {
                 s.hops_rerouted >= 1,
                 "{algorithm:?} n={n}: a node death must force re-routing"
             );
+            assert_eq!(s.hops_retried, 0, "{algorithm:?} n={n}: a live pair was retried");
+            if algorithm.collective() == Collective::Barrier {
+                assert!(
+                    faulted.duration_us < 10.0 * clean.duration_us,
+                    "{algorithm:?} n={n}: {} us faulted vs {} us fault-free",
+                    faulted.duration_us,
+                    clean.duration_us
+                );
+            }
             let inflation_pct =
                 100.0 * (faulted.duration_us - clean.duration_us) / clean.duration_us;
             println!(
                 "{:9} n={n:2} bytes={bytes:7}: clean {:10.1} us, faulted {:12.1} us \
                  (+{inflation_pct:8.1} %), repairs {}, retried {}, rerouted {:3}, \
+                 torn out on evidence {:3} / deadline {}, \
                  repair latency {:10.1} us, queue peak {}",
                 algorithm.name(),
                 clean.duration_us,
@@ -121,6 +139,8 @@ fn main() {
                 s.repairs,
                 s.hops_retried,
                 s.hops_rerouted,
+                s.teardowns_on_evidence,
+                s.teardowns_on_deadline,
                 s.repair_latency_us,
                 s.retry_queue_peak.max(clean.stats.retry_queue_peak),
             );
@@ -129,6 +149,7 @@ fn main() {
                  \"nodes\": {n}, \"fault_free_us\": {:.1}, \"faulted_us\": {:.1}, \
                  \"inflation_pct\": {inflation_pct:.2}, \"repairs\": {}, \
                  \"hops_retried\": {}, \"hops_rerouted\": {}, \
+                 \"teardowns_on_evidence\": {}, \"teardowns_on_deadline\": {}, \
                  \"repair_latency_us\": {:.1}, \"retry_queue_peak\": {}, \
                  \"dead_nodes\": {}}}",
                 algorithm.collective().name(),
@@ -138,6 +159,8 @@ fn main() {
                 s.repairs,
                 s.hops_retried,
                 s.hops_rerouted,
+                s.teardowns_on_evidence,
+                s.teardowns_on_deadline,
                 s.repair_latency_us,
                 s.retry_queue_peak,
                 s.dead_nodes,

@@ -32,6 +32,12 @@
 //! * the watchdog looks at hop deadlines only once the clock has reached
 //!   the earliest one.
 //!
+//! A healing run learns of a node death from its engines, not from a
+//! clock: a chunk the death kills, or a submit a downed port rejects,
+//! reaches the pair's engine as a failure at the fault instant, and the
+//! drain round that folds it tears the pair's hops out when an endpoint is
+//! down. The deadline stays for stalls that raise no failure.
+//!
 //! Per hop the runner itself then does little beyond the engine's own work:
 //! engines sit in a dense table indexed by `src * n + dst`, the ready list
 //! and each poll's completed ids are read into buffers the cluster keeps,
@@ -91,14 +97,20 @@ pub struct RunStats {
     pub hops_rerouted: u64,
     /// Repair rounds executed.
     pub repairs: u64,
-    /// First watchdog teardown to last repair-hop delivery (µs); zero when
-    /// nothing needed repair.
+    /// First teardown to last repair-hop delivery (µs); zero when nothing
+    /// needed repair.
     pub repair_latency_us: f64,
     /// Peak length of the flow-held completion queue (satellite: bounded
     /// retry queue).
     pub retry_queue_peak: usize,
     /// Participants with every NIC port down when the run finished.
     pub dead_nodes: usize,
+    /// Hops torn out in the drain round their pair's engine reported a
+    /// chunk failure toward a dead endpoint (or took them with no rail
+    /// left toward one).
+    pub teardowns_on_evidence: u64,
+    /// Hops torn out because their watchdog deadline passed.
+    pub teardowns_on_deadline: u64,
 }
 
 /// Outcome of one executed hop DAG.
@@ -112,7 +124,7 @@ pub struct RunResult {
     pub duration_us: f64,
     /// Per-hop delivery times. The first `dag.hops.len()` entries mirror
     /// the compiled schedule; repair hops extend past them. `None` marks a
-    /// hop torn out by the watchdog or cancelled by repair — on a
+    /// hop torn out of its engine or cancelled with a lost dependency — on a
     /// fault-free run every entry is `Some`.
     pub deliveries: Vec<Option<SimTime>>,
     /// The hops actually executed, indexed like `deliveries`: the compiled
@@ -168,12 +180,20 @@ type Poisoned = ((usize, usize), EngineError);
 /// A run's ledger of hops.
 struct Watch {
     state: Vec<HopState>,
-    /// Which hop each live engine message is.
+    /// Which hop each live engine message is: exactly the hops in
+    /// [`HopState::Posted`], so its length is what the run still waits on.
     posted: BTreeMap<HopKey, usize>,
     /// No live deadline is earlier than this. It may lag behind (the hop
     /// that set it has since completed); the watchdog scan it then triggers
     /// finds nothing due and re-derives it from the hops still posted.
     next_deadline: SimTime,
+    /// When the first hop was torn out or written off.
+    first_failure: Option<SimTime>,
+    /// Pairs whose engine folded a chunk failure since the last drain
+    /// round acted, or took a hop with no rail left to send it on:
+    /// first-hand evidence that an endpoint may be dead. Always empty
+    /// unless healing.
+    evidence: Vec<(usize, usize)>,
 }
 
 /// Who waits on each hop, compressed: the hops that list hop `i` among
@@ -387,17 +407,22 @@ impl CollectiveCluster {
     }
 
     /// One round of the drain phase: polls each engine the cluster lists as
-    /// ready, in pair order, and queues the ids they report done. `None`
-    /// once nothing was ready (newly posted hops can fill inboxes, so
-    /// callers repeat until then); otherwise the engines whose poll failed,
-    /// already dropped from the table.
+    /// ready, in pair order, queues the ids they report done and, when
+    /// healing, adds to `evidence` each pair whose poll folded a chunk
+    /// failure. `None` once nothing was ready and no evidence waits (newly
+    /// posted hops can fill inboxes or be evidence themselves, so callers
+    /// repeat until then); otherwise the engines whose poll failed, already
+    /// dropped from the table.
     fn drain_ready(
         &mut self,
         done_queue: &mut Vec<HopKey>,
+        evidence: &mut Vec<(usize, usize)>,
         queue_peak: &mut usize,
     ) -> Result<Option<Vec<Poisoned>>, String> {
         self.cluster.take_ready_into(&mut self.ready_pairs);
         let n = self.spec.nodes.len();
+        let failures =
+            |e: &Engine<PairDriver>| e.stats().chunks_failed + e.stats().chunks_timed_out;
         let mut poisoned = Vec::new();
         for &(src, dst) in &self.ready_pairs {
             // Not ours: a driver someone else registered on `cluster()`.
@@ -405,8 +430,14 @@ impl CollectiveCluster {
             let Some(engine) = slot.as_deref_mut() else { continue };
             self.engine_polls += 1;
             self.polled.clear();
+            let failed_before = self.healing.then(|| failures(engine));
             match engine.poll_into(&mut self.polled) {
-                Ok(()) => done_queue.extend(self.polled.iter().map(|&id| (src, dst, id))),
+                Ok(()) => {
+                    done_queue.extend(self.polled.iter().map(|&id| (src, dst, id)));
+                    if failed_before.is_some_and(|before| failures(engine) > before) {
+                        evidence.push((src, dst));
+                    }
+                }
                 Err(e) => {
                     *slot = None;
                     poisoned.push(((src, dst), e));
@@ -420,7 +451,38 @@ impl CollectiveCluster {
                 done_queue.len()
             ));
         }
-        Ok((!self.ready_pairs.is_empty()).then_some(poisoned))
+        Ok((!self.ready_pairs.is_empty() || !evidence.is_empty()).then_some(poisoned))
+    }
+
+    /// Acts on the evidence the drain round gathered: every posted hop of a
+    /// pair with a dead endpoint is torn out now, in pair and then message
+    /// order, instead of at its deadline. A failure between live endpoints
+    /// (a port kill, corruption, loss) is left to the engine's failover and
+    /// the deadline, so nothing is torn out on a false alarm. An engine
+    /// poisoned in this round gathered no evidence: its hops are already
+    /// written off.
+    fn tear_out_on_evidence(
+        &mut self,
+        bank: &mut ProfileBank,
+        hops: &RunHops,
+        watch: &mut Watch,
+        stats: &mut RunStats,
+    ) -> Result<(), String> {
+        watch.evidence.sort_unstable();
+        watch.evidence.dedup();
+        for (src, dst) in std::mem::take(&mut watch.evidence) {
+            if !self.cluster.node_is_down(src) && !self.cluster.node_is_down(dst) {
+                continue;
+            }
+            let on_pair = (src, dst, MsgId(0))..=(src, dst, MsgId(u64::MAX));
+            let live: Vec<usize> = watch.posted.range(on_pair).map(|(_, &i)| i).collect();
+            for i in live {
+                if self.tear_out(bank, hops, watch, stats, i)? {
+                    stats.teardowns_on_evidence += 1;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Executes `dag` to completion, event-ordered. Fails when the
@@ -428,14 +490,16 @@ impl CollectiveCluster {
     /// malformed schedule), an engine rejects a post, or repair cannot
     /// converge.
     ///
-    /// On a healing cluster every posted hop carries a deadline (watchdog),
-    /// torn-out hops are retried with backoff on their pair, and when
-    /// retries cannot meet an obligation — typically because an endpoint
-    /// died — the run reaches quiescence and a repair round replans the
-    /// owed semantics over the survivors ([`crate::repair`]), grafting the
-    /// plan as fresh hop indices (exactly-once: identities are never
-    /// reused). Without healing the same loop runs with no deadline armed:
-    /// no hop is ever torn out, and an engine failure is fatal.
+    /// On a healing cluster a hop is torn out of its engine as soon as the
+    /// engine reports a chunk failure toward a dead endpoint, and otherwise
+    /// when its deadline (watchdog) passes; a hop torn out between live
+    /// endpoints is retried with backoff on its pair. When the run reaches
+    /// quiescence with an obligation unmet — typically because an endpoint
+    /// died — a repair round replans the owed semantics over the survivors
+    /// ([`crate::repair`]), grafting the plan as fresh hop indices
+    /// (exactly-once: identities are never reused). Without healing the
+    /// same loop runs with no deadline armed and no evidence gathered: no
+    /// hop is ever torn out, and an engine failure is fatal.
     pub fn run(&mut self, bank: &mut ProfileBank, dag: &HopDag) -> Result<RunResult, String> {
         let run = self.execute(bank, dag)?;
         let duration_us = run.makespan().as_micros_f64();
@@ -470,6 +534,8 @@ impl CollectiveCluster {
             state: vec![HopState::Pending; original_count],
             posted: BTreeMap::new(),
             next_deadline: SimTime::FAR_FUTURE,
+            first_failure: None,
+            evidence: Vec::new(),
         };
         let mut remaining: Vec<usize> = dag.hops.iter().map(|h| h.deps.len()).collect();
 
@@ -481,9 +547,7 @@ impl CollectiveCluster {
         let mut block_done: BTreeSet<(usize, usize)> = BTreeSet::new();
 
         let mut stats = RunStats::default();
-        let mut first_failure: Option<SimTime> = None;
         let mut last_repair_delivery: Option<SimTime> = None;
-        let mut outstanding = 0usize;
         // Completions the engines reported whose release is still pending,
         // and the buffer a release pass reads them from: swapped each pass,
         // so both keep their capacity for the whole run.
@@ -498,17 +562,18 @@ impl CollectiveCluster {
         for (i, &rem) in remaining.iter().enumerate() {
             if rem == 0 {
                 self.post_watched(bank, hops.get(i), &mut watch, i, 0)?;
-                outstanding += 1;
             }
         }
 
         loop {
             // Event loop until every hop is Done or Cancelled.
-            while outstanding > 0 {
+            while !watch.posted.is_empty() {
                 // Drain inboxes to a fixed point, processing completions.
-                while let Some(poisoned) =
-                    self.drain_ready(&mut done_queue, &mut stats.retry_queue_peak)?
-                {
+                while let Some(poisoned) = self.drain_ready(
+                    &mut done_queue,
+                    &mut watch.evidence,
+                    &mut stats.retry_queue_peak,
+                )? {
                     for (pair, e) in poisoned {
                         if !self.healing {
                             return Err(format!("poll {pair:?}: {e}"));
@@ -528,9 +593,12 @@ impl CollectiveCluster {
                         for i in victims {
                             let h = hops.get(i);
                             self.note_failure(h.src, h.dst);
-                            first_failure.get_or_insert(self.cluster.now());
-                            outstanding -= cancel_cascade(&mut watch.state, &hops.dependents, i);
+                            watch.first_failure.get_or_insert(self.cluster.now());
+                            cancel_cascade(&mut watch.state, &hops.dependents, i);
                         }
+                    }
+                    if !watch.evidence.is_empty() {
+                        self.tear_out_on_evidence(bank, &hops, &mut watch, &mut stats)?;
                     }
                     std::mem::swap(&mut done_queue, &mut releasing);
                     for key in releasing.drain(..) {
@@ -549,7 +617,6 @@ impl CollectiveCluster {
                         }
                         let at = completion.delivered_at;
                         watch.state[hop_idx] = HopState::Done(at);
-                        outstanding -= 1;
                         let hop = hops.get(hop_idx);
                         self.note_success(hop.src, hop.dst);
                         match roles[hop_idx] {
@@ -581,14 +648,16 @@ impl CollectiveCluster {
                         let hop = hops.get(hop_idx);
                         self.ensure_engine(bank, hop.src, hop.dst);
                         self.post_watched(bank, hop, &mut watch, hop_idx, 0)?;
-                        outstanding += 1;
                     }
                 }
-                if outstanding == 0 {
+                if watch.posted.is_empty() {
                     break;
                 }
                 if !self.cluster.pump_one() {
-                    return Err(format!("calendar drained with {outstanding} hops outstanding"));
+                    return Err(format!(
+                        "calendar drained with {} hops outstanding",
+                        watch.posted.len()
+                    ));
                 }
                 // Watchdog: deadlines are pinned on the calendar, so a
                 // wedged hop is noticed the moment the clock passes it —
@@ -612,39 +681,14 @@ impl CollectiveCluster {
                     }
                 }
                 for i in expired {
-                    let (id, attempts) = match &watch.state[i] {
-                        HopState::Posted { id, attempts, .. } => (*id, *attempts),
-                        _ => continue,
-                    };
-                    let h = hops.get(i);
-                    let pair = (h.src, h.dst);
-                    let Some(engine) = self.engine_mut(h.src, h.dst) else {
-                        continue; // engine already dropped; hop was written off
-                    };
-                    match engine.abandon(id) {
-                        Ok(false) => {
-                            // Completing (held or already delivered): give
-                            // it a fresh deadline and keep waiting.
-                            let deadline = now + self.hop_timeout(bank, h, 0);
-                            self.cluster.schedule_wakeup(deadline);
-                            watch.state[i] = HopState::Posted { id, deadline, attempts };
-                            watch.next_deadline = watch.next_deadline.min(deadline);
-                        }
-                        Ok(true) => {
-                            watch.posted.remove(&(pair.0, pair.1, id));
-                            self.note_failure(pair.0, pair.1);
-                            first_failure.get_or_insert(now);
-                            let endpoint_dead = self.cluster.node_is_down(pair.0)
-                                || self.cluster.node_is_down(pair.1);
-                            if !endpoint_dead && attempts < MAX_HOP_RETRIES {
-                                stats.hops_retried += 1;
-                                self.post_watched(bank, h, &mut watch, i, attempts + 1)?;
-                            } else {
-                                outstanding -=
-                                    cancel_cascade(&mut watch.state, &hops.dependents, i);
-                            }
-                        }
-                        Err(e) => return Err(format!("abandon hop {i} {pair:?}: {e}")),
+                    if self.tear_out(bank, &hops, &mut watch, &mut stats, i)? {
+                        stats.teardowns_on_deadline += 1;
+                    } else if let HopState::Posted { deadline, .. } = &mut watch.state[i] {
+                        // Completing (held or already delivered): give it a
+                        // fresh deadline and keep waiting.
+                        *deadline = now + self.hop_timeout(bank, hops.get(i), 0);
+                        self.cluster.schedule_wakeup(*deadline);
+                        watch.next_deadline = watch.next_deadline.min(*deadline);
                     }
                 }
             }
@@ -675,7 +719,7 @@ impl CollectiveCluster {
                 ));
             }
             stats.repairs += 1;
-            first_failure.get_or_insert(self.cluster.now());
+            watch.first_failure.get_or_insert(self.cluster.now());
             // The new root (min survivor) self-releases, like the compiled
             // root did.
             if dag.algorithm.collective() == Collective::Barrier {
@@ -696,7 +740,6 @@ impl CollectiveCluster {
                 self.ensure_engine(bank, hop.src, hop.dst);
                 if rem == 0 {
                     self.post_watched(bank, hop, &mut watch, i, 0)?;
-                    outstanding += 1;
                 }
             }
         }
@@ -710,7 +753,7 @@ impl CollectiveCluster {
             })
             .collect();
         let finished_at = deliveries.iter().flatten().copied().max().unwrap_or(started_at);
-        if let (Some(begin), Some(end)) = (first_failure, last_repair_delivery) {
+        if let (Some(begin), Some(end)) = (watch.first_failure, last_repair_delivery) {
             stats.repair_latency_us = end.saturating_since(begin).as_micros_f64();
         }
         Ok(Execution { started_at, finished_at, deliveries, grafts: hops.grafts, stats })
@@ -718,7 +761,9 @@ impl CollectiveCluster {
 
     /// Posts hop `i` (`h`) on its pair's engine — on a healing cluster with
     /// a watchdog deadline pinned on the calendar (`TIMEOUT_FACTOR ×` the
-    /// bank's uncontended prediction, doubled per prior attempt).
+    /// bank's uncontended prediction, doubled per prior attempt). An engine
+    /// that already excludes every rail parks the message and will raise no
+    /// failure for it, so the post itself is evidence.
     fn post_watched(
         &mut self,
         bank: &mut ProfileBank,
@@ -734,6 +779,9 @@ impl CollectiveCluster {
         let id = engine
             .post_send(h.bytes)
             .map_err(|e| format!("hop {i} ({}->{}): {e}", h.src, h.dst))?;
+        if engine.health().is_some_and(|t| t.selectable_count() == 0) {
+            watch.evidence.push((h.src, h.dst));
+        }
         let deadline = match timeout {
             Some(timeout) => {
                 let deadline = self.cluster.now() + timeout;
@@ -746,6 +794,43 @@ impl CollectiveCluster {
         watch.state[i] = HopState::Posted { id, deadline, attempts };
         watch.next_deadline = watch.next_deadline.min(deadline);
         Ok(())
+    }
+
+    /// Tears posted hop `i` out of its pair's engine — the one way a hop
+    /// leaves an engine early, whatever noticed it was stuck. Torn out, it
+    /// is reposted on its pair (≤ [`MAX_HOP_RETRIES`] times, never toward a
+    /// dead endpoint) or cancelled together with everything waiting on it.
+    /// `Ok(false)` when the engine says the message still completes there
+    /// (held or already delivered): the hop stays posted.
+    fn tear_out(
+        &mut self,
+        bank: &mut ProfileBank,
+        hops: &RunHops,
+        watch: &mut Watch,
+        stats: &mut RunStats,
+        i: usize,
+    ) -> Result<bool, String> {
+        let HopState::Posted { id, attempts, .. } = watch.state[i] else { return Ok(false) };
+        let h = hops.get(i);
+        let engine = self
+            .engine_mut(h.src, h.dst)
+            .ok_or_else(|| format!("hop {i}: no engine for pair ({}, {})", h.src, h.dst))?;
+        match engine.abandon(id) {
+            Ok(true) => {}
+            Ok(false) => return Ok(false),
+            Err(e) => return Err(format!("abandon hop {i} ({}->{}): {e}", h.src, h.dst)),
+        }
+        watch.posted.remove(&(h.src, h.dst, id));
+        self.note_failure(h.src, h.dst);
+        watch.first_failure.get_or_insert(self.cluster.now());
+        let endpoint_dead = self.cluster.node_is_down(h.src) || self.cluster.node_is_down(h.dst);
+        if !endpoint_dead && attempts < MAX_HOP_RETRIES {
+            stats.hops_retried += 1;
+            self.post_watched(bank, h, watch, i, attempts + 1)?;
+        } else {
+            cancel_cascade(&mut watch.state, &hops.dependents, i);
+        }
+        Ok(true)
     }
 
     /// Watchdog budget for one hop attempt.
@@ -801,12 +886,9 @@ fn original_role(algorithm: Algorithm, n: usize, idx: usize, hop: &Hop) -> HopRo
 /// Cancels hop `i` and every transitive dependent that can no longer run
 /// (a dep that will never deliver starves the whole downstream cone).
 /// Descendants are always `Pending` — a dependent is posted strictly after
-/// its deps deliver. Returns how many hops left the outstanding count:
-/// only *posted* hops are counted there, so pending descendants cancel
-/// without touching it.
-fn cancel_cascade(state: &mut [HopState], dependents: &Dependents, i: usize) -> usize {
+/// its deps deliver.
+fn cancel_cascade(state: &mut [HopState], dependents: &Dependents, i: usize) {
     let mut stack = vec![i];
-    let mut removed = 0;
     while let Some(j) = stack.pop() {
         let cancellable = match state.get(j) {
             Some(HopState::Pending) => true,
@@ -818,13 +900,9 @@ fn cancel_cascade(state: &mut [HopState], dependents: &Dependents, i: usize) -> 
         if !cancellable {
             continue;
         }
-        if matches!(state.get(j), Some(HopState::Posted { .. })) {
-            removed += 1;
-        }
         state[j] = HopState::Cancelled;
         stack.extend(dependents.of(j));
     }
-    removed
 }
 
 #[cfg(test)]
@@ -967,6 +1045,47 @@ mod tests {
                 assert_rows_match(&hops, &format!("{algorithm:?} n={n}, two grafts"));
             }
         }
+    }
+
+    #[test]
+    fn a_hop_posted_with_no_rail_left_toward_a_dead_node_is_torn_out_at_the_post() {
+        const DEAD: usize = 3;
+        let spec = ClusterSpec::homogeneous(4, 4, builtin::paper_testbed());
+        let forever = SimDuration::from_micros(10_000_000);
+        let schedule = ClusterFaultSchedule::new(1).with(nm_faults::ClusterFaultSpec::node_down(
+            DEAD,
+            SimTime::ZERO,
+            forever,
+        ));
+        let mut cc = CollectiveCluster::with_faults(spec.clone(), &schedule).expect("cluster");
+        let mut bank = ProfileBank::new(spec);
+        // Every send from the dead node is rejected by its downed ports: one
+        // failure quarantines a rail, and the retry that finds none parks.
+        cc.ensure_engine(&mut bank, DEAD, 0);
+        let warm = cc.engine_mut(DEAD, 0).expect("engine").post_send(MIB).expect("post");
+        loop {
+            let engine = cc.engine_mut(DEAD, 0).expect("engine");
+            engine.poll().expect("poll");
+            if engine.health().expect("healing").selectable_count() == 0 {
+                assert!(engine.abandon(warm).expect("abandon"), "the warm-up is parked");
+                break;
+            }
+            assert!(cc.cluster.pump_one(), "calendar dry with a rail still selectable");
+        }
+
+        // The flat barrier's arrival from the dead node goes onto that
+        // engine, which parks it and will raise no failure for it: only the
+        // post can tell. The first failure is the post instant, so repair
+        // latency is the whole makespan.
+        let dag = Algorithm::BarrierFlat.dag(4, 1);
+        let arrival = dag.hops.iter().position(|h| h.src == DEAD).expect("arrival from DEAD");
+        let res = cc.run(&mut bank, &dag).expect("barrier heals");
+        assert_eq!(res.deliveries[arrival], None);
+        assert_eq!(res.stats.teardowns_on_evidence, 1, "stats: {:?}", res.stats);
+        assert_eq!(res.stats.teardowns_on_deadline, 0, "stats: {:?}", res.stats);
+        assert_eq!(res.stats.repairs, 1);
+        assert_eq!(res.stats.repair_latency_us, res.duration_us);
+        assert!(res.duration_us < MIN_HOP_TIMEOUT_US, "{} us", res.duration_us);
     }
 
     #[test]
