@@ -124,7 +124,7 @@ const HETEROGENEOUS_8: [u64; 20] = [
 
 /// `(digest, hops executed, repairs)` of the healing barriers.
 const HEALING: [(u64, usize, u64); 2] =
-    [(0xffb4_651e_5cb6_54d3, 26, 1), (0xe3a0_bdce_2cea_273c, 58, 1)];
+    [(0xeebb_055a_2d22_c8a4, 26, 1), (0x2553_1384_62c0_218e, 58, 1)];
 
 #[test]
 fn sixteen_homogeneous_nodes_deliver_every_hop_at_the_pinned_instant() {
