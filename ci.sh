@@ -230,6 +230,9 @@ cargo test -q --release -p nm-tests --test split_differential -- --ignored match
 # The engine's observable stream (48 seeded fault/overload scripts) in
 # release mode too: optimisation must not move a digest.
 cargo test -q --release -p nm-core --test engine_stream_pin
+# The collectives' per-hop delivery digests likewise: the pair engines'
+# offload delays are `f64` arithmetic, which optimisation must not move.
+cargo test -q --release -p nm-collectives --test schedule_pin
 # And the poll-count pin: one outage ridden out in a few hundred polls.
 cargo test -q --release -p nm-core --test outage_polls
 

@@ -93,11 +93,12 @@ impl ProfileBank {
                 .map(|&r| spec.rails.get(r).expect("validated rail index").clone())
                 .collect::<Vec<_>>();
             let mut sampler = SimTransport::new(ClusterSpec::two_nodes(4, links.clone()));
-            // Sampler defaults (multi-iter, warmed): a 1-iter/0-warmup
-            // config fed the predictor cold-cache outliers, skewing the
-            // equal-completion splits and the crossover points the bench
-            // pins (issue #8).
-            let predictor = Predictor::sampled(&mut sampler, &SamplingConfig::default(), |i| {
+            // The twin is noiseless and builds a fresh simulator per
+            // measurement: warmup and repetitions would time the same
+            // instant again, so one iteration yields the defaults'
+            // predictor bit for bit.
+            let cfg = SamplingConfig { iters: 1, warmup: 0, ..Default::default() };
+            let predictor = Predictor::sampled(&mut sampler, &cfg, |i| {
                 links.get(i).expect("twin rail").rdv_threshold
             })
             .expect("sampling");
@@ -275,6 +276,33 @@ mod tests {
         );
         let p = bank.predictor_for_pair(0, 3);
         assert_eq!(p.rail_count(), 1, "pair predictor lives in the local rail space");
+    }
+
+    /// One iteration on the noiseless twin is the sampler defaults' result:
+    /// on each rail set a bank meets, its predictor equals the one a
+    /// warmed, five-iteration median campaign yields, bit for bit (`Debug`
+    /// prints every `f64` so that it round-trips).
+    #[test]
+    fn one_iteration_predictor_equals_the_default_campaign() {
+        let mut spec = ClusterSpec::homogeneous(4, 4, builtin::paper_testbed());
+        spec.nodes[1] = NodeSpec::with_cores(4).on_rails(vec![0]);
+        spec.nodes[2] = NodeSpec::with_cores(4).on_rails(vec![1]);
+        let mut bank = ProfileBank::new(spec.clone());
+        for (src, dst, rails) in [(0, 3, vec![0, 1]), (0, 1, vec![0]), (0, 2, vec![1])] {
+            let links: Vec<_> = rails.iter().map(|&r| spec.rails[r].clone()).collect();
+            let mut twin = SimTransport::new(ClusterSpec::two_nodes(4, links.clone()));
+            let defaults = Predictor::sampled(&mut twin, &SamplingConfig::default(), |i| {
+                links[i].rdv_threshold
+            })
+            .expect("sampling");
+            let set = bank.rail_set(src, dst);
+            assert_eq!(bank.rail_sets[set], rails);
+            assert_eq!(
+                format!("{:?}", bank.sampled(set).predictor),
+                format!("{defaults:?}"),
+                "rails {rails:?}"
+            );
+        }
     }
 
     #[test]

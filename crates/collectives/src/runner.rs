@@ -396,7 +396,7 @@ impl CollectiveCluster {
         }
         let driver = self.cluster.pair_driver(NodeId(src), NodeId(dst));
         let predictor = bank.predictor_for_pair(src, dst);
-        let mut engine = Engine::new(driver, predictor, StrategyKind::HeteroSplit.build())
+        let mut engine = Engine::new(driver, predictor, StrategyKind::MulticoreEager.build())
             .expect("engine construction");
         if self.healing {
             engine = engine
@@ -990,6 +990,38 @@ mod tests {
             cc2.run(&mut bank2, &Algorithm::BcastFlat.dag(2, 256 * KIB)).expect("run").duration_us
         };
         assert!(res.duration_us > single);
+    }
+
+    #[test]
+    fn an_eager_sized_hop_is_no_slower_than_the_best_single_rail() {
+        // The pair engines split an eager hop across both rails and copy
+        // each chunk on its own idle core; on one core the copies
+        // serialize and the split lost to the fastest rail alone (64 KiB:
+        // 86.4 µs against 81.4).
+        for bytes in [16 * KIB, 32 * KIB, 64 * KIB] {
+            let (mut cc, mut bank) = setup(2);
+            let hop = cc.run(&mut bank, &Algorithm::BcastFlat.dag(2, bytes)).expect("run");
+            let single = builtin::paper_testbed()
+                .iter()
+                .map(|l| l.one_way_us(bytes).get())
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                hop.duration_us <= single,
+                "{bytes} B: hop {} vs single rail {single}",
+                hop.duration_us
+            );
+        }
+    }
+
+    #[test]
+    fn an_eager_sized_alltoall_lands_near_its_prediction() {
+        // The bank predicts the equal-completion split over both rails,
+        // which only an engine that offloads the chunk copies approaches.
+        let (mut cc, mut bank) = setup(2);
+        let dag = Algorithm::AlltoallPairwise.dag(2, 16 * KIB);
+        let predicted = crate::cost::predict_dag_us(&mut bank, &dag);
+        let measured = cc.run(&mut bank, &dag).expect("run").duration_us;
+        assert!(measured <= 1.25 * predicted, "measured {measured} vs predicted {predicted}");
     }
 
     #[test]

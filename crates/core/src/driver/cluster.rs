@@ -530,13 +530,20 @@ impl SimCore {
                 Fate::Clean
             };
         }
+        // The engine names a chunk's receive core after the sender's offload
+        // core; a destination with fewer cores takes it modulo its own count.
+        let cores = self.sim.spec().nodes[dst.index()].cores;
+        let recv_core = match chunk.recv_core {
+            c if c.index() < cores => c,
+            c => CoreId(c.index() % cores),
+        };
         let id = self.sim.submit(SendSpec {
             src,
             dst,
             rail,
             size: chunk.bytes,
             send_core: chunk.send_core,
-            recv_core: chunk.recv_core,
+            recv_core,
             mode: chunk.mode,
             offload_delay: chunk.offload_delay,
             tag: slot as u32,
@@ -965,6 +972,26 @@ mod tests {
             b_driver.rail_busy_until(RailId(0)) > SimTime::ZERO,
             "sibling traffic must raise the shared NIC's busy-until"
         );
+    }
+
+    #[test]
+    fn an_offloaded_chunk_lands_on_a_core_its_destination_has() {
+        // The engine names the receive core after the sender's offload
+        // core: the split's second chunk leaves from core 1 of a 4-core
+        // node, which a 1-core destination does not have. The transport
+        // takes it modulo the destination's count instead of handing the
+        // simulator a core it rejects.
+        let spec = ClusterSpec {
+            nodes: vec![NodeSpec::with_cores(4), NodeSpec::with_cores(1)],
+            rails: builtin::paper_testbed(),
+            switch: None,
+        };
+        let cluster = SimCluster::new(spec);
+        let mut e = engine_on(&cluster, 0, 1, StrategyKind::MulticoreEager);
+        let id = e.post_send(16 * 1024).expect("post");
+        let done = e.wait(id).expect("wait");
+        assert_eq!(done.size, 16 * 1024);
+        assert!(e.stats().chunks_submitted > 1, "the message must be split across cores");
     }
 
     #[test]
