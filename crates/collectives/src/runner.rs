@@ -396,6 +396,8 @@ impl CollectiveCluster {
         }
         let driver = self.cluster.pair_driver(NodeId(src), NodeId(dst));
         let predictor = bank.predictor_for_pair(src, dst);
+        // An eager split pays only when its chunk copies run on different
+        // cores (DESIGN.md §14).
         let mut engine = Engine::new(driver, predictor, StrategyKind::MulticoreEager.build())
             .expect("engine construction");
         if self.healing {
@@ -995,9 +997,8 @@ mod tests {
     #[test]
     fn an_eager_sized_hop_is_no_slower_than_the_best_single_rail() {
         // The pair engines split an eager hop across both rails and copy
-        // each chunk on its own idle core; on one core the copies
-        // serialize and the split lost to the fastest rail alone (64 KiB:
-        // 86.4 µs against 81.4).
+        // each chunk on its own idle core; were the copies serialized on
+        // one core, the split would lose to the fastest rail alone.
         for bytes in [16 * KIB, 32 * KIB, 64 * KIB] {
             let (mut cc, mut bank) = setup(2);
             let hop = cc.run(&mut bank, &Algorithm::BcastFlat.dag(2, bytes)).expect("run");

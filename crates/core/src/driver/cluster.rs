@@ -843,9 +843,9 @@ mod tests {
         // profiles describe rails, not node counts.
         let two_node = ClusterSpec::two_nodes(4, spec.rails.clone());
         let mut sampler = nm_sampler::SimTransport::new(two_node);
-        // Sampler defaults: a 1-iter/0-warmup config seeds the predictor
-        // with cold-cache points and skews split decisions (issue #8).
-        let cfg = nm_sampler::SamplingConfig::default();
+        // One iteration: the twin is noiseless, so the defaults' warmup and
+        // repetitions would time the same instants again.
+        let cfg = nm_sampler::SamplingConfig { iters: 1, warmup: 0, ..Default::default() };
         crate::predictor::Predictor::sampled(&mut sampler, &cfg, |i| spec.rails[i].rdv_threshold)
             .expect("sampling")
     }

@@ -26,7 +26,7 @@ use nm_model::units::MIB;
 use nm_model::{SimDuration, SimTime};
 use nm_sim::{ClusterSpec, CoreId, RailId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const WORKERS: usize = 4;
 const CHURN_ROUNDS: u64 = 3_000;
@@ -57,6 +57,9 @@ fn racing_workers_never_use_an_unselectable_rail_or_a_stale_epoch() {
     let shared = SharedDecisionState::new(2);
     let stop = Arc::new(AtomicBool::new(false));
     let decisions = Arc::new(AtomicU64::new(0));
+    // The churn starts only once every worker is running, so it races them
+    // instead of finishing before a worker was scheduled at all.
+    let start = Arc::new(Barrier::new(WORKERS + 1));
 
     let workers: Vec<_> = (0..WORKERS)
         .map(|_| {
@@ -64,7 +67,9 @@ fn racing_workers_never_use_an_unselectable_rail_or_a_stale_epoch() {
             let predictor = Arc::clone(&predictor);
             let stop = Arc::clone(&stop);
             let decisions = Arc::clone(&decisions);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 let mut reader = shared.reader();
                 let mut strategy = StrategyKind::HeteroSplit.build();
                 let queued = [4u64 << 20];
@@ -113,6 +118,7 @@ fn racing_workers_never_use_an_unselectable_rail_or_a_stale_epoch() {
     let mut feedback_published = 0u64;
     let mut quarantines = 0u64;
     let mut readmissions = 0u64;
+    start.wait();
     for round in 0..CHURN_ROUNDS {
         let batch = churn_batch(round);
         for op in &batch {
