@@ -231,8 +231,10 @@ cargo test -q --release -p nm-tests --test split_differential -- --ignored match
 # release mode too: optimisation must not move a digest.
 cargo test -q --release -p nm-core --test engine_stream_pin
 # The collectives' per-hop delivery digests likewise: the pair engines'
-# offload delays are `f64` arithmetic, which optimisation must not move.
+# offload delays are `f64` arithmetic, which optimisation must not move —
+# nor the bank's quiet-hop predictions, which price the same delays.
 cargo test -q --release -p nm-collectives --test schedule_pin
+cargo test -q --release -p nm-collectives --test quiet_hop_prediction
 # And the poll-count pin: one outage ridden out in a few hundred polls.
 cargo test -q --release -p nm-core --test outage_polls
 

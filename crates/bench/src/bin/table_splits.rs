@@ -10,22 +10,10 @@ use nm_bench::{delivery_instants, sample_predictor, Table};
 use nm_core::predictor::Predictor;
 use nm_core::strategy::{Action, Ctx, StrategyKind};
 use nm_model::units::{KIB, MIB};
-use nm_model::SimTime;
-use nm_sim::{ClusterSpec, NodeId, RailId, SendSpec, Simulator};
+use nm_sim::{ClusterSpec, CoreId, NodeId, RailId, SendSpec, Simulator};
 
 fn chunks_for(kind: StrategyKind, predictor: &Predictor, size: u64) -> Vec<(RailId, u64)> {
-    let sizes = [size];
-    let waits = vec![0.0; predictor.rail_count()];
-    let ctx = Ctx {
-        now: SimTime::ZERO,
-        predictor,
-        rail_waits_us: &waits,
-        idle_cores: &[0, 1, 2, 3].map(nm_sim::CoreId),
-        core_count: 4,
-        queued_sizes: &sizes,
-        predictor_epoch: 0,
-    };
-    match kind.build().decide(&ctx) {
+    match kind.build().decide(&Ctx::quiet(predictor, &[0, 1, 2, 3].map(CoreId), &[size])) {
         Action::Split(chunks) => chunks.into_iter().map(|c| (c.rail, c.bytes)).collect(),
         other => panic!("expected a split, got {other:?}"),
     }

@@ -35,8 +35,8 @@ use nm_bench::sample_predictor;
 use nm_collectives::{Collective, Collectives, ALGORITHMS, BARRIER_BYTES};
 use nm_core::strategy::multicore::MulticoreEager;
 use nm_core::strategy::{Ctx, Strategy, StrategyKind};
+use nm_model::builtin;
 use nm_model::units::{KIB, MIB};
-use nm_model::{builtin, SimTime};
 use nm_sim::{ClusterSpec, CoreId};
 
 /// Counts every allocation; frees are irrelevant to the proof.
@@ -75,17 +75,9 @@ fn main() {
     let spec = ClusterSpec::paper_testbed();
     let predictor = sample_predictor(&spec);
     let mut strategy = MulticoreEager::new();
-    let waits = vec![0.0f64; predictor.rail_count()];
     let queued = [64 * KIB]; // eager on every paper rail (threshold 128 KiB)
-    let ctx = Ctx {
-        now: SimTime::ZERO,
-        predictor: &predictor,
-        rail_waits_us: &waits,
-        idle_cores: &[0, 1, 2, 3].map(CoreId),
-        core_count: 4,
-        queued_sizes: &queued,
-        predictor_epoch: 0,
-    };
+    let cores = [0, 1, 2, 3].map(CoreId);
+    let ctx = Ctx::quiet(&predictor, &cores, &queued);
 
     // Cold call: primes the plan cache and may allocate.
     let cold = strategy.decide(&ctx);

@@ -5,7 +5,7 @@
 //! LogGP-flavoured machine model derived from sampled profiles:
 //!
 //! * `T(src,dst,b)` — [`ProfileBank::hop_time_us`], the full one-way time
-//!   of `b` bytes on the pair's best equal-completion split;
+//!   of `b` bytes as the pair strategy sends them on a quiet pair;
 //! * `L(src,dst)` — [`ProfileBank::hop_latency_us`], the latency floor;
 //! * `o = max(T − L, 0)` — the occupancy part: how long the hop ties up
 //!   the sender's (and receiver's) NICs/cores, i.e. the serialization a

@@ -6,13 +6,17 @@
 //! set (natural + forced-eager profiles per rail, exactly what a session
 //! does at init) and reuses it for every pair with that rail set — on a
 //! homogeneous cluster that is a single sampling run however many nodes
-//! exist.
+//! exist. A hop's time is the pair strategy's own plan for it, priced.
 
 use nm_core::predictor::Predictor;
-use nm_core::split::equal_completion_split;
+use nm_core::strategy::{Action, Ctx, StrategyKind};
 use nm_sampler::{SamplingConfig, SimTransport};
-use nm_sim::{ClusterSpec, RailId};
+use nm_sim::{ClusterSpec, CoreId};
 use std::collections::HashMap;
+
+/// The strategy every pair engine runs and the bank asks: an eager split
+/// pays only when its chunk copies run on different cores (DESIGN.md §14).
+pub(crate) const PAIR_STRATEGY: StrategyKind = StrategyKind::MulticoreEager;
 
 /// Hop times the memo holds before it is emptied and refilled. A workload
 /// asks for a handful of `(rail set, size)` points, over and over; the cap
@@ -29,11 +33,11 @@ struct Sampled {
 /// Sampled cost knowledge for every node pair of one cluster spec.
 ///
 /// Answering "how long does this hop take" is a table lookup: each pair
-/// is resolved to its rail set once, at construction, and the
-/// equal-completion dichotomy behind [`ProfileBank::hop_time_us`] runs
-/// once per distinct `(rail set, size)` — on a homogeneous cluster every
-/// hop of an all-to-all asks the same question, and the DAG cost model asks
-/// it for every candidate algorithm of every operation.
+/// is resolved to its rail set once, at construction, and the strategy's
+/// decision behind [`ProfileBank::hop_time_us`] runs once per distinct
+/// `(rail set, source cores, size)` — on a homogeneous cluster every hop of
+/// an all-to-all asks the same question, and the DAG cost model asks it for
+/// every candidate algorithm of every operation.
 pub struct ProfileBank {
     spec: ClusterSpec,
     /// The distinct (ascending) physical common-rail sets of the spec's
@@ -43,9 +47,9 @@ pub struct ProfileBank {
     pair_set: Vec<usize>,
     /// Per rail set, filled by the first question about it.
     sampled: Vec<Option<Sampled>>,
-    /// `(rail-set index, bytes)` → [`ProfileBank::hop_time_us`]. Point
-    /// lookups only: hash order never reaches a result.
-    hop_times: HashMap<(usize, u64), f64>,
+    /// `(rail set, source cores, bytes)` → [`ProfileBank::hop_time_us`], in
+    /// 16 bytes. Point lookups only: hash order never reaches a result.
+    hop_times: HashMap<(u32, u32, u64), f64>,
 }
 
 impl ProfileBank {
@@ -55,17 +59,15 @@ impl ProfileBank {
         assert!(spec.validate().is_ok(), "invalid cluster spec");
         let n = spec.nodes.len();
         let mut rail_sets: Vec<Vec<usize>> = Vec::new();
-        let mut pair_set = Vec::with_capacity(n * n);
-        for src in 0..n {
-            for dst in 0..n {
-                let rails = spec.common_rails(src, dst);
-                let set = rail_sets.iter().position(|s| *s == rails).unwrap_or_else(|| {
+        let pair_set = (0..n * n)
+            .map(|pair| {
+                let rails = spec.common_rails(pair / n, pair % n);
+                rail_sets.iter().position(|s| *s == rails).unwrap_or_else(|| {
                     rail_sets.push(rails);
                     rail_sets.len() - 1
-                });
-                pair_set.push(set);
-            }
-        }
+                })
+            })
+            .collect();
         let sampled = rail_sets.iter().map(|_| None).collect();
         ProfileBank { spec, rail_sets, pair_set, sampled, hop_times: HashMap::new() }
     }
@@ -88,20 +90,15 @@ impl ProfileBank {
         self.sampled[set].get_or_insert_with(|| {
             // A private two-node twin with only the shared links: local
             // rail i of the pair is twin rail i.
-            let links = rails
-                .iter()
-                .map(|&r| spec.rails.get(r).expect("validated rail index").clone())
-                .collect::<Vec<_>>();
+            let links: Vec<_> = rails.iter().map(|&r| spec.rails[r].clone()).collect();
             let mut sampler = SimTransport::new(ClusterSpec::two_nodes(4, links.clone()));
             // The twin is noiseless and builds a fresh simulator per
             // measurement: warmup and repetitions would time the same
             // instant again, so one iteration yields the defaults'
             // predictor bit for bit.
             let cfg = SamplingConfig { iters: 1, warmup: 0, ..Default::default() };
-            let predictor = Predictor::sampled(&mut sampler, &cfg, |i| {
-                links.get(i).expect("twin rail").rdv_threshold
-            })
-            .expect("sampling");
+            let predictor = Predictor::sampled(&mut sampler, &cfg, |i| links[i].rdv_threshold)
+                .expect("sampling");
             let latency_us = predictor
                 .rails()
                 .iter()
@@ -116,24 +113,31 @@ impl ProfileBank {
     /// Panics when the pair shares no rail — the same condition the driver
     /// rejects.
     pub fn predictor_for_pair(&mut self, src: usize, dst: usize) -> Predictor {
-        let set = self.rail_set(src, dst);
-        self.sampled(set).predictor.clone()
+        self.sampled(self.rail_set(src, dst)).predictor.clone()
     }
 
-    /// Predicted best-effort time (µs) for `bytes` between `src` and
-    /// `dst`: the equal-completion split over every shared rail, all idle —
-    /// what the engine's hetero-split achieves on an uncontended pair.
+    /// Predicted µs for `bytes` from `src` to `dst` on a quiet pair: the plan
+    /// [`PAIR_STRATEGY`] makes with `src`'s cores idle, priced as the engine does.
     // nm-analyzer: allow(unit-bare) -- µs-f64 numeric core of the DAG cost
     // model, beneath the typed Micros boundary
     pub fn hop_time_us(&mut self, src: usize, dst: usize, bytes: u64) -> f64 {
-        let key = (self.rail_set(src, dst), bytes.max(1));
+        let (set, cores) = (self.rail_set(src, dst), self.spec.nodes[src].cores);
+        let key = (set as u32, cores as u32, bytes.max(1));
         if let Some(&t) = self.hop_times.get(&key) {
             return t;
         }
-        let p = &self.sampled(key.0).predictor;
-        let candidates: Vec<(RailId, f64)> =
-            (0..p.rail_count()).map(|i| (RailId(i), 0.0)).collect();
-        let t = equal_completion_split(&p.natural_cost(), &candidates, key.1).completion_us;
+        let idle: Vec<CoreId> = (0..cores).map(CoreId).collect();
+        let predictor = &self.sampled(set).predictor;
+        // Built per question: plan caches key on the predictor's epoch, not
+        // on the predictor, so an instance kept across rail sets mixes plans.
+        let mut strategy = PAIR_STRATEGY.build();
+        let Action::Split(plan) = strategy.decide(&Ctx::quiet(predictor, &idle, &[key.2])) else {
+            panic!("a lone message on a quiet pair is sent at once");
+        };
+        let t = plan.iter().fold(0.0, |t: f64, c| {
+            let rail = predictor.rail(c.rail);
+            t.max(c.offload_delay.as_micros_f64() + rail.profile(c.mode).predict_us(c.bytes))
+        });
         if self.hop_times.len() >= HOP_MEMO_CAP {
             self.hop_times.clear();
         }
@@ -148,8 +152,7 @@ impl ProfileBank {
     // nm-analyzer: allow(unit-bare) -- µs-f64 numeric core of the DAG cost
     // model, beneath the typed Micros boundary
     pub fn hop_latency_us(&mut self, src: usize, dst: usize) -> f64 {
-        let set = self.rail_set(src, dst);
-        self.sampled(set).latency_us
+        self.sampled(self.rail_set(src, dst)).latency_us
     }
 }
 
@@ -157,7 +160,7 @@ impl ProfileBank {
 mod tests {
     use super::*;
     use nm_model::builtin;
-    use nm_model::units::MIB;
+    use nm_model::units::{KIB, MIB};
     use nm_sim::NodeSpec;
     use proptest::prelude::*;
 
@@ -171,21 +174,20 @@ mod tests {
         spec
     }
 
-    /// The hop time as it was computed before the memo: straight from the
-    /// pair's predictor, one dichotomy per question.
-    fn uncached_hop_time_us(bank: &mut ProfileBank, src: usize, dst: usize, bytes: u64) -> f64 {
-        let p = bank.predictor_for_pair(src, dst);
-        let candidates: Vec<(RailId, f64)> =
-            (0..p.rail_count()).map(|i| (RailId(i), 0.0)).collect();
-        equal_completion_split(&p.natural_cost(), &candidates, bytes.max(1)).completion_us
+    /// The spec of `one_iteration_predictor_equals_the_default_campaign`:
+    /// node 1 on rail 0 only, node 2 on rail 1 only — two one-rail sets
+    /// beside the two-rail one.
+    fn split_rails() -> ClusterSpec {
+        let mut spec = ClusterSpec::homogeneous(4, 4, builtin::paper_testbed());
+        spec.nodes[1] = NodeSpec::with_cores(4).on_rails(vec![0]);
+        spec.nodes[2] = NodeSpec::with_cores(4).on_rails(vec![1]);
+        spec
     }
 
-    fn uncached_hop_latency_us(bank: &mut ProfileBank, src: usize, dst: usize) -> f64 {
-        bank.predictor_for_pair(src, dst)
-            .rails()
-            .iter()
-            .map(|r| r.natural.predict_us(r.natural.sampled_range().0))
-            .fold(f64::INFINITY, f64::min)
+    /// `(T, L)` of one pair from a bank asked nothing before.
+    fn fresh_answer(spec: &ClusterSpec, src: usize, dst: usize, bytes: u64) -> (u64, u64) {
+        let mut fresh = ProfileBank::new(spec.clone());
+        (fresh.hop_time_us(src, dst, bytes).to_bits(), fresh.hop_latency_us(src, dst).to_bits())
     }
 
     proptest! {
@@ -198,8 +200,8 @@ mod tests {
             partial in any::<bool>(),
             queries in proptest::collection::vec((0usize..16, 1usize..16, 0u64..(8 * MIB)), 1..48),
         ) {
-            let mut warm = ProfileBank::new(sixteen(partial));
-            let mut fresh = ProfileBank::new(sixteen(partial));
+            let spec = sixteen(partial);
+            let mut warm = ProfileBank::new(spec.clone());
             // Asked forwards, then again backwards: every answer but the
             // first comes after others, most of them from the memo.
             for &(src, step, bytes) in queries.iter().chain(queries.iter().rev()) {
@@ -207,15 +209,44 @@ mod tests {
                 let t = warm.hop_time_us(src, dst, bytes);
                 let l = warm.hop_latency_us(src, dst);
                 prop_assert_eq!(
-                    t.to_bits(), uncached_hop_time_us(&mut fresh, src, dst, bytes).to_bits(),
-                    "T({}, {}, {})", src, dst, bytes
-                );
-                prop_assert_eq!(
-                    l.to_bits(), uncached_hop_latency_us(&mut fresh, src, dst).to_bits(),
-                    "L({}, {})", src, dst
+                    (t.to_bits(), l.to_bits()), fresh_answer(&spec, src, dst, bytes),
+                    "T, L({}, {}, {})", src, dst, bytes
                 );
             }
-            prop_assert!(fresh.hop_times.is_empty(), "the oracle must not touch the memo");
+        }
+    }
+
+    /// One bank asked about every sharing pair answers each as a fresh bank
+    /// does: no rail set is handed another's plan. On `split_rails` the
+    /// two one-rail sets are of different rails; on three rails, nodes 1
+    /// and 2 make two different two-rail sets with node 0, whose plans a
+    /// strategy shared across sets would confuse.
+    #[test]
+    fn rail_sets_never_share_a_plan() {
+        let mut three = ClusterSpec::homogeneous(
+            4,
+            4,
+            vec![builtin::myri_10g(), builtin::qsnet2(), builtin::ib_ddr()],
+        );
+        three.nodes[1] = NodeSpec::with_cores(4).on_rails(vec![0, 1]);
+        three.nodes[2] = NodeSpec::with_cores(4).on_rails(vec![0, 2]);
+        for spec in [split_rails(), three] {
+            let mut warm = ProfileBank::new(spec.clone());
+            let pairs: Vec<(usize, usize)> = (0..4)
+                .flat_map(|s| (0..4).map(move |d| (s, d)))
+                .filter(|&(s, d)| s != d && !spec.common_rails(s, d).is_empty())
+                .collect();
+            for bytes in [8, 4 * KIB, 16 * KIB, 64 * KIB, 200 * KIB, MIB] {
+                for &(src, dst) in &pairs {
+                    let t = warm.hop_time_us(src, dst, bytes);
+                    let l = warm.hop_latency_us(src, dst);
+                    assert_eq!(
+                        (t.to_bits(), l.to_bits()),
+                        fresh_answer(&spec, src, dst, bytes),
+                        "T, L({src}, {dst}, {bytes})"
+                    );
+                }
+            }
         }
     }
 
@@ -284,9 +315,7 @@ mod tests {
     /// prints every `f64` so that it round-trips).
     #[test]
     fn one_iteration_predictor_equals_the_default_campaign() {
-        let mut spec = ClusterSpec::homogeneous(4, 4, builtin::paper_testbed());
-        spec.nodes[1] = NodeSpec::with_cores(4).on_rails(vec![0]);
-        spec.nodes[2] = NodeSpec::with_cores(4).on_rails(vec![1]);
+        let spec = split_rails();
         let mut bank = ProfileBank::new(spec.clone());
         for (src, dst, rails) in [(0, 3, vec![0, 1]), (0, 1, vec![0]), (0, 2, vec![1])] {
             let links: Vec<_> = rails.iter().map(|&r| spec.rails[r].clone()).collect();

@@ -46,14 +46,13 @@
 //! on whom is one compressed table (`Dependents`) rebuilt per run and per
 //! repair round.
 
-use crate::profiles::ProfileBank;
+use crate::profiles::{ProfileBank, PAIR_STRATEGY};
 use crate::repair::{self, HopRole, RepairHop};
 use crate::schedule::{Algorithm, Collective, Hop, HopDag};
 use nm_core::driver::cluster::{PairDriver, SimCluster};
 use nm_core::engine::{Engine, MsgId};
 use nm_core::error::EngineError;
 use nm_core::health::HealthConfig;
-use nm_core::strategy::StrategyKind;
 use nm_faults::ClusterFaultSchedule;
 use nm_model::{SimDuration, SimTime};
 use nm_sim::{ClusterSpec, NodeId};
@@ -396,10 +395,8 @@ impl CollectiveCluster {
         }
         let driver = self.cluster.pair_driver(NodeId(src), NodeId(dst));
         let predictor = bank.predictor_for_pair(src, dst);
-        // An eager split pays only when its chunk copies run on different
-        // cores (DESIGN.md §14).
-        let mut engine = Engine::new(driver, predictor, StrategyKind::MulticoreEager.build())
-            .expect("engine construction");
+        let mut engine =
+            Engine::new(driver, predictor, PAIR_STRATEGY.build()).expect("engine construction");
         if self.healing {
             engine = engine
                 .with_fault_tolerance(HealthConfig::default())

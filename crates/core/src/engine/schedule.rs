@@ -9,7 +9,7 @@ use crate::error::EngineError;
 use crate::predictor::Predictor;
 use crate::strategy::{Action, ChunkList, Ctx, Strategy};
 use crate::transport::{ChunkSubmit, Transport};
-use nm_model::{SimDuration, SimTime, TransferMode};
+use nm_model::{SimDuration, SimTime};
 use nm_proto::aggregate::{AggEntry, Aggregator, ENTRY_OVERHEAD};
 use nm_sim::{CoreId, RailId};
 
@@ -337,11 +337,7 @@ impl<T: Transport> Engine<T> {
         let rail = submit.rail;
         let now = self.transport.now();
         let wait_us = Predictor::wait_us(now, self.transport.rail_busy_until(rail));
-        let view = self.predictor.rail(rail);
-        let duration_us = match submit.mode {
-            Some(TransferMode::Eager) => view.eager.predict_us(submit.bytes),
-            _ => view.natural.predict_us(submit.bytes),
-        };
+        let duration_us = self.predictor.rail(rail).profile(submit.mode).predict_us(submit.bytes);
         let predicted =
             now + submit.offload_delay + SimDuration::from_micros_f64(wait_us + duration_us);
         let resubmittable = self.health.is_some() && !matches!(owner, ChunkOwner::Probe);

@@ -33,6 +33,18 @@ pub struct RailView {
     pub rdv_threshold: u64,
 }
 
+impl RailView {
+    /// The profile that prices a chunk sent in `mode`: an eager-forced
+    /// chunk on the eager profile, anything else on the natural one.
+    #[must_use]
+    pub fn profile(&self, mode: Option<TransferMode>) -> &PerfProfile {
+        match mode {
+            Some(TransferMode::Eager) => &self.eager,
+            _ => &self.natural,
+        }
+    }
+}
+
 /// A per-rail cost oracle: the interface the split/selection algorithms
 /// need. Implemented by the predictor's natural and eager views.
 pub trait CostModel {

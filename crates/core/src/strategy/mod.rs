@@ -59,7 +59,30 @@ pub struct Ctx<'a> {
     pub predictor_epoch: u64,
 }
 
-impl Ctx<'_> {
+/// Every rail's wait in a quiet context: no NIC is busy.
+static QUIET_WAITS_US: [f64; MAX_RAILS] = [0.0; MAX_RAILS];
+
+impl<'a> Ctx<'a> {
+    /// A context at time zero on a quiet node: every NIC idle, the listed
+    /// cores idle and the only ones there are, and the predictor at epoch
+    /// zero. What a strategy decides here is what it does on an
+    /// uncontended pair.
+    pub fn quiet(
+        predictor: &'a Predictor,
+        idle_cores: &'a [CoreId],
+        queued_sizes: &'a [u64],
+    ) -> Self {
+        Ctx {
+            now: SimTime::ZERO,
+            predictor,
+            rail_waits_us: &QUIET_WAITS_US[..predictor.rail_count()],
+            idle_cores,
+            core_count: idle_cores.len(),
+            queued_sizes,
+            predictor_epoch: 0,
+        }
+    }
+
     /// Size of the head message.
     pub fn head_size(&self) -> u64 {
         self.queued_sizes[0]
