@@ -285,6 +285,18 @@ mod tests {
     }
 
     #[test]
+    fn only_an_eager_chunk_is_priced_on_the_eager_profile() {
+        let mut view = affine_rail(0, "x", 3.0, 1000.0);
+        view.eager = affine_rail(0, "x", 5.0, 1000.0).eager;
+        let price = |mode| view.profile(mode).predict_us(4096);
+        assert_eq!(price(Some(TransferMode::Eager)), view.eager.predict_us(4096));
+        for natural in [None, Some(TransferMode::Rendezvous)] {
+            assert_eq!(price(natural), view.natural.predict_us(4096));
+        }
+        assert!(price(Some(TransferMode::Eager)) > price(None));
+    }
+
+    #[test]
     fn wait_us_saturates() {
         let now = SimTime::from_micros(100);
         assert_eq!(Predictor::wait_us(now, SimTime::from_micros(130)), 30.0);

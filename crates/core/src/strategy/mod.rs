@@ -318,5 +318,9 @@ mod tests {
         assert_eq!(ctx.rail_candidates(), vec![(RailId(0), 0.0), (RailId(1), 50.0)]);
         assert!(ctx.is_eager(RailId(0), 1000));
         assert!(!ctx.is_eager(RailId(0), 1 << 20));
+
+        let quiet = Ctx::quiet(&p, &[CoreId(0), CoreId(1)], &sizes);
+        assert_eq!(quiet.idle_rails(), vec![RailId(0), RailId(1)]);
+        assert_eq!((quiet.now, quiet.core_count, quiet.predictor_epoch), (SimTime::ZERO, 2, 0));
     }
 }
