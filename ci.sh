@@ -5,8 +5,8 @@ cd "$(dirname "$0")"
 
 # The machine-readable artifacts that hold host-measured numbers (analyzer
 # report, scaling bench) are gated on key presence; the virtual-time BENCH
-# files are byte-compared with their committed copy instead, which
-# subsumes it.
+# files are byte-compared with their committed copy by `repro check`
+# instead, which subsumes it.
 check_bench_schema() {
     local file="$1"
     shift
@@ -17,17 +17,6 @@ check_bench_schema() {
             exit 1
         }
     done
-}
-
-# The virtual-time harnesses below are deterministic: regenerating their
-# committed BENCH file must reproduce it byte for byte. A diff means a
-# schedule, split or fault outcome moved — never acceptable as a side
-# effect (a PR that means to move one commits the new file).
-check_bench_unchanged() {
-    git diff --exit-code -- "$1" || {
-        echo "$1 no longer regenerates byte-identical" >&2
-        exit 1
-    }
 }
 
 # One simulated transport, one fault model: exactly one file in nm-core may
@@ -246,20 +235,20 @@ cargo run --release -p nm-bench --bin perf -- --quick
 # Offload-cost smoke lane: the T_O harness on real threads. It asserts its
 # own route counts (every idle probe unsignaled, every probe behind the gate
 # signaled); the latencies it prints are host-measured and not gated.
-cargo run --release -p nm-bench --bin table_offload
+cargo run --release -p nm-bench --bin repro -- table_offload
 
-# Resilience harness: deterministic seeded chaos run.
-cargo run --release -p nm-bench --bin resilience -- --seed 42
-check_bench_unchanged BENCH_resilience.json
-
-# Overload harness: deterministic admission-control sweep.
-cargo run --release -p nm-bench --bin overload -- --seed 42
-check_bench_unchanged BENCH_overload.json
+# Every deterministic artifact — the figure and table goldens, the
+# ablations, the sampling tool and the four virtual-time BENCH files —
+# regenerated in-process at seed 42 and byte-compared with its committed
+# copy, in release mode too: optimisation must not move a byte. A diff
+# means a schedule, split or fault outcome moved — never acceptable as a
+# side effect (a PR that means to move one commits the new file).
+cargo run --release -p nm-bench --bin repro -- check
 
 # Multicore scaling harness: replicated decision state vs the locked
 # baseline under health churn (its `decide_only_ns` reference and both
 # baselines are timed in the one process, so host drift cancels).
-cargo run --release -p nm-bench --bin scaling
+cargo run --release -p nm-bench --bin repro -- scaling
 check_bench_schema BENCH_scaling.json \
     bench msg_bytes cores_available worker_counts decide_only_ns \
     replicated_ns_per_decision_1w replica_read_overhead_pct \
@@ -267,16 +256,3 @@ check_bench_schema BENCH_scaling.json \
     replicated_ops_per_sec locked_ops_per_sec \
     modeled_replicated_ops_per_sec modeled_locked_ops_per_sec \
     speedup_4w_vs_locked_1w speedup_source ops_appended replica_resyncs
-
-# Collectives harness: prediction-driven algorithm selection over the
-# N-node cluster model, completion vs node count 2..32 per primitive,
-# predicted/measured crossover points. Deterministic (virtual time only),
-# so the numbers are reproducible bit-for-bit.
-cargo run --release -p nm-bench --bin collectives
-check_bench_unchanged BENCH_collectives.json
-
-# Cluster-resilience harness: seeded mid-operation node death + neighbour
-# port kill at 8/16/32 nodes; the collectives must self-heal (watchdog +
-# DAG repair) with byte-identical recovery stats.
-cargo run --release -p nm-bench --bin cluster_resilience -- --seed 42
-check_bench_unchanged BENCH_cluster_resilience.json

@@ -8,7 +8,8 @@
 //! serializes PIO copies on the single posting core; multicore-eager uses
 //! idle cores.
 
-use nm_bench::{paper_engine, Table};
+use crate::{Args, Output, Table};
+use nm_bench::paper_engine;
 use nm_core::strategy::StrategyKind;
 use nm_model::units::format_size;
 
@@ -21,9 +22,10 @@ fn rate_msgs_per_sec(kind: StrategyKind, size: u64, count: usize) -> f64 {
     count as f64 / (end_us / 1e6)
 }
 
-fn main() {
-    println!("# Ablation: small-message rate, burst of 64 messages (msgs/s)");
-    println!("# paper SII: spreading packets across networks raises message rate\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Ablation: small-message rate, burst of 64 messages (msgs/s)");
+    outln!(out, "# paper SII: spreading packets across networks raises message rate\n");
 
     let strategies = [
         ("single", StrategyKind::SingleRail(None)),
@@ -47,7 +49,8 @@ fn main() {
         row.push(best.into());
         table.row(row);
     }
-    table.print();
-    println!("\n# aggregation dominates tiny messages (one packet, one overhead);");
-    println!("# the gap narrows as per-message copies start to dominate");
+    out.push_str(&table.render());
+    outln!(out, "\n# aggregation dominates tiny messages (one packet, one overhead);");
+    outln!(out, "# the gap narrows as per-message copies start to dominate");
+    out.into()
 }

@@ -6,14 +6,16 @@
 //! messages across cores start to win (equation 1), and what is the gain
 //! at 64 KB?
 
-use nm_bench::{sample_predictor, Table};
+use crate::{Args, Output, Table};
+use nm_bench::sample_predictor;
 use nm_core::estimate::estimate_eager_split;
 use nm_model::units::{format_size, pow2_sizes, Micros, KIB};
 use nm_sim::ClusterSpec;
 
-fn main() {
-    println!("# Ablation: split profitability vs offload cost T_O (equation 1)");
-    println!("# paper operating points: T_O = 3us (tasklet), 6us (signal)\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Ablation: split profitability vs offload cost T_O (equation 1)");
+    outln!(out, "# paper operating points: T_O = 3us (tasklet), 6us (signal)\n");
 
     let predictor = sample_predictor(&ClusterSpec::paper_testbed());
     let mut table = Table::new(&["T_O (us)", "break-even size", "gain @16K", "gain @64K"]);
@@ -30,7 +32,8 @@ fn main() {
             format!("{:+.1}%", g64 * 100.0),
         ]);
     }
-    table.print();
-    println!("\n# lower T_O pushes the break-even toward smaller messages —");
-    println!("# the paper's motivation for optimizing its synchronization path");
+    out.push_str(&table.render());
+    outln!(out, "\n# lower T_O pushes the break-even toward smaller messages —");
+    outln!(out, "# the paper's motivation for optimizing its synchronization path");
+    out.into()
 }

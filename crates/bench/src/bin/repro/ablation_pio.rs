@@ -10,7 +10,7 @@
 //! The paper's claim: (b) beats (a); (c) beats both once messages are big
 //! enough to amortize T_O. The sweep shows where (c) takes over.
 
-use nm_bench::{delivery_instants, Table};
+use crate::{delivery_instants, Args, Output, Table};
 use nm_model::units::{format_size, pow2_sizes, KIB};
 use nm_model::{SimDuration, TransferMode};
 use nm_proto::aggregate::ENTRY_OVERHEAD;
@@ -63,9 +63,10 @@ fn scenario_c_offloaded(seg: u64) -> f64 {
     completion(&mut sim, &[a, b])
 }
 
-fn main() {
-    println!("# Ablation (Fig 4): PIO transfer combinations, two eager segments");
-    println!("# (a) greedy 1 core | (b) aggregated | (c) offloaded on 2 cores, T_O=3us\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Ablation (Fig 4): PIO transfer combinations, two eager segments");
+    outln!(out, "# (a) greedy 1 core | (b) aggregated | (c) offloaded on 2 cores, T_O=3us\n");
 
     let mut table =
         Table::new(&["segment", "(a) greedy", "(b) aggregate", "(c) offload", "winner"]);
@@ -88,6 +89,7 @@ fn main() {
             winner.into(),
         ]);
     }
-    table.print();
-    println!("\n# expected: (b) wins for small segments, (c) for medium, never (a)");
+    out.push_str(&table.render());
+    outln!(out, "\n# expected: (b) wins for small segments, (c) for medium, never (a)");
+    out.into()
 }

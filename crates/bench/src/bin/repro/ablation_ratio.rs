@@ -5,15 +5,17 @@
 //! recomputes per size from the sampled profiles. This sweep reports both
 //! ratios and the completion penalty of using the static one.
 
-use nm_bench::{one_way_us, sample_predictor, Table};
+use crate::{Args, Output, Table};
+use nm_bench::{one_way_us, sample_predictor};
 use nm_core::split::dichotomy_split;
 use nm_core::strategy::StrategyKind;
 use nm_model::units::{format_size, pow2_sizes, KIB, MIB};
 use nm_sim::{ClusterSpec, RailId};
 
-fn main() {
-    println!("# Ablation (SII-A): per-size dichotomy vs static bandwidth ratio");
-    println!("# ratio shown is the Myri-10G share of the message\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Ablation (SII-A): per-size dichotomy vs static bandwidth ratio");
+    outln!(out, "# ratio shown is the Myri-10G share of the message\n");
 
     let predictor = sample_predictor(&ClusterSpec::paper_testbed());
     let cost = predictor.natural_cost();
@@ -46,7 +48,8 @@ fn main() {
             format!("{:+.1}%", (t_static / t_hetero - 1.0) * 100.0),
         ]);
     }
-    table.print();
-    println!("\n# the dichotomy ratio drifts with size (latency terms, protocol");
-    println!("# regimes); the static ratio is only right asymptotically");
+    out.push_str(&table.render());
+    outln!(out, "\n# the dichotomy ratio drifts with size (latency terms, protocol");
+    outln!(out, "# regimes); the static ratio is only right asymptotically");
+    out.into()
 }

@@ -6,7 +6,8 @@
 //! pays the wait. The table shows per-strategy completion vs `w` and the
 //! busy rail's share under hetero.
 
-use nm_bench::{delivery_instants, sample_predictor, Table};
+use crate::{delivery_instants, Args, Output, Table};
+use nm_bench::sample_predictor;
 use nm_core::predictor::Predictor;
 use nm_core::selection::select_rails;
 use nm_model::units::MIB;
@@ -47,9 +48,10 @@ fn static_layout(size: u64) -> Vec<(RailId, u64)> {
         .collect()
 }
 
-fn main() {
-    println!("# Ablation (Fig 2): selection with vs without busy-until knowledge");
-    println!("# 1 MiB message; Myri-10G NIC pre-busied for w us\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Ablation (Fig 2): selection with vs without busy-until knowledge");
+    outln!(out, "# 1 MiB message; Myri-10G NIC pre-busied for w us\n");
 
     let predictor = sample_predictor(&ClusterSpec::paper_testbed());
     let size = MIB;
@@ -77,7 +79,8 @@ fn main() {
             format!("{:+.0}%", (t_static / t_hetero - 1.0) * 100.0),
         ]);
     }
-    table.print();
-    println!("\n# as w grows, hetero shifts bytes off the busy rail (share -> 0%)");
-    println!("# while the static ratio keeps paying the wait");
+    out.push_str(&table.render());
+    outln!(out, "\n# as w grows, hetero shifts bytes off the busy rail (share -> 0%)");
+    outln!(out, "# while the static ratio keeps paying the wait");
+    out.into()
 }

@@ -4,7 +4,8 @@
 //! (c) equal-*completion* chunks. Reported per message size: completion
 //! time and the idle tail of the faster rail (zero only for (c)).
 
-use nm_bench::{one_way_us, paper_engine_kind, Table};
+use crate::{Args, Output, Table};
+use nm_bench::{one_way_us, paper_engine_kind};
 use nm_core::strategy::StrategyKind;
 use nm_model::units::{format_size, pow2_sizes, MIB};
 use nm_sim::RailId;
@@ -16,8 +17,9 @@ fn chunks_used(kind: StrategyKind, size: u64) -> Vec<(RailId, u64)> {
     engine.wait(id).expect("wait").chunks
 }
 
-fn main() {
-    println!("# Ablation (Fig 1): no split vs iso-split vs hetero-split\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Ablation (Fig 1): no split vs iso-split vs hetero-split\n");
 
     let mut table = Table::new(&[
         "size",
@@ -46,7 +48,8 @@ fn main() {
             format!("{:.2}x", single / hetero),
         ]);
     }
-    table.print();
-    println!("\n# hetero-split's speedup over the best single rail approaches the");
-    println!("# bandwidth sum ratio (~1.7x) as latency terms wash out");
+    out.push_str(&table.render());
+    outln!(out, "\n# hetero-split's speedup over the best single rail approaches the");
+    outln!(out, "# bandwidth sum ratio (~1.7x) as latency terms wash out");
+    out.into()
 }

@@ -25,11 +25,10 @@
 //! deadline.
 //!
 //! Deterministic: virtual time only, seeded faults, no wall clock.
-//! Results go to stdout and `BENCH_cluster_resilience.json` (byte-compared
-//! with the committed copy in ci.sh).
-//!
-//! Usage: `cluster_resilience [--seed N]` (default seed 42).
+//! Results go to stdout and `BENCH_cluster_resilience.json`.
 
+use crate::doc::{float, json};
+use crate::{Args, Output};
 use nm_collectives::{Algorithm, Collective, CollectiveCluster, ProfileBank, RunResult};
 use nm_faults::{ClusterFaultSchedule, ClusterFaultSpec, FaultKind};
 use nm_model::builtin;
@@ -87,23 +86,9 @@ fn run_case(
     cc.run(&mut bank, &dag).expect("collective completes")
 }
 
-fn main() {
-    let mut seed = 42u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed =
-                    args.next().and_then(|v| v.parse().ok()).expect("--seed requires an integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    println!("# cluster_resilience: seeded node death + neighbour port kill (seed {seed})");
+pub fn run(&Args { seed, .. }: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# cluster_resilience: seeded node death + neighbour port kill (seed {seed})");
     let mut series = Vec::new();
     for (algorithm, bytes) in CASES {
         for n in NODE_COUNTS {
@@ -128,7 +113,8 @@ fn main() {
             }
             let inflation_pct =
                 100.0 * (faulted.duration_us - clean.duration_us) / clean.duration_us;
-            println!(
+            outln!(
+                out,
                 "{:9} n={n:2} bytes={bytes:7}: clean {:10.1} us, faulted {:12.1} us \
                  (+{inflation_pct:8.1} %), repairs {}, retried {}, rerouted {:3}, \
                  torn out on evidence {:3} / deadline {}, \
@@ -144,38 +130,23 @@ fn main() {
                 s.repair_latency_us,
                 s.retry_queue_peak.max(clean.stats.retry_queue_peak),
             );
-            series.push(format!(
-                "    {{\"collective\": \"{}\", \"algorithm\": \"{}\", \"bytes\": {bytes}, \
-                 \"nodes\": {n}, \"fault_free_us\": {:.1}, \"faulted_us\": {:.1}, \
-                 \"inflation_pct\": {inflation_pct:.2}, \"repairs\": {}, \
-                 \"hops_retried\": {}, \"hops_rerouted\": {}, \
-                 \"teardowns_on_evidence\": {}, \"teardowns_on_deadline\": {}, \
-                 \"repair_latency_us\": {:.1}, \"retry_queue_peak\": {}, \
-                 \"dead_nodes\": {}}}",
-                algorithm.collective().name(),
-                algorithm.name(),
-                clean.duration_us,
-                faulted.duration_us,
-                s.repairs,
-                s.hops_retried,
-                s.hops_rerouted,
-                s.teardowns_on_evidence,
-                s.teardowns_on_deadline,
-                s.repair_latency_us,
-                s.retry_queue_peak,
-                s.dead_nodes,
-            ));
+            series.push(json! {
+                "collective": algorithm.collective().name(), "algorithm": algorithm.name(),
+                "bytes": bytes, "nodes": n, "fault_free_us": float(clean.duration_us, 1),
+                "faulted_us": float(faulted.duration_us, 1),
+                "inflation_pct": float(inflation_pct, 2), "repairs": s.repairs,
+                "hops_retried": s.hops_retried, "hops_rerouted": s.hops_rerouted,
+                "teardowns_on_evidence": s.teardowns_on_evidence,
+                "teardowns_on_deadline": s.teardowns_on_deadline,
+                "repair_latency_us": float(s.repair_latency_us, 1),
+                "retry_queue_peak": s.retry_queue_peak, "dead_nodes": s.dead_nodes,
+            });
         }
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"cluster_resilience\",\n  \"seed\": {seed},\n  \
-         \"provenance\": \"modeled\",\n  \"node_counts\": [8, 16, 32],\n  \
-         \"series\": [\n{}\n  ]\n}}\n",
-        series.join(",\n")
-    );
-    match std::fs::write("BENCH_cluster_resilience.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_cluster_resilience.json"),
-        Err(e) => eprintln!("could not write BENCH_cluster_resilience.json: {e}"),
-    }
+    let doc = json! {
+        "bench": "cluster_resilience", "seed": seed, "provenance": "modeled",
+        "node_counts": NODE_COUNTS.to_vec(), "series": series,
+    };
+    Output { text: out, bench: Some(("BENCH_cluster_resilience.json", doc)) }
 }

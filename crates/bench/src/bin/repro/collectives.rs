@@ -18,10 +18,10 @@
 //! series would flip to `"measured"`; the schema carries the distinction
 //! from day one so downstream tooling never has to guess.
 //!
-//! Results go to stdout and `BENCH_collectives.json` (schema-gated in
-//! ci.sh).
+//! Results go to stdout and `BENCH_collectives.json`.
 
-use nm_bench::Table;
+use crate::doc::{floats, json};
+use crate::{Args, Output, Table};
 use nm_collectives::{cost, Algorithm, Collective, CollectiveCluster, ProfileBank, Selector};
 use nm_model::builtin;
 use nm_model::units::{format_size, KIB, MIB};
@@ -53,17 +53,7 @@ impl Series {
     }
 }
 
-fn fmt_f64_array(xs: &[f64]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("{x:.1}")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn fmt_str_array(xs: &[&str]) -> String {
-    let items: Vec<String> = xs.iter().map(|s| format!("\"{s}\"")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn main() {
+pub fn run(_: &Args) -> Output {
     // (collective, sizes): barrier tokens have one size; data-carrying
     // primitives get a latency-bound and a bandwidth-bound block.
     let plan: Vec<(Collective, Vec<u64>)> = vec![
@@ -109,12 +99,13 @@ fn main() {
         }
     }
 
-    println!("# collectives: completion (us) vs node count, predicted | measured");
-    println!("# provenance: modeled (both series from the discrete-event simulator)");
+    let mut out = String::new();
+    outln!(out, "# collectives: completion (us) vs node count, predicted | measured");
+    outln!(out, "# provenance: modeled (both series from the discrete-event simulator)");
     let mut json_series = Vec::new();
     for s in &series {
         let variants = s.collective.algorithms();
-        println!("\n## {} {}", s.collective.name(), format_size(s.bytes));
+        outln!(out, "\n## {} {}", s.collective.name(), format_size(s.bytes));
         let mut table = Table::new(&[
             "nodes",
             &format!("{} pred", variants[0].name()),
@@ -133,45 +124,46 @@ fn main() {
                 s.selected[i].to_string(),
             ]);
         }
-        table.print();
+        out.push_str(&table.render());
 
         let predicted_crossover_n = Series::crossover(&s.predicted_us);
         let measured_crossover_n = Series::crossover(&s.measured_us);
         let crossover_match = predicted_crossover_n == measured_crossover_n;
-        println!(
+        outln!(
+            out,
             "# crossover to {}: predicted n={predicted_crossover_n}, measured \
              n={measured_crossover_n}, match={crossover_match}",
             variants[1].name()
         );
 
-        json_series.push(format!(
-            "    {{\n      \"collective\": \"{}\",\n      \"bytes\": {},\n      \"variants\": [\n        {{\"algorithm\": \"{}\", \"predicted_us\": {}, \"measured_us\": {}}},\n        {{\"algorithm\": \"{}\", \"predicted_us\": {}, \"measured_us\": {}}}\n      ],\n      \"selected\": {},\n      \"predicted_crossover_n\": {predicted_crossover_n},\n      \"measured_crossover_n\": {measured_crossover_n},\n      \"crossover_match\": {crossover_match}\n    }}",
-            s.collective.name(),
-            s.bytes,
-            variants[0].name(),
-            fmt_f64_array(&s.predicted_us[0]),
-            fmt_f64_array(&s.measured_us[0]),
-            variants[1].name(),
-            fmt_f64_array(&s.predicted_us[1]),
-            fmt_f64_array(&s.measured_us[1]),
-            fmt_str_array(&s.selected),
-        ));
+        let variant = |v: usize| {
+            json! {
+                "algorithm": variants[v].name(),
+                "predicted_us": floats(s.predicted_us[v].iter().copied(), 1),
+                "measured_us": floats(s.measured_us[v].iter().copied(), 1),
+            }
+        };
+        json_series.push(json! {
+            "collective": s.collective.name(), "bytes": s.bytes,
+            "variants": vec![variant(0), variant(1)], "selected": s.selected.clone(),
+            "predicted_crossover_n": predicted_crossover_n,
+            "measured_crossover_n": measured_crossover_n, "crossover_match": crossover_match,
+        });
     }
 
     let matches = series
         .iter()
         .filter(|s| Series::crossover(&s.predicted_us) == Series::crossover(&s.measured_us))
         .count();
-    println!("\n# {matches}/{} series have matching predicted/measured crossovers", series.len());
-
-    let counts: Vec<String> = NODE_COUNTS.iter().map(|n| n.to_string()).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"collectives\",\n  \"provenance\": \"modeled\",\n  \"node_counts\": [{}],\n  \"crossover_matches\": {matches},\n  \"series\": [\n{}\n  ]\n}}\n",
-        counts.join(", "),
-        json_series.join(",\n"),
+    outln!(
+        out,
+        "\n# {matches}/{} series have matching predicted/measured crossovers",
+        series.len()
     );
-    match std::fs::write("BENCH_collectives.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_collectives.json"),
-        Err(e) => eprintln!("could not write BENCH_collectives.json: {e}"),
-    }
+
+    let doc = json! {
+        "bench": "collectives", "provenance": "modeled", "node_counts": NODE_COUNTS.to_vec(),
+        "crossover_matches": matches, "series": json_series,
+    };
+    Output { text: out, bench: Some(("BENCH_collectives.json", doc)) }
 }

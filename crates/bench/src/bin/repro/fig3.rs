@@ -6,14 +6,42 @@
 //! PIO copies serializing on the sending core). The paper's point: greedy
 //! balancing of eager packets *loses* to aggregating on one network.
 
-use nm_bench::{batch_completion_us, AggregateOn, Table};
-use nm_core::strategy::StrategyKind;
-use nm_model::units::{format_size, pow2_sizes, KIB};
+use crate::{Args, Output, Table};
+use nm_bench::paper_engine;
+use nm_core::strategy::{Action, Ctx, Strategy, StrategyKind};
+use nm_model::units::{format_size, pow2_sizes, Micros, KIB};
 use nm_sim::RailId;
 
-fn main() {
-    println!("# Fig 3: greedy balancing vs aggregation, eager packets");
-    println!("# two segments of size/2 each; transfer time in us\n");
+/// A strategy that aggregates the whole queue onto one fixed rail —
+/// the "two aggregated segments over `<rail>`" series, and a demo of the
+/// strategy plug-in interface.
+#[derive(Debug, Clone)]
+struct AggregateOn(RailId);
+
+impl Strategy for AggregateOn {
+    fn name(&self) -> &'static str {
+        "aggregate-on-fixed-rail"
+    }
+
+    fn decide(&mut self, ctx: &Ctx<'_>) -> Action {
+        Action::Aggregate { count: ctx.queued_sizes.len(), rail: self.0 }
+    }
+}
+
+/// Time for a batch of messages enqueued together to all complete. Batch
+/// posting matters: the strategy sees the whole queue, so aggregation can
+/// pack it.
+fn batch_completion_us(strategy: Box<dyn Strategy>, sizes: &[u64]) -> Micros {
+    let mut engine = paper_engine(strategy);
+    engine.post_send_batch(sizes).expect("post batch");
+    let done = engine.drain().expect("drain");
+    Micros::new(done.iter().map(|c| c.delivered_at.as_micros_f64()).fold(0.0, f64::max))
+}
+
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Fig 3: greedy balancing vs aggregation, eager packets");
+    outln!(out, "# two segments of size/2 each; transfer time in us\n");
 
     let mut table =
         Table::new(&["total", "agg/Myri", "agg/Quadrics", "balanced", "balanced/best-agg"]);
@@ -35,9 +63,11 @@ fn main() {
             format!("{ratio:.2}x"),
         ]);
     }
-    table.print();
-    println!(
+    out.push_str(&table.render());
+    outln!(
+        out,
         "\n# balanced/best-agg stays >= {worst_ratio:.2}x across the sweep \
          (paper: balancing never wins for eager packets)"
     );
+    out.into()
 }

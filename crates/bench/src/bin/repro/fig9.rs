@@ -5,14 +5,16 @@
 //! compares it to each network's own eager latency. Splitting loses below
 //! ~4 KB (offload cost dominates) and saves up to ~30% at 64 KB.
 
-use nm_bench::{sample_predictor, Table};
+use crate::{Args, Output, Table};
+use nm_bench::sample_predictor;
 use nm_core::estimate::estimate_eager_split;
 use nm_model::units::{format_size, pow2_sizes, Micros, KIB};
 use nm_sim::ClusterSpec;
 
-fn main() {
-    println!("# Fig 9: estimated multicore eager-split latency (us), T_O = 3us");
-    println!("# paper: split costly below ~4KB, up to 30% gain by 64KB\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Fig 9: estimated multicore eager-split latency (us), T_O = 3us");
+    outln!(out, "# paper: split costly below ~4KB, up to 30% gain by 64KB\n");
 
     let predictor = sample_predictor(&ClusterSpec::paper_testbed());
     let myri = &predictor.rails()[0].eager;
@@ -35,12 +37,13 @@ fn main() {
             format!("{:+.1}%", est.gain * 100.0),
         ]);
     }
-    table.print();
+    out.push_str(&table.render());
 
-    println!();
+    outln!(out);
     match crossover {
-        Some(s) => println!("# splitting starts to win at {}", format_size(s)),
-        None => println!("# splitting never wins in this range"),
+        Some(s) => outln!(out, "# splitting starts to win at {}", format_size(s)),
+        None => outln!(out, "# splitting never wins in this range"),
     }
-    println!("# best gain in range: {:.1}% (paper: up to ~30%)", best_gain * 100.0);
+    outln!(out, "# best gain in range: {:.1}% (paper: up to ~30%)", best_gain * 100.0);
+    out.into()
 }

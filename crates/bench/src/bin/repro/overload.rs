@@ -8,12 +8,10 @@
 //! messages shed past their deadline, goodput of what completed, the p99
 //! completion time, and the integrity/degradation counters.
 //!
-//! Results go to stdout and to `BENCH_overload.json` in the working
-//! directory (machine-readable; CI pins the key schema).
-//!
-//! Usage: `overload [--seed N]` (default seed 42).
+//! Results go to stdout and to `BENCH_overload.json`.
 
-use nm_bench::chaos_paper_engine_kind;
+use crate::doc::{floats, json};
+use crate::{chaos_paper_engine_kind, Args, Output};
 use nm_core::strategy::StrategyKind;
 use nm_core::{AdmissionConfig, EngineError, HealthConfig};
 use nm_faults::{FaultKind, FaultSchedule, FaultSpec};
@@ -151,35 +149,19 @@ fn run_level(offered: usize, seed: u64) -> Row {
     }
 }
 
-fn json_list<T: std::fmt::Display>(rows: &[Row], f: impl Fn(&Row) -> T) -> String {
-    rows.iter().map(|r| f(r).to_string()).collect::<Vec<_>>().join(", ")
-}
-
-fn main() {
-    let mut seed = 42u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed =
-                    args.next().and_then(|v| v.parse().ok()).expect("--seed requires an integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
+pub fn run(&Args { seed, .. }: &Args) -> Output {
     let rows: Vec<Row> = OFFERED.iter().map(|&n| run_level(n, seed)).collect();
 
-    println!("# overload: {MSG_BYTES}-byte bursts under a corruption storm (seed {seed})");
-    println!(
+    let mut out = String::new();
+    outln!(out, "# overload: {MSG_BYTES}-byte bursts under a corruption storm (seed {seed})");
+    outln!(
+        out,
         "# caps: {} msgs / {} bytes pending, deadline {DEADLINE_US} us",
         admission_config().max_pending_msgs,
         admission_config().max_pending_bytes
     );
-    println!(
+    outln!(
+        out,
         "{:>8} {:>9} {:>9} {:>6} {:>10} {:>14} {:>10} {:>9} {:>8} {:>8}",
         "offered",
         "accepted",
@@ -193,7 +175,8 @@ fn main() {
         "degrade"
     );
     for r in &rows {
-        println!(
+        outln!(
+            out,
             "{:>8} {:>9} {:>9} {:>6} {:>10} {:>14.1} {:>10.1} {:>9} {:>8} {:>8}",
             r.offered,
             r.accepted,
@@ -208,21 +191,16 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"overload\",\n  \"seed\": {seed},\n  \"msg_bytes\": {MSG_BYTES},\n  \"deadline_us\": {DEADLINE_US},\n  \"offered_msgs\": [{}],\n  \"accepted\": [{}],\n  \"rejected\": [{}],\n  \"shed\": [{}],\n  \"completed\": [{}],\n  \"goodput_mibps\": [{}],\n  \"p99_completion_us\": [{}],\n  \"corrupt_chunks\": [{}],\n  \"retries\": [{}],\n  \"degrade_transitions\": [{}]\n}}\n",
-        json_list(&rows, |r| r.offered),
-        json_list(&rows, |r| r.accepted),
-        json_list(&rows, |r| r.rejected),
-        json_list(&rows, |r| r.shed),
-        json_list(&rows, |r| r.completed),
-        json_list(&rows, |r| format!("{:.1}", r.goodput_mibps)),
-        json_list(&rows, |r| format!("{:.1}", r.p99_completion_us)),
-        json_list(&rows, |r| r.corrupt_chunks),
-        json_list(&rows, |r| r.retries),
-        json_list(&rows, |r| r.degrade_transitions),
-    );
-    match std::fs::write("BENCH_overload.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_overload.json"),
-        Err(e) => eprintln!("could not write BENCH_overload.json: {e}"),
-    }
+    let column = |f: fn(&Row) -> u64| rows.iter().map(f).collect::<Vec<_>>();
+    let doc = json! {
+        "bench": "overload", "seed": seed, "msg_bytes": MSG_BYTES, "deadline_us": DEADLINE_US,
+        "offered_msgs": OFFERED.to_vec(), "accepted": column(|r| r.accepted),
+        "rejected": column(|r| r.rejected), "shed": column(|r| r.shed),
+        "completed": column(|r| r.completed),
+        "goodput_mibps": floats(rows.iter().map(|r| r.goodput_mibps), 1),
+        "p99_completion_us": floats(rows.iter().map(|r| r.p99_completion_us), 1),
+        "corrupt_chunks": column(|r| r.corrupt_chunks), "retries": column(|r| r.retries),
+        "degrade_transitions": column(|r| r.degrade_transitions),
+    };
+    Output { text: out, bench: Some(("BENCH_overload.json", doc)) }
 }

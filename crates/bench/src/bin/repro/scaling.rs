@@ -36,6 +36,8 @@
 //!
 //! Results go to stdout and `BENCH_scaling.json` (schema-gated in ci.sh).
 
+use crate::doc::{float, floats, json};
+use crate::{Args, Output};
 use nm_bench::sample_predictor;
 use nm_core::replicated::{CounterKind, DecisionState, EngineOp, SharedDecisionState};
 use nm_core::strategy::{Ctx, StrategyKind};
@@ -233,12 +235,7 @@ fn run_locked(predictor: &Arc<nm_core::Predictor>, n: usize) -> f64 {
     total.load(Ordering::Acquire) as f64 / secs
 }
 
-fn fmt_f64_array(xs: &[f64]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("{x:.0}")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn main() {
+pub fn run(_: &Args) -> Output {
     let predictor = Arc::new(sample_predictor(&ClusterSpec::paper_testbed()));
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -360,35 +357,43 @@ fn main() {
         (modeled_rep[2] / modeled_lock[0], "modeled")
     };
 
-    println!("# decision-path scaling (paper-testbed predictor, 4 MiB head, health churn)");
-    println!("cores available:            {cores}");
-    println!("decide only (warm):         {decide_only_ns:8.1} ns");
-    println!("decide + replica read:      {replicated_1w_ns:8.1} ns");
-    println!("decide + lock/copy:         {locked_1w_ns:8.1} ns");
-    println!("lock+copy critical section: {lock_copy_ns:8.1} ns");
-    println!("replica read overhead:      {replica_overhead_pct:8.1} %");
+    let mut out = String::new();
+    outln!(out, "# decision-path scaling (paper-testbed predictor, 4 MiB head, health churn)");
+    outln!(out, "cores available:            {cores}");
+    outln!(out, "decide only (warm):         {decide_only_ns:8.1} ns");
+    outln!(out, "decide + replica read:      {replicated_1w_ns:8.1} ns");
+    outln!(out, "decide + lock/copy:         {locked_1w_ns:8.1} ns");
+    outln!(out, "lock+copy critical section: {lock_copy_ns:8.1} ns");
+    outln!(out, "replica read overhead:      {replica_overhead_pct:8.1} %");
     for (i, &n) in WORKERS.iter().enumerate() {
-        println!(
+        outln!(
+            out,
             "{n}w measured: replicated {:12.0} ops/s   locked {:12.0} ops/s",
-            measured_rep[i], measured_lock[i]
+            measured_rep[i],
+            measured_lock[i]
         );
-        println!(
+        outln!(
+            out,
             "{n}w modeled:   replicated {:12.0} ops/s   locked {:12.0} ops/s",
-            modeled_rep[i], modeled_lock[i]
+            modeled_rep[i],
+            modeled_lock[i]
         );
     }
-    println!("speedup 4w vs locked 1w:    {speedup:8.2} x ({speedup_source})");
-    println!("replica resyncs:            {resyncs_total}");
+    outln!(out, "speedup 4w vs locked 1w:    {speedup:8.2} x ({speedup_source})");
+    outln!(out, "replica resyncs:            {resyncs_total}");
 
-    let json = format!(
-        "{{\n  \"bench\": \"scaling\",\n  \"msg_bytes\": {MSG_BYTES},\n  \"cores_available\": {cores},\n  \"worker_counts\": [1, 2, 4],\n  \"decide_only_ns\": {decide_only_ns:.1},\n  \"replicated_ns_per_decision_1w\": {replicated_1w_ns:.1},\n  \"replica_read_overhead_pct\": {replica_overhead_pct:.1},\n  \"locked_ns_per_decision_1w\": {locked_1w_ns:.1},\n  \"lock_copy_ns\": {lock_copy_ns:.1},\n  \"xfer_ns_model\": {XFER_NS:.0},\n  \"replicated_ops_per_sec\": {},\n  \"locked_ops_per_sec\": {},\n  \"modeled_replicated_ops_per_sec\": {},\n  \"modeled_locked_ops_per_sec\": {},\n  \"speedup_4w_vs_locked_1w\": {speedup:.2},\n  \"speedup_source\": \"{speedup_source}\",\n  \"ops_appended\": {ops_appended},\n  \"replica_resyncs\": {resyncs_total}\n}}\n",
-        fmt_f64_array(&measured_rep),
-        fmt_f64_array(&measured_lock),
-        fmt_f64_array(&modeled_rep),
-        fmt_f64_array(&modeled_lock),
-    );
-    match std::fs::write("BENCH_scaling.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_scaling.json"),
-        Err(e) => eprintln!("could not write BENCH_scaling.json: {e}"),
-    }
+    let doc = json! {
+        "bench": "scaling", "msg_bytes": MSG_BYTES, "cores_available": cores,
+        "worker_counts": WORKERS.to_vec(), "decide_only_ns": float(decide_only_ns, 1),
+        "replicated_ns_per_decision_1w": float(replicated_1w_ns, 1),
+        "replica_read_overhead_pct": float(replica_overhead_pct, 1),
+        "locked_ns_per_decision_1w": float(locked_1w_ns, 1), "lock_copy_ns": float(lock_copy_ns, 1),
+        "xfer_ns_model": float(XFER_NS, 0), "replicated_ops_per_sec": floats(measured_rep, 0),
+        "locked_ops_per_sec": floats(measured_lock, 0),
+        "modeled_replicated_ops_per_sec": floats(modeled_rep, 0),
+        "modeled_locked_ops_per_sec": floats(modeled_lock, 0),
+        "speedup_4w_vs_locked_1w": float(speedup, 2), "speedup_source": speedup_source,
+        "ops_appended": ops_appended, "replica_resyncs": resyncs_total,
+    };
+    Output { text: out, bench: Some(("BENCH_scaling.json", doc)) }
 }

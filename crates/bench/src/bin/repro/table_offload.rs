@@ -10,7 +10,7 @@
 //! Absolute numbers depend on the host (the paper's were dual dual-core
 //! Opterons); the property that must hold is signaled ≥ idle > 0.
 
-use nm_bench::Table;
+use crate::{Args, Output, Table};
 use nm_runtime::{Tasklet, WorkerPool};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
@@ -51,9 +51,10 @@ fn probe_path(busy: bool) -> (usize, Vec<Duration>) {
     (signaled, latencies)
 }
 
-fn main() {
-    println!("# Table (paper SIII-D): offload cost T_O, measured with real threads");
-    println!("# paper: 3us to an idle core, 6us with signal preemption\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Table (paper SIII-D): offload cost T_O, measured with real threads");
+    outln!(out, "# paper: 3us to an idle core, 6us with signal preemption\n");
 
     let (idle_signaled, idle) = probe_path(false);
     let (busy_signaled, busy) = probe_path(true);
@@ -76,12 +77,17 @@ fn main() {
             format!("{:.2}", us(*l.iter().max().expect("probed"))),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
 
-    println!(
+    outln!(
+        out,
         "\n# paper testbed: 3us idle / 6us signaled; this host: {:.2}us / {:.2}us (mean)",
         mean_us(&idle),
         mean_us(&busy)
     );
-    println!("# the engine charges the paper's 3us per offloaded chunk; nothing charges the 6us");
+    outln!(
+        out,
+        "# the engine charges the paper's 3us per offloaded chunk; nothing charges the 6us"
+    );
+    out.into()
 }

@@ -6,7 +6,8 @@
 //! This harness submits the same chunk layouts to a traced simulator and
 //! reports per-chunk durations plus the measured idle gap.
 
-use nm_bench::{delivery_instants, sample_predictor, Table};
+use crate::{delivery_instants, Args, Output, Table};
+use nm_bench::sample_predictor;
 use nm_core::predictor::Predictor;
 use nm_core::strategy::{Action, Ctx, StrategyKind};
 use nm_model::units::{KIB, MIB};
@@ -32,10 +33,11 @@ fn run_layout(layout: &[(RailId, u64)]) -> Vec<(RailId, u64, f64)> {
         .collect()
 }
 
-fn main() {
-    println!("# Table (paper SIV-A): 4 MB split under iso vs hetero");
-    println!("# paper iso: 2MB/Myri ~1730us vs 2MB/Quadrics ~2400us -> ~670us idle");
-    println!("# paper hetero: 2437KB/1999us (Myri) vs 1757KB/2001us (Quadrics)\n");
+pub fn run(_: &Args) -> Output {
+    let mut out = String::new();
+    outln!(out, "# Table (paper SIV-A): 4 MB split under iso vs hetero");
+    outln!(out, "# paper iso: 2MB/Myri ~1730us vs 2MB/Quadrics ~2400us -> ~670us idle");
+    outln!(out, "# paper hetero: 2437KB/1999us (Myri) vs 1757KB/2001us (Quadrics)\n");
 
     let spec = ClusterSpec::paper_testbed();
     let predictor = sample_predictor(&spec);
@@ -59,13 +61,15 @@ fn main() {
         }
         summaries.push((kind, slowest, slowest - fastest));
     }
-    table.print();
+    out.push_str(&table.render());
 
-    println!();
+    outln!(out);
     for (kind, completion, idle_gap) in summaries {
-        println!(
+        outln!(
+            out,
             "# {kind:?}: message completes in {completion:.0}us; \
              fast rail idle for {idle_gap:.0}us at the tail"
         );
     }
+    out.into()
 }

@@ -8,8 +8,8 @@
 //! fig8's bandwidth-ladder schedule (the paper testbed's two rails, message
 //! sizes 1 KiB → 4 MiB, chunk completions + idle notifications): the figure
 //! harnesses are required to be bit-identical whatever orders the calendar.
-//! The committed golden figure outputs (see
-//! `crates/bench/tests/figure_golden.rs`) then pin the end-to-end result.
+//! The committed golden figure outputs (see `repro check`,
+//! `crates/bench/tests/repro_check.rs`) then pin the end-to-end result.
 
 use nm_model::{SimDuration, SimTime};
 use nm_sim::EventQueue;

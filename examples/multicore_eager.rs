@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run -p nm-examples --bin multicore_eager --release
-//! cargo run -p nm-bench --bin table_offload --release
+//! cargo run -p nm-bench --bin repro --release -- table_offload
 //! ```
 
 use nm_core::prelude::*;
