@@ -8,18 +8,12 @@
 //! serializes PIO copies on the single posting core; multicore-eager uses
 //! idle cores.
 
-use crate::{Args, Output, Table};
-use nm_bench::paper_engine;
+use crate::{batch_completion_us, Args, Output, Table};
 use nm_core::strategy::StrategyKind;
 use nm_model::units::format_size;
 
 fn rate_msgs_per_sec(kind: StrategyKind, size: u64, count: usize) -> f64 {
-    let mut engine = paper_engine(kind.build());
-    let sizes = vec![size; count];
-    engine.post_send_batch(&sizes).expect("post");
-    let done = engine.drain().expect("drain");
-    let end_us = done.iter().map(|c| c.delivered_at.as_micros_f64()).fold(0.0, f64::max);
-    count as f64 / (end_us / 1e6)
+    count as f64 / (batch_completion_us(kind.build(), &vec![size; count]).get() / 1e6)
 }
 
 pub fn run(_: &Args) -> Output {

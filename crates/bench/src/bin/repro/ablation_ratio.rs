@@ -5,7 +5,7 @@
 //! recomputes per size from the sampled profiles. This sweep reports both
 //! ratios and the completion penalty of using the static one.
 
-use crate::{Args, Output, Table};
+use crate::{myri_share, Args, Output, Table};
 use nm_bench::{one_way_us, sample_predictor};
 use nm_core::split::dichotomy_split;
 use nm_core::strategy::StrategyKind;
@@ -30,12 +30,7 @@ pub fn run(_: &Args) -> Output {
     ]);
     for size in pow2_sizes(64 * KIB, 8 * MIB) {
         let d = dichotomy_split(&cost, (RailId(0), 0.0), (RailId(1), 0.0), size, 60);
-        let myri_share = d
-            .assignments
-            .iter()
-            .find(|&&(r, _)| r == RailId(0))
-            .map(|&(_, b)| b as f64 / size as f64)
-            .unwrap_or(0.0);
+        let myri_share = myri_share(&d.assignments, size);
         let static_share = 1226.8 / (1226.8 + 877.6);
         let t_hetero = one_way_us(StrategyKind::HeteroSplit, size).get();
         let t_static = one_way_us(StrategyKind::RatioSplit, size).get();

@@ -6,7 +6,7 @@
 //! pays the wait. The table shows per-strategy completion vs `w` and the
 //! busy rail's share under hetero.
 
-use crate::{delivery_instants, Args, Output, Table};
+use crate::{delivery_instants, myri_share, Args, Output, Table};
 use nm_bench::sample_predictor;
 use nm_core::predictor::Predictor;
 use nm_core::selection::select_rails;
@@ -66,11 +66,7 @@ pub fn run(_: &Args) -> Output {
         let hetero = hetero_layout(&predictor, size, wait_us);
         let t_hetero = run_with_busy_myri(&hetero, wait_us);
         let t_static = run_with_busy_myri(&static_layout(size), wait_us);
-        let myri_share = hetero
-            .iter()
-            .find(|&&(r, _)| r == RailId(0))
-            .map(|&(_, b)| b as f64 / size as f64)
-            .unwrap_or(0.0);
+        let myri_share = myri_share(&hetero, size);
         table.row(vec![
             format!("{wait_us:.0}"),
             format!("{t_hetero:.0}"),

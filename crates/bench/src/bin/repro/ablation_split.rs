@@ -4,7 +4,7 @@
 //! (c) equal-*completion* chunks. Reported per message size: completion
 //! time and the idle tail of the faster rail (zero only for (c)).
 
-use crate::{Args, Output, Table};
+use crate::{myri_share, Args, Output, Table};
 use nm_bench::{one_way_us, paper_engine_kind};
 use nm_core::strategy::StrategyKind;
 use nm_model::units::{format_size, pow2_sizes, MIB};
@@ -33,12 +33,7 @@ pub fn run(_: &Args) -> Output {
         let single = one_way_us(StrategyKind::SingleRail(None), size).get();
         let iso = one_way_us(StrategyKind::IsoSplit, size).get();
         let hetero = one_way_us(StrategyKind::HeteroSplit, size).get();
-        let chunks = chunks_used(StrategyKind::HeteroSplit, size);
-        let myri = chunks
-            .iter()
-            .find(|&&(r, _)| r == RailId(0))
-            .map(|&(_, b)| b as f64 / size as f64)
-            .unwrap_or(0.0);
+        let myri = myri_share(&chunks_used(StrategyKind::HeteroSplit, size), size);
         table.row(vec![
             format_size(size),
             format!("{single:.0}"),

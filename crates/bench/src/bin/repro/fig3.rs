@@ -6,10 +6,9 @@
 //! PIO copies serializing on the sending core). The paper's point: greedy
 //! balancing of eager packets *loses* to aggregating on one network.
 
-use crate::{Args, Output, Table};
-use nm_bench::paper_engine;
+use crate::{batch_completion_us, Args, Output, Table};
 use nm_core::strategy::{Action, Ctx, Strategy, StrategyKind};
-use nm_model::units::{format_size, pow2_sizes, Micros, KIB};
+use nm_model::units::{format_size, pow2_sizes, KIB};
 use nm_sim::RailId;
 
 /// A strategy that aggregates the whole queue onto one fixed rail —
@@ -26,16 +25,6 @@ impl Strategy for AggregateOn {
     fn decide(&mut self, ctx: &Ctx<'_>) -> Action {
         Action::Aggregate { count: ctx.queued_sizes.len(), rail: self.0 }
     }
-}
-
-/// Time for a batch of messages enqueued together to all complete. Batch
-/// posting matters: the strategy sees the whole queue, so aggregation can
-/// pack it.
-fn batch_completion_us(strategy: Box<dyn Strategy>, sizes: &[u64]) -> Micros {
-    let mut engine = paper_engine(strategy);
-    engine.post_send_batch(sizes).expect("post batch");
-    let done = engine.drain().expect("drain");
-    Micros::new(done.iter().map(|c| c.delivered_at.as_micros_f64()).fold(0.0, f64::max))
 }
 
 pub fn run(_: &Args) -> Output {

@@ -51,11 +51,11 @@ mod table_splits;
 use doc::Doc;
 use nm_core::driver::faulty::FaultSimDriver;
 use nm_core::engine::Engine;
-use nm_core::strategy::StrategyKind;
+use nm_core::strategy::{Strategy, StrategyKind};
 use nm_core::HealthConfig;
 use nm_faults::FaultSchedule;
-use nm_model::SimTime;
-use nm_sim::{ClusterSpec, SimEvent, Simulator, TransferId};
+use nm_model::{Micros, SimTime};
+use nm_sim::{ClusterSpec, RailId, SimEvent, Simulator, TransferId};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -185,7 +185,9 @@ fn main() -> ExitCode {
         Ok(request) => request,
         Err(e) => {
             let names: Vec<_> = ARTIFACTS.iter().map(|a| a.name).collect();
-            eprintln!("repro: {e}\nusage: repro check | repro <{}>... [--seed N]", names.join("|"));
+            eprintln!("repro: {e}");
+            eprintln!("usage: repro check | repro <artifact>... [--seed N] | repro sample [DIR]");
+            eprintln!("artifacts: {}", names.join(" "));
             return ExitCode::from(2);
         }
     };
@@ -222,6 +224,21 @@ fn chaos_paper_engine_kind(
         .expect("engine")
         .with_fault_tolerance(cfg)
         .expect("health config")
+}
+
+/// Time for a batch of messages enqueued together to all complete. Batch
+/// posting matters: the strategy sees the whole queue, so aggregation can
+/// pack it.
+fn batch_completion_us(strategy: Box<dyn Strategy>, sizes: &[u64]) -> Micros {
+    let mut engine = nm_bench::paper_engine(strategy);
+    engine.post_send_batch(sizes).expect("post batch");
+    let done = engine.drain().expect("drain");
+    Micros::new(done.iter().map(|c| c.delivered_at.as_micros_f64()).fold(0.0, f64::max))
+}
+
+/// The share of a `size`-byte message that `chunks` put on Myri-10G.
+fn myri_share(chunks: &[(RailId, u64)], size: u64) -> f64 {
+    chunks.iter().find(|&&(r, _)| r == RailId(0)).map_or(0.0, |&(_, b)| b as f64 / size as f64)
 }
 
 /// Runs `sim` dry and returns when each of `ids` was delivered, in order —

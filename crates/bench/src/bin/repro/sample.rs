@@ -26,6 +26,8 @@ pub fn run(args: &Args) -> Output {
     };
     let profiles = sample_all_rails(&mut transport, &config).expect("sampling failed");
     save_all(&args.dir, &profiles).expect("write sampling files");
+    // Each file is named without DIR, so the text does not depend on where
+    // it was written.
     let mut out = String::new();
     for p in &profiles {
         let (lo, hi) = p.sampled_range();
