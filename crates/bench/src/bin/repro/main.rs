@@ -119,12 +119,16 @@ const ARTIFACTS: [Artifact; 18] = [
 /// What the command line asks for: `None` is `check`.
 type Request = Option<(Vec<&'static Artifact>, Args)>;
 
-fn parse(mut argv: impl Iterator<Item = String>) -> Result<Request, String> {
+fn parse(argv: Vec<String>) -> Result<Request, String> {
+    if argv == ["check"] {
+        return Ok(None);
+    }
     let mut artifacts: Vec<&'static Artifact> = Vec::new();
     let mut args = Args { seed: 42, dir: PathBuf::from("nmad_sampling") };
+    let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "check" if artifacts.is_empty() => return Ok(None),
+            "check" => return Err("check takes no other argument".into()),
             "--seed" => {
                 args.seed =
                     argv.next().and_then(|v| v.parse().ok()).ok_or("--seed takes an integer")?
@@ -181,7 +185,7 @@ fn check() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let request = match parse(std::env::args().skip(1)) {
+    let request = match parse(std::env::args().skip(1).collect()) {
         Ok(request) => request,
         Err(e) => {
             let names: Vec<_> = ARTIFACTS.iter().map(|a| a.name).collect();
