@@ -148,7 +148,7 @@ fn parse(argv: Vec<String>) -> Result<Request, String> {
     Ok(Some((artifacts, args)))
 }
 
-/// Writes `text` to `path`.
+/// Writes `text` to `path`; the error names the path.
 fn write(path: &Path, text: &str) -> Result<(), String> {
     fs::write(path, text).map_err(|e| format!("could not write {}: {e}", path.display()))
 }
