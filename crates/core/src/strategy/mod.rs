@@ -60,7 +60,7 @@ pub struct Ctx<'a> {
 }
 
 /// Every rail's wait in a quiet context: no NIC is busy.
-static QUIET_WAITS_US: [f64; MAX_RAILS] = [0.0; MAX_RAILS];
+pub(crate) static QUIET_WAITS_US: [f64; MAX_RAILS] = [0.0; MAX_RAILS];
 
 impl<'a> Ctx<'a> {
     /// A context at time zero on a quiet node: every NIC idle, the listed

@@ -21,8 +21,9 @@ use crate::plan_cache::PlanCache;
 use crate::predictor::CostModel;
 use crate::selection::select_rails;
 use crate::strategy::hetero::HeteroSplit;
-use crate::strategy::{Action, ChunkList, ChunkPlan, Ctx, Strategy};
-use nm_model::{SimDuration, TransferMode};
+use crate::split::Split;
+use crate::strategy::{Action, ChunkList, ChunkPlan, Ctx, Strategy, QUIET_WAITS_US};
+use nm_model::{InlineVec, SimDuration, TransferMode, MAX_RAILS};
 use nm_sim::RailId;
 
 /// Offload-aware eager splitting.
@@ -43,6 +44,40 @@ impl MulticoreEager {
             rdv_fallback: HeteroSplit::new(),
             cache: PlanCache::new(2),
         }
+    }
+}
+
+impl MulticoreEager {
+    /// The eager split of `size` over at most `cap` rails with these waits,
+    /// memoized per predictor epoch.
+    fn capped_split(&mut self, ctx: &Ctx<'_>, cap: usize, size: u64, waits: &[f64]) -> Split {
+        let epoch = ctx.predictor_epoch;
+        if let Some(cached) = self.cache.lookup(epoch, cap as u64, size, waits) {
+            return cached;
+        }
+        let candidates: InlineVec<(RailId, f64), MAX_RAILS> =
+            waits.iter().enumerate().map(|(i, &w)| (RailId(i), w)).collect();
+        let fresh = select_rails(&ctx.predictor.eager_cost(), &candidates, size, cap);
+        self.cache.insert(epoch, cap as u64, size, waits, fresh.clone());
+        fresh
+    }
+
+    /// True when waiting for the split's busiest NIC, then offloading the
+    /// two-rail split on idle NICs, finishes before `single_us`. The split
+    /// is the one an all-idle decision at cap 2 memoizes, so this is a
+    /// cache lookup. A wait that is NaN or infinite (a quarantined rail)
+    /// has no instant to wait for and never defers.
+    fn split_after_wait_wins(&mut self, ctx: &Ctx<'_>, size: u64, single_us: f64) -> bool {
+        let quiet_waits = QUIET_WAITS_US.get(..ctx.rail_waits_us.len()).unwrap_or_default();
+        let split = self.capped_split(ctx, 2, size, quiet_waits);
+        let mut wait_us = 0.0f64;
+        for &(rail, _) in &split.assignments {
+            match ctx.rail_waits_us.get(rail.index()) {
+                Some(&w) if w.is_finite() => wait_us = wait_us.max(w),
+                _ => return false,
+            }
+        }
+        split.assignments.len() >= 2 && wait_us + self.offload_us + split.completion_us < single_us
     }
 }
 
@@ -82,31 +117,20 @@ impl Strategy for MulticoreEager {
         let idle_nics = ctx.idle_rails().len();
         let max_chunks = idle_nics.min(ctx.idle_cores.len());
         if max_chunks < 2 {
+            // Paper §II: the optimizer runs when a NIC becomes idle. A busy
+            // NIC caps the split here only because the decision came early;
+            // if the split after the wait beats one rail now, defer to the
+            // NIC-idle event, which interrogates the strategy again.
+            if ctx.idle_cores.len() >= 2 && self.split_after_wait_wins(ctx, size, best_single.1) {
+                return Action::Defer;
+            }
             return Action::single(ChunkPlan {
                 mode: Some(TransferMode::Eager),
                 ..ChunkPlan::new(best_single.0, size)
             });
         }
 
-        let split = match self.cache.lookup(
-            ctx.predictor_epoch,
-            max_chunks as u64,
-            size,
-            ctx.rail_waits_us,
-        ) {
-            Some(cached) => cached,
-            None => {
-                let fresh = select_rails(&cost, &candidates, size, max_chunks);
-                self.cache.insert(
-                    ctx.predictor_epoch,
-                    max_chunks as u64,
-                    size,
-                    ctx.rail_waits_us,
-                    fresh.clone(),
-                );
-                fresh
-            }
-        };
+        let split = self.capped_split(ctx, max_chunks, size, ctx.rail_waits_us);
         // Equation (1): the split only wins if T_O + max(T_D) beats the
         // single-rail send.
         let split_with_offload = self.offload_us + split.completion_us;
@@ -212,6 +236,62 @@ mod tests {
         let mut s = MulticoreEager::new();
         let action = decide_with(&mut s, vec![f64::NAN, f64::NAN], vec![1, 2], &[64 << 10]);
         assert_eq!(split_total(&action), 64 << 10);
+        // Nor may a wait with no instant behind it defer: a NaN, or the
+        // infinite wait of a quarantined rail, beside an idle NIC.
+        for waits in [[f64::NAN, 0.0], [0.0, f64::NAN], [f64::INFINITY, 0.0], [0.0, f64::INFINITY]]
+        {
+            let mut s = MulticoreEager::new();
+            let action = decide_with(&mut s, waits.to_vec(), vec![1, 2, 3], &[64 << 10]);
+            assert_eq!(split_total(&action), 64 << 10, "waits {waits:?}");
+        }
+    }
+
+    // 64 KiB on the synthetic rails: rail 0 alone takes 68.5 µs, the quiet
+    // split 46.0 µs + 3 µs T_O. Waiting pays while the wait is under 19.5 µs.
+
+    #[test]
+    fn a_short_wait_for_the_split_defers() {
+        let mut s = MulticoreEager::new();
+        assert_eq!(decide_with(&mut s, vec![0.0, 10.0], vec![1, 2, 3], &[64 << 10]), Action::Defer);
+        // The fast rail busy: one rail now costs its wait too.
+        assert_eq!(decide_with(&mut s, vec![10.0, 0.0], vec![1, 2, 3], &[64 << 10]), Action::Defer);
+        assert_eq!(decide_with(&mut s, vec![10.0, 15.0], vec![1, 2], &[64 << 10]), Action::Defer);
+    }
+
+    #[test]
+    fn a_long_wait_sends_on_one_rail_now() {
+        let mut s = MulticoreEager::new();
+        match decide_with(&mut s, vec![0.0, 25.0], vec![1, 2, 3], &[64 << 10]) {
+            Action::Split(chunks) => {
+                assert_eq!(chunks.len(), 1);
+                assert_eq!(chunks[0].rail, RailId(0));
+                assert!(chunks[0].offload_core.is_none());
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_idle_core_never_defers() {
+        let mut s = MulticoreEager::new();
+        let action = decide_with(&mut s, vec![0.0, 10.0], vec![2], &[64 << 10]);
+        assert_eq!(split_total(&action), 64 << 10);
+        let action = decide_with(&mut s, vec![0.0, 10.0], vec![], &[64 << 10]);
+        assert_eq!(split_total(&action), 64 << 10);
+    }
+
+    #[test]
+    fn the_defer_check_reads_the_all_idle_plan_from_the_cache() {
+        let mut s = MulticoreEager::new();
+        assert_eq!(decide_with(&mut s, vec![0.0, 10.0], vec![1, 2, 3], &[64 << 10]), Action::Defer);
+        assert_eq!((s.cache.stats().hits, s.cache.stats().misses), (0, 1));
+        // The same size behind a different wait: the same all-idle plan.
+        assert_eq!(decide_with(&mut s, vec![0.0, 12.0], vec![1, 2, 3], &[64 << 10]), Action::Defer);
+        assert_eq!((s.cache.stats().hits, s.cache.stats().misses), (1, 1));
+        // And the decision once the NICs are idle shares its key.
+        let action = decide_with(&mut s, vec![0.0, 0.0], vec![1, 2], &[64 << 10]);
+        assert!(matches!(&action, Action::Split(chunks) if chunks.len() == 2), "{action:?}");
+        assert_eq!((s.cache.stats().hits, s.cache.stats().misses, s.cache.len()), (2, 1, 1));
     }
 
     #[test]
