@@ -14,7 +14,12 @@
 //! from hetero split to multicore eager (each eager chunk's copy on its own
 //! idle core): the eager-sized runs and the persistent runs after them
 //! moved; both barriers, every fresh rendezvous-sized run and the healing
-//! barriers did not. ci.sh runs this file in release mode too.
+//! barriers did not. They were re-recorded again when a multicore-eager
+//! send that finds a NIC busy began to wait for the split on idle NICs:
+//! the fresh 64 KiB broadcasts and ring, and persistent runs after them,
+//! moved; both barriers, the fresh pairwise all-to-alls, every fresh
+//! rendezvous-sized run and the healing barriers did not. ci.sh runs this
+//! file in release mode too.
 
 use nm_collectives::{Algorithm, CollectiveCluster, ProfileBank, RunResult, ALGORITHMS};
 use nm_faults::{ClusterFaultSchedule, ClusterFaultSpec, FaultKind};
@@ -87,22 +92,22 @@ const HOMOGENEOUS_16: [u64; 20] = [
     0x443b_9579_ca11_34a0,
     0xdd48_cc98_defa_0792,
     0x7095_386c_49bb_4aea,
-    0x0c38_f6b9_b67f_d975,
-    0x60f3_d110_f16c_c2e9,
+    0x4e8d_fc87_3bad_083a,
+    0x417a_2179_b4f9_24f3,
     0x7be0_985e_c70d_edfc,
-    0xfc69_af45_445f_6d8a,
-    0xbf0d_c5db_1c35_d2ad,
-    0xb86c_4e14_025b_1782,
+    0x45b2_99a3_4464_e082,
+    0xd1df_a306_684d_d9b0,
+    0x39c1_d64c_5801_1ba7,
     0x5681_4cf6_26e0_0d8d,
-    0xf465_d8ef_87df_9230,
+    0x3737_089d_2cca_6c1f,
     0x0427_352a_a787_a35e,
-    0xcee7_c783_03a0_80c9,
+    0x55ce_6848_68d1_c0bd,
     0x6d4c_7ff6_cd2f_50a0,
-    0x0481_140d_409f_dd80,
-    0x6753_f8e9_f415_91c8,
-    0xeec4_61bf_d093_31f2,
+    0x5c3e_c580_64ea_1e37,
+    0x8d74_7724_42a7_f4ac,
+    0x2293_c1a0_f843_6736,
     0xb1f5_b367_d9d8_d90c,
-    0x33ed_07b8_19ca_0915,
+    0xcb06_0e79_b332_431f,
 ];
 
 const HETEROGENEOUS_8: [u64; 20] = [
@@ -114,8 +119,8 @@ const HETEROGENEOUS_8: [u64; 20] = [
     0xe0f9_2f49_fd68_4c7b,
     0x1a2a_7a2c_ea1d_9578,
     0x7ea3_08b5_f659_569a,
-    0x7b8a_07c8_3cda_6b76,
-    0xa156_975a_c227_e83f,
+    0x3967_7566_7d51_bc4b,
+    0x93e4_eb55_6522_2be2,
     0x06ba_380c_af67_0966,
     0x0661_f328_ea33_9a14,
     0x1696_332f_8bda_145f,
