@@ -23,6 +23,11 @@
 //! — so the message cap went from 48 to 32 with the re-recording, which
 //! gives the script about as many rejections as it had.
 //!
+//! A third re-recording came when `MulticoreEager` began to defer a medium
+//! eager message that finds a NIC busy until the split on idle NICs wins:
+//! the `MulticoreEager` and `Paper` columns moved, the `HeteroSplit` and
+//! `Aggregation` columns did not.
+//!
 //! Digested: the verdict (id or error class) of every post, cancel and
 //! abandon; every poll's clock and done list with the degradation latch and
 //! the admission counters after it; every `wait`/`drain` completion field by
@@ -332,39 +337,39 @@ const STRATEGIES: [StrategyKind; 4] = [
 const PINNED: [[[u64; 2]; 4]; 6] = [
     [
         [0x867c_35d4_6eb1_f9e1, 0xff61_7707_a0f7_6f7f],
-        [0xef7b_b52f_7d49_9688, 0xd3e9_d3a1_d60f_1a69],
+        [0x55dd_787b_78e8_caf9, 0x9e74_22a5_4be9_e115],
         [0x85c8_f366_76b8_c4ca, 0x8570_016b_526b_4eed],
-        [0xc862_0ea0_fd01_84b0, 0x2622_1524_4fe0_2d1d],
+        [0x2422_81a2_76fc_d57f, 0x34e8_13a9_34a8_e9f9],
     ],
     [
         [0xa5db_3963_c158_bdb5, 0x4e6e_2a18_c647_ea24],
-        [0xbaae_e1e4_b1e3_9ddd, 0xe7b8_3bfd_2df8_f6e7],
+        [0xa34f_0c55_91a9_4e6a, 0x3919_fdf3_d3df_85c3],
         [0x1927_b29f_38b7_077d, 0x50d4_1260_63c4_541b],
-        [0x3e02_fc47_7368_63eb, 0xea7c_81b1_e467_ff30],
+        [0xc7ef_9156_7939_8d9e, 0x214b_97c6_40a6_a357],
     ],
     [
         [0xff55_97a7_5049_681a, 0x98a1_e585_5976_fcb7],
-        [0x60e0_6d38_77d7_b9fb, 0xa236_05b5_9dd2_da51],
+        [0x3558_14bd_14a8_68e3, 0x919a_be99_3eb3_9b8b],
         [0x5c3f_d054_4c3d_8ced, 0xcedd_8c76_0ebd_8d0d],
-        [0xf32b_4291_cc65_8ab1, 0x62f6_c20e_ee7f_719c],
+        [0xfcb0_d46b_4bf9_b37d, 0x5a90_6bf7_7e7a_38c2],
     ],
     [
         [0xd68d_8ab8_3b01_4ffc, 0x6a5c_e412_2dda_6794],
-        [0x73f5_77cb_a940_bc98, 0x6850_bff2_601f_0ede],
+        [0x2ef3_428d_f352_9432, 0xbc6e_d688_e7a2_96fd],
         [0xb3b2_bb04_1778_510a, 0x4c30_9989_7439_164b],
-        [0x49c5_f128_c7f2_8066, 0xa032_c02c_4404_c71d],
+        [0xaa3e_2de1_6797_5755, 0x5f5f_04f3_e158_b92d],
     ],
     [
         [0x1a9d_e66f_31b9_4143, 0x66c9_5040_f7ef_a74e],
-        [0xaf63_aec7_189d_9e83, 0x12c9_7cae_0c2c_7b88],
+        [0x81a2_2cfd_3c9f_c9da, 0x84f3_60dd_a618_1adb],
         [0xf749_7558_513d_fe4f, 0x2700_7865_f2b7_8f01],
-        [0x4c31_af86_2fd5_76a7, 0x591e_e5a9_d3eb_819d],
+        [0xcc45_a219_b60e_eddd, 0xd878_7f2e_405d_2a38],
     ],
     [
         [0xc374_0301_86ca_d5cc, 0x0014_6cfa_31ad_9f00],
-        [0xf81a_bed5_380c_0145, 0x326f_7805_3122_1bec],
+        [0x74a0_3d6e_e9ab_6304, 0x4cce_069d_3220_3575],
         [0xd372_dc09_49de_8bec, 0xb2fb_26d1_d2d2_4d7a],
-        [0x04c2_5f94_beb6_384c, 0x3d40_e924_bdd8_b8db],
+        [0x6c5d_2d94_d97b_8a94, 0x75c3_a869_d267_c77d],
     ],
 ];
 
