@@ -20,8 +20,8 @@
 use crate::plan_cache::PlanCache;
 use crate::predictor::CostModel;
 use crate::selection::select_rails;
-use crate::strategy::hetero::HeteroSplit;
 use crate::split::Split;
+use crate::strategy::hetero::HeteroSplit;
 use crate::strategy::{Action, ChunkList, ChunkPlan, Ctx, Strategy, QUIET_WAITS_US};
 use nm_model::{InlineVec, SimDuration, TransferMode, MAX_RAILS};
 use nm_sim::RailId;
