@@ -6,7 +6,10 @@
 //! both rails under seeded corruption/duplication faults. Reported per
 //! level: accepted vs rejected posts (backpressure at the pending caps),
 //! messages shed past their deadline, goodput of what completed, the p99
-//! completion time, and the integrity/degradation counters.
+//! completion time, and the integrity/degradation counters. A message whose
+//! chunk spends every retry fails; the `failed` column appears only at a
+//! seed where one does. Every level must account for each post:
+//! offered = accepted + rejected, accepted = completed + shed + failed.
 //!
 //! Results go to stdout and to `BENCH_overload.json`.
 
@@ -77,6 +80,7 @@ struct Row {
     rejected: u64,
     shed: u64,
     completed: u64,
+    failed: u64,
     goodput_mibps: f64,
     p99_completion_us: f64,
     corrupt_chunks: u64,
@@ -113,10 +117,12 @@ fn run_level(offered: usize, seed: u64) -> Row {
     }
     let accepted = ids.len() as u64;
     let mut completions = Vec::new();
+    let mut failed = 0u64;
     for id in ids {
         match engine.wait(id) {
             Ok(c) => completions.push(c),
             Err(EngineError::Shed(_)) => {} // counted in stats.msgs_shed
+            Err(EngineError::Failed(_)) => failed += 1,
             Err(e) => panic!("unexpected wait error: {e}"),
         }
     }
@@ -135,12 +141,20 @@ fn run_level(offered: usize, seed: u64) -> Row {
     } else {
         0.0
     };
+    let (shed, completed) = (stats.msgs_shed, completions.len() as u64);
+    assert_eq!(offered as u64, accepted + rejected, "offered level {offered}: a post went missing");
+    assert_eq!(
+        accepted,
+        completed + shed + failed,
+        "offered level {offered}: an accepted message has no verdict"
+    );
     Row {
         offered,
         accepted,
         rejected,
-        shed: stats.msgs_shed,
-        completed: completions.len() as u64,
+        shed,
+        completed,
+        failed,
         goodput_mibps,
         p99_completion_us: p99,
         corrupt_chunks: stats.corrupt_chunks,
@@ -192,7 +206,11 @@ pub fn run(&Args { seed, .. }: &Args) -> Output {
     }
 
     let column = |f: fn(&Row) -> u64| rows.iter().map(f).collect::<Vec<_>>();
-    let doc = json! {
+    let any_failed = rows.iter().any(|r| r.failed > 0);
+    if any_failed {
+        outln!(out, "# failed (a chunk spent its retries): {:?}", column(|r| r.failed));
+    }
+    let mut doc = json! {
         "bench": "overload", "seed": seed, "msg_bytes": MSG_BYTES, "deadline_us": DEADLINE_US,
         "offered_msgs": OFFERED.to_vec(), "accepted": column(|r| r.accepted),
         "rejected": column(|r| r.rejected), "shed": column(|r| r.shed),
@@ -202,5 +220,9 @@ pub fn run(&Args { seed, .. }: &Args) -> Output {
         "corrupt_chunks": column(|r| r.corrupt_chunks), "retries": column(|r| r.retries),
         "degrade_transitions": column(|r| r.degrade_transitions),
     };
+    if any_failed {
+        let at = doc.0.iter().position(|(k, _)| *k == "completed").map_or(doc.0.len(), |i| i + 1);
+        doc.0.insert(at, ("failed", column(|r| r.failed).into()));
+    }
     Output { text: out, bench: Some(("BENCH_overload.json", doc)) }
 }

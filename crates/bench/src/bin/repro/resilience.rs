@@ -60,6 +60,10 @@ pub fn run(&Args { seed, .. }: &Args) -> Output {
         (0, 0, 0),
         "empty schedule must be inert"
     );
+    // No admission control: every post is accepted, and each must complete.
+    for stats in [&clean, &s] {
+        assert_eq!(stats.msgs_completed, MSGS as u64, "a message has no verdict");
+    }
 
     let inflation_pct = 100.0 * (faulted_us - clean_us) / clean_us;
     let failover_latency_us_mean = if s.failover_completions > 0 {

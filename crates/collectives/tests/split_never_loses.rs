@@ -41,7 +41,11 @@ impl Pair {
         let (defers, submitted) = (stats.defers, stats.chunks_submitted);
         if submitted > self.seen.1 {
             if let Some(until) = self.deferred_until.take() {
-                assert!(now <= until, "hop {}: deferred until {until:?}, submitted {now:?}", self.hop);
+                assert!(
+                    now <= until,
+                    "hop {}: deferred until {until:?}, submitted {now:?}",
+                    self.hop
+                );
             }
         }
         if defers > self.seen.0 {
@@ -132,4 +136,25 @@ fn fan_out_of_two_multicore_eager_64k_tree_broadcast_on_4_nodes() {
     let mut bank = ProfileBank::new(spec.clone());
     let runner = CollectiveCluster::new(spec).run(&mut bank, &dag).expect("run");
     assert_eq!(runner.deliveries, run.delivered.into_iter().map(Some).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_head_deferred_behind_a_sibling_engine_is_waited_for() {
+    // The root's two hops of the fan-out above, each waited for on its
+    // own: the second engine has nothing in flight while it defers, and
+    // the NIC-idle event it waits for comes from the first engine's chunks.
+    let spec = ClusterSpec::homogeneous(4, 4, builtin::paper_testbed());
+    let cluster = SimCluster::new(spec.clone());
+    let mut bank = ProfileBank::new(spec);
+    let mut engine = |dst: usize| {
+        let driver = cluster.pair_driver(NodeId(0), NodeId(dst));
+        let predictor = bank.predictor_for_pair(0, dst);
+        Engine::new(driver, predictor, StrategyKind::MulticoreEager.build()).expect("engine")
+    };
+    let (mut first, mut second) = (engine(1), engine(2));
+    let _ = first.post_send(64 * KIB).expect("post");
+    let id = second.post_send(64 * KIB).expect("post");
+    assert_eq!(second.stats().defers, 1, "both NICs are busy with the first hop");
+    let done = second.wait(id).expect("the deferred head leaves when the NICs go idle");
+    assert_eq!(us(done.delivered_at), 92.4);
 }

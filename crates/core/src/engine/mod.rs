@@ -11,12 +11,13 @@
 //! * chunk deliveries are folded back into message completions.
 //!
 //! Where a message stands is written in one place, its `MsgRecord` in the
-//! id-ordered `msgs` table: `Queued → Inflight → Held → Released`, or
-//! `Queued → Shed`, never backwards (diagram in DESIGN.md §7). `wait`,
-//! `try_completion` and `drain` claim a `Released` or `Shed` record by
-//! removing it, `cancel`/`abandon` remove a `Queued` or `Inflight` one, and
-//! an id without a record is unknown. `queue` keeps only the order of the
-//! `Queued` ones and what `kick` reads from every entry in a row.
+//! id-ordered `msgs` table: `Queued → Inflight → Held → Released`,
+//! `Queued → Shed` or `Inflight → Failed`, never backwards (diagram in
+//! DESIGN.md §7). `wait`, `try_completion` and `drain` claim a `Released`,
+//! `Shed` or `Failed` record by removing it, `cancel`/`abandon` remove a
+//! `Queued` or `Inflight` one, and an id without a record is unknown.
+//! `queue` keeps only the order of the `Queued` ones and what `kick` reads
+//! from every entry in a row.
 //!
 //! One file per layer of the figure, and one for what the figure lacks:
 //!
@@ -179,6 +180,9 @@ enum MsgState {
     /// Dropped from the queue past its deadline; [`Engine::wait`] reports
     /// [`EngineError::Shed`] once.
     Shed,
+    /// A chunk spent its retries; [`Engine::wait`] reports
+    /// [`EngineError::Failed`] once.
+    Failed,
 }
 
 /// One flow (tag): the sequence number its next post takes, and the
@@ -201,6 +205,8 @@ pub struct MsgCensus {
     pub released: usize,
     /// Shed verdicts not yet claimed.
     pub shed: usize,
+    /// Failed verdicts not yet claimed.
+    pub failed: usize,
 }
 
 /// All admission-control state, boxed behind an `Option` so an engine
@@ -649,17 +655,24 @@ impl<T: Transport> Engine<T> {
         )
     }
 
+    /// Whether `id` was delivered and waits for its flow's earlier messages.
+    fn is_held(&self, id: MsgId) -> bool {
+        matches!(self.msgs.get(&id).map(|m| &m.state), Some(MsgState::Held))
+    }
+
     /// Blocks (advancing the transport) until `id` completes. The record
-    /// goes with the answer: a completion or a [`EngineError::Shed`] verdict
-    /// is reported exactly once, and the id is unknown from then on.
+    /// goes with the answer: a completion, or an [`EngineError::Shed`] or
+    /// [`EngineError::Failed`] verdict, is reported exactly once, and the
+    /// id is unknown from then on.
     pub fn wait(&mut self, id: MsgId) -> Result<MsgCompletion, EngineError> {
         loop {
             match self.msgs.get(&id).map(|m| &m.state) {
                 // Never posted, removed, or claimed before.
                 None => return Err(EngineError::UnknownMessage(id.0)),
-                Some(MsgState::Released(_) | MsgState::Shed) => {
+                Some(MsgState::Released(_) | MsgState::Shed | MsgState::Failed) => {
                     return match self.msgs.remove(&id).map(|m| m.state) {
                         Some(MsgState::Released(c)) => Ok(c),
+                        Some(MsgState::Failed) => Err(EngineError::Failed(id.0)),
                         _ => Err(EngineError::Shed(id.0)),
                     };
                 }
@@ -673,9 +686,21 @@ impl<T: Transport> Engine<T> {
             if !made_progress && self.transport_quiescent() {
                 // Nothing in flight: the strategy must act now or never.
                 self.kick()?;
-                if self.transport_quiescent() && self.is_pending(id) {
+                // Unless a NIC is still busy (another engine's traffic on a
+                // shared node): its going idle asks the strategy again.
+                if !self.transport_quiescent() || self.nic_busy() {
+                    continue;
+                }
+                if self.is_pending(id) {
                     return Err(EngineError::Transport(format!(
                         "deadlock: transport quiescent but message {} incomplete",
+                        id.0
+                    )));
+                }
+                // Held for a flow predecessor that nothing will move now.
+                if self.is_held(id) {
+                    return Err(EngineError::Transport(format!(
+                        "deadlock: transport quiescent but message {} held for its flow",
                         id.0
                     )));
                 }
@@ -688,7 +713,9 @@ impl<T: Transport> Engine<T> {
     /// [`Self::poll`] or [`Self::wait`] already released included — in id
     /// (posted) order. Shed verdicts, whether reached while draining or
     /// left unclaimed from before, are forgotten, not errors: afterwards
-    /// the engine remembers no message.
+    /// the engine remembers no message. A failed message ends the drain
+    /// with [`EngineError::Failed`]; its record goes with the error, so a
+    /// second `drain` carries on.
     #[must_use = "dropping the completions loses delivery results; at minimum check for errors"]
     pub fn drain(&mut self) -> Result<Vec<MsgCompletion>, EngineError> {
         let mut claimed = Vec::new();
@@ -702,6 +729,12 @@ impl<T: Transport> Engine<T> {
             }
         }
         Ok(claimed)
+    }
+
+    /// Whether some rail's NIC is busy past now.
+    fn nic_busy(&self) -> bool {
+        let now = self.transport.now();
+        (0..self.transport.rail_count()).any(|r| self.transport.rail_busy_until(RailId(r)) > now)
     }
 
     fn transport_quiescent(&self) -> bool {
@@ -727,6 +760,7 @@ impl<T: Transport> Engine<T> {
                 MsgState::Held => &mut census.held,
                 MsgState::Released(_) => &mut census.released,
                 MsgState::Shed => &mut census.shed,
+                MsgState::Failed => &mut census.failed,
             } += 1;
         }
         census
@@ -919,6 +953,36 @@ mod tests {
         assert_eq!(e.stats().msgs_completed, 1);
         assert!(e.try_completion(second).is_none(), "held for flow order, not released");
         assert!(e.try_completion(first).is_none());
+    }
+
+    /// Sends anything but 1 KiB at once, wiring a younger message ahead of
+    /// a 1 KiB head, and never sends a 1 KiB message.
+    struct HoldsBackOneKib;
+
+    impl Strategy for HoldsBackOneKib {
+        fn name(&self) -> &'static str {
+            "holds-back-1k"
+        }
+        fn decide(&mut self, ctx: &crate::strategy::Ctx<'_>) -> crate::strategy::Action {
+            use crate::strategy::{Action, ChunkPlan};
+            match ctx.queued_sizes {
+                [KIB] => Action::Defer,
+                [KIB, ..] => Action::Promote { index: 1 },
+                _ => Action::single(ChunkPlan::new(RailId(0), ctx.head_size())),
+            }
+        }
+    }
+
+    #[test]
+    fn wait_reports_a_message_held_behind_a_predecessor_that_never_moves() {
+        let predictor = Session::builder().build_sim().predictor().clone();
+        let strategy = Box::new(HoldsBackOneKib);
+        let mut e = Engine::new(SimDriver::paper_testbed(), predictor, strategy).unwrap();
+        let (stuck, held) = (e.post_send(KIB).unwrap(), e.post_send(2 * KIB).unwrap());
+        let err = e.wait(held).expect_err("held behind a message nothing will send");
+        assert!(err.to_string().contains("held for its flow"), "{err}");
+        assert_eq!(e.msg_census(), MsgCensus { queued: 1, held: 1, ..Default::default() });
+        assert!(e.wait(stuck).expect_err("never sent").to_string().contains("deadlock"));
     }
 
     #[test]

@@ -64,6 +64,11 @@ pub(super) struct RetryEntry {
     not_before: SimTime,
 }
 
+/// Whether `entry` is a parked chunk of message `id` alone.
+fn parked_for(entry: &RetryEntry, id: MsgId) -> bool {
+    matches!(&entry.owner, ChunkOwner::Msg(o) if *o == id)
+}
+
 /// Base delay before resubmitting a failed chunk; doubles per attempt.
 const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(100);
 /// A chunk is declared lost when it has been in flight longer than this
@@ -174,12 +179,13 @@ impl<T: Transport> Engine<T> {
             publish(&self.shared, &ops);
             ft.due_floor = ft.due_floor.min(ft.tracker.next_probe_at(rail));
         }
-        let cfg = ft.tracker.config();
         let attempt = meta.lineage.attempt;
-        if attempt > cfg.max_retries {
-            return Err(EngineError::Transport(format!(
-                "chunk {chunk:?} abandoned after {attempt} failed attempts (last rail {rail:?})"
-            )));
+        if attempt > ft.tracker.config().max_retries {
+            // Retries spent: what the chunk carried will never complete.
+            for &id in record.owner.msgs() {
+                self.fail(id)?;
+            }
+            return Ok(());
         }
         // Exponential backoff: base × 2^(attempt-1).
         let not_before = at + RETRY_BACKOFF * (1u64 << (u64::from(attempt) - 1).min(16));
@@ -436,27 +442,56 @@ impl<T: Transport> Engine<T> {
     /// when the message is already physically delivered (held or
     /// completed), unknown, packed with co-travelers, or the engine lacks
     /// the fault-tolerance layer — in every such case the message still
-    /// completes locally and the caller should keep waiting instead.
+    /// completes locally and the caller should keep waiting instead. A
+    /// message that already failed (its retries spent) is claimed here
+    /// instead of by `wait`, with `Ok(true)`.
     pub fn abandon(&mut self, id: MsgId) -> Result<bool, EngineError> {
         if self.cancel(id)? {
+            return Ok(true);
+        }
+        if matches!(self.msgs.get(&id).map(|m| &m.state), Some(MsgState::Failed)) {
+            self.msgs.remove(&id);
             return Ok(true);
         }
         if !self.is_pending(id) {
             return Ok(false); // held, released, shed or unknown: nothing left to tear out
         }
-        let chunks = self.chunks_of(id);
         // Without the fault layer there is no memory of abandoned chunks to
         // swallow late deliveries into; a forced teardown would poison poll.
-        let Some(ft) = self.health.as_mut() else { return Ok(false) };
-        let parked = |r: &RetryEntry| matches!(&r.owner, ChunkOwner::Msg(o) if *o == id);
-        if chunks.is_empty() && !ft.retries.iter().any(parked) {
+        let Some(ft) = self.health.as_ref() else { return Ok(false) };
+        if self.chunks_of(id).is_empty() && !ft.retries.iter().any(|r| parked_for(r, id)) {
             // No individually-owned chunks and nothing parked: the message
             // rides inside an aggregate pack. Tearing the pack apart would
             // strand its co-travelers; it completes with the pack.
             return Ok(false);
         }
-        // Best effort: retract what has not started; whatever cannot be
-        // retracted keeps flying and its delivery is swallowed later.
+        self.write_off_chunks(id);
+        self.remove_from_flow(id)?;
+        self.stats.msgs_abandoned += 1;
+        Ok(true)
+    }
+
+    /// Retry exhaustion: `id` will never complete. What is left of it on
+    /// the wire or parked is written off, it becomes `Failed` (reported once
+    /// by `wait`) and it leaves its flow, so its successors do not wait for
+    /// it.
+    fn fail(&mut self, id: MsgId) -> Result<(), EngineError> {
+        let Some(m) = self.msgs.get_mut(&id) else { return Ok(()) };
+        if !matches!(m.state, MsgState::Inflight { .. }) {
+            return Ok(());
+        }
+        m.state = MsgState::Failed;
+        let (tag, flow_seq, size) = (m.tag, m.flow_seq, m.size);
+        self.write_off_chunks(id);
+        self.release_flow(tag, flow_seq, size, None)
+    }
+
+    /// Drops `id`'s own chunks and parked retries. Best effort: what has
+    /// not started is retracted; whatever cannot be retracted keeps flying
+    /// and its delivery is swallowed later.
+    fn write_off_chunks(&mut self, id: MsgId) {
+        let chunks = self.chunks_of(id);
+        let Some(ft) = self.health.as_mut() else { return };
         let retracted = !chunks.is_empty() && self.transport.cancel_chunks(&chunks);
         for &c in &chunks {
             self.chunks.remove(&c);
@@ -464,10 +499,7 @@ impl<T: Transport> Engine<T> {
                 ft.abandoned.insert(c);
             }
         }
-        ft.retries.retain(|r| !parked(r));
-        self.remove_from_flow(id)?;
-        self.stats.msgs_abandoned += 1;
-        Ok(true)
+        ft.retries.retain(|r| !parked_for(r, id));
     }
 }
 

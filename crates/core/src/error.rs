@@ -21,6 +21,8 @@ pub enum EngineError {
     /// The message was shed by deadline-aware load shedding before any of
     /// its bytes moved; it will never complete.
     Shed(u64),
+    /// A chunk of the message spent every retry; it will never complete.
+    Failed(u64),
 }
 
 impl fmt::Display for EngineError {
@@ -32,6 +34,7 @@ impl fmt::Display for EngineError {
             EngineError::Config(m) => write!(f, "configuration error: {m}"),
             EngineError::Backpressure(b) => write!(f, "backpressure: {b}"),
             EngineError::Shed(id) => write!(f, "message {id} shed past its deadline"),
+            EngineError::Failed(id) => write!(f, "message {id} failed: a chunk spent its retries"),
         }
     }
 }

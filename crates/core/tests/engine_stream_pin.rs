@@ -187,7 +187,7 @@ fn earlier(rng: &mut StdRng, known: &[MsgId], window: usize) -> Option<MsgId> {
 /// half-way) and have not been claimed, cancelled or abandoned since.
 fn audit(e: &Engine<FaultSimDriver>, live: usize) {
     let c = e.msg_census();
-    assert_eq!(c.queued + c.inflight + c.held + c.released + c.shed, live, "{c:?}");
+    assert_eq!(c.queued + c.inflight + c.held + c.released + c.shed + c.failed, live, "{c:?}");
     let (pending, _) = e.admission_pending().expect("admission is on");
     assert_eq!((c.queued + c.inflight) as u64, pending, "{c:?}");
 }

@@ -322,3 +322,90 @@ fn deep_backlog_degrades_to_ratio_split_and_recovers() {
     }
     assert_eq!(engine.stats().msgs_completed, 10);
 }
+
+/// `repro overload`'s storm at seed 35: corruption and duplication over
+/// both rails with a 2.4 ms dual-rail blackout from 1.2 ms.
+fn overload_storm_seed_35() -> FaultSchedule {
+    let window = SimDuration::from_micros(1_000_000);
+    let at = SimTime::from_micros(1);
+    let blackout = |rail| FaultSpec {
+        rail,
+        at: SimTime::from_micros(1_200),
+        kind: FaultKind::RailDown { duration: SimDuration::from_micros(2_400) },
+    };
+    FaultSchedule::new(35)
+        .with(FaultSpec {
+            rail: RailId(0),
+            at,
+            kind: FaultKind::PayloadCorrupt { prob: 0.06, duration: window },
+        })
+        .with(FaultSpec {
+            rail: RailId(1),
+            at,
+            kind: FaultKind::HeaderCorrupt { prob: 0.03, duration: window },
+        })
+        .with(FaultSpec {
+            rail: RailId(0),
+            at,
+            kind: FaultKind::DuplicateChunk { prob: 0.04, duration: window },
+        })
+        .with(blackout(RailId(0)))
+        .with(blackout(RailId(1)))
+}
+
+#[test]
+fn a_message_whose_retries_run_out_fails_once_and_frees_its_flow() {
+    // `repro overload --seed 35` at offered level 96: eight bursts of 12
+    // 32 KiB posts, 600 µs apart, into an admission-controlled aggregation
+    // engine. One chunk spends its retries after the blackout; its message
+    // used to keep its flow slot, so every later message stayed held and
+    // `wait` spun forever.
+    let spec = ClusterSpec::paper_testbed();
+    let predictor = nm_tests::sample_predictor(&spec);
+    let strategy = StrategyKind::Aggregation.build();
+    let mut engine =
+        Engine::new(FaultSimDriver::new(spec, overload_storm_seed_35()), predictor, strategy)
+            .expect("engine")
+            .with_fault_tolerance(HealthConfig::default())
+            .expect("health")
+            .with_admission_control(AdmissionConfig {
+                max_pending_msgs: 128,
+                max_pending_bytes: 16 * MIB,
+                default_deadline: Some(SimDuration::from_micros(1_500)),
+                degrade_enter_backlog: 32,
+                degrade_exit_backlog: 8,
+            })
+            .expect("admission");
+    let mut ids = Vec::new();
+    for _ in 0..8 {
+        for _ in 0..12 {
+            ids.push(engine.try_post_send(32 * KIB).expect("under the caps"));
+        }
+        let due = engine.now() + SimDuration::from_micros(600);
+        let _ = engine.advance_to(due).expect("advance");
+    }
+    // Every message reaches a verdict in bounded virtual time.
+    let bound = SimTime::from_micros(20_000);
+    loop {
+        let c = engine.msg_census();
+        if c.queued + c.inflight + c.held == 0 {
+            break;
+        }
+        assert!(engine.now() < bound, "unsettled at {:?}: {c:?}", engine.now());
+        let _ = engine.poll().expect("retry exhaustion is a verdict, not a poll error");
+    }
+    let (mut completed, mut shed, mut failed) = (0, 0, 0);
+    for &id in &ids {
+        match engine.wait(id) {
+            Ok(_) => completed += 1,
+            Err(EngineError::Shed(_)) => shed += 1,
+            Err(EngineError::Failed(_)) => failed += 1,
+            Err(e) => panic!("message {id:?}: {e}"),
+        }
+        assert!(matches!(engine.wait(id), Err(EngineError::UnknownMessage(_))), "reported once");
+    }
+    assert_eq!(failed, 1, "completed {completed}, shed {shed}");
+    assert_eq!(completed + shed + failed, ids.len());
+    assert_eq!(engine.msg_census(), Default::default());
+    assert_eq!(engine.admission_pending(), Some((0, 0)), "the failed message left its budget");
+}
