@@ -245,6 +245,35 @@ cargo run --release -p nm-bench --bin repro -- table_offload
 # side effect (a PR that means to move one commits the new file).
 cargo run --release -p nm-bench --bin repro -- check
 
+# Every seed, not only seed 42: the seeded harnesses over a seed range, in
+# a scratch directory (each run rewrites its BENCH file in the cwd). Each
+# run asserts its own conservation before it writes — overload: offered =
+# accepted + rejected and accepted = completed + shed + failed; resilience:
+# every message completes — and must terminate. A seed known to fail is
+# listed as `harness:seed`, each with a comment naming the ROADMAP item
+# that removes it. The list may only shrink: a listed seed that passes
+# fails the lane until its entry is deleted.
+sweep_known_failures=""
+sweep_dir=$(mktemp -d)
+repro="$(pwd)/target/release/repro"
+for lane in overload:600 resilience:300; do
+    harness=${lane%%:*}
+    for seed in $(seq 1 "${lane#*:}"); do
+        case " $sweep_known_failures " in
+            *" $harness:$seed "*) known=1 ;;
+            *) known=0 ;;
+        esac
+        if (cd "$sweep_dir" && timeout 60 "$repro" "$harness" --seed "$seed" >/dev/null 2>&1); then
+            [ "$known" -eq 0 ] \
+                || { echo "repro $harness --seed $seed passes now: delete it from sweep_known_failures" >&2; exit 1; }
+        else
+            [ "$known" -eq 1 ] \
+                || { echo "repro $harness --seed $seed fails or does not terminate" >&2; exit 1; }
+        fi
+    done
+done
+rm -rf "$sweep_dir"
+
 # Multicore scaling harness: replicated decision state vs the locked
 # baseline under health churn (its `decide_only_ns` reference and both
 # baselines are timed in the one process, so host drift cancels).
