@@ -655,11 +655,6 @@ impl<T: Transport> Engine<T> {
         )
     }
 
-    /// Whether `id` was delivered and waits for its flow's earlier messages.
-    fn is_held(&self, id: MsgId) -> bool {
-        matches!(self.msgs.get(&id).map(|m| &m.state), Some(MsgState::Held))
-    }
-
     /// Blocks (advancing the transport) until `id` completes. The record
     /// goes with the answer: a completion, or an [`EngineError::Shed`] or
     /// [`EngineError::Failed`] verdict, is reported exactly once, and the
@@ -692,7 +687,11 @@ impl<T: Transport> Engine<T> {
                     continue;
                 }
                 // Held counts too: nothing will move its flow predecessor.
-                if self.is_pending(id) || self.is_held(id) {
+                let state = self.msgs.get(&id).map(|m| &m.state);
+                if matches!(
+                    state,
+                    Some(MsgState::Queued | MsgState::Inflight { .. } | MsgState::Held)
+                ) {
                     return Err(EngineError::Transport(format!(
                         "deadlock: transport quiescent but message {} incomplete",
                         id.0

@@ -353,13 +353,12 @@ fn overload_storm_seed_35() -> FaultSchedule {
         .with(blackout(RailId(1)))
 }
 
-#[test]
-fn a_message_whose_retries_run_out_fails_once_and_frees_its_flow() {
-    // `repro overload --seed 35` at offered level 96: eight bursts of 12
-    // 32 KiB posts, 600 µs apart, into an admission-controlled aggregation
-    // engine. One chunk spends its retries after the blackout; its message
-    // used to keep its flow slot, so every later message stayed held and
-    // `wait` spun forever.
+/// `repro overload --seed 35` at offered level 96: eight bursts of 12
+/// 32 KiB posts, 600 µs apart, into an admission-controlled aggregation
+/// engine, polled until every message has a verdict. One chunk spends its
+/// retries after the blackout; its message used to keep its flow slot, so
+/// every later message stayed held and `wait` spun forever.
+fn settled_seed_35_storm() -> (Engine<FaultSimDriver>, Vec<MsgId>) {
     let spec = ClusterSpec::paper_testbed();
     let predictor = nm_tests::sample_predictor(&spec);
     let strategy = StrategyKind::Aggregation.build();
@@ -394,6 +393,14 @@ fn a_message_whose_retries_run_out_fails_once_and_frees_its_flow() {
         assert!(engine.now() < bound, "unsettled at {:?}: {c:?}", engine.now());
         let _ = engine.poll().expect("retry exhaustion is a verdict, not a poll error");
     }
+    assert_eq!(engine.msg_census().failed, 1);
+    assert_eq!(engine.admission_pending(), Some((0, 0)), "the failed message left its budget");
+    (engine, ids)
+}
+
+#[test]
+fn a_message_whose_retries_run_out_fails_once_and_frees_its_flow() {
+    let (mut engine, ids) = settled_seed_35_storm();
     let (mut completed, mut shed, mut failed) = (0, 0, 0);
     for &id in &ids {
         match engine.wait(id) {
@@ -407,5 +414,15 @@ fn a_message_whose_retries_run_out_fails_once_and_frees_its_flow() {
     assert_eq!(failed, 1, "completed {completed}, shed {shed}");
     assert_eq!(completed + shed + failed, ids.len());
     assert_eq!(engine.msg_census(), Default::default());
-    assert_eq!(engine.admission_pending(), Some((0, 0)), "the failed message left its budget");
+}
+
+#[test]
+fn abandon_claims_a_failed_message_for_reposting() {
+    let (mut engine, ids) = settled_seed_35_storm();
+    let claimed: Vec<MsgId> =
+        ids.iter().copied().filter(|&id| engine.abandon(id).expect("abandon")).collect();
+    assert_eq!(claimed.len(), 1, "only the failed message: the rest completed or were shed");
+    assert!(matches!(engine.wait(claimed[0]), Err(EngineError::UnknownMessage(_))));
+    assert_eq!(engine.msg_census().failed, 0);
+    assert_eq!(engine.stats().msgs_abandoned, 0, "a failed message is not torn out");
 }
