@@ -45,9 +45,7 @@ impl MulticoreEager {
             cache: PlanCache::new(2),
         }
     }
-}
 
-impl MulticoreEager {
     /// The eager split of `size` over at most `cap` rails with these waits,
     /// memoized per predictor epoch.
     fn capped_split(&mut self, ctx: &Ctx<'_>, cap: usize, size: u64, waits: &[f64]) -> Split {
