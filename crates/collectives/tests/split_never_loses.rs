@@ -66,9 +66,9 @@ struct FanOut {
     defers: Vec<u64>,
 }
 
-/// Runs `algorithm`'s hops of `bytes` over `nodes` paper nodes, one
-/// `strategy` pair engine per hop, posting a hop once its dependencies are
-/// delivered and polling engines in the order the cluster lists them.
+/// Runs `dag` on a cluster over `spec`, one `strategy` pair engine per hop,
+/// posting a hop once its dependencies are delivered and polling engines in
+/// the order the cluster lists them.
 fn fan_out(strategy: StrategyKind, spec: &ClusterSpec, dag: &HopDag) -> FanOut {
     let cluster = SimCluster::new(spec.clone());
     let mut bank = ProfileBank::new(spec.clone());
