@@ -249,14 +249,15 @@ cargo run --release -p nm-bench --bin repro -- check
 # a scratch directory (each run rewrites its BENCH file in the cwd). Each
 # run asserts its own conservation before it writes — overload: offered =
 # accepted + rejected and accepted = completed + shed + failed; resilience:
-# every message completes — and must terminate. A seed known to fail is
+# every message completes; cluster_resilience: no hop retried, each
+# node-death barrier under 10× fault-free — and must terminate. A seed known to fail is
 # listed as `harness:seed`, each with a comment naming the ROADMAP item
 # that removes it. The list may only shrink: a listed seed that passes
 # fails the lane until its entry is deleted.
 sweep_known_failures=""
 sweep_dir=$(mktemp -d)
 repro="$(pwd)/target/release/repro"
-for lane in overload:600 resilience:300; do
+for lane in overload:600 resilience:300 cluster_resilience:100; do
     harness=${lane%%:*}
     for seed in $(seq 1 "${lane#*:}"); do
         case " $sweep_known_failures " in
