@@ -246,7 +246,7 @@ cargo run --release -p nm-bench --bin repro -- table_offload
 cargo run --release -p nm-bench --bin repro -- check
 
 # Every seed, not only seed 42: the seeded harnesses over a seed range, in
-# a scratch directory (each run rewrites its BENCH file in the cwd). Each
+# a temporary directory (each run rewrites its BENCH file in the cwd). Each
 # run asserts its own conservation before it writes — overload: offered =
 # accepted + rejected and accepted = completed + shed + failed; resilience:
 # every message completes; cluster_resilience: no hop retried, each
