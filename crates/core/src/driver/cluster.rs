@@ -530,20 +530,13 @@ impl SimCore {
                 Fate::Clean
             };
         }
-        // The engine names a chunk's receive core after the sender's offload
-        // core; a destination with fewer cores takes it modulo its own count.
-        let cores = self.sim.spec().nodes[dst.index()].cores;
-        let recv_core = match chunk.recv_core {
-            c if c.index() < cores => c,
-            c => CoreId(c.index() % cores),
-        };
         let id = self.sim.submit(SendSpec {
             src,
             dst,
             rail,
             size: chunk.bytes,
             send_core: chunk.send_core,
-            recv_core,
+            recv_core: None,
             mode: chunk.mode,
             offload_delay: chunk.offload_delay,
             tag: slot as u32,
@@ -976,11 +969,9 @@ mod tests {
 
     #[test]
     fn an_offloaded_chunk_lands_on_a_core_its_destination_has() {
-        // The engine names the receive core after the sender's offload
-        // core: the split's second chunk leaves from core 1 of a 4-core
-        // node, which a 1-core destination does not have. The transport
-        // takes it modulo the destination's count instead of handing the
-        // simulator a core it rejects.
+        // The split's second chunk leaves from core 1 of a 4-core node,
+        // which a 1-core destination does not have. The destination picks
+        // the receive core among its own, so the chunk lands on core 0.
         let spec = ClusterSpec {
             nodes: vec![NodeSpec::with_cores(4), NodeSpec::with_cores(1)],
             rails: builtin::paper_testbed(),
@@ -1014,7 +1005,6 @@ mod tests {
             rail: RailId(0),
             bytes: MIB,
             send_core: CoreId(0),
-            recv_core: CoreId(0),
             offload_delay: nm_model::SimDuration::ZERO,
             mode: None,
             payload: None,
@@ -1128,7 +1118,6 @@ mod tests {
             rail: RailId(0),
             bytes: MIB,
             send_core: CoreId(0),
-            recv_core: CoreId(0),
             offload_delay: nm_model::SimDuration::ZERO,
             mode: None,
             payload: None,
@@ -1556,7 +1545,6 @@ mod tests {
                 rail: RailId(0),
                 bytes: MIB,
                 send_core: CoreId(0),
-                recv_core: CoreId(0),
                 offload_delay: nm_model::SimDuration::ZERO,
                 mode: None,
                 payload: None,

@@ -418,7 +418,6 @@ impl<T: Transport> Engine<T> {
         submit.rail = rail;
         // The original offload plan died with the failure.
         submit.send_core = CoreId(0);
-        submit.recv_core = CoreId(0);
         submit.offload_delay = SimDuration::ZERO;
         self.stats.chunks_submitted += 1;
         self.stats.rail_bytes[rail.index()] += bytes;

@@ -255,7 +255,6 @@ impl<T: Transport> Engine<T> {
                 rail: c.rail,
                 bytes: wire_bytes,
                 send_core: c.offload_core.unwrap_or(CoreId(0)),
-                recv_core: c.offload_core.unwrap_or(CoreId(0)),
                 offload_delay: c.offload_delay,
                 mode: c.mode,
                 payload,

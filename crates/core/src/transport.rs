@@ -34,8 +34,6 @@ pub struct ChunkSubmit {
     pub bytes: u64,
     /// Core doing the send-side work.
     pub send_core: CoreId,
-    /// Core absorbing the receive copy (eager only).
-    pub recv_core: CoreId,
     /// Offload delay (T_O) if the chunk was handed to another core.
     pub offload_delay: SimDuration,
     /// Force a protocol (`None`: rail's threshold decides).
@@ -51,7 +49,6 @@ impl ChunkSubmit {
             rail,
             bytes,
             send_core: CoreId(0),
-            recv_core: CoreId(0),
             offload_delay: SimDuration::ZERO,
             mode: None,
             payload: None,

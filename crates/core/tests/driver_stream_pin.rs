@@ -99,7 +99,6 @@ fn digest<T: Transport>(mut t: T, seed: u64, with_payload: bool) -> u64 {
             let size = SIZES[rng.random_range(0..SIZES.len())];
             let mut chunk = ChunkSubmit::new(rail, size);
             chunk.send_core = CoreId(rng.random_range(0..4usize));
-            chunk.recv_core = CoreId(rng.random_range(0..4usize));
             if with_payload {
                 let bytes = framed(size, submitted);
                 chunk.bytes = bytes.len() as u64;

@@ -11,6 +11,8 @@
 //! `LinkModel::eager.time(size)` after injection start when nothing
 //! contends. Two eager sends issued from one core serialize on the core;
 //! offloaded sends (`offload_delay > 0`) start later but on another core.
+//! The destination picks the receiving core: core 0, or for an offloaded
+//! send its first core free when the receiving NIC can take the copy.
 //!
 //! **Rendezvous** — the sender posts an RTS (small core window, then a
 //! control-latency flight), the receiver answers CTS immediately, and the
@@ -62,8 +64,11 @@ pub struct SendSpec {
     pub size: u64,
     /// Core performing the send-side work.
     pub send_core: CoreId,
-    /// Core absorbing the receive copy (eager only).
-    pub recv_core: CoreId,
+    /// Core absorbing the receive copy (eager only). `None` leaves the
+    /// choice to the destination: an offloaded transfer
+    /// (`offload_delay > 0`) takes its first core free when the receive
+    /// NIC can take the copy, any other transfer takes core 0.
+    pub recv_core: Option<CoreId>,
     /// Force a protocol; `None` picks by the link's rendezvous threshold.
     pub mode: Option<TransferMode>,
     /// Extra delay before the send-side work may start — the offload cost
@@ -86,7 +91,7 @@ impl SendSpec {
             rail,
             size,
             send_core: CoreId(0),
-            recv_core: CoreId(0),
+            recv_core: None,
             mode: None,
             offload_delay: SimDuration::ZERO,
             tag: 0,
@@ -99,9 +104,10 @@ impl SendSpec {
         self
     }
 
-    /// Sets the receive-copy core.
+    /// Pins the receive copy to `core` instead of leaving the choice to
+    /// the destination.
     pub fn recv_on_core(mut self, core: CoreId) -> Self {
-        self.recv_core = core;
+        self.recv_core = Some(core);
         self
     }
 
@@ -478,11 +484,12 @@ impl Simulator {
             "bad send core {:?}",
             spec.send_core
         );
-        assert!(
-            spec.recv_core.index() < self.spec.nodes[spec.dst.index()].cores,
-            "bad recv core {:?}",
-            spec.recv_core
-        );
+        if let Some(core) = spec.recv_core {
+            assert!(
+                core.index() < self.spec.nodes[spec.dst.index()].cores,
+                "bad recv core {core:?}"
+            );
+        }
         assert!(spec.size > 0, "zero-byte transfers are not modeled");
     }
 
@@ -557,12 +564,13 @@ impl Simulator {
             None => wire_arrive,
         };
         let arrive = wire_arrive.max(switch_clear);
-        let rx_nic = &self.nic_rx[spec.dst.index()][spec.rail.index()];
-        let rx_core = &self.cores[spec.dst.index()][spec.recv_core.index()];
-        let recv_start = arrive.max(rx_nic.free_at(arrive)).max(rx_core.free_at(arrive));
+        let nic_ready =
+            arrive.max(self.nic_rx[spec.dst.index()][spec.rail.index()].free_at(arrive));
+        let recv_core = self.recv_core(spec, nic_ready);
+        let recv_start = self.cores[spec.dst.index()][recv_core.index()].free_at(nic_ready);
         let (_, recv_end) =
             self.reserve(&mut windows, ResKey::NicRx(spec.dst, spec.rail), recv_start, copy);
-        self.reserve(&mut windows, ResKey::Core(spec.dst, spec.recv_core), recv_start, copy);
+        self.reserve(&mut windows, ResKey::Core(spec.dst, recv_core), recv_start, copy);
         self.trace.push(TraceRecord::NicBusy {
             node: spec.dst,
             rail: spec.rail,
@@ -573,17 +581,34 @@ impl Simulator {
         });
         self.trace.push(TraceRecord::CoreBusy {
             node: spec.dst,
-            core: spec.recv_core,
+            core: recv_core,
             from: recv_start,
             to: recv_end,
             transfer: id,
         });
         self.calendar.push(recv_end, Ev::RecvEnd(id));
-        let rx_core_gen = self.cores[spec.dst.index()][spec.recv_core.index()].generation();
-        self.calendar.push(recv_end, Ev::CoreIdleCheck(spec.dst, spec.recv_core, rx_core_gen));
+        let rx_core_gen = self.cores[spec.dst.index()][recv_core.index()].generation();
+        self.calendar.push(recv_end, Ev::CoreIdleCheck(spec.dst, recv_core, rx_core_gen));
 
         self.schedule_idle_checks_for_send(spec, inject_end);
         windows
+    }
+
+    /// The destination core that takes an eager transfer's receive copy
+    /// once its receive NIC can, at `nic_ready` (see [`SendSpec::recv_core`]).
+    /// An offloaded transfer takes the lowest-index core free by then, else
+    /// the one that frees first: every core free at `nic_ready` ties there,
+    /// and `min_by_key` keeps the first of a tie.
+    fn recv_core(&self, spec: &SendSpec, nic_ready: SimTime) -> CoreId {
+        match spec.recv_core {
+            Some(core) => core,
+            None if spec.offload_delay == SimDuration::ZERO => CoreId(0),
+            None => self.cores[spec.dst.index()]
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, c)| c.free_at(nic_ready))
+                .map_or(CoreId(0), |(i, _)| CoreId(i)),
+        }
     }
 
     fn submit_rdv(&mut self, id: TransferId, spec: &SendSpec) -> Vec<Window> {
@@ -1028,6 +1053,81 @@ mod tests {
         );
         s.run_until_idle();
         assert_eq!(started(&s, id), SimTime::ZERO + d);
+    }
+
+    /// The core and start of `id`'s receive copy at `dst` in a traced run.
+    fn recv_copy(s: &Simulator, id: TransferId, dst: NodeId) -> (CoreId, SimTime) {
+        s.trace()
+            .records()
+            .iter()
+            .find_map(|r| match *r {
+                TraceRecord::CoreBusy { node, core, from, transfer, .. }
+                    if transfer == id && node == dst =>
+                {
+                    Some((core, from))
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{id} holds no receive copy at {dst:?}"))
+    }
+
+    #[test]
+    fn an_offloaded_transfer_is_received_on_the_first_free_core() {
+        // Node 1 copies its own two sends on cores 0 and 1 while node 0's
+        // offloaded chunk arrives: core 2 takes the copy at once, so the
+        // chunk lands one uncontended one-way after it started.
+        let size = 4 * KIB;
+        let mut s = sim().with_trace();
+        let own = [
+            s.submit(SendSpec::simple(N1, N0, MYRI, 16 * KIB)),
+            s.submit(SendSpec::simple(N1, N0, QUAD, 16 * KIB).on_core(CoreId(1))),
+        ];
+        let d = SimDuration::from_micros(3);
+        let id =
+            s.submit(SendSpec::simple(N0, N1, MYRI, size).on_core(CoreId(1)).with_offload_delay(d));
+        let events = s.run_until_idle();
+        let (core, from) = recv_copy(&s, id, N1);
+        assert_eq!(core, CoreId(2));
+        assert!(own.iter().all(|&o| send_done(&events, o) > from), "cores 0 and 1 were busy");
+        let one_way = builtin::myri_10g().one_way_us(size).get();
+        let took = (delivered(&events, id) - started(&s, id)).as_micros_f64();
+        assert!((took - one_way).abs() < 0.01, "{took:.3}us vs uncontended {one_way:.3}us");
+    }
+
+    #[test]
+    fn a_transfer_that_is_not_offloaded_is_received_on_core_0() {
+        // The receive-side twin of `eager_sends_from_one_core_serialize`:
+        // node 1's own copy holds core 0, and the incoming copy waits for
+        // it although three other cores are idle. (It leaves node 0 from
+        // core 1, with no offload delay, so that node 0's core 0, busy
+        // receiving node 1's send, does not hold it back.)
+        let mut s = sim().with_trace();
+        let own = s.submit(SendSpec::simple(N1, N0, QUAD, 16 * KIB));
+        let id = s.submit(SendSpec::simple(N0, N1, MYRI, 4 * KIB).on_core(CoreId(1)));
+        let events = s.run_until_idle();
+        assert_eq!(recv_copy(&s, id, N1), (CoreId(0), send_done(&events, own)));
+    }
+
+    #[test]
+    fn a_receive_delayed_by_its_nic_reuses_a_core_freed_by_then() {
+        // Node 2's 16 KiB chunk holds node 1's Myri receive NIC and core 0
+        // when node 0's offloaded chunk arrives. The NIC can take the copy
+        // only when that copy ends, and core 0 is free again by then: it is
+        // reused, and idle core 1 is not taken.
+        let n2 = NodeId(2);
+        let mut s =
+            Simulator::new(ClusterSpec::homogeneous(3, 4, builtin::paper_testbed())).with_trace();
+        let first = s.submit(SendSpec::simple(n2, N1, MYRI, 16 * KIB));
+        let d = SimDuration::from_micros(3);
+        let id = s.submit(
+            SendSpec::simple(N0, N1, MYRI, 4 * KIB).on_core(CoreId(1)).with_offload_delay(d),
+        );
+        let events = s.run_until_idle();
+        let first_end = delivered(&events, first);
+        let arrive = started(&s, id) + builtin::myri_10g().eager.time(4 * KIB)
+            - builtin::myri_10g().pio.copy_time(4 * KIB);
+        assert!(arrive < first_end, "the chunk must queue on the receive NIC");
+        assert_eq!(recv_copy(&s, id, N1), (CoreId(0), first_end));
     }
 
     #[test]
