@@ -202,11 +202,13 @@ struct Window {
     prev: SimTime,
 }
 
-/// Emptied window lists a simulator keeps for reuse: enough for the few
-/// transfers per engine a steady stream keeps in flight. A burst deeper
-/// than this allocates its overflow afresh and frees it at retirement, so
-/// memory after a burst does not stay at the burst's depth.
-const SPARE_WINDOW_LISTS: usize = 16;
+/// Emptied window lists a simulator keeps for reuse. One simulator serves
+/// every engine of a cluster, so this covers what a synchronized round
+/// keeps in flight: a 16-node all-to-all round has 32 eager transfers out
+/// at once (two chunks per node). A burst deeper than this allocates its
+/// overflow afresh and frees it at retirement, so memory after a burst
+/// does not stay at the burst's depth.
+const SPARE_WINDOW_LISTS: usize = 32;
 
 /// What the simulator holds for a transfer until its delivery or retraction.
 struct Live {
