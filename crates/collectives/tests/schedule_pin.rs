@@ -18,8 +18,12 @@
 //! send that finds a NIC busy began to wait for the split on idle NICs:
 //! the fresh 64 KiB broadcasts and ring, and persistent runs after them,
 //! moved; both barriers, the fresh pairwise all-to-alls, every fresh
-//! rendezvous-sized run and the healing barriers did not. ci.sh runs this
-//! file in release mode too.
+//! rendezvous-sized run and the healing barriers did not. A third time
+//! when the destination began to pick the receive core of an offloaded
+//! eager chunk: the fresh 16 KiB pairwise and ring all-to-alls, and the
+//! persistent runs from them on, moved; everything before them and the
+//! fresh 256 KiB all-to-alls did not. ci.sh runs this file in release
+//! mode too.
 
 use nm_collectives::{Algorithm, CollectiveCluster, ProfileBank, RunResult, ALGORITHMS};
 use nm_faults::{ClusterFaultSchedule, ClusterFaultSpec, FaultKind};
@@ -100,14 +104,14 @@ const HOMOGENEOUS_16: [u64; 20] = [
     0x39c1_d64c_5801_1ba7,
     0x5681_4cf6_26e0_0d8d,
     0x3737_089d_2cca_6c1f,
-    0x0427_352a_a787_a35e,
-    0x55ce_6848_68d1_c0bd,
+    0x6db9_263d_3bfb_0fc5,
+    0x156f_2f03_fd29_7865,
     0x6d4c_7ff6_cd2f_50a0,
-    0x5c3e_c580_64ea_1e37,
-    0x8d74_7724_42a7_f4ac,
-    0x2293_c1a0_f843_6736,
+    0xb99f_34c5_e73c_fef7,
+    0x33ea_5f91_c70e_e58c,
+    0xb3e4_6a4c_80e7_a86b,
     0xb1f5_b367_d9d8_d90c,
-    0xcb06_0e79_b332_431f,
+    0x8998_2dd5_c9ff_70eb,
 ];
 
 const HETEROGENEOUS_8: [u64; 20] = [
@@ -123,14 +127,14 @@ const HETEROGENEOUS_8: [u64; 20] = [
     0x93e4_eb55_6522_2be2,
     0x06ba_380c_af67_0966,
     0x0661_f328_ea33_9a14,
-    0x1696_332f_8bda_145f,
-    0x4bbd_5d38_a3ef_978a,
+    0x643c_0cb6_4a6a_c19d,
+    0x33f0_f6bc_a0b2_823b,
     0x6cf1_e63e_9455_47f3,
-    0xc08c_08f7_2dd5_98cf,
-    0xa301_18ff_29d4_e4d6,
-    0x5329_3c8d_1255_f33b,
+    0xb031_2b54_6ead_6cd7,
+    0x912c_58c9_a32b_45d3,
+    0x188f_2c67_e77c_3a3d,
     0x49ec_7c66_686f_b058,
-    0x87db_2abd_addc_1eff,
+    0x93f7_a5da_8019_7f2f,
 ];
 
 /// `(digest, hops executed, repairs)` of the healing barriers.
