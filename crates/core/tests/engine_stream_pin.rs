@@ -26,7 +26,9 @@
 //! A third re-recording came when `MulticoreEager` began to defer a medium
 //! eager message that finds a NIC busy until the split on idle NICs wins:
 //! the `MulticoreEager` and `Paper` columns moved, the `HeteroSplit` and
-//! `Aggregation` columns did not.
+//! `Aggregation` columns did not. A fourth, when the destination began to
+//! pick the receive core of an offloaded eager chunk, moved only seed 17's
+//! `MulticoreEager` pair.
 //!
 //! Digested: the verdict (id or error class) of every post, cancel and
 //! abandon; every poll's clock and done list with the degradation latch and
@@ -343,7 +345,7 @@ const PINNED: [[[u64; 2]; 4]; 6] = [
     ],
     [
         [0xa5db_3963_c158_bdb5, 0x4e6e_2a18_c647_ea24],
-        [0xa34f_0c55_91a9_4e6a, 0x3919_fdf3_d3df_85c3],
+        [0x9f69_6ea8_dcc9_0369, 0x6c65_adfd_8ffb_e936],
         [0x1927_b29f_38b7_077d, 0x50d4_1260_63c4_541b],
         [0xc7ef_9156_7939_8d9e, 0x214b_97c6_40a6_a357],
     ],
