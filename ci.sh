@@ -224,6 +224,10 @@ cargo test -q --release -p nm-core --test engine_stream_pin
 # nor the bank's quiet-hop predictions, which price the same delays.
 cargo test -q --release -p nm-collectives --test schedule_pin
 cargo test -q --release -p nm-collectives --test quiet_hop_prediction
+# And the shapes a pair engine meets inside a collective, each hop's
+# delivery pinned to the nanosecond: the 64 KiB tree broadcast's fan-out
+# and the 16 KiB pairwise all-to-all's exchange.
+cargo test -q --release -p nm-collectives --test split_never_loses
 # And the poll-count pin: one outage ridden out in a few hundred polls.
 cargo test -q --release -p nm-core --test outage_polls
 

@@ -1014,12 +1014,17 @@ mod tests {
     #[test]
     fn an_eager_sized_alltoall_lands_near_its_prediction() {
         // The bank predicts the equal-completion split over both rails,
-        // which only an engine that offloads the chunk copies approaches.
-        let (mut cc, mut bank) = setup(2);
-        let dag = Algorithm::AlltoallPairwise.dag(2, 16 * KIB);
-        let predicted = crate::cost::predict_dag_us(&mut bank, &dag);
-        let measured = cc.run(&mut bank, &dag).expect("run").duration_us;
-        assert!(measured <= 1.25 * predicted, "measured {measured} vs predicted {predicted}");
+        // which only an engine that offloads the chunk copies reaches; with
+        // more than two nodes, only if the destination takes each incoming
+        // chunk on a core its own send copy leaves free.
+        for n in [2, 8, 16] {
+            let (mut cc, mut bank) = setup(n);
+            let dag = Algorithm::AlltoallPairwise.dag(n, 16 * KIB);
+            let predicted = crate::cost::predict_dag_us(&mut bank, &dag);
+            let measured = cc.run(&mut bank, &dag).expect("run").duration_us;
+            let err = (measured - predicted).abs() / predicted;
+            assert!(err <= 0.005, "n={n}: measured {measured} vs predicted {predicted}");
+        }
     }
 
     #[test]
