@@ -12,8 +12,9 @@
 //! exits non-zero. `check` regenerates every deterministic artifact at seed
 //! 42 in-process and compares it byte for byte with its golden
 //! (`tests/golden/<name>.txt`) and its committed BENCH file, writing no
-//! file of the repo. `scaling` and `table_offload` measure the host, so
-//! `check` does not compare them.
+//! file of the repo; it prints every mismatch and exits non-zero if there
+//! is one. `scaling` and `table_offload` measure the host, so `check` does
+//! not compare them.
 
 // No unsafe anywhere in this binary; keep it that way.
 #![forbid(unsafe_code)]
@@ -164,24 +165,35 @@ fn compare(path: &Path, got: &str) -> Result<(), String> {
 }
 
 /// Regenerates every pinned artifact at seed 42 and compares it with its
-/// committed bytes; `sample` writes into a fresh temporary directory.
+/// committed bytes; `sample` writes into a fresh temporary directory. Every
+/// artifact is compared and every mismatch printed; the error names the
+/// artifacts that differ.
 fn check() -> Result<(), String> {
     let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
     let repo = crate_dir.ancestors().nth(2).expect("crates/bench sits two levels down");
     let dir = std::env::temp_dir().join(format!("repro-check-{}", std::process::id()));
     let args = Args { seed: 42, dir: dir.clone() };
-    let result = ARTIFACTS.iter().try_for_each(|a| {
-        let Some(golden) = a.golden else { return Ok(()) };
+    let mut differ = Vec::new();
+    for a in ARTIFACTS {
+        let Some(golden) = a.golden else { continue };
         let out = (a.run)(&args);
-        compare(&crate_dir.join("tests/golden").join(format!("{golden}.txt")), &out.text)?;
+        let golden = crate_dir.join("tests/golden").join(format!("{golden}.txt"));
+        let mut errors: Vec<String> = compare(&golden, &out.text).err().into_iter().collect();
         if let Some((file, doc)) = out.bench {
-            compare(&repo.join(file), &doc.render())?;
+            errors.extend(compare(&repo.join(file), &doc.render()).err());
         }
-        println!("ok {}", a.name);
-        Ok(())
-    });
+        if errors.is_empty() {
+            println!("ok {}", a.name);
+            continue;
+        }
+        errors.iter().for_each(|e| eprintln!("repro: {e}"));
+        differ.push(a.name);
+    }
     let _ = fs::remove_dir_all(&dir);
-    result
+    match differ.as_slice() {
+        [] => Ok(()),
+        names => Err(format!("{} artifact(s) differ: {}", names.len(), names.join(" "))),
+    }
 }
 
 fn main() -> ExitCode {
