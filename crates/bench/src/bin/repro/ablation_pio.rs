@@ -50,14 +50,12 @@ fn scenario_c_offloaded(seg: u64) -> f64 {
         SendSpec::simple(NodeId(0), NodeId(1), RailId(0), seg)
             .with_mode(TransferMode::Eager)
             .on_core(CoreId(1))
-            .recv_on_core(CoreId(1))
             .with_offload_delay(t_o),
     );
     let b = sim.submit(
         SendSpec::simple(NodeId(0), NodeId(1), RailId(1), seg)
             .with_mode(TransferMode::Eager)
             .on_core(CoreId(2))
-            .recv_on_core(CoreId(2))
             .with_offload_delay(t_o),
     );
     completion(&mut sim, &[a, b])

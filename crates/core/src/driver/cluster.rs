@@ -536,7 +536,6 @@ impl SimCore {
             rail,
             size: chunk.bytes,
             send_core: chunk.send_core,
-            recv_core: None,
             mode: chunk.mode,
             offload_delay: chunk.offload_delay,
             tag: slot as u32,

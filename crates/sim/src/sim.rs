@@ -64,16 +64,13 @@ pub struct SendSpec {
     pub size: u64,
     /// Core performing the send-side work.
     pub send_core: CoreId,
-    /// Core absorbing the receive copy (eager only). `None` leaves the
-    /// choice to the destination: an offloaded transfer
-    /// (`offload_delay > 0`) takes its first core free when the receive
-    /// NIC can take the copy, any other transfer takes core 0.
-    pub recv_core: Option<CoreId>,
     /// Force a protocol; `None` picks by the link's rendezvous threshold.
     pub mode: Option<TransferMode>,
     /// Extra delay before the send-side work may start — the offload cost
     /// T_O paid when the chunk was handed to another core (3 µs, or 6 µs
-    /// with a preemption signal; paper §III-D).
+    /// with a preemption signal; paper §III-D). An offloaded eager transfer
+    /// is also received off core 0: on the destination's first core free
+    /// when its receive NIC can take the copy.
     pub offload_delay: SimDuration,
     /// The submitter's own label, opaque to the simulator and returned on
     /// the transfer's [`SimEvent::SendDone`] and [`SimEvent::Delivered`] —
@@ -91,7 +88,6 @@ impl SendSpec {
             rail,
             size,
             send_core: CoreId(0),
-            recv_core: None,
             mode: None,
             offload_delay: SimDuration::ZERO,
             tag: 0,
@@ -101,13 +97,6 @@ impl SendSpec {
     /// Sets the sending core.
     pub fn on_core(mut self, core: CoreId) -> Self {
         self.send_core = core;
-        self
-    }
-
-    /// Pins the receive copy to `core` instead of leaving the choice to
-    /// the destination.
-    pub fn recv_on_core(mut self, core: CoreId) -> Self {
-        self.recv_core = Some(core);
         self
     }
 
@@ -486,12 +475,6 @@ impl Simulator {
             "bad send core {:?}",
             spec.send_core
         );
-        if let Some(core) = spec.recv_core {
-            assert!(
-                core.index() < self.spec.nodes[spec.dst.index()].cores,
-                "bad recv core {core:?}"
-            );
-        }
         assert!(spec.size > 0, "zero-byte transfers are not modeled");
     }
 
@@ -597,20 +580,20 @@ impl Simulator {
     }
 
     /// The destination core that takes an eager transfer's receive copy
-    /// once its receive NIC can, at `nic_ready` (see [`SendSpec::recv_core`]).
-    /// An offloaded transfer takes the lowest-index core free by then, else
-    /// the one that frees first: every core free at `nic_ready` ties there,
-    /// and `min_by_key` keeps the first of a tie.
+    /// once its receive NIC can, at `nic_ready`. A transfer sent from the
+    /// application core takes core 0; an offloaded one takes the
+    /// lowest-index core free by then, else the one that frees first:
+    /// every core free at `nic_ready` ties there, and `min_by_key` keeps
+    /// the first of a tie.
     fn recv_core(&self, spec: &SendSpec, nic_ready: SimTime) -> CoreId {
-        match spec.recv_core {
-            Some(core) => core,
-            None if spec.offload_delay == SimDuration::ZERO => CoreId(0),
-            None => self.cores[spec.dst.index()]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.free_at(nic_ready))
-                .map_or(CoreId(0), |(i, _)| CoreId(i)),
+        if spec.offload_delay == SimDuration::ZERO {
+            return CoreId(0);
         }
+        self.cores[spec.dst.index()]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| c.free_at(nic_ready))
+            .map_or(CoreId(0), |(i, _)| CoreId(i))
     }
 
     fn submit_rdv(&mut self, id: TransferId, spec: &SendSpec) -> Vec<Window> {
@@ -1037,10 +1020,8 @@ mod tests {
         // (Fig 4c without the offload delay).
         let size = 8 * KIB;
         let mut s = sim().with_trace();
-        let a = s.submit(SendSpec::simple(N0, N1, MYRI, size).recv_on_core(CoreId(0)));
-        let b = s.submit(
-            SendSpec::simple(N0, N1, QUAD, size).on_core(CoreId(1)).recv_on_core(CoreId(1)),
-        );
+        let a = s.submit(SendSpec::simple(N0, N1, MYRI, size));
+        let b = s.submit(SendSpec::simple(N0, N1, QUAD, size).on_core(CoreId(1)));
         s.run_until_idle();
         assert_eq!(started(&s, a), SimTime::ZERO);
         assert_eq!(started(&s, b), SimTime::ZERO);

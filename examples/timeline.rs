@@ -38,13 +38,12 @@ fn main() {
         );
     });
 
-    show("(c) offloaded: copies on cores 1 and 2, T_O = 3us", |sim| {
+    show("(c) offloaded: send copies on cores 1 and 2, T_O = 3us", |sim| {
         for (rail, core) in [(RailId(0), CoreId(1)), (RailId(1), CoreId(2))] {
             sim.submit(
                 SendSpec::simple(NodeId(0), NodeId(1), rail, seg)
                     .with_mode(TransferMode::Eager)
                     .on_core(core)
-                    .recv_on_core(core)
                     .with_offload_delay(SimDuration::from_micros(3)),
             );
         }

@@ -1,6 +1,8 @@
 //! Property-based validation of the discrete-event simulator: for random
 //! workloads, resources never double-book, time never runs backwards, and
 //! every transfer is delivered exactly once at a physically possible time.
+//! A send drawn with an offload delay leaves its receive core to the
+//! destination's pick, so both receive-core rules are exercised.
 
 use nm_model::units::MIB;
 use nm_model::{SimDuration, TransferMode};
@@ -14,18 +16,16 @@ struct RandomSend {
     rail: usize,
     size: u64,
     send_core: usize,
-    recv_core: usize,
     force_eager: bool,
     offload_us: u64,
 }
 
 fn random_send() -> impl Strategy<Value = RandomSend> {
-    (0usize..2, 1u64..(2 * MIB), 0usize..4, 0usize..4, any::<bool>(), 0u64..10).prop_map(
-        |(rail, size, send_core, recv_core, force_eager, offload_us)| RandomSend {
+    (0usize..2, 1u64..(2 * MIB), 0usize..4, any::<bool>(), 0u64..10).prop_map(
+        |(rail, size, send_core, force_eager, offload_us)| RandomSend {
             rail,
             size,
             send_core,
-            recv_core,
             force_eager,
             offload_us,
         },
@@ -49,7 +49,6 @@ proptest! {
                     s.size,
                 )
                 .on_core(CoreId(s.send_core))
-                .recv_on_core(CoreId(s.recv_core))
                 .with_offload_delay(SimDuration::from_micros(s.offload_us));
                 if s.force_eager {
                     spec = spec.with_mode(TransferMode::Eager);
@@ -164,7 +163,7 @@ proptest! {
                     sim.submit(
                         SendSpec::simple(NodeId(0), NodeId(1), RailId(s.rail), s.size)
                             .on_core(CoreId(s.send_core))
-                            .recv_on_core(CoreId(s.recv_core)),
+                            .with_offload_delay(SimDuration::from_micros(s.offload_us)),
                     )
                 })
                 .collect();
