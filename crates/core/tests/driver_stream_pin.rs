@@ -20,8 +20,9 @@
 //!
 //! They were re-recorded once since, when the destination began to pick an
 //! eager chunk's receive core: the script stopped drawing a receive core
-//! for each chunk, which moves the draws after it, and the chunks it
-//! submits, none of them offloaded, are all received on core 0.
+//! for each chunk and draws an offload delay (0 or 3 µs) instead, so half
+//! the chunks are offloaded and their receive copies land on the core the
+//! destination picks, inside the fault windows and the retractions.
 
 use bytes::Bytes;
 use nm_core::driver::faulty::FaultSimDriver;
@@ -104,6 +105,7 @@ fn digest<T: Transport>(mut t: T, seed: u64, with_payload: bool) -> u64 {
             let size = SIZES[rng.random_range(0..SIZES.len())];
             let mut chunk = ChunkSubmit::new(rail, size);
             chunk.send_core = CoreId(rng.random_range(0..4usize));
+            chunk.offload_delay = us(3 * rng.random_range(0..2u64));
             if with_payload {
                 let bytes = framed(size, submitted);
                 chunk.bytes = bytes.len() as u64;
@@ -202,21 +204,21 @@ fn both(schedule: &FaultSchedule, seed: u64) -> [u64; 2] {
     [false, true].map(|p| digest(FaultSimDriver::paper_testbed(schedule.clone()), seed, p))
 }
 
-const PLAIN: [u64; 2] = [0x47a5_5c9a_4415_b9db, 0x6196_e037_2002_6aec];
+const PLAIN: [u64; 2] = [0x45d5_2190_aa65_dd27, 0x37dc_52b8_86df_bf5c];
 const PER_KIND: [[u64; 2]; 8] = [
-    [0x0a9a_0f5e_7947_d18d, 0xe117_bb92_30e1_ab14],
-    [0x03a6_82f7_5e8f_a63e, 0xb7cb_8e33_c0ad_8d93],
-    [0x881f_d886_aca7_9e53, 0x508b_8be6_cf12_8f7e],
-    [0x85da_a016_e75c_6bbd, 0xfe0c_fe2c_1f84_9386],
-    [0x20dd_dc3f_e173_fbcd, 0xc85f_5e01_d925_c43b],
-    [0x422b_c04b_67e0_105e, 0xe1e9_eded_5fa0_b128],
-    [0xddd1_a190_2671_3646, 0x18dd_c03f_398e_0b8f],
-    [0x41eb_2e1e_f8a9_e038, 0xe422_5e19_a581_f58b],
+    [0x48bd_e306_99ba_80dd, 0x416e_c724_88ba_beaa],
+    [0x9d05_cce9_9d71_e670, 0x6411_37ff_de1c_b644],
+    [0xa6b8_b48c_bfcc_bc10, 0xdd74_99d0_9d41_1fd6],
+    [0xd0e0_7a61_7a43_4e15, 0x1d7e_9ab2_8dfb_fb01],
+    [0x2c7b_5d00_5f36_da2c, 0x9426_0a68_c6f6_6bd3],
+    [0x5ff0_06bf_041f_0025, 0x3ff1_cf19_b59a_982c],
+    [0xda86_28d0_3e94_712f, 0xae32_14a3_f9b8_1dce],
+    [0x39ae_0112_ca7b_0dc7, 0x946b_c805_f6b5_99da],
 ];
 const STORM: [[u64; 2]; 3] = [
-    [0xaf54_791c_e20f_302e, 0x6310_151a_f42b_0608],
-    [0xfb1f_5541_4613_5613, 0x0d7a_59bc_569f_3531],
-    [0x27e8_a04a_d4de_64cc, 0x681d_728a_ccb2_082b],
+    [0xfe8d_460e_85fa_ceee, 0xdf1d_c8b8_2507_e525],
+    [0x812a_1b5f_af93_3ade, 0x48c3_a683_59d5_bcef],
+    [0x6eea_6b27_4e35_ece8, 0x408d_5aa0_cf64_f44a],
 ];
 
 #[test]
