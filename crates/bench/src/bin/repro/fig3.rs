@@ -23,7 +23,7 @@ impl Strategy for AggregateOn {
     }
 
     fn decide(&mut self, ctx: &Ctx<'_>) -> Action {
-        Action::Aggregate { count: ctx.queued_sizes.len(), rail: self.0 }
+        Action::aggregate(ctx.queued_sizes.len(), self.0)
     }
 }
 

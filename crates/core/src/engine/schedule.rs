@@ -182,7 +182,10 @@ impl<T: Transport> Engine<T> {
                     continue;
                 }
                 Action::Split(chunks) => self.apply_split(chunks)?,
-                Action::Aggregate { count, rail } => self.apply_aggregate(count, rail)?,
+                Action::Aggregate { count, rail, offload_core, offload_delay } => {
+                    let send_core = offload_core.unwrap_or(CoreId(0));
+                    self.apply_aggregate(count, rail, send_core, offload_delay)?
+                }
             }
             consecutive_promotes = 0;
         }
@@ -267,7 +270,13 @@ impl<T: Transport> Engine<T> {
         Ok(())
     }
 
-    fn apply_aggregate(&mut self, count: usize, rail: RailId) -> Result<(), EngineError> {
+    fn apply_aggregate(
+        &mut self,
+        count: usize,
+        rail: RailId,
+        send_core: CoreId,
+        offload_delay: SimDuration,
+    ) -> Result<(), EngineError> {
         if count == 0 || count > self.queue.len() {
             return Err(EngineError::BadPlan(format!(
                 "aggregate of {count} messages from a queue of {}",
@@ -307,7 +316,8 @@ impl<T: Transport> Engine<T> {
         self.stats.chunks_submitted += 1;
         self.stats.rail_bytes[rail.index()] += pack_bytes;
         let wire_bytes = payload.as_ref().map(|p| p.len() as u64).unwrap_or(pack_bytes);
-        let submit = ChunkSubmit { payload, ..ChunkSubmit::new(rail, wire_bytes) };
+        let submit =
+            ChunkSubmit { send_core, offload_delay, payload, ..ChunkSubmit::new(rail, wire_bytes) };
         let ids = msgs.iter().map(|m| m.id).collect();
         self.submit_chunk(ChunkOwner::Pack(ids), submit, Lineage::default());
         Ok(())

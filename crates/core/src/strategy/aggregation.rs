@@ -64,7 +64,7 @@ impl Strategy for Aggregation {
             packed = next;
             count += 1;
         }
-        Action::Aggregate { count, rail }
+        Action::aggregate(count, rail)
     }
 }
 
@@ -79,7 +79,7 @@ mod tests {
         let mut s = Aggregation::new();
         // Synthetic rails: rail 1 has 1us latency — fastest for small sizes.
         match decide_with(&mut s, vec![0.0, 0.0], vec![0], &[64, 64, 64]) {
-            Action::Aggregate { count, rail } => {
+            Action::Aggregate { count, rail, .. } => {
                 assert_eq!(count, 3, "all three fit one pack");
                 assert_eq!(rail, RailId(1));
             }

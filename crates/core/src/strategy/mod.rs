@@ -150,6 +150,10 @@ pub enum Action {
         count: usize,
         /// Rail for the pack.
         rail: RailId,
+        /// Core copying the pack; `None` = the initiating core.
+        offload_core: Option<CoreId>,
+        /// Offload cost to charge (T_O), zero when not offloaded.
+        offload_delay: SimDuration,
     },
     /// Move the queued message at `index` (> 0) to the head, then
     /// re-interrogate — NewMadeleine's *reordering* optimization. The
@@ -170,6 +174,11 @@ impl Action {
         let mut chunks = ChunkList::new();
         chunks.push(plan);
         Action::Split(chunks)
+    }
+
+    /// A pack of the first `count` queued messages on the initiating core.
+    pub fn aggregate(count: usize, rail: RailId) -> Action {
+        Action::Aggregate { count, rail, offload_core: None, offload_delay: SimDuration::ZERO }
     }
 }
 

@@ -12,12 +12,19 @@
 //!   busy-until-aware selection (Fig 1c/2/8).
 //!
 //! Dispatch is decided per interrogation from the predictor and the queue,
-//! so the same plug-in serves mixed workloads.
+//! so the same plug-in serves mixed workloads. An eager plan the dispatch
+//! leaves on the initiating core (a pack, or a single-rail eager send)
+//! moves to the first idle core when core 0 is busy, charged T_O — the
+//! paper's "signal an idle core" (§III-D). Only the composite does this:
+//! the single plug-ins reproduce the evaluation's pieces, and Fig 3's
+//! aggregation is measured on the application core.
 
 use crate::strategy::aggregation::Aggregation;
 use crate::strategy::hetero::HeteroSplit;
 use crate::strategy::multicore::MulticoreEager;
 use crate::strategy::{Action, Ctx, Strategy};
+use nm_model::{SimDuration, TransferMode};
+use nm_sim::CoreId;
 
 /// Aggregation + multicore eager + hetero split, dispatched by regime.
 #[derive(Debug, Clone)]
@@ -60,12 +67,33 @@ impl Strategy for PaperStrategy {
         if !eager_everywhere {
             return self.hetero.decide(ctx);
         }
-        if size < self.aggregate_below {
-            return self.aggregation.decide(ctx);
-        }
         // Medium eager: the multicore plug-in itself falls back to a
         // single-rail send when no idle cores/NICs or no predicted win.
-        self.multicore.decide(ctx)
+        let mut action = if size < self.aggregate_below {
+            self.aggregation.decide(ctx)
+        } else {
+            self.multicore.decide(ctx)
+        };
+        // A copy left on a busy core 0 would serialize behind the one
+        // already there: signal the first idle core instead, at T_O, so the
+        // rails copy in parallel (§II-C). Idle cores are listed ascending.
+        let Some(&core) = ctx.idle_cores.first().filter(|&&c| c != CoreId(0)) else {
+            return action;
+        };
+        let delay = SimDuration::from_micros_f64(self.multicore.offload_us);
+        match &mut action {
+            Action::Aggregate { offload_core: o @ None, offload_delay, .. } => {
+                (*o, *offload_delay) = (Some(core), delay);
+            }
+            Action::Split(chunks) => match chunks.as_mut_slice() {
+                [c] if c.offload_core.is_none() && c.mode == Some(TransferMode::Eager) => {
+                    (c.offload_core, c.offload_delay) = (Some(core), delay);
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+        action
     }
 }
 

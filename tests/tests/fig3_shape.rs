@@ -16,7 +16,7 @@ impl Strategy for AggregateOn {
         "aggregate-on-fixed-rail"
     }
     fn decide(&mut self, ctx: &Ctx<'_>) -> Action {
-        Action::Aggregate { count: ctx.queued_sizes.len(), rail: self.0 }
+        Action::aggregate(ctx.queued_sizes.len(), self.0)
     }
 }
 
