@@ -28,7 +28,9 @@
 //! the `MulticoreEager` and `Paper` columns moved, the `HeteroSplit` and
 //! `Aggregation` columns did not. A fourth, when the destination began to
 //! pick the receive core of an offloaded eager chunk, moved only seed 17's
-//! `MulticoreEager` pair.
+//! `MulticoreEager` pair. A fifth, when the composite strategy began to
+//! move a pack or single-rail eager send off a busy core 0, moved the
+//! `Paper` column and no other.
 //!
 //! Digested: the verdict (id or error class) of every post, cancel and
 //! abandon; every poll's clock and done list with the degradation latch and
@@ -341,39 +343,38 @@ const PINNED: [[[u64; 2]; 4]; 6] = [
         [0x867c_35d4_6eb1_f9e1, 0xff61_7707_a0f7_6f7f],
         [0x55dd_787b_78e8_caf9, 0x9e74_22a5_4be9_e115],
         [0x85c8_f366_76b8_c4ca, 0x8570_016b_526b_4eed],
-        [0x2422_81a2_76fc_d57f, 0x34e8_13a9_34a8_e9f9],
+        [0x1add_7bdc_25cd_ea0a, 0x7ff0_1f62_1ca6_96fb],
     ],
     [
         [0xa5db_3963_c158_bdb5, 0x4e6e_2a18_c647_ea24],
         [0x9f69_6ea8_dcc9_0369, 0x6c65_adfd_8ffb_e936],
         [0x1927_b29f_38b7_077d, 0x50d4_1260_63c4_541b],
-        [0xc7ef_9156_7939_8d9e, 0x214b_97c6_40a6_a357],
+        [0x0082_6c2c_fdc4_610a, 0xe815_3cd1_9570_22ec],
     ],
     [
         [0xff55_97a7_5049_681a, 0x98a1_e585_5976_fcb7],
         [0x3558_14bd_14a8_68e3, 0x919a_be99_3eb3_9b8b],
         [0x5c3f_d054_4c3d_8ced, 0xcedd_8c76_0ebd_8d0d],
-        [0xfcb0_d46b_4bf9_b37d, 0x5a90_6bf7_7e7a_38c2],
+        [0x71a6_5ecd_eef5_2c81, 0x94cf_c684_f224_3691],
     ],
     [
         [0xd68d_8ab8_3b01_4ffc, 0x6a5c_e412_2dda_6794],
         [0x2ef3_428d_f352_9432, 0xbc6e_d688_e7a2_96fd],
         [0xb3b2_bb04_1778_510a, 0x4c30_9989_7439_164b],
-        [0xaa3e_2de1_6797_5755, 0x5f5f_04f3_e158_b92d],
+        [0x06c5_cd67_9b45_bfe5, 0x83aa_2c55_4079_bd63],
     ],
     [
         [0x1a9d_e66f_31b9_4143, 0x66c9_5040_f7ef_a74e],
         [0x81a2_2cfd_3c9f_c9da, 0x84f3_60dd_a618_1adb],
         [0xf749_7558_513d_fe4f, 0x2700_7865_f2b7_8f01],
-        [0xcc45_a219_b60e_eddd, 0xd878_7f2e_405d_2a38],
+        [0x6022_a4f9_b389_baa7, 0x33fd_df33_055a_c2e7],
     ],
     [
         [0xc374_0301_86ca_d5cc, 0x0014_6cfa_31ad_9f00],
         [0x74a0_3d6e_e9ab_6304, 0x4cce_069d_3220_3575],
         [0xd372_dc09_49de_8bec, 0xb2fb_26d1_d2d2_4d7a],
-        [0x6c5d_2d94_d97b_8a94, 0x75c3_a869_d267_c77d],
-    ],
-];
+        [0x4bcf_d5a3_e325_874e, 0xc953_4870_5abf_ec2b],
+    ],];
 
 /// Runs the 24 cases of one framing variant against their pinned column.
 fn check(framed: bool) {
