@@ -33,8 +33,8 @@
 //!   order engines are polled at one instant decides the order they submit
 //!   at that instant — so the sort is part of the modeled result, not a
 //!   convenience.
-//! * **Idle interest.** `NicIdle`/`CoreIdle` go to every driver sourced at
-//!   the node *that asked for them* ([`Transport::set_idle_interest`]; the
+//! * **Idle interest.** `NicIdle` goes to every driver sourced at the
+//!   node *that asked for it* ([`Transport::set_idle_interest`]; the
 //!   default is to ask). An engine with nothing queued has no use for an
 //!   idle event — its poll would interrogate an empty queue — and an
 //!   all-to-all keeps n−1 engines per node, all but one or two of them in
@@ -188,7 +188,7 @@ struct Slot {
     /// Rails are translated on submit and back on events, so the engine
     /// above never sees a rail it cannot use.
     rail_map: Vec<RailId>,
-    /// Whether the source node's `NicIdle`/`CoreIdle` are routed here.
+    /// Whether the source node's `NicIdle` events are routed here.
     idle_wanted: bool,
     /// On [`SimCore::ready`] already (a slot is listed at most once).
     listed: bool,
@@ -316,7 +316,7 @@ impl SimCore {
         }
     }
 
-    /// Routes a NIC/core idle event of `node` to every slot sending from
+    /// Routes a NIC idle event of `node` to every slot sending from
     /// it (they share the NIC) that asked for idle events.
     fn deliver_idle(&mut self, node: NodeId, ev: &TransportEvent) {
         for k in 0..self.by_source[node.index()].len() {
@@ -445,9 +445,6 @@ impl SimCore {
                 }
                 SimEvent::NicIdle { node, rail, at } => {
                     self.deliver_idle(node, &TransportEvent::RailIdle { rail, at });
-                }
-                SimEvent::CoreIdle { node, core, at } => {
-                    self.deliver_idle(node, &TransportEvent::CoreIdle { core, at });
                 }
                 SimEvent::Wakeup { token, at } => {
                     // Engine retry/probe timers route back to their slot;
@@ -615,7 +612,6 @@ fn event_time(ev: &SimEvent) -> SimTime {
         | SimEvent::SendDone { at, .. }
         | SimEvent::RtsArrived { at, .. }
         | SimEvent::NicIdle { at, .. }
-        | SimEvent::CoreIdle { at, .. }
         | SimEvent::Wakeup { at, .. } => *at,
     }
 }

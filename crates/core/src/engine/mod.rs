@@ -7,7 +7,7 @@
 //!
 //! * [`Engine::post_send`] enqueues a message and returns at once;
 //! * the strategy is interrogated immediately and again on every
-//!   [`TransportEvent::RailIdle`] / [`TransportEvent::CoreIdle`];
+//!   [`TransportEvent::RailIdle`];
 //! * chunk deliveries are folded back into message completions.
 //!
 //! Where a message stands is written in one place, its `MsgRecord` in the
@@ -502,9 +502,7 @@ impl<T: Transport> Engine<T> {
                     None => self.on_stray_delivery(chunk)?,
                 },
                 TransportEvent::ChunkSendDone { .. } => {}
-                TransportEvent::RailIdle { .. }
-                | TransportEvent::CoreIdle { .. }
-                | TransportEvent::Wakeup { .. } => {
+                TransportEvent::RailIdle { .. } | TransportEvent::Wakeup { .. } => {
                     rekick = true;
                 }
                 TransportEvent::ChunkFailed { chunk, at } => {

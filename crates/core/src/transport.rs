@@ -84,13 +84,6 @@ pub enum TransportEvent {
         /// Transition instant.
         at: SimTime,
     },
-    /// A core became idle.
-    CoreIdle {
-        /// The core.
-        core: CoreId,
-        /// Transition instant.
-        at: SimTime,
-    },
     /// A chunk was lost: the rail rejected it, dropped it, or went down
     /// with it in flight. The chunk will never deliver; the engine's
     /// failover layer re-plans it (see `nm-core`'s health module).
@@ -177,7 +170,7 @@ pub trait Transport {
     fn schedule_wakeup(&mut self, _at: SimTime) {}
 
     /// Tells the driver whether this engine currently has any use for
-    /// [`TransportEvent::RailIdle`]/[`TransportEvent::CoreIdle`]. The engine
+    /// [`TransportEvent::RailIdle`]. The engine
     /// calls it when the answer changes: `false` once nothing is queued
     /// (an idle event could only make it interrogate an empty queue),
     /// `true` again at the end of the scheduling pass that leaves work

@@ -60,7 +60,6 @@ fn record(h: &mut Fnv, ev: &TransportEvent) -> Option<ChunkId> {
         TransportEvent::ChunkDelivered { chunk, at } => (1, chunk.0, at),
         TransportEvent::ChunkSendDone { chunk, at } => (2, chunk.0, at),
         TransportEvent::RailIdle { rail, at } => (3, rail.index() as u64, at),
-        TransportEvent::CoreIdle { core, at } => (4, core.index() as u64, at),
         TransportEvent::ChunkFailed { chunk, at } => (5, chunk.0, at),
         TransportEvent::ChunkCorrupt { chunk, at } => (6, chunk.0, at),
         TransportEvent::Wakeup { .. } => return None,

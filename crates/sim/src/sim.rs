@@ -25,11 +25,12 @@
 //! The engine calls [`Simulator::step`] in a loop. Each step advances
 //! virtual time to the next internal event and appends the public
 //! [`SimEvent`]s it caused to the caller's buffer: deliveries, send
-//! completions, RTS arrivals and *edge-triggered* transmit-idle / core-idle
+//! completions, RTS arrivals and *edge-triggered* transmit-idle
 //! notifications (stale notifications are suppressed with generation
 //! counters). This mirrors NewMadeleine's scheduler being "activated when a
 //! NIC becomes idle in order to feed it". Nothing that cannot surface is
-//! scheduled: receive-side NIC idleness is never checked.
+//! scheduled: receive-side NIC idleness and core idleness are never
+//! checked — every deferred decision waits for a NIC.
 //!
 //! ## What the simulator keeps
 //!
@@ -152,15 +153,6 @@ pub enum SimEvent {
         /// Transition instant.
         at: SimTime,
     },
-    /// A core transitioned busy → idle.
-    CoreIdle {
-        /// Owning node.
-        node: NodeId,
-        /// Core.
-        core: CoreId,
-        /// Transition instant.
-        at: SimTime,
-    },
     /// A wakeup requested with [`Simulator::schedule_wakeup`] fired.
     Wakeup {
         /// Caller-chosen token.
@@ -216,7 +208,6 @@ enum Ev {
     DmaEnd(TransferId),
     /// Transmit side of the NIC: the only idle edge the engine is fed.
     NicIdleCheck(NicKey, u64),
-    CoreIdleCheck(NodeId, CoreId, u64),
     Wakeup(u64),
 }
 
@@ -572,10 +563,11 @@ impl Simulator {
             transfer: id,
         });
         self.calendar.push(recv_end, Ev::RecvEnd(id));
-        let rx_core_gen = self.cores[spec.dst.index()][recv_core.index()].generation();
-        self.calendar.push(recv_end, Ev::CoreIdleCheck(spec.dst, recv_core, rx_core_gen));
-
-        self.schedule_idle_checks_for_send(spec, inject_end);
+        let nic_gen = self.nic_tx[spec.src.index()][spec.rail.index()].generation();
+        self.calendar.push(
+            inject_end,
+            Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, nic_gen),
+        );
         windows
     }
 
@@ -672,8 +664,6 @@ impl Simulator {
         let tx_gen = self.nic_tx[spec.src.index()][spec.rail.index()].generation();
         self.calendar
             .push(dma_end, Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, tx_gen));
-        let core_gen = self.cores[spec.src.index()][spec.send_core.index()].generation();
-        self.calendar.push(post_end, Ev::CoreIdleCheck(spec.src, spec.send_core, core_gen));
         windows
     }
 
@@ -798,14 +788,6 @@ impl Simulator {
         true
     }
 
-    fn schedule_idle_checks_for_send(&mut self, spec: &SendSpec, end: SimTime) {
-        let core_gen = self.cores[spec.src.index()][spec.send_core.index()].generation();
-        self.calendar.push(end, Ev::CoreIdleCheck(spec.src, spec.send_core, core_gen));
-        let nic_gen = self.nic_tx[spec.src.index()][spec.rail.index()].generation();
-        self.calendar
-            .push(end, Ev::NicIdleCheck(NicKey { node: spec.src, rail: spec.rail }, nic_gen));
-    }
-
     /// Advances through internal events until one produces public events,
     /// and appends those to `out`. Returns `false`, appending nothing, only
     /// when the calendar is exhausted.
@@ -885,12 +867,6 @@ impl Simulator {
                 let nic = &self.nic_tx[key.node.index()][key.rail.index()];
                 if nic.idle_event_is_current(gen) && nic.is_idle(self.now) {
                     out.push(SimEvent::NicIdle { node: key.node, rail: key.rail, at: self.now });
-                }
-            }
-            Ev::CoreIdleCheck(node, core, gen) => {
-                let c = &self.cores[node.index()][core.index()];
-                if c.idle_event_is_current(gen) && c.is_idle(self.now) {
-                    out.push(SimEvent::CoreIdle { node, core, at: self.now });
                 }
             }
             Ev::Wakeup(token) => {
@@ -1360,15 +1336,14 @@ mod tests {
 
     #[test]
     fn a_submit_schedules_only_events_that_can_surface() {
-        // Eager: inject end, receive end, and the send core's, receive
-        // core's and transmit NIC's idle checks.
+        // Eager: inject end, receive end and the transmit NIC's idle check.
         let mut s = sim();
         s.submit(SendSpec::simple(N0, N1, MYRI, 4 * KIB));
-        assert_eq!(s.calendar.len(), 5);
-        // Rendezvous: RTS arrival, DMA end, transmit NIC and send core idle.
+        assert_eq!(s.calendar.len(), 3);
+        // Rendezvous: RTS arrival, DMA end and the transmit NIC's idle check.
         let mut s = sim();
         s.submit(SendSpec::simple(N0, N1, MYRI, MIB));
-        assert_eq!(s.calendar.len(), 4);
+        assert_eq!(s.calendar.len(), 3);
     }
 
     /// A drained simulator holds nothing: every transfer delivered, the

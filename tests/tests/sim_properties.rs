@@ -69,7 +69,6 @@ proptest! {
                     | SimEvent::SendDone { at, .. }
                     | SimEvent::Delivered { at, .. }
                     | SimEvent::NicIdle { at, .. }
-                    | SimEvent::CoreIdle { at, .. }
                     | SimEvent::Wakeup { at, .. } => at,
                 };
                 prop_assert!(at >= last, "event time went backwards");
