@@ -25,7 +25,7 @@
 //! destination picks, inside the fault windows and the retractions. And
 //! again when the simulator stopped raising core-idle events: no engine
 //! acts on one, so the stream lost them and nothing else (a driver that
-//! dropped them at the parent gave the same digests).
+//! merely dropped them gave the same digests).
 
 use bytes::Bytes;
 use nm_core::driver::faulty::FaultSimDriver;
