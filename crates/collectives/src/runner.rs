@@ -25,7 +25,7 @@
 //!   is the list's `(src, dst)` sort and nothing else
 //!   (`tests/schedule_pin.rs` holds digests of every delivery time);
 //! * an engine with nothing queued tells its driver so and is sent no
-//!   NIC/core idle events ([`nm_core::transport::Transport::set_idle_interest`]):
+//!   NIC idle events ([`nm_core::transport::Transport::set_idle_interest`]):
 //!   the n−2 sibling engines of a busy node are left alone instead of each
 //!   being polled to interrogate an empty queue. Healing engines (fault
 //!   tolerance on) keep receiving them — their polls also run timeouts;
@@ -1031,8 +1031,8 @@ mod tests {
     fn polls_scale_with_hops_not_with_engines() {
         // 240 engines, 240 hops: each hop's events concern its own engine
         // (and, while something is queued there, its node's siblings).
-        // Polling all 15 engines of a node on each of its NIC/core idle
-        // events takes 42 polls per hop.
+        // Polling all 15 engines of a node on each of its NIC and core idle
+        // events took 42 polls per hop.
         let (mut cc, mut bank) = setup(16);
         let dag = Algorithm::AlltoallPairwise.dag(16, 16 * KIB);
         cc.run(&mut bank, &dag).expect("run");

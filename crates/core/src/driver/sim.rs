@@ -3,7 +3,7 @@
 //! The paper's testbed is the smallest cluster the simulated transport
 //! serves: a [`SimDriver`] owns a `SimCore` whose single slot sends
 //! node 0 → node 1, and holds no logic of its own. Chunk ids are the
-//! simulator's transfer ids; only *local* (node-0) NIC/core idle events are
+//! simulator's transfer ids; only *local* (node-0) NIC idle events are
 //! surfaced — the engine schedules sends, not receives.
 
 use super::cluster::{slot_transport, SimCore};

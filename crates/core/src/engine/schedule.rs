@@ -85,7 +85,7 @@ impl<T: Transport> Engine<T> {
         self.scratch_sizes = sizes;
         self.scratch_waits = waits;
         self.scratch_cores = cores;
-        // An idle NIC or core matters only while something waits for one.
+        // An idle NIC matters only while something waits for one.
         // The fault and admission layers have time-driven work (timeouts,
         // retries, probes, shedding) that a transport without timers lets
         // them notice only when an event brings a poll, so they take every

@@ -17,7 +17,7 @@
 //!
 //! The engine in `nm-core` drives a [`Simulator`] exactly the way
 //! NewMadeleine drives its NICs: it submits transfers and reacts to
-//! [`SimEvent`]s — deliveries, NIC-idle and core-idle transitions ("the
+//! [`SimEvent`]s — deliveries and NIC-idle transitions ("the
 //! packet scheduler is only activated when a NIC becomes idle", paper §III-A).
 //!
 //! Uncontended transfers reproduce the analytic durations of
