@@ -228,6 +228,9 @@ cargo test -q --release -p nm-collectives --test quiet_hop_prediction
 # delivery pinned to the nanosecond: the 64 KiB tree broadcast's fan-out
 # and the 16 KiB pairwise all-to-all's exchange.
 cargo test -q --release -p nm-collectives --test split_never_loses
+# The composite strategy's small batch, its last delivery pinned to the
+# nanosecond: the T_O of a copy moved off core 0 is `f64` arithmetic too.
+cargo test -q --release -p nm-tests --test composite_strategy
 # And the poll-count pin: one outage ridden out in a few hundred polls.
 cargo test -q --release -p nm-core --test outage_polls
 
